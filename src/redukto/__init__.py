@@ -40,6 +40,7 @@ from .engine import (
     CycleRewrite,
     Decision,
     Limits,
+    ResourcesExceeded,
     Trace,
     cycle_rewrites,
     decide_basic_membership,
@@ -48,6 +49,7 @@ from .engine import (
     right_distance,
     run_deterministic,
     successors,
+    walk_branches,
 )
 from .languages import (
     LanguageQuery,
@@ -55,7 +57,6 @@ from .languages import (
     compare_with_oracle,
     decide_hproper_membership,
     enumerate_basic_by_reduction,
-    enumerate_input_by_reduction,
     enumerate_language,
     words_over,
 )

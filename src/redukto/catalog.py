@@ -36,8 +36,6 @@ from .model import (
     ClassFlags,
     GnfGrammar,
     GnfRule,
-    Instruction,
-    PreconditionError,
     ReduktoError,
     TypeTags,
     Word,

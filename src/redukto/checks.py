@@ -10,33 +10,30 @@ the engine.  None of the verdicts claim the unbounded property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional
 
 from .engine import (
-    ACCEPT,
     DEFAULT_LIMITS,
-    PERMISSIVE,
+    OUT_LIMIT,
     STRICT,
-    Configuration,
     Limits,
+    ResourcesExceeded,
     Trace,
-    _Budget,
-    _Exhausted,
-    _explore_phase,
     cycle_rewrites,
     decide_basic_membership,
-    restarting_configuration,
+    discipline_break,
     right_distance,
-    strip_sentinels,
-    successors,
+    run_deterministic,
     trace_tapes,
+    walk_branches,
 )
 from .model import (
+    LEFT_SENTINEL,
     MVL,
     MVR,
-    REJECT,
     RESTART,
+    RIGHT_SENTINEL,
     SL,
     AutomatonSpec,
     PreconditionError,
@@ -84,6 +81,30 @@ class CheckReport:
         return "%s\n  word: %s\n  %s" % (head, render_word(ce.word), ce.explanation)
 
 
+def _report(
+    name: str, max_len: int, search: Callable[[], Optional[Counterexample]]
+) -> CheckReport:
+    """Report on a bounded search for a counterexample: a tripped limit is
+    resource-exceeded, and no counterexample is holds-up-to-bound."""
+    try:
+        found = search()
+    except ResourcesExceeded:
+        return CheckReport(name, max_len, EXCEEDED)
+    if found is None:
+        return CheckReport(name, max_len, HOLDS)
+    return CheckReport(name, max_len, VIOLATED, found)
+
+
+def _first_flagged(spec, words: Iterable[Word], limits, on_step) -> Optional[Counterexample]:
+    """The first word with a step that ``on_step`` flags on some branch,
+    with the trace up to that step."""
+    for word in words:
+        trace = walk_branches(spec, word, on_step, limits)
+        if trace is not None:
+            return Counterexample(word, trace, trace.flag)
+    return None
+
+
 def check_determinism(spec: AutomatonSpec) -> CheckReport:
     """List every (state, window) pair carrying two or more instructions."""
     conflicts = [
@@ -105,71 +126,22 @@ def check_determinism(spec: AutomatonSpec) -> CheckReport:
     )
 
 
-def _branch_steps(spec, word, limits, discipline, on_step, budget):
-    """Walk every computation branch from the restarting configuration of
-    ``word``, invoking on_step(path_state, config, instruction) where
-    path_state threads per-branch data; on_step returns the successor path
-    state or raises _Found.  Branch exploration is pruned on repeated
-    (configuration, path_state) pairs, which is sound because the downstream
-    behavior depends on nothing else."""
-    start = restarting_configuration(spec, word)
-    stack = [(start, None)]
-    visited = {(start, None)}
-    while stack:
-        config, pstate = stack.pop()
-        if not budget.spend():
-            raise _Exhausted()
-        for ins, nxt in successors(spec, config):
-            new_state = on_step(pstate, config, ins)
-            if nxt is None:
-                continue
-            key = (nxt, new_state)
-            if key in visited:
-                continue
-            visited.add(key)
-            stack.append((nxt, new_state))
-
-
-class _Found(Exception):
-    def __init__(self, config, instruction, pstate):
-        self.config = config
-        self.instruction = instruction
-        self.pstate = pstate
-
-
-def _witness_trace(spec, word, limits, discipline, target_config, target_ins):
-    """Deterministically rebuild a trace from the restarting configuration of
-    ``word`` to ``target_config`` for counterexample reporting."""
-    start = restarting_configuration(spec, word)
-    parents: dict[Configuration, Optional[tuple]] = {start: None}
-    stack = [start]
-    budget = _Budget(limits.max_configs)
-    while stack:
-        config = stack.pop()
-        if not budget.spend():
-            break
-        if config == target_config:
-            steps = [(config, target_ins)]
-            cur = config
-            while parents[cur] is not None:
-                prev, ins = parents[cur]
-                steps.append((prev, ins))
-                cur = prev
-            steps.reverse()
-            return Trace(steps, "counterexample")
-        for ins, nxt in successors(spec, config):
-            if nxt is None or nxt in parents:
-                continue
-            parents[nxt] = (config, ins)
-            stack.append(nxt)
-    return None
+def _rise(last_dr, config, ins):
+    """Branch-walk step for monotonicity: the path state is the right
+    distance of the branch's last rewrite, and a rewrite at a larger one is
+    flagged."""
+    if ins.kind != SL:
+        return last_dr, None
+    dr = right_distance(config)
+    if last_dr is not None and dr > last_dr:
+        return dr, "right distance rises from %d to %d at a rewrite" % (last_dr, dr)
+    return dr, None
 
 
 def check_monotone(
     spec: AutomatonSpec,
     max_len: int,
     limits: Limits = DEFAULT_LIMITS,
-    discipline: str = STRICT,
 ) -> CheckReport:
     """Right distances of rewrite configurations never increase within a
     computation, over every word up to the bound and every branch.
@@ -179,81 +151,22 @@ def check_monotone(
     any rewrite, every extension behaves identically and is vacuously
     monotone, so the whole subtree is skipped.  This is what makes bounds
     like 10 feasible over the large working alphabets of the grammar-built
-    automata, where almost every word halts within a few steps.
+    automata, where almost every word halts within a few steps.  The
+    witness of a violation is the branch walk of the word found, which on a
+    deterministic automaton is its run up to the rising rewrite.
     """
     if spec.flags.deterministic:
-        verdict = _monotone_det_sweep(spec, max_len, limits)
-        if verdict is None:
-            return CheckReport("monotonicity", max_len, HOLDS)
-        if verdict == "exceeded":
-            return CheckReport("monotonicity", max_len, EXCEEDED)
-        word, prev, cur = verdict
-        found = _monotone_single(spec, word, limits, discipline)
-        if found is not None:
-            trace = _witness_trace(
-                spec, word, limits, discipline, found.config, found.instruction
-            )
-            return CheckReport(
-                "monotonicity", max_len, VIOLATED,
-                Counterexample(
-                    word, trace,
-                    "right distance rises from %d to %d at a rewrite" % (prev, cur),
-                ),
-            )
-        return CheckReport(
-            "monotonicity", max_len, VIOLATED,
-            Counterexample(word, None, "right distance rises from %d to %d" % (prev, cur)),
-        )
-    try:
-        for word in words_over(spec.work_alphabet, max_len):
-            found = _monotone_single(spec, word, limits, discipline)
-            if found is not None:
-                trace = _witness_trace(
-                    spec, word, limits, discipline, found.config, found.instruction
-                )
-                prev, cur = found.pstate
-                return CheckReport(
-                    "monotonicity", max_len, VIOLATED,
-                    Counterexample(
-                        word, trace,
-                        "right distance rises from %d to %d at a rewrite" % (prev, cur),
-                    ),
-                )
-    except _Exhausted:
-        return CheckReport("monotonicity", max_len, EXCEEDED)
-    return CheckReport("monotonicity", max_len, HOLDS)
+        words = _monotone_det_sweep(spec, max_len, limits)
+    else:
+        words = words_over(spec.work_alphabet, max_len)
+    return _report("monotonicity", max_len, lambda: _first_flagged(spec, words, limits, _rise))
 
 
-def _monotone_single(spec, word, limits, discipline, budget=None):
-    """Branch walk of one word; returns the _Found payload of the first
-    rewrite whose right distance exceeds its predecessor's, if any."""
-    if budget is None:
-        budget = _Budget(limits.max_configs)
-
-    def on_step(last_dr, config, ins):
-        if ins.kind != SL:
-            return last_dr
-        dr = right_distance(config)
-        if last_dr is not None and dr > last_dr:
-            raise _Found(config, ins, (last_dr, dr))
-        return dr
-
-    try:
-        _branch_steps(spec, word, limits, discipline, on_step, budget)
-    except _Found as found:
-        return found
-    return None
-
-
-def _monotone_det_sweep(spec, max_len, limits):
-    """Prefix-pruned monotonicity sweep for deterministic automata.
-
-    Returns None when every word up to the bound is monotone, "exceeded" on
-    resource exhaustion, or (word, previous_dr, rising_dr) for the first
-    violation in depth-first prefix order.
+def _monotone_det_sweep(spec, max_len, limits) -> Iterator[Word]:
+    """Prefix-pruned monotonicity sweep for deterministic automata: yields
+    the words up to the bound whose run has a rising rewrite, in depth-first
+    prefix order.
     """
-    from .model import LEFT_SENTINEL, RIGHT_SENTINEL
-
     k = spec.window
     table = spec.table
     q0 = spec.initial
@@ -276,27 +189,24 @@ def _monotone_det_sweep(spec, max_len, limits):
                 return False
             ins = instrs[0]
             kind = ins.kind
-            if kind == "MVR":
+            if kind == MVR:
                 pos += 1
                 state = ins.state
-            elif kind == "MVL":
+            elif kind == MVL:
                 if pos == 0:
                     return True
                 pos -= 1
                 state = ins.state
-            elif kind == "SL":
-                return False
-            elif kind == "Restart":
-                # Without a rewrite the rescan repeats forever.
-                return True
             else:
-                return True
+                # A rewrite may change everything; a restart without one
+                # rescans forever, and accept and reject halt.
+                return kind != SL
         return False
 
-    def run_word(word):
-        """Deterministic run tracking rewrite right-distances; returns a
-        violation pair, "exceeded", or None.  The config budget is per word:
-        a check sweeps many words and each gets its own decision budget."""
+    def rises(word):
+        """Whether the deterministic run of ``word`` has a rewrite right of
+        the previous one.  The config budget is per word: a check sweeps
+        many words and each gets its own decision budget."""
         budget = limits.max_configs
         tape = (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,)
         state, pos, rewrites = q0, 0, 0
@@ -307,57 +217,55 @@ def _monotone_det_sweep(spec, max_len, limits):
             budget -= 1
             steps += 1
             if budget < 0 or steps > step_cap:
-                return "exceeded"
+                raise ResourcesExceeded(
+                    "configs limit exceeded" if budget < 0 else "steps limit exceeded"
+                )
             marker = (state, pos, rewrites)
             if marker in seen:
-                return None
+                return False
             seen.add(marker)
             instrs = table.get((state, tape[pos : pos + k]))
             if not instrs:
-                return None
+                return False
             ins = instrs[0]
             kind = ins.kind
-            if kind == "MVR":
+            if kind == MVR:
                 if pos + 1 >= len(tape):
-                    return None
+                    return False
                 pos += 1
                 state = ins.state
-            elif kind == "MVL":
+            elif kind == MVL:
                 if pos == 0:
-                    return None
+                    return False
                 pos -= 1
                 state = ins.state
-            elif kind == "SL":
+            elif kind == SL:
                 dr = len(tape) - pos
                 if last_dr is not None and dr > last_dr:
-                    return (last_dr, dr)
+                    return True
                 last_dr = dr
                 window = tape[pos : pos + k]
                 tape = tape[:pos] + ins.target + tape[pos + len(window):]
                 pos = max(0, pos - (len(window) - len(ins.target)))
                 rewrites += 1
                 state = ins.state
-            elif kind == "Restart":
+            elif kind == RESTART:
                 state, pos, rewrites = q0, 0, 0
                 seen.clear()
                 steps = 0
             else:
-                return None
+                return False
 
     stack = [()]
     while stack:
         prefix = stack.pop()
-        outcome = run_word(prefix)
-        if outcome == "exceeded":
-            return "exceeded"
-        if outcome is not None:
-            return (prefix, outcome[0], outcome[1])
+        if rises(prefix):
+            yield prefix
         if len(prefix) < max_len:
             for sym in reversed(alphabet):
                 child = prefix + (sym,)
                 if not prunable(child):
                     stack.append(child)
-    return None
 
 
 def check_cycle_soundness(
@@ -367,38 +275,23 @@ def check_cycle_soundness(
     degree: Optional[int] = None,
 ) -> CheckReport:
     """Every cycle performs between 1 and mr-degree rewrite steps and no
-    accepting tail contains a rewrite.  Branches are explored permissively so
-    that violations are observed rather than pruned."""
+    accepting tail contains a rewrite.  Branches are walked without the
+    engine's discipline so that violations are observed rather than
+    pruned."""
     cap = spec.flags.mr_degree if degree is None else degree
-    name = "cycle-soundness(j=%d)" % cap
 
-    def on_step(_pstate, config, ins):
-        rewrites = config.rewrites
-        if ins.kind == SL and rewrites + 1 > cap:
-            raise _Found(config, ins, "cycle with more than %d rewrite steps" % cap)
-        if ins.kind == RESTART and rewrites == 0:
-            raise _Found(config, ins, "cycle without a rewrite step")
-        if ins.kind == ACCEPT and rewrites > 0:
-            raise _Found(config, ins, "rewrite step in an accepting tail")
-        return None
+    def breaks(_, config, ins):
+        return None, discipline_break(cap, ins, config)
 
-    try:
-        for word in words_over(spec.work_alphabet, max_len):
-            try:
-                _branch_steps(
-                    spec, word, limits, PERMISSIVE, on_step, _Budget(limits.max_configs)
-                )
-            except _Found as found:
-                trace = _witness_trace(
-                    spec, word, limits, PERMISSIVE, found.config, found.instruction
-                )
-                return CheckReport(
-                    name, max_len, VIOLATED,
-                    Counterexample(word, trace, found.pstate),
-                )
-    except _Exhausted:
-        return CheckReport(name, max_len, EXCEEDED)
-    return CheckReport(name, max_len, HOLDS)
+    words = words_over(spec.work_alphabet, max_len)
+    return _report(
+        "cycle-soundness(j=%d)" % cap, max_len,
+        lambda: _first_flagged(spec, words, limits, breaks),
+    )
+
+
+def _status(member: bool) -> str:
+    return "member" if member else "non-member"
 
 
 def check_preservation(
@@ -431,94 +324,55 @@ def check_preservation(
         raise PreconditionError(
             "complete preservation applies to single-rewrite cycles only"
         )
-    name = "preservation(%s)" % mode
     memo: dict = {}
-    oracle_limits = limits
+    # Correctness follows members, error follows non-members.
+    followed = mode.endswith("correctness")
 
-    def member(w: Word) -> Optional[bool]:
-        d = decide_basic_membership(spec, w, oracle_limits, discipline, memo=memo)
+    def member(w: Word) -> bool:
+        d = decide_basic_membership(spec, w, limits, discipline, memo=memo)
         if d.verdict == "resource-exceeded":
-            return None
+            raise ResourcesExceeded("limit exceeded deciding %s" % render_word(w))
         return d.is_member
 
-    if mode.startswith("cycle"):
+    def cycle_search() -> Optional[Counterexample]:
         for word in words_over(spec.work_alphabet, max_len):
-            status = member(word)
-            if status is None:
-                return CheckReport(name, max_len, EXCEEDED)
-            if mode == "cycle-correctness" and not status:
-                continue
-            if mode == "cycle-error" and status:
+            if member(word) != followed:
                 continue
             for rewrite in cycle_rewrites(spec, word, limits, discipline):
-                succ_status = member(rewrite.to_word)
-                if succ_status is None:
-                    return CheckReport(name, max_len, EXCEEDED)
-                bad = succ_status if mode == "cycle-error" else not succ_status
-                if bad:
-                    return CheckReport(
-                        name, max_len, VIOLATED,
-                        Counterexample(
-                            word,
-                            Trace(list(rewrite.steps), "counterexample"),
-                            "cycle rewrites %s (%s) to %s (%s)" % (
-                                render_word(word),
-                                "member" if status else "non-member",
-                                render_word(rewrite.to_word),
-                                "member" if succ_status else "non-member",
-                            ),
+                if member(rewrite.to_word) != followed:
+                    return Counterexample(
+                        word,
+                        Trace(list(rewrite.steps), "counterexample"),
+                        "cycle rewrites %s (%s) to %s (%s)" % (
+                            render_word(word), _status(followed),
+                            render_word(rewrite.to_word), _status(not followed),
                         ),
                     )
-        return CheckReport(name, max_len, HOLDS)
+        return None
 
-    # Complete modes: collect every tape visited along the (deterministic)
-    # computation; the tape set from a restarting word is memoized since the
-    # run from it is unique.
-    from .engine import run_deterministic, OUT_LIMIT
-
-    tapes_memo: dict[Word, Optional[frozenset]] = {}
-
-    def visited_tapes(w: Word) -> Optional[frozenset]:
-        if w in tapes_memo:
-            return tapes_memo[w]
-        trace = run_deterministic(spec, w, limits, discipline)
-        if trace.outcome == OUT_LIMIT:
-            tapes_memo[w] = None
-            return None
-        tapes = frozenset(trace_tapes(trace))
-        tapes_memo[w] = tapes
-        return tapes
-
-    check_members = mode == "complete-correctness"
-    for word in words_over(spec.work_alphabet, max_len):
-        status = member(word)
-        if status is None:
-            return CheckReport(name, max_len, EXCEEDED)
-        if status != check_members:
-            continue
-        tapes = visited_tapes(word)
-        if tapes is None:
-            return CheckReport(name, max_len, EXCEEDED)
-        for tape in sorted(tapes, key=lambda t: (len(t), t)):
-            tape_status = member(tape)
-            if tape_status is None:
-                return CheckReport(name, max_len, EXCEEDED)
-            if tape_status != status:
-                trace = run_deterministic(spec, word, limits, discipline)
-                return CheckReport(
-                    name, max_len, VIOLATED,
-                    Counterexample(
+    def complete_search() -> Optional[Counterexample]:
+        # The computation is deterministic, so every tape it visits is on
+        # the one run from the start word.
+        for word in words_over(spec.work_alphabet, max_len):
+            if member(word) != followed:
+                continue
+            trace = run_deterministic(spec, word, limits, discipline)
+            if trace.outcome == OUT_LIMIT:
+                raise ResourcesExceeded("limit exceeded running %s" % render_word(word))
+            for tape in sorted(trace_tapes(trace), key=lambda t: (len(t), t)):
+                if member(tape) != followed:
+                    return Counterexample(
                         word,
                         trace,
                         "computation from %s (%s) visits %s (%s)" % (
-                            render_word(word),
-                            "member" if status else "non-member",
-                            render_word(tape),
-                            "member" if tape_status else "non-member",
+                            render_word(word), _status(followed),
+                            render_word(tape), _status(not followed),
                         ),
-                    ),
-                )
-    return CheckReport(name, max_len, HOLDS)
+                    )
+        return None
+
+    search = cycle_search if mode.startswith("cycle") else complete_search
+    return _report("preservation(%s)" % mode, max_len, search)
 
 
 def check_shrinking(
@@ -530,42 +384,30 @@ def check_shrinking(
 ) -> CheckReport:
     """Every observed cycle rewriting strictly decreases the total weight,
     and the weight function is positive and total on the working alphabet."""
-    name = "shrinking"
-    for tok in sorted(spec.work_alphabet):
-        if tok not in weights:
-            return CheckReport(
-                name, max_len, VIOLATED,
-                Counterexample((tok,), None, "no weight for symbol %r" % tok),
-            )
-        if weights[tok] < 1:
-            return CheckReport(
-                name, max_len, VIOLATED,
-                Counterexample((tok,), None, "weight of %r is not positive" % tok),
-            )
-    relaxed = spec
-    if not spec.flags.shrinking or spec.weights is None:
-        # Observe cycles without the engine's own weight assertion.
-        from dataclasses import replace as _replace
-        relaxed = _replace(
-            spec,
-            flags=_replace(spec.flags, shrinking=True),
-            weights=None,
-            table=dict(spec.table),
-        )
-    for word in words_over(spec.work_alphabet, max_len):
-        before = word_weight(weights, word)
-        for rewrite in cycle_rewrites(relaxed, word, limits, discipline):
-            after = word_weight(weights, rewrite.to_word)
-            if after >= before:
-                return CheckReport(
-                    name, max_len, VIOLATED,
-                    Counterexample(
+
+    def search() -> Optional[Counterexample]:
+        for tok in sorted(spec.work_alphabet):
+            if tok not in weights:
+                return Counterexample((tok,), None, "no weight for symbol %r" % tok)
+            if weights[tok] < 1:
+                return Counterexample((tok,), None, "weight of %r is not positive" % tok)
+        relaxed = spec
+        if not spec.flags.shrinking or spec.weights is None:
+            # Observe cycles without the engine's own weight assertion.
+            relaxed = replace(spec, flags=replace(spec.flags, shrinking=True), weights=None)
+        for word in words_over(spec.work_alphabet, max_len):
+            before = word_weight(weights, word)
+            for rewrite in cycle_rewrites(relaxed, word, limits, discipline):
+                after = word_weight(weights, rewrite.to_word)
+                if after >= before:
+                    return Counterexample(
                         word,
                         Trace(list(rewrite.steps), "counterexample"),
                         "cycle %s -> %s raises weight %d -> %d" % (
                             render_word(word), render_word(rewrite.to_word),
                             before, after,
                         ),
-                    ),
-                )
-    return CheckReport(name, max_len, HOLDS)
+                    )
+        return None
+
+    return _report("shrinking", max_len, search)

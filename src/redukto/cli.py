@@ -19,7 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import catalog as catalog_mod
 from .catalog import CatalogError, catalog_get, catalog_list
 from .checks import (
     check_cycle_soundness,
@@ -36,7 +35,7 @@ from .engine import (
     OUT_DIVERGES,
     OUT_INVALID,
     OUT_LIMIT,
-    OUT_REJECT,
+    ResourcesExceeded,
     Trace,
     decide_basic_membership,
     decide_input_membership,
@@ -269,17 +268,12 @@ def cmd_check(args) -> int:
 
 
 def _check_forms(spec: AutomatonSpec) -> int:
-    order = {"CL": 0, "DL": 1, "SL": 2}
-    declared = spec.flags.form
-    worst = "CL"
     for u, v in sorted(spec.sl_pairs()):
-        form = classify_rewrite(u, v)
-        short = {"CL": "CL", "DL-not-CL": "DL", "SL-not-DL": "SL", "illegal": "SL"}[form]
-        print("%s -> %s : %s" % (render_word(u), render_word(v), form))
-        if order[short] > order[worst]:
-            worst = short
+        print("%s -> %s : %s" % (render_word(u), render_word(v), classify_rewrite(u, v)))
+    worst, declared = classify_automaton(spec).form, spec.flags.form
     print("strictest form: %s (declared %s)" % (worst, declared))
-    return EXIT_OK if order[worst] <= order[declared] else EXIT_FAIL
+    order = ("CL", "DL", "SL")
+    return EXIT_OK if order.index(worst) <= order.index(declared) else EXIT_FAIL
 
 
 def cmd_transform(args) -> int:
@@ -445,6 +439,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ResourcesExceeded as err:
+        print("resource-exceeded: %s" % err)
+        return EXIT_RESOURCE
     except (UsageFailure, ParseError, CatalogError, PreconditionError, SymbolError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE

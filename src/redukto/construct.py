@@ -27,18 +27,13 @@ replacement and every simulated rewrite strictly decreases the tape weight.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .catalog import all_window_contents
-from .checks import check_cycle_soundness, check_monotone
-from .engine import DEFAULT_LIMITS, Limits, run_deterministic
-from .languages import (
-    compare_word_sets,
-    enumerate_input_by_reduction,
-    enumerate_language,
-    LanguageQuery,
-)
+from .checks import EXCEEDED, check_cycle_soundness, check_monotone
+from .engine import DEFAULT_LIMITS, Limits, ResourcesExceeded, run_deterministic
+from .languages import compare_word_sets, enumerate_language, LanguageQuery
 from .model import (
     LEFT_SENTINEL,
     RIGHT_SENTINEL,
@@ -287,8 +282,8 @@ def _attempt_synthesis(
         kept, spec = assemble()
         report.rules = sorted(kept.items())
         cmp_full = compare_word_sets(
-            enumerate_input_by_reduction(
-                spec, validate_len, seed_len=min(k, validate_len), limits=limits
+            enumerate_language(
+                spec, LanguageQuery("input", validate_len, limits), strategy="closure"
             ),
             expected,
             validate_len,
@@ -310,18 +305,16 @@ def _attempt_synthesis(
                 sample[w] = member(w)
             refilter(fresh)
             continue
-        mono = check_monotone(spec, min(8, validate_len), limits)
-        if not mono.holds:
-            if mono.counterexample:
-                report.counterexamples.append(mono.counterexample.word)
-            report.notes.append("monotonicity check: %s" % mono.verdict)
-            return None, report
-        sound = check_cycle_soundness(spec, min(8, validate_len), limits)
-        if not sound.holds:
-            if sound.counterexample:
-                report.counterexamples.append(sound.counterexample.word)
-            report.notes.append("cycle-soundness check: %s" % sound.verdict)
-            return None, report
+        for label, check in (("monotonicity", check_monotone),
+                             ("cycle-soundness", check_cycle_soundness)):
+            checked = check(spec, min(8, validate_len), limits)
+            if checked.verdict == EXCEEDED:
+                raise ResourcesExceeded("%s check ran out of resources" % label)
+            if not checked.holds:
+                if checked.counterexample:
+                    report.counterexamples.append(checked.counterexample.word)
+                report.notes.append("%s check: %s" % (label, checked.verdict))
+                return None, report
         report.verdict = "validated"
         return spec, report
     report.notes.append("refinement loop exhausted")
@@ -372,7 +365,8 @@ def synthesize_reduction_system(
     """Synthesize a deterministic contextual-deletion scanner for the tagged
     language, retrying with a wider window up to ``window_cap`` (no retries
     when the cap is omitted).  Raises SynthesisError, carrying the last
-    report and its counterexamples, when no window up to the cap validates.
+    report and its counterexamples, when no window up to the cap validates,
+    and ResourcesExceeded when a limit trips during validation.
     """
     if k < 2:
         raise PreconditionError("window size must be at least 2")

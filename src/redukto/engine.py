@@ -13,10 +13,15 @@ halts by accepting must contain none; a rejecting halt after a rewrite is an
 aborted cycle and is always admitted.  "permissive" mode drops the
 requirements and expresses the raw model.  Searches prune branches that
 violate the discipline; deterministic runs report them as an invalid-cycle
-outcome.
+outcome.  ``discipline_break`` states the rules for any rewrite cap, and
+the branch walk behind the checks applies none of them itself.
 
 A missing table entry halts the run; this is reported as a reject flagged
 "stuck", distinct from an explicit reject step.
+
+Limits.  A search that trips one of its ``Limits`` raises ResourcesExceeded,
+naming the limit; the deciders turn it into a resource-exceeded verdict and
+deterministic runs into a limit-exceeded outcome.
 
 Searches are reentrant and side-effect free apart from per-call memo tables;
 deciding distinct words in parallel is safe.
@@ -24,21 +29,21 @@ deciding distinct words in parallel is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from .model import (
     ACCEPT,
     LEFT_SENTINEL,
     MVL,
     MVR,
-    REJECT,
     RESTART,
     RIGHT_SENTINEL,
     SL,
     AutomatonSpec,
     Instruction,
     PreconditionError,
+    ReduktoError,
     SymbolError,
     Word,
     render_word,
@@ -166,19 +171,19 @@ def successors(spec: AutomatonSpec, config: Configuration):
     return out
 
 
-def _discipline_violation(spec, discipline, ins, config) -> Optional[str]:
+def discipline_break(cap: int, ins: Instruction, config: Configuration) -> Optional[str]:
+    """Why taking ``ins`` at ``config`` breaks the cycle discipline with at
+    most ``cap`` rewrite steps per cycle, or None if it does not."""
     # A rejecting halt after a rewrite is treated as an aborted cycle, not as
     # a rewriting tail: deterministic multi-rewrite automata must delete
     # eagerly and can discover a mismatch only afterwards, and a mid-cycle
     # reject contributes nothing to any language.
-    if discipline != STRICT:
-        return None
-    if ins.kind == SL and config.rewrites >= spec.flags.mr_degree:
-        return "more than %d rewrite steps in a cycle" % spec.flags.mr_degree
+    if ins.kind == SL and config.rewrites >= cap:
+        return "more than %d rewrite steps in a cycle" % cap
     if ins.kind == RESTART and config.rewrites == 0:
         return "cycle without a rewrite step"
     if ins.kind == ACCEPT and config.rewrites > 0:
-        return "rewrite step in a tail"
+        return "rewrite step in an accepting tail"
     return None
 
 
@@ -193,6 +198,7 @@ def run_deterministic(
     or exhausts the limits."""
     if not spec.flags.deterministic:
         raise PreconditionError("run_deterministic requires a deterministic automaton")
+    cap = spec.flags.mr_degree if discipline == STRICT else None
     config = restarting_configuration(spec, tuple(word))
     steps: list[Step] = []
     seen: set[Configuration] = set()
@@ -216,7 +222,7 @@ def run_deterministic(
                 % (config.state, render_word(window_of(spec, config)))
             )
         ins, nxt = succ[0]
-        bad = _discipline_violation(spec, discipline, ins, config)
+        bad = None if cap is None else discipline_break(cap, ins, config)
         steps.append((config, ins))
         if bad is not None:
             return Trace(steps, OUT_INVALID, flag=bad)
@@ -231,26 +237,41 @@ def run_deterministic(
         config = nxt
 
 
+class ResourcesExceeded(ReduktoError):
+    """A declared limit tripped before the question was answered."""
+
+
 class _Budget:
+    """Configurations left to expand under a ``max_configs`` limit."""
+
     __slots__ = ("left",)
 
     def __init__(self, amount: int):
         self.left = amount
 
-    def spend(self) -> bool:
+    def spend(self) -> None:
         self.left -= 1
-        return self.left >= 0
+        if self.left < 0:
+            raise ResourcesExceeded("configs limit exceeded")
 
 
-class _Exhausted(Exception):
-    pass
+def _path_to(parents: dict, node, final: Step) -> list[Step]:
+    """Steps from the root of a parent-pointer map to ``node``, then
+    ``final``.  ``parents`` maps every node to (parent node, step into it)
+    and the root to None."""
+    chain = [final]
+    link = parents[node]
+    while link is not None:
+        node, step = link
+        chain.append(step)
+        link = parents[node]
+    chain.reverse()
+    return chain
 
 
-@dataclass
-class _PhaseResult:
+class _PhaseResult(NamedTuple):
     tail_accept: Optional[list[Step]]   # steps of an accepting tail, if any
     cycles: list[tuple[Word, list[Step]]]  # (successor word, cycle steps)
-    truncated: bool = False
 
 
 def _explore_phase(
@@ -259,64 +280,46 @@ def _explore_phase(
     limits: Limits,
     discipline: str,
     budget: _Budget,
-    want_all_cycles: bool = True,
 ) -> _PhaseResult:
     """Depth-first exploration of one phase (from a restarting configuration
     up to the next restart or halt) over all nondeterministic branches.
 
     Branches that break the cycle discipline are pruned.  Loops within the
     phase are pruned by a visited set over full configurations.  Paths are
-    reconstructed through parent pointers.
+    reconstructed through parent pointers.  Raises ResourcesExceeded when
+    the phase expands more than ``max_steps_per_cycle`` configurations or
+    the budget runs out.
     """
+    cap = spec.flags.mr_degree if discipline == STRICT else None
     start = restarting_configuration(spec, word)
-    parents: dict[Configuration, Optional[Step]] = {start: None}
+    parents: dict = {start: None}
     stack = [start]
-    visited = {start}
-    result = _PhaseResult(tail_accept=None, cycles=[])
-    steps_budget = limits.max_steps_per_cycle
+    tail_accept = None
+    cycles = []
     expanded = 0
-
-    def path_to(config: Configuration, final: Step) -> list[Step]:
-        chain = [final]
-        cur = config
-        while True:
-            step = parents[cur]
-            if step is None:
-                break
-            chain.append(step)
-            cur = step[0]
-        chain.reverse()
-        return chain
-
     while stack:
         config = stack.pop()
         expanded += 1
-        if expanded > steps_budget:
-            result.truncated = True
-            break
-        if not budget.spend():
-            raise _Exhausted()
+        if expanded > limits.max_steps_per_cycle:
+            raise ResourcesExceeded("steps limit exceeded")
+        budget.spend()
         for ins, nxt in successors(spec, config):
-            if _discipline_violation(spec, discipline, ins, config) is not None:
+            if cap is not None and discipline_break(cap, ins, config) is not None:
                 continue
             if nxt is None:
-                if ins.kind == ACCEPT and result.tail_accept is None:
-                    result.tail_accept = path_to(config, (config, ins))
+                if ins.kind == ACCEPT and tail_accept is None:
+                    tail_accept = _path_to(parents, config, (config, ins))
                 continue
             if ins.kind == RESTART:
-                result.cycles.append(
-                    (strip_sentinels(nxt.tape), path_to(config, (config, ins)))
-                )
+                cycles.append((strip_sentinels(nxt.tape), _path_to(parents, config, (config, ins))))
                 continue
-            if nxt in visited:
+            if nxt in parents:
                 continue
-            visited.add(nxt)
-            parents[nxt] = (config, ins)
+            parents[nxt] = (config, (config, ins))
             stack.append(nxt)
-    if want_all_cycles:
-        # Deterministic order for reproducible witnesses and reports.
-        result.cycles.sort(key=lambda item: item[0])
-    return result
+    # Deterministic order for reproducible witnesses and reports.
+    cycles.sort(key=lambda item: item[0])
+    return _PhaseResult(tail_accept, cycles)
 
 
 def decide_basic_membership(
@@ -330,54 +333,73 @@ def decide_basic_membership(
     """Decide whether some computation from the restarting configuration of
     ``word`` accepts.
 
-    With ``memoize`` the search keeps a table keyed on restarting tape words;
-    this is sound because behavior from a restarting configuration depends
-    only on the tape.  Words whose exploration is already on the stack
-    contribute no acceptance (an accepting computation never needs to repeat
-    a restarting word).  ``memoize=False`` re-explores every restarting word
-    and serves as the brute-force cross-check.
+    The search is depth first over restarting words, on an explicit stack
+    whose depth is capped by ``max_total_cycles``.  With ``memoize`` it
+    keeps a table keyed on restarting tape words; this is sound because
+    behavior from a restarting configuration depends only on the tape.
+    Words whose exploration is already on the stack contribute no
+    acceptance (an accepting computation never needs to repeat a restarting
+    word).  ``memoize=False`` re-explores every restarting word and serves
+    as the brute-force cross-check.
+
+    A verdict is (accepted, witness), and an accepting witness is a chain
+    (steps of one cycle or of the tail, rest of the chain or None), so that
+    words along one computation share their witness suffixes.
     """
-    word = tuple(word)
     budget = _Budget(limits.max_configs)
     table = memo if memo is not None else {}
     IN_PROGRESS = "in-progress"
+    rejected: tuple[bool, Optional[tuple]] = (False, None)
+    stack: list[list] = []  # frames [word, its phase's cycles, next cycle]
 
-    def search(w: Word, depth: int) -> tuple[bool, Optional[list[Step]]]:
-        if depth > limits.max_total_cycles:
-            raise _Exhausted()
-        if memoize:
-            cached = table.get(w)
-            if cached is IN_PROGRESS:
-                return False, None
-            if cached is not None:
-                return cached
-            table[w] = IN_PROGRESS
-        phase = _explore_phase(spec, w, limits, discipline, budget)
-        if phase.truncated:
-            raise _Exhausted()
-        verdict: tuple[bool, Optional[list[Step]]] = (False, None)
-        if phase.tail_accept is not None:
-            verdict = (True, phase.tail_accept)
-        else:
-            for to_word, steps in phase.cycles:
-                sub_ok, sub_steps = search(to_word, depth + 1)
-                if sub_ok:
-                    verdict = (True, steps + sub_steps)
-                    break
+    def settle(w: Word, verdict):
         if memoize:
             table[w] = verdict
         return verdict
 
+    def open_word(w: Word):
+        """The verdict on ``w`` if known at once, else None after pushing
+        its frame."""
+        if len(stack) > limits.max_total_cycles:
+            raise ResourcesExceeded("cycles limit exceeded")
+        if memoize:
+            cached = table.get(w)
+            if cached is IN_PROGRESS:
+                return rejected
+            if cached is not None:
+                return cached
+            table[w] = IN_PROGRESS
+        phase = _explore_phase(spec, w, limits, discipline, budget)
+        if phase.tail_accept is not None:
+            return settle(w, (True, (phase.tail_accept, None)))
+        stack.append([w, phase.cycles, 0])
+        return None
+
     try:
-        ok, steps = search(word, 0)
-    except _Exhausted:
-        return Decision("resource-exceeded", configs_explored=limits.max_configs - budget.left)
-    except RecursionError:
+        verdict = open_word(tuple(word))
+        while stack:
+            frame = stack[-1]
+            w, cycles, i = frame
+            if verdict is not None and verdict[0]:
+                stack.pop()
+                verdict = settle(w, (True, (cycles[i - 1][1], verdict[1])))
+            elif i == len(cycles):
+                stack.pop()
+                verdict = settle(w, rejected)
+            else:
+                frame[2] = i + 1
+                verdict = open_word(cycles[i][0])
+    except ResourcesExceeded:
         return Decision("resource-exceeded", configs_explored=limits.max_configs - budget.left)
     explored = limits.max_configs - budget.left
-    if ok:
-        return Decision("member", Trace(steps, OUT_ACCEPT), explored)
-    return Decision("non-member", None, explored)
+    ok, chain = verdict
+    if not ok:
+        return Decision("non-member", None, explored)
+    steps: list[Step] = []
+    while chain is not None:
+        part, chain = chain
+        steps.extend(part)
+    return Decision("member", Trace(steps, OUT_ACCEPT), explored)
 
 
 def decide_input_membership(
@@ -406,11 +428,11 @@ def cycle_rewrites(
 
     For non-shrinking automata every returned word is strictly shorter than
     the argument; shrinking automata may preserve length and the weight
-    function carries the progress argument instead.
+    function carries the progress argument instead.  Raises
+    ResourcesExceeded when a limit trips.
     """
     word = tuple(word)
-    budget = _Budget(limits.max_configs)
-    phase = _explore_phase(spec, word, limits, discipline, budget)
+    phase = _explore_phase(spec, word, limits, discipline, _Budget(limits.max_configs))
     out = []
     seen = set()
     for to_word, steps in phase.cycles:
@@ -425,6 +447,47 @@ def cycle_rewrites(
             )
         out.append(CycleRewrite(word, to_word, tuple(steps)))
     return out
+
+
+def walk_branches(
+    spec: AutomatonSpec,
+    word: Word,
+    on_step: Callable[[object, Configuration, Instruction], tuple[object, Optional[str]]],
+    limits: Limits = DEFAULT_LIMITS,
+) -> Optional[Trace]:
+    """Walk every branch of every computation from the restarting
+    configuration of ``word``, across cycles and without the cycle
+    discipline, and return the steps up to the first flagged one.
+
+    ``on_step(path_state, config, instruction)`` sees each offered step and
+    returns (successor path state, flag); the path state threads per-branch
+    data and starts as None.  The first non-None flag ends the walk with a
+    replayable trace whose last step is the flagged one and whose flag is
+    the flag.  Branches are pruned on repeated (configuration, path state)
+    pairs, which is sound because the downstream behavior depends on nothing
+    else.  Returns None when no step is flagged; raises ResourcesExceeded
+    after ``max_configs`` expansions.
+    """
+    budget = _Budget(limits.max_configs)
+    root = (restarting_configuration(spec, word), None)
+    parents: dict = {root: None}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        config, state = node
+        budget.spend()
+        for ins, nxt in successors(spec, config):
+            new_state, flag = on_step(state, config, ins)
+            if flag is not None:
+                return Trace(_path_to(parents, node, (config, ins)), "counterexample", flag)
+            if nxt is None:
+                continue
+            child = (nxt, new_state)
+            if child in parents:
+                continue
+            parents[child] = (node, (config, ins))
+            stack.append(child)
+    return None
 
 
 def replay_trace(spec: AutomatonSpec, trace: Trace) -> bool:

@@ -12,7 +12,6 @@ Grammar files: sections name, nonterminals, terminals, start, and numbered
 
 from __future__ import annotations
 
-from typing import Iterable
 
 from .model import (
     ACCEPT,

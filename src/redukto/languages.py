@@ -19,18 +19,15 @@ from .engine import (
     STRICT,
     Decision,
     Limits,
+    ResourcesExceeded,
     cycle_rewrites,
     decide_basic_membership,
     decide_input_membership,
-    restarting_configuration,
-    strip_sentinels,
-    successors,
 )
 from .model import (
     ACCEPT,
     LEFT_SENTINEL,
     RIGHT_SENTINEL,
-    SL,
     AutomatonSpec,
     PreconditionError,
     Word,
@@ -113,11 +110,9 @@ def tail_confined_bound(spec: AutomatonSpec) -> Optional[int]:
     evident: if every accepting table entry's window shows both sentinels,
     only whole words of at most window-2 symbols can be accepted without a
     rewrite.  Returns None when no such bound is apparent."""
-    from .model import ACCEPT as ACC
-
     for (_, window), instrs in spec.table.items():
         for ins in instrs:
-            if ins.kind == ACC:
+            if ins.kind == ACCEPT:
                 if LEFT_SENTINEL not in window or RIGHT_SENTINEL not in window:
                     return None
     return max(0, spec.window - 2)
@@ -204,10 +199,6 @@ def enumerate_language(
     return sorted(images, key=lambda w: (len(w), w))
 
 
-class ResourcesExceeded(PreconditionError):
-    pass
-
-
 def _require_decided(decision: Decision, word: Word) -> None:
     if decision.verdict == "resource-exceeded":
         raise ResourcesExceeded(
@@ -271,23 +262,6 @@ def compare_word_sets(left: Iterable[Word], right: Iterable[Word], max_len: int)
         counterexample=witness,
         only_in="left" if witness in left_set else "right",
     )
-
-
-def tail_accepted_words(
-    spec: AutomatonSpec,
-    max_len: int,
-    limits: Limits = DEFAULT_LIMITS,
-    discipline: str = STRICT,
-) -> set[Word]:
-    """Working-alphabet words up to max_len accepted without any rewrite."""
-    from .engine import _Budget, _explore_phase  # internal reuse
-
-    out = set()
-    for w in words_over(spec.work_alphabet, max_len):
-        phase = _explore_phase(spec, w, limits, discipline, _Budget(limits.max_configs))
-        if phase.tail_accept is not None:
-            out.add(w)
-    return out
 
 
 def enumerate_basic_by_reduction(
@@ -366,16 +340,3 @@ def enumerate_basic_by_reduction(
         members |= confirmed
         frontier = confirmed
     return sorted(members, key=lambda w: (len(w), w))
-
-
-def enumerate_input_by_reduction(
-    spec: AutomatonSpec,
-    max_len: int,
-    seed_len: int,
-    limits: Limits = DEFAULT_LIMITS,
-    discipline: str = STRICT,
-) -> list[Word]:
-    """Input-language restriction of enumerate_basic_by_reduction."""
-    basics = enumerate_basic_by_reduction(spec, max_len, seed_len, limits, discipline)
-    sigma = spec.input_alphabet
-    return [w for w in basics if all(tok in sigma for tok in w)]

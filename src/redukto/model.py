@@ -21,8 +21,6 @@ RIGHT_SENTINEL = "$"       # workspace right marker
 
 Word = tuple[str, ...]
 
-EMPTY_WORD: Word = ()
-
 
 class ReduktoError(Exception):
     """Base class for all errors raised by this package."""
@@ -109,12 +107,28 @@ class ClassFlags:
     mr_degree: int = 1
     shrinking: bool = False
 
+    def label(self) -> str:
+        if self.aux == "WW":
+            suffix = {"SL": "WW", "DL": "WWD", "CL": "WWC"}[self.form]
+        else:
+            suffix = {"SL": "W", "DL": "", "CL": "C"}[self.form]
+        base = self.direction + suffix
+        parts = []
+        if self.deterministic:
+            parts.append("det")
+        if self.shrinking:
+            base = "s" + base
+        if self.mr_degree > 1:
+            base = "mr" + base + "(%d)" % self.mr_degree
+        parts.append(base)
+        return "-".join(parts)
+
 
 TableKey = tuple[str, Word]
 Table = dict[TableKey, tuple[Instruction, ...]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AutomatonSpec:
     """A restarting automaton over atomic symbol tokens.
 
@@ -142,16 +156,7 @@ class AutomatonSpec:
             state, window = key
             ordered = tuple(sorted(set(instrs), key=Instruction.sort_key))
             norm[(state, tuple(window))] = ordered
-        self.table = norm
-
-    def instructions_at(self, state: str, window: Word) -> tuple[Instruction, ...]:
-        return self.table.get((state, window), ())
-
-    def sorted_work(self) -> list[str]:
-        return sorted(self.work_alphabet)
-
-    def sorted_input(self) -> list[str]:
-        return sorted(self.input_alphabet)
+        object.__setattr__(self, "table", norm)
 
     def sl_pairs(self) -> list[tuple[Word, Word]]:
         """All (window, target) pairs of SL instructions in the table."""
@@ -161,23 +166,6 @@ class AutomatonSpec:
                 if ins.kind == SL:
                     pairs.append((window, ins.target))
         return pairs
-
-    def class_label(self) -> str:
-        f = self.flags
-        if f.aux == "WW":
-            suffix = {"SL": "WW", "DL": "WWD", "CL": "WWC"}[f.form]
-        else:
-            suffix = {"SL": "W", "DL": "", "CL": "C"}[f.form]
-        base = f.direction + suffix
-        parts = []
-        if f.deterministic:
-            parts.append("det")
-        if f.shrinking:
-            base = "s" + base
-        if f.mr_degree > 1:
-            base = "mr" + base + "(%d)" % f.mr_degree
-        parts.append(base)
-        return "-".join(parts)
 
 
 def is_window_content(word: Word, k: int, work_alphabet: frozenset[str]) -> bool:
@@ -441,16 +429,13 @@ class TypeTags:
     mr_degree: int
 
     def label(self) -> str:
-        flags = ClassFlags(
+        return ClassFlags(
             direction=self.direction,
             form=self.form,
             aux=self.aux,
             deterministic=self.deterministic,
             mr_degree=self.mr_degree,
-        )
-        spec = AutomatonSpec.__new__(AutomatonSpec)
-        spec.flags = flags
-        return AutomatonSpec.class_label(spec)
+        ).label()
 
 
 def classify_automaton(spec: AutomatonSpec) -> TypeTags:

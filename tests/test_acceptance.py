@@ -29,7 +29,6 @@ from redukto.languages import (
     LanguageQuery,
     compare_word_sets,
     enumerate_basic_by_reduction,
-    enumerate_input_by_reduction,
     enumerate_language,
     words_over,
 )
@@ -177,7 +176,7 @@ def test_criterion_6_window_hierarchy():
         entry = catalog_get("l_%d" % k)
         expected = _center_members(k, 20)
         assert all(entry.oracle(w) for w in expected)
-        got = enumerate_input_by_reduction(entry.spec, 20, seed_len=k + 1)
+        got = enumerate_language(entry.spec, LanguageQuery("input", 20), strategy="closure")
         assert got == expected, k
         # Brute cross-check of the closure machinery at a small bound.
         brute = enumerate_language(entry.spec, LanguageQuery("input", 9), strategy="brute")

@@ -14,7 +14,41 @@ from redukto.checks import (
     check_shrinking,
 )
 from redukto.engine import replay_trace, right_distance
-from redukto.model import PreconditionError, mvl, sl
+from redukto.model import (
+    LEFT_SENTINEL as C,
+    RIGHT_SENTINEL as D,
+    AutomatonSpec,
+    ClassFlags,
+    PreconditionError,
+    accept,
+    mvl,
+    mvr,
+    restart,
+    sl,
+)
+
+
+def _spinner():
+    """Restarts without rewriting as soon as it sees an a."""
+    return AutomatonSpec(
+        name="spinner",
+        states=frozenset({"q0"}),
+        initial="q0",
+        window=1,
+        input_alphabet=frozenset({"a"}),
+        work_alphabet=frozenset({"a"}),
+        table={
+            ("q0", (C,)): [mvr("q0")],
+            ("q0", ("a",)): [restart()],
+        },
+        flags=ClassFlags(deterministic=True, aux="none"),
+    )
+
+
+def _accepts_after_rewrite(m_e):
+    table = dict(m_e.spec.table)
+    table[("q1", ("a", "b", D))] = [accept()]
+    return replace(m_e.spec, table=table)
 
 
 def test_determinism_holds(m_e):
@@ -82,34 +116,13 @@ def test_cycle_soundness_multi_rewrite_machine():
 
 
 def test_cycle_soundness_flags_rewriting_accept(m_e):
-    from redukto.model import accept
-
-    table = dict(m_e.spec.table)
-    table[("q1", ("a", "b", "$"))] = [accept()]
-    bad = replace(m_e.spec, table=table)
-    report = check_cycle_soundness(bad, 6)
+    report = check_cycle_soundness(_accepts_after_rewrite(m_e), 6)
     assert not report.holds
     assert "accepting tail" in report.counterexample.explanation
 
 
 def test_cycle_soundness_flags_rewrite_free_cycle():
-    from redukto.model import AutomatonSpec, ClassFlags, mvr, restart
-    from redukto.model import LEFT_SENTINEL as C, RIGHT_SENTINEL as D
-
-    spinner = AutomatonSpec(
-        name="spinner",
-        states=frozenset({"q0"}),
-        initial="q0",
-        window=1,
-        input_alphabet=frozenset({"a"}),
-        work_alphabet=frozenset({"a"}),
-        table={
-            ("q0", (C,)): [mvr("q0")],
-            ("q0", ("a",)): [restart()],
-        },
-        flags=ClassFlags(deterministic=True, aux="none"),
-    )
-    report = check_cycle_soundness(spinner, 3)
+    report = check_cycle_soundness(_spinner(), 3)
     assert not report.holds
     assert "without a rewrite" in report.counterexample.explanation
 
@@ -150,9 +163,6 @@ def test_complete_error_catches_discipline_breaker():
     # A machine that accepts right after a rewrite breaks the single-rewrite
     # discipline; the pruned word is a non-member whose run still visits a
     # member tape, which the complete error check reports.
-    from redukto.model import AutomatonSpec, ClassFlags, accept, mvr
-    from redukto.model import LEFT_SENTINEL as C, RIGHT_SENTINEL as D
-
     eager = AutomatonSpec(
         name="eager",
         states=frozenset({"q0", "q1"}),
@@ -206,3 +216,38 @@ def test_counterexamples_replay(m_e):
     report = check_monotone(m_e.spec, 8)
     assert report.counterexample.trace is not None
     assert replay_trace(m_e.spec, report.counterexample.trace)
+
+
+def _assert_witness(spec, report):
+    """A violation's trace replays and stops at the step it reports."""
+    assert report.verdict == "violated"
+    trace = report.counterexample.trace
+    assert trace is not None and replay_trace(spec, trace)
+    config, ins = trace.steps[0]
+    assert config.tape[1:-1] == report.counterexample.word
+    return trace.steps[-1]
+
+
+def test_monotone_witness_ends_at_rising_rewrite(m_e):
+    unflagged = replace(m_e.spec, flags=replace(m_e.spec.flags, deterministic=False))
+    for spec in (m_e.spec, unflagged):
+        report = check_monotone(spec, 8)
+        config, ins = _assert_witness(spec, report)
+        assert ins.kind == "SL"
+        earlier = [right_distance(c) for c, i in report.counterexample.trace.steps[:-1]
+                   if i.kind == "SL"]
+        assert earlier == sorted(earlier, reverse=True)
+        assert earlier and right_distance(config) > earlier[-1]
+
+
+def test_cycle_soundness_witness_ends_at_flagged_step(m_e):
+    for j in (1, 2, 3):
+        lm = catalog_get("lm_%d" % j).spec
+        config, ins = _assert_witness(lm, check_cycle_soundness(lm, 9, degree=j))
+        assert ins.kind == "SL" and config.rewrites == j
+    bad = _accepts_after_rewrite(m_e)
+    config, ins = _assert_witness(bad, check_cycle_soundness(bad, 6))
+    assert ins.kind == "Accept" and config.rewrites > 0
+    spinner = _spinner()
+    config, ins = _assert_witness(spinner, check_cycle_soundness(spinner, 3))
+    assert ins.kind == "Restart" and config.rewrites == 0

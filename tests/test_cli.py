@@ -133,3 +133,15 @@ def test_check_cycle_degree_override():
     assert run_cli(
         "check", "lm_1", "--what", "cycle", "--max-len", "8", "--degree", "1"
     ).returncode == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["enum", "l_3", "--kind", "input", "--max-len", "16", "--limits", "configs=3"],
+    ["enum", "l_3", "--kind", "input", "--max-len", "16", "--limits", "steps=6"],
+    ["enum", "m_e", "--kind", "input", "--max-len", "40", "--limits", "configs=50"],
+    ["cmp", "m_e", "input", "oracle:m_e", "input", "--max-len", "40", "--limits", "configs=50"],
+])
+def test_running_out_of_resources_exits_2(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.startswith("resource-exceeded")

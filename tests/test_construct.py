@@ -20,7 +20,6 @@ from redukto.engine import cycle_rewrites, decide_basic_membership
 from redukto.languages import (
     LanguageQuery,
     compare_word_sets,
-    enumerate_input_by_reduction,
     enumerate_language,
     words_over,
 )

@@ -8,6 +8,7 @@ from redukto.catalog import catalog_get, catalog_list
 from redukto.engine import (
     Configuration,
     Limits,
+    ResourcesExceeded,
     cycle_rewrites,
     decide_basic_membership,
     decide_input_membership,
@@ -247,3 +248,29 @@ def test_limits_are_reported():
     assert decision.verdict == "resource-exceeded"
     trace = run_deterministic(m_e.spec, word("aaaa"), tiny)
     assert trace.outcome == "limit-exceeded"
+
+
+def test_decider_agrees_with_run_beyond_a_thousand_cycles(m_e, dyck1):
+    open_, close = sorted(dyck1.spec.input_alphabet)
+    for spec, w in ((m_e.spec, word("a" * 1024)), (dyck1.spec, (open_, close) * 1200)):
+        run = run_deterministic(spec, w)
+        decision = decide_input_membership(spec, w)
+        assert run.outcome == "accept"
+        assert decision.is_member
+        assert decision.witness.steps == run.steps
+
+
+def test_cycle_limit_trips_exactly_at_its_value(dyck1):
+    # Accepting (a1 ā1)^1200 takes 1200 cycles, past Python's recursion limit.
+    open_, close = sorted(dyck1.spec.input_alphabet)
+    flat = (open_, close) * 1200
+    for cap, verdict, outcome in ((1199, "resource-exceeded", "limit-exceeded"),
+                                  (1200, "member", "accept")):
+        limits = Limits(max_total_cycles=cap)
+        assert decide_input_membership(dyck1.spec, flat, limits).verdict == verdict
+        assert run_deterministic(dyck1.spec, flat, limits).outcome == outcome
+
+
+def test_cycle_rewrites_raise_on_step_limit(m_e):
+    with pytest.raises(ResourcesExceeded):
+        cycle_rewrites(m_e.spec, word("aaaa"), Limits(max_steps_per_cycle=2))

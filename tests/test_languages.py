@@ -3,7 +3,7 @@
 import pytest
 
 from redukto.catalog import catalog_get, catalog_list
-from redukto.engine import DEFAULT_LIMITS
+from redukto.engine import DEFAULT_LIMITS, Limits, ResourcesExceeded
 from redukto.languages import (
     LanguageQuery,
     compare_languages,
@@ -11,7 +11,6 @@ from redukto.languages import (
     compare_word_sets,
     decide_hproper_membership,
     enumerate_basic_by_reduction,
-    enumerate_input_by_reduction,
     enumerate_language,
     tail_confined_bound,
     words_over,
@@ -148,7 +147,7 @@ def test_closure_enumeration_matches_brute_force():
 
 def test_closure_enumeration_big_bounds():
     l2 = catalog_get("l_2")
-    got = enumerate_input_by_reduction(l2.spec, 15, seed_len=3)
+    got = enumerate_language(l2.spec, LanguageQuery("input", 15), strategy="closure")
     expected = [w for w in words_over(l2.oracle_alphabet, 15) if l2.oracle(w)]
     assert got == expected
 
@@ -166,3 +165,10 @@ def test_auto_strategy_uses_closure_for_large_domains(anbn_built):
     got = enumerate_language(spec, LanguageQuery("hproper", 12))
     expected = [w for w in words_over(entry.oracle_alphabet, 12) if entry.oracle(w)]
     assert got == expected
+
+
+def test_closure_enumeration_reports_step_limit():
+    l3 = catalog_get("l_3")
+    query = LanguageQuery("input", 16, Limits(max_steps_per_cycle=6))
+    with pytest.raises(ResourcesExceeded):
+        enumerate_language(l3.spec, query, strategy="closure")
