@@ -20,8 +20,9 @@ A missing table entry halts the run; this is reported as a reject flagged
 "stuck", distinct from an explicit reject step.
 
 Limits.  A search that trips one of its ``Limits`` raises ResourcesExceeded,
-naming the limit; the deciders turn it into a resource-exceeded verdict and
-deterministic runs into a limit-exceeded outcome.
+naming the limit; the deciders turn it into a resource-exceeded verdict that
+keeps the message in ``Decision.exceeded``, and deterministic runs into a
+limit-exceeded outcome.
 
 Searches are reentrant and side-effect free apart from per-call memo tables;
 deciding distinct words in parallel is safe.
@@ -114,6 +115,7 @@ class Decision:
     verdict: str                    # member | non-member | resource-exceeded
     witness: Optional[Trace] = None
     configs_explored: int = 0
+    exceeded: Optional[str] = None  # the tripped limit's message
 
     @property
     def is_member(self) -> bool:
@@ -201,14 +203,17 @@ def run_deterministic(
     cap = spec.flags.mr_degree if discipline == STRICT else None
     config = restarting_configuration(spec, tuple(word))
     steps: list[Step] = []
-    seen: set[Configuration] = set()
+    seen: set[tuple[str, int, int]] = set()
     cycle_steps = 0
     cycles = 0
     total = 0
     while True:
-        if config in seen:
+        # Only a rewrite changes the tape and ``seen`` is cleared at every
+        # restart, so within a cycle (state, pos, rewrites) fixes the tape.
+        key = (config.state, config.pos, config.rewrites)
+        if key in seen:
             return Trace(steps, OUT_DIVERGES)
-        seen.add(config)
+        seen.add(key)
         total += 1
         cycle_steps += 1
         if total > limits.max_configs or cycle_steps > limits.max_steps_per_cycle:
@@ -285,20 +290,24 @@ def _explore_phase(
     up to the next restart or halt) over all nondeterministic branches.
 
     Branches that break the cycle discipline are pruned.  Loops within the
-    phase are pruned by a visited set over full configurations.  Paths are
-    reconstructed through parent pointers.  Raises ResourcesExceeded when
-    the phase expands more than ``max_steps_per_cycle`` configurations or
-    the budget runs out.
+    phase are pruned by a visited set keyed on (tape id, state, pos,
+    rewrites), where tapes are interned once per rewrite that makes them, so
+    no lookup hashes a tape; two keys are equal exactly when their
+    configurations are.  Paths are reconstructed through parent pointers.
+    Raises ResourcesExceeded when the phase expands more than
+    ``max_steps_per_cycle`` configurations or the budget runs out.
     """
     cap = spec.flags.mr_degree if discipline == STRICT else None
     start = restarting_configuration(spec, word)
-    parents: dict = {start: None}
-    stack = [start]
+    tape_ids = {start.tape: 0}
+    root = (0, start.state, start.pos, start.rewrites)
+    parents: dict = {root: None}
+    stack = [(root, start)]
     tail_accept = None
     cycles = []
     expanded = 0
     while stack:
-        config = stack.pop()
+        node, config = stack.pop()
         expanded += 1
         if expanded > limits.max_steps_per_cycle:
             raise ResourcesExceeded("steps limit exceeded")
@@ -308,15 +317,17 @@ def _explore_phase(
                 continue
             if nxt is None:
                 if ins.kind == ACCEPT and tail_accept is None:
-                    tail_accept = _path_to(parents, config, (config, ins))
+                    tail_accept = _path_to(parents, node, (config, ins))
                 continue
             if ins.kind == RESTART:
-                cycles.append((strip_sentinels(nxt.tape), _path_to(parents, config, (config, ins))))
+                cycles.append((strip_sentinels(nxt.tape), _path_to(parents, node, (config, ins))))
                 continue
-            if nxt in parents:
+            tape_id = node[0] if ins.kind != SL else tape_ids.setdefault(nxt.tape, len(tape_ids))
+            child = (tape_id, nxt.state, nxt.pos, nxt.rewrites)
+            if child in parents:
                 continue
-            parents[nxt] = (config, (config, ins))
-            stack.append(nxt)
+            parents[child] = (node, (config, ins))
+            stack.append((child, nxt))
     # Deterministic order for reproducible witnesses and reports.
     cycles.sort(key=lambda item: item[0])
     return _PhaseResult(tail_accept, cycles)
@@ -389,8 +400,8 @@ def decide_basic_membership(
             else:
                 frame[2] = i + 1
                 verdict = open_word(cycles[i][0])
-    except ResourcesExceeded:
-        return Decision("resource-exceeded", configs_explored=limits.max_configs - budget.left)
+    except ResourcesExceeded as err:
+        return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
     explored = limits.max_configs - budget.left
     ok, chain = verdict
     if not ok:

@@ -94,11 +94,9 @@ def decide_hproper_membership(
             spec, candidate, limits, discipline, memo=shared
         )
         explored += decision.configs_explored
-        if decision.verdict == "resource-exceeded":
-            return Decision("resource-exceeded", configs_explored=explored), None
-        if decision.is_member:
+        if decision.verdict != "non-member":
             decision.configs_explored = explored
-            return decision, candidate
+            return decision, candidate if decision.is_member else None
     return Decision("non-member", configs_explored=explored), None
 
 
@@ -202,7 +200,7 @@ def enumerate_language(
 def _require_decided(decision: Decision, word: Word) -> None:
     if decision.verdict == "resource-exceeded":
         raise ResourcesExceeded(
-            "resource limit exceeded while deciding %s" % render_word(word)
+            "%s while deciding %s" % (decision.exceeded, render_word(word))
         )
 
 

@@ -124,8 +124,22 @@ class ClassFlags:
         return "-".join(parts)
 
 
+class ReadOnlyDict(dict):
+    """A dict that raises TypeError on every in-place change.  Lookups stay
+    plain dict lookups: the step loops look up the table at every step, and
+    a ``types.MappingProxyType`` view made them measurably slower."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("%s is read-only" % type(self).__name__)
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 TableKey = tuple[str, Word]
-Table = dict[TableKey, tuple[Instruction, ...]]
+Table = Mapping[TableKey, tuple[Instruction, ...]]
 
 
 @dataclass(frozen=True)
@@ -136,7 +150,8 @@ class AutomatonSpec:
     instructions, kept in a canonical order so that searches are
     reproducible.  ``morphism`` (h) maps every working symbol to an input
     symbol and is the identity on input symbols; ``weights`` assigns a
-    positive integer to every working symbol.  Both are optional.
+    positive integer to every working symbol.  Both are optional.  The
+    table, morphism and weights are held as ``ReadOnlyDict`` copies.
     """
 
     name: str
@@ -147,16 +162,20 @@ class AutomatonSpec:
     work_alphabet: frozenset[str]
     table: Table
     flags: ClassFlags = field(default_factory=ClassFlags)
-    morphism: Optional[dict[str, str]] = None
-    weights: Optional[dict[str, int]] = None
+    morphism: Optional[Mapping[str, str]] = None
+    weights: Optional[Mapping[str, int]] = None
 
     def __post_init__(self):
-        norm: Table = {}
+        norm = {}
         for key, instrs in self.table.items():
             state, window = key
             ordered = tuple(sorted(set(instrs), key=Instruction.sort_key))
             norm[(state, tuple(window))] = ordered
-        object.__setattr__(self, "table", norm)
+        object.__setattr__(self, "table", ReadOnlyDict(norm))
+        for name in ("morphism", "weights"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, ReadOnlyDict(value))
 
     def sl_pairs(self) -> list[tuple[Word, Word]]:
         """All (window, target) pairs of SL instructions in the table."""

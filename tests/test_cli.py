@@ -145,3 +145,9 @@ def test_running_out_of_resources_exits_2(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout.startswith("resource-exceeded")
+
+
+def test_running_out_of_resources_names_the_limit():
+    proc = run_cli("enum", "m_e", "--kind", "input", "--max-len", "40", "--limits", "configs=50")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.startswith("resource-exceeded: configs limit exceeded while deciding ")

@@ -22,8 +22,13 @@ from redukto.engine import (
 from redukto.model import (
     LEFT_SENTINEL as C,
     RIGHT_SENTINEL as D,
+    AutomatonSpec,
     PreconditionError,
     SymbolError,
+    accept,
+    mvr,
+    restart,
+    sl,
 )
 
 
@@ -251,13 +256,17 @@ def test_limits_are_reported():
 
 
 def test_decider_agrees_with_run_beyond_a_thousand_cycles(m_e, dyck1):
+    # Pinned work: a visited-set key coarser than the whole configuration
+    # would explore fewer configurations.
     open_, close = sorted(dyck1.spec.input_alphabet)
-    for spec, w in ((m_e.spec, word("a" * 1024)), (dyck1.spec, (open_, close) * 1200)):
+    for spec, w, work in ((m_e.spec, word("a" * 1024), 351_572),
+                          (dyck1.spec, (open_, close) * 1200, 3_601)):
         run = run_deterministic(spec, w)
         decision = decide_input_membership(spec, w)
         assert run.outcome == "accept"
         assert decision.is_member
         assert decision.witness.steps == run.steps
+        assert decision.configs_explored == len(run.steps) == work
 
 
 def test_cycle_limit_trips_exactly_at_its_value(dyck1):
@@ -269,6 +278,22 @@ def test_cycle_limit_trips_exactly_at_its_value(dyck1):
         limits = Limits(max_total_cycles=cap)
         assert decide_input_membership(dyck1.spec, flat, limits).verdict == verdict
         assert run_deterministic(dyck1.spec, flat, limits).outcome == outcome
+
+
+def test_phase_keeps_branches_that_meet_on_different_tapes():
+    # Rewriting at once and moving first both reach state q1 at pos 0 after
+    # one rewrite, on the tapes ¢a$ and ¢$; only the second accepts.
+    table = {
+        ("q0", (C, "b")): (mvr("q1"), sl("q1", (C,))),
+        ("q1", ("b", "a")): (sl("q1", ()),),
+        ("q1", (C, "a")): (restart(),),
+        ("q1", (C, D)): (restart(),),
+        ("q0", (C, D)): (accept(),),
+    }
+    spec = AutomatonSpec("meet", frozenset({"q0", "q1"}), "q0", 2, frozenset("ab"),
+                         frozenset("ab"), table)
+    assert [r.to_word for r in cycle_rewrites(spec, word("ba"))] == [(), ("a",)]
+    assert decide_basic_membership(spec, word("ba")).is_member
 
 
 def test_cycle_rewrites_raise_on_step_limit(m_e):

@@ -127,6 +127,21 @@ def _spec(table, flags=ClassFlags(deterministic=True, direction="R", form="SL", 
     )
 
 
+def test_spec_mappings_are_read_only(m_e):
+    key = next(iter(m_e.spec.table))
+    with pytest.raises(TypeError):
+        m_e.spec.table[key] = ()
+    morphism, weights = {"a": "a", "b": "a"}, {"a": 1, "b": 2}
+    spec = _spec({}, morphism=morphism, weights=weights)
+    for mapping in (spec.morphism, spec.weights):
+        with pytest.raises(TypeError):
+            mapping["b"] = 1
+    # The spec holds copies: the caller's dicts stay the caller's.
+    morphism["b"] = "b"
+    weights["b"] = 5
+    assert spec.morphism["b"] == "a" and spec.weights["b"] == 2
+
+
 def test_validate_accepts_every_catalog_entry():
     from redukto.catalog import catalog_list
 
