@@ -16,7 +16,6 @@ from typing import Callable, Iterable, Iterator, Optional
 from .engine import (
     DEFAULT_LIMITS,
     OUT_LIMIT,
-    STRICT,
     Limits,
     ResourcesExceeded,
     Trace,
@@ -299,7 +298,6 @@ def check_preservation(
     max_len: int,
     mode: str,
     limits: Limits = DEFAULT_LIMITS,
-    discipline: str = STRICT,
 ) -> CheckReport:
     """Correctness/error preservation of the basic language.
 
@@ -329,7 +327,7 @@ def check_preservation(
     followed = mode.endswith("correctness")
 
     def member(w: Word) -> bool:
-        d = decide_basic_membership(spec, w, limits, discipline, memo=memo)
+        d = decide_basic_membership(spec, w, limits, memo=memo)
         if d.verdict == "resource-exceeded":
             raise ResourcesExceeded("limit exceeded deciding %s" % render_word(w))
         return d.is_member
@@ -338,7 +336,7 @@ def check_preservation(
         for word in words_over(spec.work_alphabet, max_len):
             if member(word) != followed:
                 continue
-            for rewrite in cycle_rewrites(spec, word, limits, discipline):
+            for rewrite in cycle_rewrites(spec, word, limits):
                 if member(rewrite.to_word) != followed:
                     return Counterexample(
                         word,
@@ -356,7 +354,7 @@ def check_preservation(
         for word in words_over(spec.work_alphabet, max_len):
             if member(word) != followed:
                 continue
-            trace = run_deterministic(spec, word, limits, discipline)
+            trace = run_deterministic(spec, word, limits)
             if trace.outcome == OUT_LIMIT:
                 raise ResourcesExceeded("limit exceeded running %s" % render_word(word))
             for tape in sorted(trace_tapes(trace), key=lambda t: (len(t), t)):
@@ -380,7 +378,6 @@ def check_shrinking(
     weights: dict[str, int],
     max_len: int,
     limits: Limits = DEFAULT_LIMITS,
-    discipline: str = STRICT,
 ) -> CheckReport:
     """Every observed cycle rewriting strictly decreases the total weight,
     and the weight function is positive and total on the working alphabet."""
@@ -391,13 +388,12 @@ def check_shrinking(
                 return Counterexample((tok,), None, "no weight for symbol %r" % tok)
             if weights[tok] < 1:
                 return Counterexample((tok,), None, "weight of %r is not positive" % tok)
-        relaxed = spec
-        if not spec.flags.shrinking or spec.weights is None:
-            # Observe cycles without the engine's own weight assertion.
-            relaxed = replace(spec, flags=replace(spec.flags, shrinking=True), weights=None)
+        # Observe cycles without the engine's own progress check, which
+        # would raise on the very cycles this check reports.
+        relaxed = replace(spec, flags=replace(spec.flags, shrinking=True), weights=None)
         for word in words_over(spec.work_alphabet, max_len):
             before = word_weight(weights, word)
-            for rewrite in cycle_rewrites(relaxed, word, limits, discipline):
+            for rewrite in cycle_rewrites(relaxed, word, limits):
                 after = word_weight(weights, rewrite.to_word)
                 if after >= before:
                     return Counterexample(

@@ -216,21 +216,12 @@ def cmd_decide(args) -> int:
     spec = _load_spec(args.automaton)
     limits = parse_limits(args.limits)
     word = tokenize_word(args.word, spec.work_alphabet)
+    witness_word = None
     if args.kind == "input":
-        for tok in word:
-            if tok not in spec.input_alphabet:
-                raise UsageFailure("symbol %r is not an input symbol" % tok)
         decision = decide_input_membership(spec, word, limits)
-        witness_word = None
     elif args.kind == "basic":
         decision = decide_basic_membership(spec, word, limits)
-        witness_word = None
     else:
-        if spec.morphism is None:
-            raise UsageFailure("automaton %s carries no morphism" % spec.name)
-        for tok in word:
-            if tok not in spec.input_alphabet:
-                raise UsageFailure("symbol %r is not an input symbol" % tok)
         decision, witness_word = decide_hproper_membership(spec, word, limits)
     if decision.verdict == "resource-exceeded":
         print("resource-exceeded")

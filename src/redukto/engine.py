@@ -7,14 +7,14 @@ index of the leftmost window cell, so the restarting configuration of a word
 w has tape ``(LEFT,) + w + (RIGHT,)``, state q0 and pos 0, and the window
 content is ``tape[pos : pos + k]``.
 
-Cycle discipline.  In "strict" mode (the default) every phase that ends in a
-restart must contain between 1 and mr-degree rewrite steps, and a phase that
-halts by accepting must contain none; a rejecting halt after a rewrite is an
-aborted cycle and is always admitted.  "permissive" mode drops the
-requirements and expresses the raw model.  Searches prune branches that
-violate the discipline; deterministic runs report them as an invalid-cycle
-outcome.  ``discipline_break`` states the rules for any rewrite cap, and
-the branch walk behind the checks applies none of them itself.
+Cycle discipline.  The discipline is part of the model: every phase that
+ends in a restart must contain between 1 and mr-degree rewrite steps, and a
+phase that halts by accepting must contain none; a rejecting halt after a
+rewrite is an aborted cycle and is always admitted.  Searches prune branches
+that violate the discipline; deterministic runs report them as an
+invalid-cycle outcome.  ``discipline_break`` states the rules for any
+rewrite cap; the branch walk behind the checks applies none of them itself,
+so that the checks observe violations rather than prune them.
 
 A missing table entry halts the run; this is reported as a reject flagged
 "stuck", distinct from an explicit reject step.
@@ -66,9 +66,6 @@ class Limits(NamedTuple):
 
 
 DEFAULT_LIMITS = Limits()
-
-STRICT = "strict"
-PERMISSIVE = "permissive"
 
 # Trace outcomes.
 OUT_ACCEPT = "accept"
@@ -193,14 +190,13 @@ def run_deterministic(
     spec: AutomatonSpec,
     word: Word,
     limits: Limits = DEFAULT_LIMITS,
-    discipline: str = STRICT,
 ) -> Trace:
     """Run a deterministic automaton from the restarting configuration of
     ``word`` until it halts, loops, gets stuck, breaks the cycle discipline,
     or exhausts the limits."""
     if not spec.flags.deterministic:
         raise PreconditionError("run_deterministic requires a deterministic automaton")
-    cap = spec.flags.mr_degree if discipline == STRICT else None
+    cap = spec.flags.mr_degree
     config = restarting_configuration(spec, tuple(word))
     steps: list[Step] = []
     seen: set[tuple[str, int, int]] = set()
@@ -227,7 +223,7 @@ def run_deterministic(
                 % (config.state, render_word(window_of(spec, config)))
             )
         ins, nxt = succ[0]
-        bad = None if cap is None else discipline_break(cap, ins, config)
+        bad = discipline_break(cap, ins, config)
         steps.append((config, ins))
         if bad is not None:
             return Trace(steps, OUT_INVALID, flag=bad)
@@ -283,7 +279,6 @@ def _explore_phase(
     spec: AutomatonSpec,
     word: Word,
     limits: Limits,
-    discipline: str,
     budget: _Budget,
 ) -> _PhaseResult:
     """Depth-first exploration of one phase (from a restarting configuration
@@ -297,7 +292,7 @@ def _explore_phase(
     Raises ResourcesExceeded when the phase expands more than
     ``max_steps_per_cycle`` configurations or the budget runs out.
     """
-    cap = spec.flags.mr_degree if discipline == STRICT else None
+    cap = spec.flags.mr_degree
     start = restarting_configuration(spec, word)
     tape_ids = {start.tape: 0}
     root = (0, start.state, start.pos, start.rewrites)
@@ -313,7 +308,7 @@ def _explore_phase(
             raise ResourcesExceeded("steps limit exceeded")
         budget.spend()
         for ins, nxt in successors(spec, config):
-            if cap is not None and discipline_break(cap, ins, config) is not None:
+            if discipline_break(cap, ins, config) is not None:
                 continue
             if nxt is None:
                 if ins.kind == ACCEPT and tail_accept is None:
@@ -337,7 +332,6 @@ def decide_basic_membership(
     spec: AutomatonSpec,
     word: Word,
     limits: Limits = DEFAULT_LIMITS,
-    discipline: str = STRICT,
     memoize: bool = True,
     memo: Optional[dict] = None,
 ) -> Decision:
@@ -379,10 +373,11 @@ def decide_basic_membership(
                 return rejected
             if cached is not None:
                 return cached
-            table[w] = IN_PROGRESS
-        phase = _explore_phase(spec, w, limits, discipline, budget)
+        phase = _explore_phase(spec, w, limits, budget)
         if phase.tail_accept is not None:
             return settle(w, (True, (phase.tail_accept, None)))
+        if memoize:
+            table[w] = IN_PROGRESS
         stack.append([w, phase.cycles, 0])
         return None
 
@@ -401,6 +396,11 @@ def decide_basic_membership(
                 frame[2] = i + 1
                 verdict = open_word(cycles[i][0])
     except ResourcesExceeded as err:
+        # Words still open are undecided, not rejected: a later call that
+        # shares the memo must explore them again.
+        if memoize:
+            for frame in stack:
+                del table[frame[0]]
         return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
     explored = limits.max_configs - budget.left
     ok, chain = verdict
@@ -417,7 +417,6 @@ def decide_input_membership(
     spec: AutomatonSpec,
     word: Word,
     limits: Limits = DEFAULT_LIMITS,
-    discipline: str = STRICT,
     memoize: bool = True,
     memo: Optional[dict] = None,
 ) -> Decision:
@@ -426,24 +425,24 @@ def decide_input_membership(
     for tok in word:
         if tok not in spec.input_alphabet:
             raise SymbolError("symbol %r is not an input symbol" % tok)
-    return decide_basic_membership(spec, word, limits, discipline, memoize, memo)
+    return decide_basic_membership(spec, word, limits, memoize, memo)
 
 
 def cycle_rewrites(
     spec: AutomatonSpec,
     word: Word,
     limits: Limits = DEFAULT_LIMITS,
-    discipline: str = STRICT,
 ) -> list[CycleRewrite]:
     """All v with word => v in one cycle, each with a witness step sequence.
 
     For non-shrinking automata every returned word is strictly shorter than
     the argument; shrinking automata may preserve length and the weight
     function carries the progress argument instead.  Raises
-    ResourcesExceeded when a limit trips.
+    ResourcesExceeded when a limit trips, and PreconditionError when a cycle
+    makes no such progress.
     """
     word = tuple(word)
-    phase = _explore_phase(spec, word, limits, discipline, _Budget(limits.max_configs))
+    phase = _explore_phase(spec, word, limits, _Budget(limits.max_configs))
     out = []
     seen = set()
     for to_word, steps in phase.cycles:
@@ -451,11 +450,11 @@ def cycle_rewrites(
             continue
         seen.add(to_word)
         if not spec.flags.shrinking:
-            assert len(to_word) < len(word), "cycle did not shorten the tape"
+            if len(to_word) >= len(word):
+                raise PreconditionError("cycle did not shorten the tape")
         elif spec.weights is not None:
-            assert word_weight(spec.weights, to_word) < word_weight(spec.weights, word), (
-                "cycle did not decrease the tape weight"
-            )
+            if word_weight(spec.weights, to_word) >= word_weight(spec.weights, word):
+                raise PreconditionError("cycle did not decrease the tape weight")
         out.append(CycleRewrite(word, to_word, tuple(steps)))
     return out
 

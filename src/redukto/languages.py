@@ -16,13 +16,11 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .engine import (
     DEFAULT_LIMITS,
-    STRICT,
     Decision,
     Limits,
     ResourcesExceeded,
     cycle_rewrites,
     decide_basic_membership,
-    decide_input_membership,
 )
 from .model import (
     ACCEPT,
@@ -30,6 +28,7 @@ from .model import (
     RIGHT_SENTINEL,
     AutomatonSpec,
     PreconditionError,
+    SymbolError,
     Word,
     apply_morphism,
     project,
@@ -65,7 +64,6 @@ def decide_hproper_membership(
     spec: AutomatonSpec,
     word: Word,
     limits: Limits = DEFAULT_LIMITS,
-    discipline: str = STRICT,
     memo: Optional[dict] = None,
 ) -> tuple[Decision, Optional[Word]]:
     """Decide h-proper membership of an input word and return the witness
@@ -77,7 +75,7 @@ def decide_hproper_membership(
     one basic-membership memo across all candidates.
     """
     if spec.morphism is None:
-        raise PreconditionError("automaton carries no morphism")
+        raise PreconditionError("automaton %s carries no morphism" % spec.name)
     word = tuple(word)
     preimages: list[list[str]] = []
     inverse: dict[str, list[str]] = {}
@@ -85,14 +83,12 @@ def decide_hproper_membership(
         inverse.setdefault(image, []).append(sym)
     for tok in word:
         if tok not in spec.input_alphabet:
-            raise PreconditionError("symbol %r is not an input symbol" % tok)
+            raise SymbolError("symbol %r is not an input symbol" % tok)
         preimages.append(sorted(inverse.get(tok, ())))
     shared = memo if memo is not None else {}
     explored = 0
     for candidate in itertools.product(*preimages):
-        decision = decide_basic_membership(
-            spec, candidate, limits, discipline, memo=shared
-        )
+        decision = decide_basic_membership(spec, candidate, limits, memo=shared)
         explored += decision.configs_explored
         if decision.verdict != "non-member":
             decision.configs_explored = explored
@@ -128,7 +124,6 @@ def _domain_size(alphabet_size: int, max_len: int) -> int:
 def enumerate_language(
     spec: AutomatonSpec,
     query: LanguageQuery,
-    discipline: str = STRICT,
     strategy: str = "auto",
 ) -> list[Word]:
     """Enumerate a language kind up to the length bound.
@@ -146,8 +141,7 @@ def enumerate_language(
         raise PreconditionError("unknown enumeration strategy %r" % strategy)
     if strategy == "auto":
         # The basic domain is what gets decided for the projected kinds.
-        size_alpha = len(spec.input_alphabet if kind == "input" else spec.work_alphabet)
-        if _domain_size(size_alpha, query.max_len) <= BRUTE_WORD_BUDGET:
+        if _domain_size(len(alphabet), query.max_len) <= BRUTE_WORD_BUDGET:
             strategy = "brute"
         elif tail_confined_bound(spec) is not None:
             strategy = "closure"
@@ -161,30 +155,20 @@ def enumerate_language(
         bound = tail_confined_bound(spec)
         seed = min(query.max_len, max(spec.window, bound if bound is not None else 0))
         basics = enumerate_basic_by_reduction(
-            spec, query.max_len, seed_len=seed, limits=query.limits,
-            discipline=discipline,
+            spec, query.max_len, seed_len=seed, limits=query.limits
         )
         if kind == "input":
             sigma = spec.input_alphabet
             return [w for w in basics if all(tok in sigma for tok in w)]
-    elif kind == "input":
-        memo: dict = {}
-        out = []
-        for w in words_over(spec.input_alphabet, query.max_len):
-            d = decide_input_membership(spec, w, query.limits, discipline, memo=memo)
-            _require_decided(d, w)
-            if d.is_member:
-                out.append(w)
-        return out
     else:
-        memo = {}
+        memo: dict = {}
         basics = []
-        for w in words_over(spec.work_alphabet, query.max_len):
-            d = decide_basic_membership(spec, w, query.limits, discipline, memo=memo)
+        for w in words_over(alphabet, query.max_len):
+            d = decide_basic_membership(spec, w, query.limits, memo=memo)
             _require_decided(d, w)
             if d.is_member:
                 basics.append(w)
-    if kind == "basic":
+    if kind in ("input", "basic"):
         return basics
     if kind == "proper":
         images = {
@@ -267,7 +251,6 @@ def enumerate_basic_by_reduction(
     max_len: int,
     seed_len: int,
     limits: Limits = DEFAULT_LIMITS,
-    discipline: str = STRICT,
 ) -> list[Word]:
     """Enumerate the basic language up to ``max_len`` by closing the set of
     short members under inverse cycle-rewriting.
@@ -286,7 +269,7 @@ def enumerate_basic_by_reduction(
     memo: dict = {}
     members: set[Word] = set()
     for w in words_over(spec.work_alphabet, seed_len):
-        d = decide_basic_membership(spec, w, limits, discipline, memo=memo)
+        d = decide_basic_membership(spec, w, limits, memo=memo)
         _require_decided(d, w)
         if d.is_member:
             members.add(w)
@@ -331,7 +314,7 @@ def enumerate_basic_by_reduction(
         candidates -= members
         confirmed = set()
         for x in sorted(candidates, key=level_of):
-            for rewrite in cycle_rewrites(spec, x, limits, discipline):
+            for rewrite in cycle_rewrites(spec, x, limits):
                 if rewrite.to_word in members or rewrite.to_word in confirmed:
                     confirmed.add(x)
                     break

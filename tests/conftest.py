@@ -2,6 +2,16 @@ import pytest
 
 from redukto.catalog import catalog_get
 from redukto.construct import build_hrrwwc, to_shrinking
+from redukto.model import (
+    LEFT_SENTINEL as C,
+    RIGHT_SENTINEL as D,
+    AutomatonSpec,
+    ClassFlags,
+    accept,
+    mvr,
+    restart,
+    sl,
+)
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +54,21 @@ def anbn_shrunk(anbn_built):
     _, source, _ = anbn_built
     spec, weights = to_shrinking(source)
     return source, spec, weights
+
+
+@pytest.fixture(scope="session")
+def heavy():
+    """A valid shrinking automaton whose weights its own cycles break: it
+    accepts the words tiled by aa and b, rewriting aa (weight 2) to b
+    (weight 3) and deleting a leading b."""
+    windows = [(C, D), (C, "a"), (C, "b")] + [
+        (x, y) for x in "ab" for y in ("a", "b", D)
+    ]
+    table = {("qr", w): (restart(),) for w in windows}
+    table[("q0", (C, D))] = (accept(),)
+    table[("q0", (C, "a"))] = (mvr("q0"),)
+    table[("q0", (C, "b"))] = (sl("qr", (C,)),)
+    table[("q0", ("a", "a"))] = (sl("qr", ("b",)),)
+    flags = ClassFlags(direction="R", aux="none", deterministic=True, shrinking=True)
+    return AutomatonSpec("heavy", frozenset({"q0", "qr"}), "q0", 2, frozenset("ab"),
+                         frozenset("ab"), table, flags, weights={"a": 1, "b": 3})

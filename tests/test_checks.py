@@ -205,6 +205,13 @@ def test_bad_weights_detected(m_e_h_shrunk):
     assert "raises weight" in report.counterexample.explanation
 
 
+def test_shrinking_check_reports_the_specs_own_weights(heavy):
+    report = check_shrinking(heavy, heavy.weights, 4)
+    assert not report.holds
+    assert report.counterexample.word == ("a", "a")
+    assert replay_trace(heavy, report.counterexample.trace)
+
+
 def test_weight_totality_and_positivity(m_e):
     report = check_shrinking(m_e.spec, {"a": 1}, 4)
     assert not report.holds and "no weight" in report.counterexample.explanation

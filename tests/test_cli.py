@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from redukto.fileformat import render_automaton
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -69,6 +71,22 @@ def test_limits_environment_override():
 def test_decide_input_alphabet_violation():
     proc = run_cli("decide", "m_e", "b", "--kind", "input")
     assert proc.returncode == 3
+    proc = run_cli("decide", "m_e_h", "b", "--kind", "hproper")
+    assert proc.returncode == 3
+    assert proc.stderr == "error: symbol 'b' is not an input symbol\n"
+    proc = run_cli("decide", "m_e", "a", "--kind", "hproper")
+    assert proc.returncode == 3
+    assert proc.stderr == "error: automaton m_e carries no morphism\n"
+
+
+def test_cycle_without_progress_is_invalid_input(tmp_path, heavy):
+    path = tmp_path / "heavy.rlww"
+    path.write_text(render_automaton(heavy), encoding="utf-8")
+    argv = ["-m", "redukto.cli", "enum", str(path), "--kind", "basic", "--max-len", "19"]
+    for optimize in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *optimize, *argv], capture_output=True, text=True)
+        assert proc.returncode == 3, optimize
+        assert proc.stderr == "error: cycle did not decrease the tape weight\n"
 
 
 def test_file_arguments_resolve(tmp_path):

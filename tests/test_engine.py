@@ -299,3 +299,19 @@ def test_phase_keeps_branches_that_meet_on_different_tapes():
 def test_cycle_rewrites_raise_on_step_limit(m_e):
     with pytest.raises(ResourcesExceeded):
         cycle_rewrites(m_e.spec, word("aaaa"), Limits(max_steps_per_cycle=2))
+
+
+def test_cycle_rewrites_require_progress(heavy):
+    # A check, not an assert: it must hold under ``python -O`` too.
+    with pytest.raises(PreconditionError, match="cycle did not decrease the tape weight"):
+        cycle_rewrites(heavy, word("aa"))
+
+
+def test_tripped_limit_leaves_shared_memo_undecided(m_e):
+    # Words still open when the limit trips must not read as rejected in a
+    # later call that shares the memo.
+    memo: dict = {}
+    w = word("a" * 64)
+    assert decide_basic_membership(m_e.spec, w, Limits(max_configs=50), memo=memo).verdict \
+        == "resource-exceeded"
+    assert decide_basic_membership(m_e.spec, w, memo=memo).is_member

@@ -15,7 +15,7 @@ from redukto.languages import (
     tail_confined_bound,
     words_over,
 )
-from redukto.model import PreconditionError, apply_morphism
+from redukto.model import PreconditionError, SymbolError, apply_morphism
 
 
 def words(*texts):
@@ -103,6 +103,11 @@ def test_hproper_empty_word(anbn_built, m_e_h):
 def test_hproper_requires_morphism(m_e):
     with pytest.raises(PreconditionError):
         decide_hproper_membership(m_e.spec, ("a",))
+
+
+def test_hproper_rejects_non_input_symbols(m_e_h):
+    with pytest.raises(SymbolError):
+        decide_hproper_membership(m_e_h.spec, ("a", "b"))
 
 
 def test_compare_languages_reflexive(m_e):

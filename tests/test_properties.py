@@ -8,9 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from redukto.engine import (
     OUT_ACCEPT,
-    PERMISSIVE,
-    STRICT,
-    Limits,
     cycle_rewrites,
     decide_basic_membership,
     discipline_break,
@@ -37,9 +34,6 @@ from redukto.model import (
 )
 
 SYMBOLS = ("a", "b")
-# Permissive runs may restart without rewriting and so never halt; a small
-# cycle cap ends them quickly as limit-exceeded.
-LIMITS = Limits(max_total_cycles=50)
 
 
 def window_contents(symbols, k):
@@ -120,18 +114,18 @@ def automaton_and_word(draw, deterministic):
     return spec, tuple(draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=6)))
 
 
-def reference_phase(spec, w, discipline):
+def reference_phase(spec, w):
     """(whether a tail accepts, the set of words one cycle reaches) from the
     restarting configuration of ``w``, by a plain walk over full
     configurations."""
-    cap = spec.flags.mr_degree if discipline == STRICT else None
+    cap = spec.flags.mr_degree
     start = restarting_configuration(spec, w)
     seen, todo = {start}, [start]
     accepts, words = False, set()
     while todo:
         config = todo.pop()
         for ins, nxt in successors(spec, config):
-            if cap is not None and discipline_break(cap, ins, config):
+            if discipline_break(cap, ins, config):
                 continue
             if ins.kind == RESTART:
                 words.add(strip_sentinels(nxt.tape))
@@ -143,36 +137,28 @@ def reference_phase(spec, w, discipline):
     return accepts, words
 
 
-def reference_member(spec, w, discipline, path=frozenset()):
+def reference_member(spec, w, path=frozenset()):
     """Whether some computation from ``w`` accepts, never repeating a
     restarting word along one computation."""
-    accepts, words = reference_phase(spec, w, discipline)
+    accepts, words = reference_phase(spec, w)
     path = path | {w}
-    return accepts or any(
-        reference_member(spec, v, discipline, path) for v in words - path
-    )
+    return accepts or any(reference_member(spec, v, path) for v in words - path)
 
 
 @settings(max_examples=150, deadline=None)
 @given(automaton_and_word(deterministic=False))
 def test_search_agrees_with_reference_decider(case):
     spec, w = case
-    assert {c.to_word for c in cycle_rewrites(spec, w, LIMITS)} == reference_phase(
-        spec, w, STRICT)[1]
-    for discipline in (STRICT, PERMISSIVE):
-        decision = decide_basic_membership(spec, w, LIMITS, discipline)
-        assert decision.is_member == reference_member(spec, w, discipline), discipline
+    assert {c.to_word for c in cycle_rewrites(spec, w)} == reference_phase(spec, w)[1]
+    assert decide_basic_membership(spec, w).is_member == reference_member(spec, w)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.booleans().flatmap(automaton_and_word))
 def test_memo_search_agrees_with_brute_search(case):
-    # Strict discipline only: there every cycle shortens the tape.  Under the
-    # permissive one the brute search re-enters a restarting word that a
-    # rewrite-free cycle repeats, until the cycle cap trips.
     spec, w = case
-    fast = decide_basic_membership(spec, w, LIMITS, memoize=True)
-    slow = decide_basic_membership(spec, w, LIMITS, memoize=False)
+    fast = decide_basic_membership(spec, w, memoize=True)
+    slow = decide_basic_membership(spec, w, memoize=False)
     assert fast.verdict == slow.verdict != "resource-exceeded"
 
 
@@ -180,10 +166,9 @@ def test_memo_search_agrees_with_brute_search(case):
 @given(automaton_and_word(deterministic=True))
 def test_deterministic_run_agrees_with_search(case):
     spec, w = case
-    for discipline in (STRICT, PERMISSIVE):
-        run = run_deterministic(spec, w, LIMITS, discipline)
-        search = decide_basic_membership(spec, w, LIMITS, discipline)
-        assert search.verdict != "resource-exceeded"
-        assert (run.outcome == OUT_ACCEPT) == search.is_member, discipline
-        if search.is_member:
-            assert search.witness.steps == run.steps
+    run = run_deterministic(spec, w)
+    search = decide_basic_membership(spec, w)
+    assert search.verdict != "resource-exceeded"
+    assert (run.outcome == OUT_ACCEPT) == search.is_member
+    if search.is_member:
+        assert search.witness.steps == run.steps
