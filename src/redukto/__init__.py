@@ -24,7 +24,6 @@ from .model import (
     PreconditionError,
     ReduktoError,
     SymbolError,
-    TypeTags,
     ValidationReport,
     Word,
     apply_morphism,

@@ -1,9 +1,8 @@
 """Built-in automata, grammars and closed-form language oracles.
 
 Every automaton entry carries a total oracle predicate over its input
-alphabet, the declared subtype tags (verified against the table when the
-entry is constructed) and a test bound; the test suite certifies each entry
-by oracle agreement up to that bound.
+alphabet; its spec's declared flags are verified against the table when the
+entry is constructed.
 
 Entries:
   m_e          two-state doubling recognizer of { a^(2^n) | n >= 0 }; it
@@ -37,7 +36,6 @@ from .model import (
     GnfGrammar,
     GnfRule,
     ReduktoError,
-    TypeTags,
     Word,
     accept,
     classify_automaton,
@@ -62,9 +60,7 @@ class CatalogEntry:
     grammar: Optional[GnfGrammar] = None
     oracle: Optional[Callable[[Word], bool]] = None
     oracle_alphabet: tuple[str, ...] = ()
-    tags: Optional[TypeTags] = None
     monotone: Optional[bool] = None
-    test_bound: int = 12
     params: dict = field(default_factory=dict)
 
 
@@ -347,18 +343,17 @@ def _verify(entry: CatalogEntry) -> CatalogEntry:
         raise CatalogError(
             "catalog entry %s fails validation: %s" % (entry.name, report.violations)
         )
-    tags = classify_automaton(spec)
-    if entry.tags is not None and tags != entry.tags:
+    flags = classify_automaton(spec)
+    if flags != spec.flags:
         raise CatalogError(
-            "catalog entry %s: declared tags %s but classified %s"
-            % (entry.name, entry.tags, tags)
+            "catalog entry %s: declared flags %s but classified %s"
+            % (entry.name, spec.flags, flags)
         )
-    entry.tags = tags
     return entry
 
 
-def _automaton_entry(name, description, spec, oracle, alphabet, tags, monotone,
-                     test_bound, **params) -> CatalogEntry:
+def _automaton_entry(name, description, spec, oracle, alphabet, monotone,
+                     **params) -> CatalogEntry:
     return _verify(CatalogEntry(
         name=name,
         kind="automaton",
@@ -366,9 +361,7 @@ def _automaton_entry(name, description, spec, oracle, alphabet, tags, monotone,
         spec=spec,
         oracle=oracle,
         oracle_alphabet=tuple(sorted(alphabet)),
-        tags=tags,
         monotone=monotone,
-        test_bound=test_bound,
         params=params,
     ))
 
@@ -388,55 +381,49 @@ def catalog_get(name: str, **params) -> CatalogEntry:
     if key == "m_e":
         return _automaton_entry(
             "m_e", "doubling recognizer of a^(2^n); non-monotone",
-            _build_m_e(False), _oracle_power_of_two, ("a",),
-            TypeTags(True, "R", "SL", "WW", 3, 1), False, 64,
+            _build_m_e(False), _oracle_power_of_two, ("a",), False,
         )
     if key == "m_e_h":
         return _automaton_entry(
             "m_e_h", "doubling recognizer with the morphism b -> a attached",
-            _build_m_e(True), _oracle_power_of_two, ("a",),
-            TypeTags(True, "R", "SL", "WW", 3, 1), False, 16,
+            _build_m_e(True), _oracle_power_of_two, ("a",), False,
         )
     if key in ("dyck1", "l_1"):
         return _automaton_entry(
             "dyck1", "deletes the first matching bracket pair; balanced brackets",
-            _build_dyck1(), _oracle_balanced, (OPEN, CLOSE),
-            TypeTags(True, "R", "CL", "none", 2, 1), True, 12,
+            _build_dyck1(), _oracle_balanced, (OPEN, CLOSE), True,
         )
     if key.startswith("l_"):
         k = _parse_index(key[2:], "l_k")
         return _automaton_entry(
             "l_%d" % k, "deletes one a and one b around the c block",
-            _build_l_k(k), _oracle_l_k(k), ("a", "b", "c"),
-            TypeTags(True, "R", "CL", "none", k + 1, 1), True, 20, k=k,
+            _build_l_k(k), _oracle_l_k(k), ("a", "b", "c"), True, k=k,
         )
     if key.startswith("lm_") or key.startswith("lm"):
         raw = key[3:] if key.startswith("lm_") else key[2:]
         j = _parse_index(raw, "lm_j")
         return _automaton_entry(
             "lm_%d" % j, "deletes the leading symbol of every copy per cycle",
-            _build_lm_j(j), _oracle_lm_j(j), ("a", "b", "c"),
-            TypeTags(True, "RR", "CL", "none", 2, j + 1), None, 15, j=j,
+            _build_lm_j(j), _oracle_lm_j(j), ("a", "b", "c"), None, j=j,
         )
     if key == "reg_window1":
         return _automaton_entry(
             "reg_window1", "window-1 deleter for the regular language a*",
-            _build_reg_window1(), _oracle_all_a, ("a", "b"),
-            TypeTags(True, "R", "CL", "none", 1, 1), True, 12,
+            _build_reg_window1(), _oracle_all_a, ("a", "b"), True,
         )
     if key == "anbn_gnf":
         return CatalogEntry(
             name="anbn_gnf", kind="grammar",
             description="Greibach-form grammar for a^n b^n (n >= 1)",
             grammar=ANBN_GRAMMAR, oracle=_oracle_anbn,
-            oracle_alphabet=("a", "b"), test_bound=12,
+            oracle_alphabet=("a", "b"),
         )
     if key == "dyck_gnf":
         return CatalogEntry(
             name="dyck_gnf", kind="grammar",
             description="Greibach-form grammar for the nonempty balanced-bracket words",
             grammar=DYCK_GRAMMAR, oracle=_oracle_dyck_nonempty,
-            oracle_alphabet=(OPEN, CLOSE), test_bound=12,
+            oracle_alphabet=(OPEN, CLOSE),
         )
     raise CatalogError("unknown catalog entry %r" % name)
 

@@ -57,6 +57,7 @@ from .languages import (
     words_over,
 )
 from .model import (
+    FORMS,
     AutomatonSpec,
     LEFT_SENTINEL,
     PreconditionError,
@@ -200,7 +201,7 @@ def cmd_run(args) -> int:
     print("note: nondeterministic automaton, deciding by search")
     decision = decide_basic_membership(spec, word, limits)
     if decision.verdict == "resource-exceeded":
-        print("outcome: %s" % OUT_LIMIT)
+        print("outcome: %s (%s)" % (OUT_LIMIT, decision.exceeded))
         return EXIT_RESOURCE
     if decision.is_member:
         if args.trace and decision.witness is not None:
@@ -224,7 +225,7 @@ def cmd_decide(args) -> int:
     else:
         decision, witness_word = decide_hproper_membership(spec, word, limits)
     if decision.verdict == "resource-exceeded":
-        print("resource-exceeded")
+        print("resource-exceeded: %s" % decision.exceeded)
         return EXIT_RESOURCE
     print(decision.verdict)
     if witness_word is not None:
@@ -263,8 +264,7 @@ def _check_forms(spec: AutomatonSpec) -> int:
         print("%s -> %s : %s" % (render_word(u), render_word(v), classify_rewrite(u, v)))
     worst, declared = classify_automaton(spec).form, spec.flags.form
     print("strictest form: %s (declared %s)" % (worst, declared))
-    order = ("CL", "DL", "SL")
-    return EXIT_OK if order.index(worst) <= order.index(declared) else EXIT_FAIL
+    return EXIT_OK if FORMS.index(worst) <= FORMS.index(declared) else EXIT_FAIL
 
 
 def cmd_transform(args) -> int:
@@ -341,8 +341,8 @@ def cmd_catalog(args) -> int:
         return EXIT_OK
     for entry in catalog_list():
         if entry.kind == "automaton":
-            tags = entry.tags.label()
-            extra = " window=%d" % entry.tags.window
+            tags = entry.spec.flags.label()
+            extra = " window=%d" % entry.spec.window
             if entry.monotone is True:
                 extra += " monotone"
             elif entry.monotone is False:

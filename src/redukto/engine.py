@@ -21,8 +21,8 @@ A missing table entry halts the run; this is reported as a reject flagged
 
 Limits.  A search that trips one of its ``Limits`` raises ResourcesExceeded,
 naming the limit; the deciders turn it into a resource-exceeded verdict that
-keeps the message in ``Decision.exceeded``, and deterministic runs into a
-limit-exceeded outcome.
+keeps the message in ``Decision.exceeded``.  Deterministic runs stop with a
+limit-exceeded outcome flagged with the same message.
 
 Searches are reentrant and side-effect free apart from per-call memo tables;
 deciding distinct words in parallel is safe.
@@ -212,8 +212,10 @@ def run_deterministic(
         seen.add(key)
         total += 1
         cycle_steps += 1
-        if total > limits.max_configs or cycle_steps > limits.max_steps_per_cycle:
-            return Trace(steps, OUT_LIMIT)
+        if cycle_steps > limits.max_steps_per_cycle:
+            return Trace(steps, OUT_LIMIT, flag="steps limit exceeded")
+        if total > limits.max_configs:
+            return Trace(steps, OUT_LIMIT, flag="configs limit exceeded")
         succ = successors(spec, config)
         if not succ:
             return Trace(steps, OUT_REJECT, flag="stuck")
@@ -232,7 +234,7 @@ def run_deterministic(
         if ins.kind == RESTART:
             cycles += 1
             if cycles > limits.max_total_cycles:
-                return Trace(steps, OUT_LIMIT)
+                return Trace(steps, OUT_LIMIT, flag="cycles limit exceeded")
             seen.clear()
             cycle_steps = 0
         config = nxt
@@ -342,10 +344,11 @@ def decide_basic_membership(
     whose depth is capped by ``max_total_cycles``.  With ``memoize`` it
     keeps a table keyed on restarting tape words; this is sound because
     behavior from a restarting configuration depends only on the tape.
-    Words whose exploration is already on the stack contribute no
-    acceptance (an accepting computation never needs to repeat a restarting
-    word).  ``memoize=False`` re-explores every restarting word and serves
-    as the brute-force cross-check.
+    Every cycle of a valid automaton makes progress, so a restarting word
+    never recurs; one that does (a shrinking automaton whose weights its
+    cycles do not lower) raises PreconditionError.  ``memoize=False``
+    re-explores every restarting word and serves as the brute-force
+    cross-check.
 
     A verdict is (accepted, witness), and an accepting witness is a chain
     (steps of one cycle or of the tail, rest of the chain or None), so that
@@ -370,7 +373,9 @@ def decide_basic_membership(
         if memoize:
             cached = table.get(w)
             if cached is IN_PROGRESS:
-                return rejected
+                raise PreconditionError(
+                    "restarting word %s recurs: a cycle made no progress" % render_word(w)
+                )
             if cached is not None:
                 return cached
         phase = _explore_phase(spec, w, limits, budget)
@@ -396,12 +401,14 @@ def decide_basic_membership(
                 frame[2] = i + 1
                 verdict = open_word(cycles[i][0])
     except ResourcesExceeded as err:
-        # Words still open are undecided, not rejected: a later call that
-        # shares the memo must explore them again.
+        return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
+    finally:
+        # Words still open when the search ends without a verdict are
+        # undecided, not rejected: a later call that shares the memo must
+        # explore them again.
         if memoize:
             for frame in stack:
                 del table[frame[0]]
-        return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
     explored = limits.max_configs - budget.left
     ok, chain = verdict
     if not ok:

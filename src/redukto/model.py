@@ -87,7 +87,8 @@ def reject() -> Instruction:
 
 @dataclass(frozen=True)
 class ClassFlags:
-    """Declared subtype of an automaton; verified by validate_automaton.
+    """Subtype of an automaton: declared on a spec and verified by
+    validate_automaton, or inferred from a table by classify_automaton.
 
     direction: "R" restarts immediately after a rewrite, "RR" never moves
     left, "RL" is the unrestricted two-way form.
@@ -264,7 +265,10 @@ DL_NOT_CL = "DL-not-CL"
 SL_NOT_DL = "SL-not-DL"
 ILLEGAL = "illegal"
 
-_FORM_ORDER = {CL_FORM: 0, DL_NOT_CL: 1, SL_NOT_DL: 2}
+# Declared rewrite forms, strictest first, and the rank of each rewrite
+# classification among them; an illegal rewrite ranks as SL.
+FORMS = ("CL", "DL", "SL")
+_FORM_RANK = {CL_FORM: 0, DL_NOT_CL: 1, SL_NOT_DL: 2, ILLEGAL: 2}
 
 
 def min_deleted_blocks(u: Word, v: Word) -> Optional[int]:
@@ -436,35 +440,15 @@ def validate_automaton(spec: AutomatonSpec) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
-class TypeTags:
-    """Strongest subtype tags consistent with a transition table."""
-
-    deterministic: bool
-    direction: str
-    form: str
-    aux: str
-    window: int
-    mr_degree: int
-
-    def label(self) -> str:
-        return ClassFlags(
-            direction=self.direction,
-            form=self.form,
-            aux=self.aux,
-            deterministic=self.deterministic,
-            mr_degree=self.mr_degree,
-        ).label()
-
-
-def classify_automaton(spec: AutomatonSpec) -> TypeTags:
-    """Infer the strongest tags the table supports.
+def classify_automaton(spec: AutomatonSpec) -> ClassFlags:
+    """Infer the strongest flags the table supports.
 
     Determinism by key inspection; direction by MVL usage and by whether
     every post-rewrite state admits only restarts; rewrite form from the
     weakest classification over all SL instructions; aux from whether the
-    working alphabet exceeds the input alphabet.  The mr degree is taken from
-    the declared flags (it constrains runs, not the table shape).
+    working alphabet exceeds the input alphabet.  The mr degree and the
+    shrinking flag are taken from the declared flags (they constrain runs,
+    not the table shape).
     """
     deterministic = all(len(instrs) <= 1 for instrs in spec.table.values())
     uses_mvl = any(
@@ -487,27 +471,16 @@ def classify_automaton(spec: AutomatonSpec) -> TypeTags:
         direction = "R"
     else:
         direction = "RR"
-    worst = CL_FORM
-    for u, v in spec.sl_pairs():
-        form = classify_rewrite(u, v)
-        if form == ILLEGAL:
-            form = SL_NOT_DL
-        if _FORM_ORDER[_short_form(form)] > _FORM_ORDER[_short_form(worst)]:
-            worst = form
-    form = {CL_FORM: "CL", DL_NOT_CL: "DL", SL_NOT_DL: "SL"}[_short_form(worst)]
+    rank = max((_FORM_RANK[classify_rewrite(u, v)] for u, v in spec.sl_pairs()), default=0)
     aux = "WW" if spec.work_alphabet != spec.input_alphabet else "none"
-    return TypeTags(
-        deterministic=deterministic,
+    return ClassFlags(
         direction=direction,
-        form=form,
+        form=FORMS[rank],
         aux=aux,
-        window=spec.window,
+        deterministic=deterministic,
         mr_degree=spec.flags.mr_degree,
+        shrinking=spec.flags.shrinking,
     )
-
-
-def _short_form(form: str) -> str:
-    return form if form in _FORM_ORDER else SL_NOT_DL
 
 
 def project(word: Iterable[str], input_alphabet: frozenset[str],

@@ -56,15 +56,16 @@ def anbn_shrunk(anbn_built):
     return source, spec, weights
 
 
+# Every content of a size-2 window over {a, b}.
+WINDOWS_AB = [(C, D), (C, "a"), (C, "b")] + [(x, y) for x in "ab" for y in ("a", "b", D)]
+
+
 @pytest.fixture(scope="session")
 def heavy():
     """A valid shrinking automaton whose weights its own cycles break: it
     accepts the words tiled by aa and b, rewriting aa (weight 2) to b
     (weight 3) and deleting a leading b."""
-    windows = [(C, D), (C, "a"), (C, "b")] + [
-        (x, y) for x in "ab" for y in ("a", "b", D)
-    ]
-    table = {("qr", w): (restart(),) for w in windows}
+    table = {("qr", w): (restart(),) for w in WINDOWS_AB}
     table[("q0", (C, D))] = (accept(),)
     table[("q0", (C, "a"))] = (mvr("q0"),)
     table[("q0", (C, "b"))] = (sl("qr", (C,)),)
@@ -72,3 +73,19 @@ def heavy():
     flags = ClassFlags(direction="R", aux="none", deterministic=True, shrinking=True)
     return AutomatonSpec("heavy", frozenset({"q0", "qr"}), "q0", 2, frozenset("ab"),
                          frozenset("ab"), table, flags, weights={"a": 1, "b": 3})
+
+
+@pytest.fixture(scope="session")
+def swapper():
+    """A valid shrinking automaton whose cycles do not lower its weights:
+    ab and ba rewrite into each other, ba also rewrites to b, and b is
+    accepted."""
+    table = {("qr", w): (restart(),) for w in WINDOWS_AB}
+    table[("q0", (C, "a"))] = (mvr("q0"),)
+    table[("q0", (C, "b"))] = (mvr("q0"),)
+    table[("q0", ("a", "b"))] = (sl("qr", ("b", "a")),)
+    table[("q0", ("b", "a"))] = (sl("qr", ("a", "b")), sl("qr", ("b",)))
+    table[("q0", ("b", D))] = (accept(),)
+    flags = ClassFlags(direction="R", aux="none", shrinking=True)
+    return AutomatonSpec("swapper", frozenset({"q0", "qr"}), "q0", 2, frozenset("ab"),
+                         frozenset("ab"), table, flags, weights={"a": 1, "b": 1})

@@ -19,7 +19,7 @@ def test_every_entry_validates_with_declared_tags():
         if entry.kind != "automaton":
             continue
         assert validate_automaton(entry.spec).ok, entry.name
-        assert classify_automaton(entry.spec) == entry.tags, entry.name
+        assert classify_automaton(entry.spec) == entry.spec.flags, entry.name
 
 
 def test_lookup_aliases_and_params():

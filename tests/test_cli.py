@@ -89,6 +89,14 @@ def test_cycle_without_progress_is_invalid_input(tmp_path, heavy):
         assert proc.stderr == "error: cycle did not decrease the tape weight\n"
 
 
+def test_recurring_word_is_invalid_input(tmp_path, swapper):
+    path = tmp_path / "swapper.rlww"
+    path.write_text(render_automaton(swapper), encoding="utf-8")
+    proc = run_cli("decide", str(path), "ab")
+    assert proc.returncode == 3
+    assert proc.stderr == "error: restarting word ab recurs: a cycle made no progress\n"
+
+
 def test_file_arguments_resolve(tmp_path):
     exported = tmp_path / "m_e.rlww"
     assert run_cli("catalog", "--export", "m_e", "-o", str(exported)).returncode == 0
@@ -169,3 +177,23 @@ def test_running_out_of_resources_names_the_limit():
     proc = run_cli("enum", "m_e", "--kind", "input", "--max-len", "40", "--limits", "configs=50")
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout.startswith("resource-exceeded: configs limit exceeded while deciding ")
+
+
+def test_tripped_limit_is_named(tmp_path, m_e_h_shrunk):
+    shrunk = tmp_path / "shrunk.rlww"
+    shrunk.write_text(render_automaton(m_e_h_shrunk[0]), encoding="utf-8")
+    search = "note: nondeterministic automaton, deciding by search\n"
+    for argv, stdout in (
+        (["run", "m_e", "aaaaaaaa", "--limits", "steps=3"],
+         "outcome: limit-exceeded (steps limit exceeded)\n"),
+        (["run", "m_e", "aaaaaaaa", "--limits", "configs=3"],
+         "outcome: limit-exceeded (configs limit exceeded)\n"),
+        (["run", "dyck1", "a1ā1a1ā1", "--limits", "cycles=1"],
+         "outcome: limit-exceeded (cycles limit exceeded)\n"),
+        (["run", str(shrunk), "aaaa", "--limits", "configs=5"],
+         search + "outcome: limit-exceeded (configs limit exceeded)\n"),
+        (["decide", "dyck1", "a1ā1a1ā1", "--limits", "cycles=1"],
+         "resource-exceeded: cycles limit exceeded\n"),
+    ):
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout) == (2, stdout), argv

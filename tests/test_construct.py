@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from redukto.catalog import catalog_get
+from redukto.checks import check_cycle_soundness
 from redukto.construct import (
     SynthesisError,
     build_hrrwwc,
@@ -24,6 +25,13 @@ from redukto.languages import (
     words_over,
 )
 from redukto.model import (
+    ACCEPT,
+    LEFT_SENTINEL as C,
+    MVR,
+    REJECT,
+    RESTART,
+    RIGHT_SENTINEL as D,
+    SL,
     GnfGrammar,
     GnfRule,
     PreconditionError,
@@ -141,6 +149,39 @@ def test_built_automaton_contract(anbn_built, dyck_built):
         assert tags.aux == "WW"
         # Input words are rejected on sight, so the input language is empty.
         assert enumerate_language(spec, LanguageQuery("input", 8)) == []
+
+
+def test_built_scanner_shape(anbn_built, dyck_built):
+    # The shape that makes every cycle rewrite exactly once and no tail
+    # rewrite, so that synthesis need not check the cycle discipline.
+    for _, spec, _ in (anbn_built, dyck_built):
+        assert spec.states == {"q0", "qr"}
+        for (state, window), instrs in spec.table.items():
+            [ins] = instrs
+            if state == "qr":
+                assert ins.kind == RESTART
+            elif ins.kind == MVR:
+                assert ins.state == "q0"
+            elif ins.kind == SL:
+                assert ins.state == "qr"
+            elif ins.kind == ACCEPT:
+                assert window[0] == C and window[-1] == D
+            else:
+                assert ins.kind == REJECT
+
+
+def test_built_scanner_cycles_are_sound(anbn_built, dyck_built):
+    for _, spec, _ in (anbn_built, dyck_built):
+        assert check_cycle_soundness(spec, 6).holds
+
+
+def test_built_scanner_closure_equals_brute(anbn_built, dyck_built):
+    # Tail acceptance is confined to short words, so the closure
+    # enumeration synthesis validates with is exact.
+    query = LanguageQuery("basic", 6)
+    for _, spec, _ in (anbn_built, dyck_built):
+        closure = enumerate_language(spec, query, strategy="closure")
+        assert closure == enumerate_language(spec, query, strategy="brute")
 
 
 def test_built_hproper_equals_grammar(anbn_built):

@@ -273,11 +273,16 @@ def test_cycle_limit_trips_exactly_at_its_value(dyck1):
     # Accepting (a1 ā1)^1200 takes 1200 cycles, past Python's recursion limit.
     open_, close = sorted(dyck1.spec.input_alphabet)
     flat = (open_, close) * 1200
-    for cap, verdict, outcome in ((1199, "resource-exceeded", "limit-exceeded"),
-                                  (1200, "member", "accept")):
+    tripped = "cycles limit exceeded"
+    for cap, verdict, outcome, named in (
+        (1199, "resource-exceeded", "limit-exceeded", tripped),
+        (1200, "member", "accept", None),
+    ):
         limits = Limits(max_total_cycles=cap)
-        assert decide_input_membership(dyck1.spec, flat, limits).verdict == verdict
-        assert run_deterministic(dyck1.spec, flat, limits).outcome == outcome
+        decision = decide_input_membership(dyck1.spec, flat, limits)
+        run = run_deterministic(dyck1.spec, flat, limits)
+        assert (decision.verdict, decision.exceeded) == (verdict, named)
+        assert (run.outcome, run.flag) == (outcome, named)
 
 
 def test_phase_keeps_branches_that_meet_on_different_tapes():
@@ -315,3 +320,15 @@ def test_tripped_limit_leaves_shared_memo_undecided(m_e):
     assert decide_basic_membership(m_e.spec, w, Limits(max_configs=50), memo=memo).verdict \
         == "resource-exceeded"
     assert decide_basic_membership(m_e.spec, w, memo=memo).is_member
+
+
+def test_recurring_restarting_word_is_invalid(swapper):
+    # ab and ba rewrite into each other.  Reading the recurring word as
+    # rejected would cache ab as rejected while deciding ba (member through
+    # b), and then answer non-member for ab from the shared memo.
+    memo: dict = {}
+    for w in ("ba", "ab"):
+        for shared in (memo, None):
+            with pytest.raises(PreconditionError, match="recurs: a cycle made no progress"):
+                decide_basic_membership(swapper, word(w), memo=shared)
+    assert memo == {}

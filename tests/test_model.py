@@ -209,12 +209,12 @@ def test_empty_target_is_a_deviation_not_a_violation():
 
 def test_classify_automaton_tags(m_e, dyck1):
     tags = classify_automaton(m_e.spec)
-    assert (tags.deterministic, tags.direction, tags.form, tags.aux, tags.window) == (
-        True, "R", "SL", "WW", 3,
+    assert (tags.deterministic, tags.direction, tags.form, tags.aux) == (
+        True, "R", "SL", "WW",
     )
     tags = classify_automaton(dyck1.spec)
-    assert (tags.deterministic, tags.direction, tags.form, tags.aux, tags.window) == (
-        True, "R", "CL", "none", 2,
+    assert (tags.deterministic, tags.direction, tags.form, tags.aux) == (
+        True, "R", "CL", "none",
     )
 
 
