@@ -340,7 +340,7 @@ def check_preservation(
                 if member(rewrite.to_word) != followed:
                     return Counterexample(
                         word,
-                        Trace(list(rewrite.steps), "counterexample"),
+                        Trace.of_steps(rewrite.steps, "counterexample"),
                         "cycle rewrites %s (%s) to %s (%s)" % (
                             render_word(word), _status(followed),
                             render_word(rewrite.to_word), _status(not followed),
@@ -398,7 +398,7 @@ def check_shrinking(
                 if after >= before:
                     return Counterexample(
                         word,
-                        Trace(list(rewrite.steps), "counterexample"),
+                        Trace.of_steps(rewrite.steps, "counterexample"),
                         "cycle %s -> %s raises weight %d -> %d" % (
                             render_word(word), render_word(rewrite.to_word),
                             before, after,

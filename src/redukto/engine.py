@@ -24,14 +24,34 @@ naming the limit; the deciders turn it into a resource-exceeded verdict that
 keeps the message in ``Decision.exceeded``.  Deterministic runs stop with a
 limit-exceeded outcome flagged with the same message.
 
+Resumed scans.  Take a cycle of a deterministic automaton with window k
+that moved MVR from position 0 to position L and whose leftmost rewrite is
+at p.  Cells [0, p) keep their content into the next cycle, and the state
+at any x <= L depends only on cells [0, x+k-1).  So the next cycle repeats
+the first r = min(L, p-k+1) steps exactly and may start at position r in
+the recorded state; ``run_deterministic`` and the decider (on
+deterministic automata) do so.  The repeated steps are MVR moves at
+distinct positions without a rewrite, so they can trip neither a loop check
+nor the cycle discipline, and a configuration that an MVL brings back into
+the repeated prefix is matched against the recorded scan, so loops through
+the prefix are still seen.  The repeated steps are charged to every step
+and configuration count.  The cycle before took more than r steps, so the
+per-cycle step limit cannot trip inside the repeated scan; r is clamped to
+the configurations left, so that the configuration limit trips at the very
+step it would trip at without resuming.  A trace keeps one ``CycleRecord``
+per cycle, with the repeated scan as (state, instruction) pairs, and builds
+those configurations only when its steps are read.
+
 Searches are reentrant and side-effect free apart from per-call memo tables;
 deciding distinct words in parallel is safe.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .model import (
     ACCEPT,
@@ -77,27 +97,111 @@ OUT_INVALID = "invalid-cycle"
 Step = tuple[Configuration, Instruction]
 
 
+class CycleRecord(NamedTuple):
+    """One cycle, or the closing tail, of a trace.
+
+    ``tape`` is the tape the cycle starts on.  ``scan`` holds the (state,
+    instruction) pairs of the MVR steps that the cycle repeated from the one
+    before it, at positions 0 .. len(scan)-1; ``steps`` holds the steps it
+    took from there on.  A record refers to no other record, so memoized
+    records can be reused by every trace that reaches them."""
+
+    tape: Word
+    scan: tuple[tuple[str, Instruction], ...]
+    steps: tuple[Step, ...]
+
+    def ends_cycle(self) -> bool:
+        return bool(self.steps) and self.steps[-1][1].kind == RESTART
+
+    def step(self, j: int) -> Step:
+        if j < len(self.scan):
+            state, ins = self.scan[j]
+            return Configuration(self.tape, state, j, 0), ins
+        return self.steps[j - len(self.scan)]
+
+    def all_steps(self):
+        tape = self.tape
+        for j, (state, ins) in enumerate(self.scan):
+            yield Configuration(tape, state, j, 0), ins
+        yield from self.steps
+
+
+class TraceSteps(Sequence):
+    """The steps of a trace, read only.  ``len`` is counted once and an
+    index is looked up from the last record back, so the last step costs
+    one lookup; iteration, slicing and ``==`` build the configurations of
+    repeated scans as they go."""
+
+    __slots__ = ("_records", "_len")
+
+    def __init__(self, records: tuple[CycleRecord, ...]):
+        self._records = records
+        self._len = sum(len(record.scan) + len(record.steps) for record in records)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        n = self._len
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace step index out of range")
+        for record in reversed(self._records):
+            n -= len(record.scan) + len(record.steps)
+            if i >= n:
+                return record.step(i - n)
+
+    def __iter__(self):
+        for record in self._records:
+            yield from record.all_steps()
+
+    def __eq__(self, other):
+        if not isinstance(other, (TraceSteps, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class Trace:
-    steps: list[Step]
+    """A computation: one record per cycle, then the tail.  ``steps`` is a
+    read-only sequence of (configuration, instruction) over the records."""
+
+    records: tuple[CycleRecord, ...]
     outcome: str
     flag: Optional[str] = None
 
+    @classmethod
+    def of_steps(cls, steps: Iterable[Step], outcome: str, flag: Optional[str] = None) -> "Trace":
+        """A trace over plain steps that start at a restarting
+        configuration, split into one record per cycle."""
+        records = []
+        part: list[Step] = []
+        for step in steps:
+            part.append(step)
+            if step[1].kind == RESTART:
+                records.append(CycleRecord(part[0][0].tape, (), tuple(part)))
+                part = []
+        if part:
+            records.append(CycleRecord(part[0][0].tape, (), tuple(part)))
+        return cls(tuple(records), outcome, flag)
+
+    @cached_property
+    def steps(self) -> TraceSteps:
+        return TraceSteps(self.records)
+
     def cycle_count(self) -> int:
-        return sum(1 for _, ins in self.steps if ins.kind == RESTART)
+        return sum(1 for record in self.records if record.ends_cycle())
 
     def reductions(self) -> list[tuple[Word, Word]]:
         """The sequence of cycle rewritings u => v along this trace."""
-        out = []
-        current = None
-        for config, ins in self.steps:
-            if current is None:
-                current = strip_sentinels(config.tape)
-            if ins.kind == RESTART:
-                after = strip_sentinels(config.tape)
-                out.append((current, after))
-                current = after
-        return out
+        return [
+            (strip_sentinels(record.tape), strip_sentinels(record.steps[-1][0].tape))
+            for record in self.records
+            if record.ends_cycle()
+        ]
 
 
 @dataclass(frozen=True)
@@ -186,6 +290,31 @@ def discipline_break(cap: int, ins: Instruction, config: Configuration) -> Optio
     return None
 
 
+def _resume(spec: AutomatonSpec, record: CycleRecord, most: int) -> tuple[tuple, str]:
+    """The scan that the cycle after ``record`` repeats, at most ``most``
+    steps long, and the state in which it goes on from there.
+
+    ``record`` is a finished cycle of a deterministic automaton.  Its steps
+    up to the first one that is not an MVR are the moves from 0 to L, and
+    its leftmost rewrite at p keeps cells [0, p), so the first
+    min(L, p - k + 1) steps recur (see the module docstring)."""
+    scan, steps = record.scan, record.steps
+    lead = len(scan)
+    for _, ins in steps:
+        if ins.kind != MVR:
+            break
+        lead += 1
+    low = min((config.pos for config, ins in steps if ins.kind == SL), default=0)
+    r = min(lead, low - spec.window + 1, most)
+    if r <= 0:
+        return (), spec.initial
+    if r <= len(scan):
+        scan = scan[:r]
+    else:
+        scan += tuple((config.state, ins) for config, ins in steps[: r - len(scan)])
+    return scan, scan[-1][1].state
+
+
 def run_deterministic(
     spec: AutomatonSpec,
     word: Word,
@@ -193,51 +322,74 @@ def run_deterministic(
 ) -> Trace:
     """Run a deterministic automaton from the restarting configuration of
     ``word`` until it halts, loops, gets stuck, breaks the cycle discipline,
-    or exhausts the limits."""
+    or exhausts the limits.  Each cycle resumes where the one before it
+    stops being repeatable (see the module docstring)."""
     if not spec.flags.deterministic:
         raise PreconditionError("run_deterministic requires a deterministic automaton")
     cap = spec.flags.mr_degree
-    config = restarting_configuration(spec, tuple(word))
-    steps: list[Step] = []
-    seen: set[tuple[str, int, int]] = set()
-    cycle_steps = 0
+    tape = restarting_configuration(spec, tuple(word)).tape
+    records: list[CycleRecord] = []
+    scan: tuple = ()
+    state = spec.initial
     cycles = 0
     total = 0
     while True:
-        # Only a rewrite changes the tape and ``seen`` is cleared at every
-        # restart, so within a cycle (state, pos, rewrites) fixes the tape.
-        key = (config.state, config.pos, config.rewrites)
-        if key in seen:
-            return Trace(steps, OUT_DIVERGES)
-        seen.add(key)
-        total += 1
-        cycle_steps += 1
-        if cycle_steps > limits.max_steps_per_cycle:
-            return Trace(steps, OUT_LIMIT, flag="steps limit exceeded")
-        if total > limits.max_configs:
-            return Trace(steps, OUT_LIMIT, flag="configs limit exceeded")
-        succ = successors(spec, config)
-        if not succ:
-            return Trace(steps, OUT_REJECT, flag="stuck")
-        if len(succ) > 1:
-            raise PreconditionError(
-                "nondeterministic choice at (%s, %s)"
-                % (config.state, render_word(window_of(spec, config)))
-            )
-        ins, nxt = succ[0]
-        bad = discipline_break(cap, ins, config)
-        steps.append((config, ins))
-        if bad is not None:
-            return Trace(steps, OUT_INVALID, flag=bad)
-        if nxt is None:
-            return Trace(steps, OUT_ACCEPT if ins.kind == ACCEPT else OUT_REJECT)
-        if ins.kind == RESTART:
+        r = len(scan)
+        config = Configuration(tape, state, r, 0)
+        steps: list[Step] = []
+        seen: set[tuple[str, int, int]] = set()
+        cycle_steps = r
+        total += r
+        outcome = flag = None
+        while True:
+            # Only a rewrite changes the tape and ``seen`` is cleared at every
+            # restart, so within a cycle (state, pos, rewrites) fixes the tape;
+            # the repeated scan stands for the keys of its steps.
+            key = (config.state, config.pos, config.rewrites)
+            if key in seen or (key[1] < r and key[2] == 0 and scan[key[1]][0] == key[0]):
+                outcome = OUT_DIVERGES
+                break
+            seen.add(key)
+            total += 1
+            cycle_steps += 1
+            if cycle_steps > limits.max_steps_per_cycle:
+                outcome, flag = OUT_LIMIT, "steps limit exceeded"
+                break
+            if total > limits.max_configs:
+                outcome, flag = OUT_LIMIT, "configs limit exceeded"
+                break
+            succ = successors(spec, config)
+            if not succ:
+                outcome, flag = OUT_REJECT, "stuck"
+                break
+            if len(succ) > 1:
+                raise PreconditionError(
+                    "nondeterministic choice at (%s, %s)"
+                    % (config.state, render_word(window_of(spec, config)))
+                )
+            ins, nxt = succ[0]
+            steps.append((config, ins))
+            flag = discipline_break(cap, ins, config)
+            if flag is not None:
+                outcome = OUT_INVALID
+                break
+            if nxt is None:
+                outcome = OUT_ACCEPT if ins.kind == ACCEPT else OUT_REJECT
+                break
+            if ins.kind == RESTART:
+                break
+            config = nxt
+        record = CycleRecord(tape, scan, tuple(steps))
+        if scan or steps:
+            records.append(record)
+        if outcome is None:
             cycles += 1
             if cycles > limits.max_total_cycles:
-                return Trace(steps, OUT_LIMIT, flag="cycles limit exceeded")
-            seen.clear()
-            cycle_steps = 0
-        config = nxt
+                outcome, flag = OUT_LIMIT, "cycles limit exceeded"
+        if outcome is not None:
+            return Trace(tuple(records), outcome, flag)
+        tape = nxt.tape
+        scan, state = _resume(spec, record, limits.max_configs - total)
 
 
 class ResourcesExceeded(ReduktoError):
@@ -273,8 +425,13 @@ def _path_to(parents: dict, node, final: Step) -> list[Step]:
 
 
 class _PhaseResult(NamedTuple):
-    tail_accept: Optional[list[Step]]   # steps of an accepting tail, if any
-    cycles: list[tuple[Word, list[Step]]]  # (successor word, cycle steps)
+    tape: Word                              # the restarting tape
+    scan: tuple                             # the scan repeated into it
+    tail_accept: Optional[list[Step]]       # an accepting tail, if any
+    cycles: list[tuple[Word, list[Step]]]   # (successor word, its steps)
+
+    def record(self, steps: list[Step]) -> CycleRecord:
+        return CycleRecord(self.tape, self.scan, tuple(steps))
 
 
 def _explore_phase(
@@ -282,6 +439,7 @@ def _explore_phase(
     word: Word,
     limits: Limits,
     budget: _Budget,
+    after: Optional[CycleRecord] = None,
 ) -> _PhaseResult:
     """Depth-first exploration of one phase (from a restarting configuration
     up to the next restart or halt) over all nondeterministic branches.
@@ -291,18 +449,26 @@ def _explore_phase(
     rewrites), where tapes are interned once per rewrite that makes them, so
     no lookup hashes a tape; two keys are equal exactly when their
     configurations are.  Paths are reconstructed through parent pointers.
+    ``after``, given only for a deterministic automaton, is the cycle that
+    produced ``word``; the phase then resumes after the scan it repeats.
     Raises ResourcesExceeded when the phase expands more than
     ``max_steps_per_cycle`` configurations or the budget runs out.
     """
     cap = spec.flags.mr_degree
     start = restarting_configuration(spec, word)
+    scan: tuple = ()
+    if after is not None:
+        scan, state = _resume(spec, after, budget.left)
+        budget.left -= len(scan)
+        start = Configuration(start.tape, state, len(scan), 0)
+    r = len(scan)
     tape_ids = {start.tape: 0}
     root = (0, start.state, start.pos, start.rewrites)
     parents: dict = {root: None}
     stack = [(root, start)]
     tail_accept = None
     cycles = []
-    expanded = 0
+    expanded = r
     while stack:
         node, config = stack.pop()
         expanded += 1
@@ -323,11 +489,13 @@ def _explore_phase(
             child = (tape_id, nxt.state, nxt.pos, nxt.rewrites)
             if child in parents:
                 continue
+            if r and child[2] < r and child[3] == 0 and scan[child[2]][0] == child[1]:
+                continue  # a step of the repeated scan
             parents[child] = (node, (config, ins))
             stack.append((child, nxt))
     # Deterministic order for reproducible witnesses and reports.
     cycles.sort(key=lambda item: item[0])
-    return _PhaseResult(tail_accept, cycles)
+    return _PhaseResult(start.tape, scan, tail_accept, cycles)
 
 
 def decide_basic_membership(
@@ -347,77 +515,84 @@ def decide_basic_membership(
     Every cycle of a valid automaton makes progress, so a restarting word
     never recurs; one that does (a shrinking automaton whose weights its
     cycles do not lower) raises PreconditionError.  ``memoize=False``
-    re-explores every restarting word and serves as the brute-force
-    cross-check.
+    re-explores every restarting word, remembering only the words open on
+    its stack so that it raises on a recurring word too, and serves as the
+    brute-force cross-check.
 
     A verdict is (accepted, witness), and an accepting witness is a chain
-    (steps of one cycle or of the tail, rest of the chain or None), so that
+    (record of one cycle or of the tail, rest of the chain or None), so that
     words along one computation share their witness suffixes.
     """
     budget = _Budget(limits.max_configs)
-    table = memo if memo is not None else {}
+    # The brute search keeps a table of its own that holds only the words
+    # open on its stack.
+    table = memo if memo is not None and memoize else {}
     IN_PROGRESS = "in-progress"
     rejected: tuple[bool, Optional[tuple]] = (False, None)
-    stack: list[list] = []  # frames [word, its phase's cycles, next cycle]
+    # A deterministic phase resumes after the scan its producing cycle
+    # repeats; a nondeterministic one may branch inside that scan.
+    resume = spec.flags.deterministic
+    stack: list[list] = []  # frames [word, its phase, next cycle]
 
     def settle(w: Word, verdict):
         if memoize:
             table[w] = verdict
+        else:
+            table.pop(w, None)
         return verdict
 
-    def open_word(w: Word):
-        """The verdict on ``w`` if known at once, else None after pushing
-        its frame."""
+    def open_word(w: Word, after: Optional[CycleRecord]):
+        """The verdict on ``w``, reached by the cycle ``after``, if known at
+        once, else None after pushing its frame."""
         if len(stack) > limits.max_total_cycles:
             raise ResourcesExceeded("cycles limit exceeded")
-        if memoize:
-            cached = table.get(w)
-            if cached is IN_PROGRESS:
-                raise PreconditionError(
-                    "restarting word %s recurs: a cycle made no progress" % render_word(w)
-                )
-            if cached is not None:
-                return cached
-        phase = _explore_phase(spec, w, limits, budget)
+        cached = table.get(w)
+        if cached is IN_PROGRESS:
+            raise PreconditionError(
+                "restarting word %s recurs: a cycle made no progress" % render_word(w)
+            )
+        if cached is not None:
+            return cached
+        phase = _explore_phase(spec, w, limits, budget, after)
         if phase.tail_accept is not None:
-            return settle(w, (True, (phase.tail_accept, None)))
-        if memoize:
-            table[w] = IN_PROGRESS
-        stack.append([w, phase.cycles, 0])
+            return settle(w, (True, (phase.record(phase.tail_accept), None)))
+        table[w] = IN_PROGRESS
+        stack.append([w, phase, 0])
         return None
 
     try:
-        verdict = open_word(tuple(word))
+        verdict = open_word(tuple(word), None)
         while stack:
             frame = stack[-1]
-            w, cycles, i = frame
+            w, phase, i = frame
+            cycles = phase.cycles
             if verdict is not None and verdict[0]:
                 stack.pop()
-                verdict = settle(w, (True, (cycles[i - 1][1], verdict[1])))
+                verdict = settle(w, (True, (phase.record(cycles[i - 1][1]), verdict[1])))
             elif i == len(cycles):
                 stack.pop()
                 verdict = settle(w, rejected)
             else:
                 frame[2] = i + 1
-                verdict = open_word(cycles[i][0])
+                child, steps = cycles[i]
+                verdict = open_word(child, phase.record(steps) if resume else None)
     except ResourcesExceeded as err:
         return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
     finally:
         # Words still open when the search ends without a verdict are
         # undecided, not rejected: a later call that shares the memo must
         # explore them again.
-        if memoize:
-            for frame in stack:
-                del table[frame[0]]
+        for frame in stack:
+            del table[frame[0]]
     explored = limits.max_configs - budget.left
     ok, chain = verdict
     if not ok:
         return Decision("non-member", None, explored)
-    steps: list[Step] = []
+    records = []
     while chain is not None:
-        part, chain = chain
-        steps.extend(part)
-    return Decision("member", Trace(steps, OUT_ACCEPT), explored)
+        record, chain = chain
+        records.append(record)
+    return Decision("member", Trace(tuple(records), OUT_ACCEPT), explored)
 
 
 def decide_input_membership(
@@ -496,7 +671,7 @@ def walk_branches(
         for ins, nxt in successors(spec, config):
             new_state, flag = on_step(state, config, ins)
             if flag is not None:
-                return Trace(_path_to(parents, node, (config, ins)), "counterexample", flag)
+                return Trace.of_steps(_path_to(parents, node, (config, ins)), "counterexample", flag)
             if nxt is None:
                 continue
             child = (nxt, new_state)
@@ -510,7 +685,7 @@ def walk_branches(
 def replay_trace(spec: AutomatonSpec, trace: Trace) -> bool:
     """Check that every step of a trace is offered by the step relation and
     that consecutive configurations chain together."""
-    steps = trace.steps
+    steps = list(trace.steps)
     for i, (config, ins) in enumerate(steps):
         offered = successors(spec, config)
         match = [nxt for cand, nxt in offered if cand == ins]
@@ -527,9 +702,15 @@ def trace_tapes(trace: Trace) -> list[Word]:
     first-visit order, including the final tape if the trace halts."""
     seen = []
     have = set()
-    for config, _ in trace.steps:
-        w = strip_sentinels(config.tape)
-        if w not in have:
-            have.add(w)
-            seen.append(w)
+    for record in trace.records:
+        # A record's steps all visit its start tape, and a new tape is
+        # visited by the step after each rewrite.
+        tapes = [record.tape]
+        tapes += (after[0].tape for before, after in zip(record.steps, record.steps[1:])
+                  if before[1].kind == SL)
+        for tape in tapes:
+            w = strip_sentinels(tape)
+            if w not in have:
+                have.add(w)
+                seen.append(w)
     return seen

@@ -222,17 +222,23 @@ def test_right_distance():
     assert right_distance(Configuration((C, "a", "b", D), "q0", 0, 0)) == 4
 
 
-def test_memoized_and_plain_search_agree_small():
-    for entry in catalog_list():
-        if entry.kind != "automaton":
-            continue
-        spec = entry.spec
+def _search_outcome(spec, w, memoize):
+    """The verdict of a search, or the message of the PreconditionError it
+    raises."""
+    try:
+        return decide_basic_membership(spec, w, memoize=memoize).verdict
+    except PreconditionError as err:
+        return str(err)
+
+
+def test_memoized_and_plain_search_agree_small(swapper):
+    specs = [entry.spec for entry in catalog_list() if entry.kind == "automaton"] + [swapper]
+    for spec in specs:
         alphabet = sorted(spec.work_alphabet)
         for n in range(0, 5):
             for w in itertools.product(alphabet, repeat=n):
-                fast = decide_basic_membership(spec, w, memoize=True)
-                slow = decide_basic_membership(spec, w, memoize=False)
-                assert fast.verdict == slow.verdict, (entry.name, w)
+                fast = _search_outcome(spec, w, memoize=True)
+                assert fast == _search_outcome(spec, w, memoize=False), (spec.name, w)
 
 
 def test_search_agrees_with_deterministic_run(m_e, dyck1):
@@ -332,3 +338,25 @@ def test_recurring_restarting_word_is_invalid(swapper):
             with pytest.raises(PreconditionError, match="recurs: a cycle made no progress"):
                 decide_basic_membership(swapper, word(w), memo=shared)
     assert memo == {}
+    # The brute search re-explores every word, but not one still open on
+    # its own stack: it raises at once rather than running into a limit.
+    with pytest.raises(PreconditionError, match="restarting word ab recurs"):
+        decide_basic_membership(swapper, word("ab"), Limits(max_total_cycles=1000), memoize=False)
+
+
+def test_resumed_scans_skip_the_repeated_steps(m_e, monkeypatch):
+    # a^512 takes 88,404 steps, nearly all of them rescans of cells that the
+    # cycle before left alone; run and decider interpret only the rest.
+    import redukto.engine as engine
+
+    calls = []
+    plain = engine.successors
+    monkeypatch.setattr(engine, "successors", lambda *args: calls.append(1) or plain(*args))
+    w = word("a" * 512)
+    trace = run_deterministic(m_e.spec, w)
+    ran, calls[:] = len(calls), []
+    decision = decide_input_membership(m_e.spec, w)
+    assert trace.outcome == "accept" and decision.is_member
+    assert len(trace.steps) == decision.configs_explored == 88_404
+    assert ran < 0.05 * len(trace.steps)
+    assert len(calls) < 0.05 * len(trace.steps)

@@ -1,13 +1,17 @@
 """Differential properties on small random automata: the memo search against
-the brute search and against a plain reference decider, and deterministic
-runs against the search."""
+the brute search and against a plain reference decider, deterministic runs
+against the search, and resumed deterministic runs against a plain one."""
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st, target
 
+from redukto.catalog import catalog_get
 from redukto.engine import (
+    DEFAULT_LIMITS,
     OUT_ACCEPT,
+    Limits,
     cycle_rewrites,
     decide_basic_membership,
     discipline_break,
@@ -172,3 +176,138 @@ def test_deterministic_run_agrees_with_search(case):
     assert (run.outcome == OUT_ACCEPT) == search.is_member
     if search.is_member:
         assert search.witness.steps == run.steps
+
+
+def reference_run(spec, w, limits):
+    """(steps, outcome, flag) of the deterministic run from ``w``, taken one
+    plain step at a time from the restarting configuration and keeping every
+    configuration of the current cycle."""
+    cap = spec.flags.mr_degree
+    config = restarting_configuration(spec, w)
+    steps, seen, cycles, cycle_steps = [], set(), 0, 0
+    while True:
+        if config in seen:
+            return steps, "diverges", None
+        seen.add(config)
+        cycle_steps += 1
+        if cycle_steps > limits.max_steps_per_cycle:
+            return steps, "limit-exceeded", "steps limit exceeded"
+        if len(steps) + 1 > limits.max_configs:
+            return steps, "limit-exceeded", "configs limit exceeded"
+        succ = successors(spec, config)
+        if not succ:
+            return steps, "reject", "stuck"
+        [(ins, nxt)] = succ
+        steps.append((config, ins))
+        bad = discipline_break(cap, ins, config)
+        if bad is not None:
+            return steps, "invalid-cycle", bad
+        if nxt is None:
+            return steps, "accept" if ins.kind == ACCEPT else "reject", None
+        if ins.kind == RESTART:
+            cycles += 1
+            if cycles > limits.max_total_cycles:
+                return steps, "limit-exceeded", "cycles limit exceeded"
+            seen, cycle_steps = set(), 0
+        config = nxt
+
+
+def reference_reductions(steps):
+    out, current = [], None
+    for config, ins in steps:
+        if current is None:
+            current = strip_sentinels(config.tape)
+        if ins.kind == RESTART:
+            out.append((current, strip_sentinels(config.tape)))
+            current = strip_sentinels(config.tape)
+    return out
+
+
+def assert_resumed_run_is_plain(spec, w, limits):
+    """Run and decider against the plain run, step for step; returns the
+    trace."""
+    steps, outcome, flag = reference_run(spec, w, limits)
+    trace = run_deterministic(spec, w, limits)
+    assert (trace.outcome, trace.flag) == (outcome, flag)
+    assert len(trace.steps) == len(steps)
+    assert list(trace.steps) == steps and trace.steps == steps
+    assert not steps or trace.steps[-1] == steps[-1]
+    assert trace.cycle_count() == sum(ins.kind == RESTART for _, ins in steps)
+    assert trace.reductions() == reference_reductions(steps)
+    verdict = {"accept": "member", "limit-exceeded": "resource-exceeded"}.get(outcome, "non-member")
+    # The decider also expands the configuration a run stops at when it is
+    # stuck or over the configs limit.
+    configs = len(steps) + (flag in ("stuck", "configs limit exceeded"))
+    for memoize in (True, False):
+        decision = decide_basic_membership(spec, w, limits, memoize=memoize)
+        assert decision.verdict == verdict
+        assert decision.exceeded == (flag if verdict == "resource-exceeded" else None)
+        assert decision.configs_explored == configs
+        if decision.is_member:
+            assert decision.witness.steps == steps
+    return trace
+
+
+LIMIT_SETS = (
+    DEFAULT_LIMITS,
+    Limits(max_steps_per_cycle=9),
+    Limits(max_configs=60),
+    Limits(max_total_cycles=3),
+)
+
+
+@st.composite
+def long_deterministic_runs(draw):
+    spec = draw(automata(deterministic=True))
+    symbols = sorted(spec.work_alphabet)
+    w = tuple(draw(st.lists(st.sampled_from(symbols), max_size=40)))
+    return spec, w, draw(st.sampled_from(LIMIT_SETS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_deterministic_runs())
+def test_resumed_run_agrees_with_plain_run(case):
+    trace = assert_resumed_run_is_plain(*case)
+    target(float(sum(len(record.scan) for record in trace.records)))
+
+
+@pytest.mark.parametrize("name, text, limits, inside", [
+    ("m_e", "a" * 200, DEFAULT_LIMITS, False),
+    # The second cycle repeats 197 steps but has 99 configurations left.
+    ("m_e", "a" * 200, Limits(max_configs=300), True),
+    ("m_e", "a" * 256, Limits(max_configs=9_000), True),
+    ("m_e", "a" * 256, Limits(max_total_cycles=150), False),
+    ("l_3", "a" * 60 + "cc" + "b" * 60, Limits(max_configs=1_500), True),
+    ("dyck1", "(" * 90 + ")" * 90, Limits(max_configs=3_000), True),
+    ("dyck1", "(" * 90 + ")" * 89, DEFAULT_LIMITS, False),
+])
+def test_resumed_run_agrees_with_plain_run_on_long_words(name, text, limits, inside):
+    spec = catalog_get(name).spec
+    if name == "dyck1":
+        opening, closing = sorted(spec.input_alphabet)
+        w = tuple(opening if c == "(" else closing for c in text)
+    else:
+        w = tuple(text)
+    trace = assert_resumed_run_is_plain(spec, w, limits)
+    last = trace.records[-1]
+    assert (bool(last.scan) and not last.steps) == inside
+
+
+def test_resumed_run_sees_a_loop_through_its_repeated_scan():
+    # ab: the first cycle moves to b and deletes it.  The second resumes at
+    # the right sentinel of a, walks left in q2 (not a repeated step) and
+    # right again in q0, where the position-1 step is one it repeated.
+    table = {
+        ("q0", (C,)): (Instruction(MVR, "q0"),),
+        ("q0", ("a",)): (Instruction(MVR, "q0"),),
+        ("q0", ("b",)): (sl("q1", ()),),
+        ("q0", (D,)): (Instruction(MVL, "q2"),),
+        ("q1", ("a",)): (Instruction(RESTART),),
+        ("q2", ("a",)): (Instruction(MVL, "q2"),),
+        ("q2", (C,)): (Instruction(MVR, "q0"),),
+    }
+    spec = AutomatonSpec("shuttle", frozenset({"q0", "q1", "q2"}), "q0", 1, frozenset("ab"),
+                         frozenset("ab"), table, ClassFlags(deterministic=True))
+    trace = assert_resumed_run_is_plain(spec, ("a", "b"), DEFAULT_LIMITS)
+    assert trace.outcome == "diverges"
+    assert [len(record.scan) for record in trace.records] == [0, 2]
