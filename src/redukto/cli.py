@@ -149,7 +149,8 @@ def parse_limits(text: str | None) -> Limits:
         if "=" not in part:
             raise UsageFailure("bad limits entry %r" % part)
         key, _, raw = part.partition("=")
-        if key not in ("steps", "configs", "cycles") or not raw.isdigit():
+        # str.isdigit also holds for superscripts and other scripts' digits.
+        if key not in ("steps", "configs", "cycles") or not (raw.isascii() and raw.isdigit()):
             raise UsageFailure("bad limits entry %r" % part)
         values[key] = int(raw)
     return Limits(

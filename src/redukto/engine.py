@@ -49,8 +49,9 @@ deciding distinct words in parallel is safe.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .model import (
@@ -217,10 +218,28 @@ class Decision:
     witness: Optional[Trace] = None
     configs_explored: int = 0
     exceeded: Optional[str] = None  # the tripped limit's message
+    # (configuration keys, window, tape length) of a first phase that
+    # rejected on its start tape, kept for rejected_prefix to read.
+    _start_reads: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def is_member(self) -> bool:
         return self.verdict == "member"
+
+    @property
+    def rejected_prefix(self) -> Optional[int]:
+        """Set on a non-member whose first phase alone rejected it: that
+        phase neither rewrote nor restarted, and read only the first
+        ``rejected_prefix`` letters of the word, never the right sentinel.
+        So every word that starts with those letters, whatever its length,
+        has the same first phase step for step and is a non-member.  None
+        otherwise.  Worked out when read, so that deciders which never ask
+        do not pay for it."""
+        if self._start_reads is None:
+            return None
+        keys, window, size = self._start_reads
+        end = max(map(itemgetter(2), keys)) + window
+        return end - 1 if end < size else None
 
 
 def restarting_configuration(spec: AutomatonSpec, word: Word) -> Configuration:
@@ -429,6 +448,7 @@ class _PhaseResult(NamedTuple):
     scan: tuple                             # the scan repeated into it
     tail_accept: Optional[list[Step]]       # an accepting tail, if any
     cycles: list[tuple[Word, list[Step]]]   # (successor word, its steps)
+    start_reads: Optional[tuple]            # see Decision.rejected_prefix
 
     def record(self, steps: list[Step]) -> CycleRecord:
         return CycleRecord(self.tape, self.scan, tuple(steps))
@@ -453,6 +473,10 @@ def _explore_phase(
     produced ``word``; the phase then resumes after the scan it repeats.
     Raises ResourcesExceeded when the phase expands more than
     ``max_steps_per_cycle`` configurations or the budget runs out.
+
+    A phase that ends with no accepting tail, no cycle and no tape but its
+    start tape depends only on the cells its windows covered; it keeps its
+    configuration keys, window and tape length as ``start_reads``.
     """
     cap = spec.flags.mr_degree
     start = restarting_configuration(spec, word)
@@ -493,9 +517,12 @@ def _explore_phase(
                 continue  # a step of the repeated scan
             parents[child] = (node, (config, ins))
             stack.append((child, nxt))
+    start_reads = None
+    if tail_accept is None and not cycles and len(tape_ids) == 1:
+        start_reads = (parents, spec.window, len(start.tape))
     # Deterministic order for reproducible witnesses and reports.
     cycles.sort(key=lambda item: item[0])
-    return _PhaseResult(start.tape, scan, tail_accept, cycles)
+    return _PhaseResult(start.tape, scan, tail_accept, cycles, start_reads)
 
 
 def decide_basic_membership(
@@ -562,6 +589,7 @@ def decide_basic_membership(
 
     try:
         verdict = open_word(tuple(word), None)
+        start_reads = stack[0][1].start_reads if stack else None
         while stack:
             frame = stack[-1]
             w, phase, i = frame
@@ -587,7 +615,7 @@ def decide_basic_membership(
     explored = limits.max_configs - budget.left
     ok, chain = verdict
     if not ok:
-        return Decision("non-member", None, explored)
+        return Decision("non-member", None, explored, None, start_reads)
     records = []
     while chain is not None:
         record, chain = chain

@@ -71,8 +71,22 @@ def decide_hproper_membership(
 
     A word v is h-proper iff some preimage w with h(w) = v (chosen
     letter-by-letter, so |w| = |v|) lies in the basic language.  Preimages
-    are enumerated per position in sorted symbol order, depth first, sharing
-    one basic-membership memo across all candidates.
+    are tried in the order of ``itertools.product`` over the per-position
+    lists in sorted symbol order, sharing one basic-membership memo across
+    all candidates, and each candidate decided gets the whole ``limits``.
+
+    A candidate whose first phase alone rejects it having read only its
+    first m letters (``Decision.rejected_prefix``) rules out every
+    candidate that starts with those letters: each has the same first phase
+    step for step, and so the same non-member verdict under the same
+    limits.  Those candidates are skipped, and so are never written to the
+    memo; a later search that reaches one decides it again.  When cycles
+    shorten the tape, no candidate's search reaches another candidate, so
+    verdict, preimage, witness and tripped limit are those of deciding every
+    candidate in turn.  A shrinking automaton's cycle may reach another
+    candidate of the same length, and deciding a skipped one again could
+    trip a limit that the memo would have spared, so its candidates are all
+    decided.  ``configs_explored`` sums the candidates actually decided.
     """
     if spec.morphism is None:
         raise PreconditionError("automaton %s carries no morphism" % spec.name)
@@ -85,14 +99,27 @@ def decide_hproper_membership(
         if tok not in spec.input_alphabet:
             raise SymbolError("symbol %r is not an input symbol" % tok)
         preimages.append(sorted(inverse.get(tok, ())))
+    if not all(preimages):
+        return Decision("non-member"), None
     shared = memo if memo is not None else {}
     explored = 0
-    for candidate in itertools.product(*preimages):
+    digits = [0] * len(word)
+    while True:
+        candidate = tuple(options[d] for options, d in zip(preimages, digits))
         decision = decide_basic_membership(spec, candidate, limits, memo=shared)
         explored += decision.configs_explored
         if decision.verdict != "non-member":
             decision.configs_explored = explored
             return decision, candidate if decision.is_member else None
+        # Advance the odometer at the last letter read, carrying leftward.
+        read = None if spec.flags.shrinking else decision.rejected_prefix
+        i = len(word) if read is None else read
+        while i > 0 and digits[i - 1] == len(preimages[i - 1]) - 1:
+            i -= 1
+        if i == 0:
+            break
+        digits[i - 1] += 1
+        digits[i:] = [0] * (len(word) - i)
     return Decision("non-member", configs_explored=explored), None
 
 

@@ -68,6 +68,18 @@ def test_limits_environment_override():
     assert proc.returncode == 2
 
 
+def test_limits_take_ascii_digits_only():
+    import os
+
+    # "²" and "٣" pass str.isdigit; the first is no int() literal at all.
+    for raw in ("²", "٣"):
+        proc = run_cli("decide", "m_e", "aa", "--limits", "steps=" + raw)
+        assert (proc.returncode, proc.stderr) == (3, "error: bad limits entry 'steps=%s'\n" % raw)
+        env = dict(os.environ, REDUKTO_LIMITS="configs=" + raw)
+        proc = run_cli("decide", "m_e", "aa", env=env)
+        assert (proc.returncode, proc.stderr) == (3, "error: bad limits entry 'configs=%s'\n" % raw)
+
+
 def test_decide_input_alphabet_violation():
     proc = run_cli("decide", "m_e", "b", "--kind", "input")
     assert proc.returncode == 3

@@ -15,7 +15,19 @@ from redukto.languages import (
     tail_confined_bound,
     words_over,
 )
-from redukto.model import PreconditionError, SymbolError, apply_morphism
+from redukto.model import (
+    LEFT_SENTINEL as C,
+    AutomatonSpec,
+    ClassFlags,
+    PreconditionError,
+    SymbolError,
+    apply_morphism,
+    mvr,
+    reject,
+    restart,
+    sl,
+    validate_automaton,
+)
 
 
 def words(*texts):
@@ -89,6 +101,39 @@ def test_hproper_decision_with_witness(anbn_built):
 
     decision, witness = decide_hproper_membership(spec, tuple("aab"))
     assert not decision.is_member and witness is None
+
+
+def test_hproper_skips_preimages_a_first_phase_rejected(anbn_built, dyck_built):
+    # Deciding every preimage took 106,509 and 6,745 configurations.
+    _, dyck, _ = dyck_built
+    opening, closing = sorted(dyck.input_alphabet)
+    decision, preimage = decide_hproper_membership(
+        dyck, (opening, closing) * 4 + (closing, opening))
+    assert (decision.verdict, preimage) == ("non-member", None)
+    assert decision.configs_explored <= 106_509 // 2
+    _, anbn, _ = anbn_built
+    decision, preimage = decide_hproper_membership(anbn, tuple("aaaabbbba"))
+    assert (decision.verdict, preimage) == ("non-member", None)
+    assert decision.configs_explored < 6_745
+
+
+def test_hproper_decides_every_preimage_of_a_shrinking_automaton():
+    # ab rejects at once, having read its first letter; ba cycles to ab.
+    # Deciding every preimage of aa in turn leaves ab in the memo before ba
+    # needs it, so ba stays within 3 configurations.  Skipping ab would
+    # make ba explore it again and trip the limit.
+    table = {
+        ("q0", (C, "a")): (reject(),),
+        ("q0", (C, "b")): (mvr("q0"),),
+        ("q0", ("b", "a")): (sl("qr", ("a", "b")),),
+        ("qr", ("a", "b")): (restart(),),
+    }
+    spec = AutomatonSpec("swap_back", frozenset({"q0", "qr"}), "q0", 2, frozenset("a"),
+                         frozenset("ab"), table, ClassFlags(shrinking=True),
+                         morphism={"a": "a", "b": "a"}, weights={"a": 1, "b": 1})
+    assert validate_automaton(spec).ok
+    decision, _ = decide_hproper_membership(spec, tuple("aa"), Limits(max_configs=3))
+    assert (decision.verdict, decision.configs_explored) == ("non-member", 7)
 
 
 def test_hproper_empty_word(anbn_built, m_e_h):

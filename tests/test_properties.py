@@ -1,25 +1,33 @@
 """Differential properties on small random automata: the memo search against
 the brute search and against a plain reference decider, deterministic runs
-against the search, and resumed deterministic runs against a plain one."""
+against the search, resumed deterministic runs against a plain one, the
+h-proper decider against deciding every preimage and against the input
+language of ``to_shrinking``, and parsing against rendering."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st, target
+from hypothesis import example, given, settings, strategies as st, target
 
 from redukto.catalog import catalog_get
+from redukto.construct import to_shrinking
 from redukto.engine import (
     DEFAULT_LIMITS,
     OUT_ACCEPT,
+    Decision,
     Limits,
     cycle_rewrites,
     decide_basic_membership,
+    decide_input_membership,
     discipline_break,
     restarting_configuration,
     run_deterministic,
     strip_sentinels,
     successors,
 )
+from redukto.fileformat import parse_automaton, render_automaton
+from redukto.languages import decide_hproper_membership
 from redukto.model import (
     ACCEPT,
     LEFT_SENTINEL as C,
@@ -89,12 +97,12 @@ def instructions(draw, q, states, window, symbols):
 
 
 @st.composite
-def automata(draw, deterministic):
-    """A valid two-way automaton with at most 3 states, window 1 or 2 and at
-    most 2 symbols; deterministic ones hold at most one instruction per
-    table entry."""
+def automata(draw, deterministic, min_window=1):
+    """A valid two-way automaton with at most 3 states, window 1 or 2 (at
+    least ``min_window``) and at most 2 symbols; deterministic ones hold at
+    most one instruction per table entry."""
     states = ["q%d" % i for i in range(draw(st.integers(1, 3)))]
-    k = draw(st.integers(1, 2))
+    k = draw(st.integers(min_window, 2))
     symbols = SYMBOLS[: draw(st.integers(1, 2))]
     table = {}
     for q in states:
@@ -311,3 +319,74 @@ def test_resumed_run_sees_a_loop_through_its_repeated_scan():
     trace = assert_resumed_run_is_plain(spec, ("a", "b"), DEFAULT_LIMITS)
     assert trace.outcome == "diverges"
     assert [len(record.scan) for record in trace.records] == [0, 2]
+
+
+def over_one_letter(spec):
+    """``spec`` with the input alphabet {a} and the morphism that maps every
+    symbol to a."""
+    return replace(spec, input_alphabet=frozenset("a"),
+                   morphism={tok: "a" for tok in spec.work_alphabet})
+
+
+def reference_hproper(spec, word, limits):
+    """Every preimage of ``word`` decided in turn on one shared memo."""
+    memo = {}
+    preimages = [sorted(s for s, image in spec.morphism.items() if image == tok) for tok in word]
+    for candidate in itertools.product(*preimages):
+        decision = decide_basic_membership(spec, candidate, limits, memo=memo)
+        if decision.verdict != "non-member":
+            return decision, candidate if decision.is_member else None
+    return Decision("non-member"), None
+
+
+def hproper_outcome(decision, preimage):
+    steps = list(decision.witness.steps) if decision.witness is not None else None
+    return decision.verdict, preimage, decision.exceeded, steps
+
+
+HPROPER_LIMITS = (DEFAULT_LIMITS, Limits(max_steps_per_cycle=3), Limits(max_configs=12))
+
+# The first phase of aa deletes the first a, sees the a behind it and
+# rejects, having read one letter of its start tape; ab is a member all the
+# same: deleting its a brings b next to the left sentinel, and b accepts.
+REWRITE_THEN_REJECT = AutomatonSpec(
+    "rewrite_then_reject", frozenset({"q0", "q1"}), "q0", 2, frozenset("ab"), frozenset("ab"),
+    {
+        ("q0", (C, "a")): (sl("q1", (C,)),),
+        ("q0", (C, "b")): (Instruction(MVR, "q0"),),
+        ("q0", ("b", D)): (Instruction(ACCEPT),),
+        ("q1", (C, "a")): (Instruction(REJECT),),
+        ("q1", (C, "b")): (Instruction(RESTART),),
+    },
+    ClassFlags(deterministic=True),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans().flatmap(automata))
+@example(REWRITE_THEN_REJECT)
+def test_hproper_skipping_agrees_with_deciding_every_preimage(spec):
+    spec = over_one_letter(spec)
+    for limits in HPROPER_LIMITS:
+        for n in range(7):
+            word = ("a",) * n
+            got = hproper_outcome(*decide_hproper_membership(spec, word, limits))
+            assert got == hproper_outcome(*reference_hproper(spec, word, limits)), (limits, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans().flatmap(lambda deterministic: automata(deterministic, min_window=2)))
+def test_shrunk_input_language_is_hproper_language(spec):
+    spec = over_one_letter(spec)
+    shrunk, _ = to_shrinking(spec)
+    for n in range(5):
+        word = ("a",) * n
+        via_input = decide_input_membership(shrunk, word)
+        via_hproper, _ = decide_hproper_membership(spec, word)
+        assert via_input.verdict == via_hproper.verdict != "resource-exceeded", n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans().flatmap(automata))
+def test_parsing_a_rendered_automaton_gives_it_back(spec):
+    assert parse_automaton(render_automaton(spec)) == spec
