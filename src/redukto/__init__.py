@@ -2,9 +2,11 @@
 
 A library and CLI for two-way restarting automata with a lexical morphism:
 exact cycle semantics, deciders for the input, basic and h-proper languages,
-bounded verifiers for monotonicity, cycle discipline, preservation and
-shrinking properties, the grammar-to-contextual-automaton pipeline, the
-shrinking transform, and a catalog of stock automata and grammars.
+bounded verifiers for monotonicity (decided at every length for
+deterministic automata without left moves that rewrite once per cycle),
+cycle discipline, preservation and shrinking properties, the
+grammar-to-contextual-automaton pipeline, the shrinking transform, and a
+catalog of stock automata and grammars.
 """
 
 from .model import (

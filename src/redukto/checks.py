@@ -5,17 +5,24 @@ shrinking-weight validity.
 Every check quantifies over all working-alphabet words up to a length bound
 and over all computation branches within the resource limits, and it reports
 either "holds-up-to-bound" or a concrete counterexample that replays through
-the engine.  None of the verdicts claim the unbounded property.
+the engine.  Monotonicity is decided at every length for deterministic
+automata without MVL whose cycles rewrite at most once (every stock
+automaton but the multi-rewrite ``lm_j``, and every grammar build): a
+report that holds for every length sets ``CheckReport.unbounded``, and the
+printed verdict stays "holds-up-to-bound".  No other verdict claims the
+unbounded property.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .engine import (
     DEFAULT_LIMITS,
     OUT_LIMIT,
+    Configuration,
     Limits,
     ResourcesExceeded,
     Trace,
@@ -24,6 +31,7 @@ from .engine import (
     discipline_break,
     right_distance,
     run_deterministic,
+    successors,
     trace_tapes,
     walk_branches,
 )
@@ -67,6 +75,8 @@ class CheckReport:
     bound: int
     verdict: str
     counterexample: Optional[Counterexample] = None
+    # The property holds at every length, not only up to the bound.
+    unbounded: bool = False
 
     @property
     def holds(self) -> bool:
@@ -145,126 +155,168 @@ def check_monotone(
     """Right distances of rewrite configurations never increase within a
     computation, over every word up to the bound and every branch.
 
-    Deterministic automata are swept with a prefix-pruned word walk: when the
-    run on a prefix halts while its window never left the prefix and before
-    any rewrite, every extension behaves identically and is vacuously
-    monotone, so the whole subtree is skipped.  This is what makes bounds
-    like 10 feasible over the large working alphabets of the grammar-built
-    automata, where almost every word halts within a few steps.  The
-    witness of a violation is the branch walk of the word found, which on a
-    deterministic automaton is its run up to the rising rewrite.
+    An automaton that ``_decided_exactly`` admits (every stock automaton
+    but the multi-rewrite ``lm_j``, and every grammar build) is decided at
+    every length: the shortlex-least word whose run rises is found by
+    ``_least_rising_word``, or shown not to exist, in which case the report
+    holds with ``unbounded`` set.  That word is the violation when it is no
+    longer than the bound.  Any other automaton is walked word by word in
+    shortlex order.  Either way the witness of a violation is the branch
+    walk of the least rising word up to its rising rewrite, and the
+    printed verdict reads as for a bounded search.
     """
-    if spec.flags.deterministic:
-        words = _monotone_det_sweep(spec, max_len, limits)
-    else:
+    if not _decided_exactly(spec):
         words = words_over(spec.work_alphabet, max_len)
-    return _report("monotonicity", max_len, lambda: _first_flagged(spec, words, limits, _rise))
+        return _report("monotonicity", max_len, lambda: _first_flagged(spec, words, limits, _rise))
+    try:
+        word, finished = _least_rising_word(spec, max_len, limits)
+    except ResourcesExceeded:
+        return CheckReport("monotonicity", max_len, EXCEEDED)
+    if word is None or len(word) > max_len:
+        return CheckReport("monotonicity", max_len, HOLDS, unbounded=word is None and finished)
+    return _report("monotonicity", max_len, lambda: _first_flagged(spec, [word], limits, _rise))
 
 
-def _monotone_det_sweep(spec, max_len, limits) -> Iterator[Word]:
-    """Prefix-pruned monotonicity sweep for deterministic automata: yields
-    the words up to the bound whose run has a rising rewrite, in depth-first
-    prefix order.
-    """
-    k = spec.window
-    table = spec.table
-    q0 = spec.initial
-    alphabet = sorted(spec.work_alphabet)
-    step_cap = limits.max_steps_per_cycle
-
-    def prunable(prefix):
-        """True if the run on every extension of the prefix provably halts
-        or loops without ever rewriting."""
-        tape = (LEFT_SENTINEL,) + prefix
-        known = len(tape)
-        state, pos = q0, 0
-        for _ in range(step_cap):
-            if pos + k > known:
-                return False
-            instrs = table.get((state, tape[pos : pos + k]))
-            if not instrs:
-                return True
-            if len(instrs) > 1:
-                return False
-            ins = instrs[0]
-            kind = ins.kind
-            if kind == MVR:
-                pos += 1
-                state = ins.state
-            elif kind == MVL:
-                if pos == 0:
-                    return True
-                pos -= 1
-                state = ins.state
-            else:
-                # A rewrite may change everything; a restart without one
-                # rescans forever, and accept and reject halt.
-                return kind != SL
+def _decided_exactly(spec: AutomatonSpec) -> bool:
+    """Whether ``spec`` is flagged deterministic with one instruction per
+    table entry, has no MVL, shortens the tape at every rewrite, and holds
+    no rewrite in any state that MVR steps reach from a rewrite's successor
+    state, so that no cycle rewrites twice."""
+    if not spec.flags.deterministic:
         return False
+    moves: dict[str, set[str]] = {}
+    after: set[str] = set()
+    for (state, window), instrs in spec.table.items():
+        if len(instrs) > 1:
+            return False
+        for ins in instrs:
+            if ins.kind == MVL or (ins.kind == SL and len(ins.target) >= len(window)):
+                return False
+            if ins.kind == SL:
+                after.add(ins.state)
+            elif ins.kind == MVR:
+                moves.setdefault(state, set()).add(ins.state)
+    todo = list(after)
+    while todo:
+        for state in moves.get(todo.pop(), ()):
+            if state not in after:
+                after.add(state)
+                todo.append(state)
+    return not any(
+        ins.kind == SL
+        for (state, _), instrs in spec.table.items()
+        if state in after
+        for ins in instrs
+    )
 
-    def rises(word):
-        """Whether the deterministic run of ``word`` has a rewrite right of
-        the previous one.  The config budget is per word: a check sweeps
-        many words and each gets its own decision budget."""
-        budget = limits.max_configs
-        tape = (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,)
-        state, pos, rewrites = q0, 0, 0
-        last_dr = None
-        seen = set()
-        steps = 0
-        while True:
-            budget -= 1
-            steps += 1
-            if budget < 0 or steps > step_cap:
-                raise ResourcesExceeded(
-                    "configs limit exceeded" if budget < 0 else "steps limit exceeded"
-                )
-            marker = (state, pos, rewrites)
-            if marker in seen:
-                return False
-            seen.add(marker)
-            instrs = table.get((state, tape[pos : pos + k]))
-            if not instrs:
-                return False
-            ins = instrs[0]
-            kind = ins.kind
-            if kind == MVR:
-                if pos + 1 >= len(tape):
-                    return False
-                pos += 1
-                state = ins.state
-            elif kind == MVL:
-                if pos == 0:
-                    return False
-                pos -= 1
-                state = ins.state
-            elif kind == SL:
-                dr = len(tape) - pos
-                if last_dr is not None and dr > last_dr:
-                    return True
-                last_dr = dr
-                window = tape[pos : pos + k]
-                tape = tape[:pos] + ins.target + tape[pos + len(window):]
-                pos = max(0, pos - (len(window) - len(ins.target)))
-                rewrites += 1
-                state = ins.state
-            elif kind == RESTART:
-                state, pos, rewrites = q0, 0, 0
-                seen.clear()
-                steps = 0
-            else:
-                return False
 
-    stack = [()]
-    while stack:
-        prefix = stack.pop()
-        if rises(prefix):
-            yield prefix
-        if len(prefix) < max_len:
-            for sym in reversed(alphabet):
-                child = prefix + (sym,)
-                if not prunable(child):
-                    stack.append(child)
+# A first cycle that restarts after a rewrite the second cycle rises over.
+_RISES = "rises"
+
+
+def _least_rising_word(
+    spec: AutomatonSpec, max_len: int, limits: Limits
+) -> tuple[Optional[Word], bool]:
+    """The shortlex-least word whose run on ``spec``, an automaton that
+    ``_decided_exactly`` admits, has a rising rewrite, and whether the
+    search finished: (word, True), (None, True) when no word of any length
+    rises, and (None, False) when the configs limit trips after every word
+    up to ``max_len`` was cleared.  Raises ResourcesExceeded when it trips
+    before that.
+
+    Without MVL the rewrites of one cycle never rise, and a cycle leaves a
+    shorter tape that is itself a word, so the shortest rising words rise
+    between their first two cycles.  Cycle 2 repeats the MVR steps of cycle
+    1 up to r = max(0, p1-k+1), where p1 is the rewritten position and k
+    the window, and rises iff it rewrites at some p2 < p1-d, where d is the
+    number of cells the first rewrite removed.  So the words are read one
+    cell at a time, breadth first in sorted-letter order, into the finite
+    states of ``_scan``; each is explored once, from the least word that
+    reaches it, and charged to ``max_configs``.
+    """
+    alphabet = sorted(spec.work_alphabet)
+    initial = spec.initial
+
+    def read(node, cell):
+        config, scan = node
+        return _scan(spec, config._replace(tape=config.tape + (cell,)), scan)
+
+    start = _scan(spec, Configuration((LEFT_SENTINEL,), initial, 0, 0), (initial,))
+    queue = deque([((), start)] if start is not None else [])
+    seen = {start}
+    budget = limits.max_configs
+    while queue:
+        word, node = queue.popleft()
+        budget -= 1
+        if budget < 0:
+            if len(word) > max_len:
+                return None, False
+            raise ResourcesExceeded("configs limit exceeded")
+        if node is _RISES or read(node, RIGHT_SENTINEL) is _RISES:
+            return word, True
+        for sym in alphabet:
+            child = read(node, sym)
+            if child is not None and child not in seen:
+                seen.add(child)
+                queue.append((word + (sym,), child))
+    return None, True
+
+
+def _scan(spec: AutomatonSpec, config: Configuration, scan: Optional[tuple]):
+    """Step the first cycle of a word read so far into ``config.tape`` until
+    its window reaches past the cells read.
+
+    Before the cycle rewrites, ``scan`` holds its states at its last k
+    positions up to ``config.pos`` and the tape keeps the cells from the
+    first of them; after the rewrite ``scan`` is None and the tape keeps the
+    cells from the window on, since nothing left of it is read again.
+    Returns the (configuration, scan) that waits for the next cell, _RISES,
+    or None when no word that starts with the cells read rises between its
+    first two cycles."""
+    k = spec.window
+    while True:
+        tape = config.tape
+        if config.pos + k > len(tape) and tape[-1:] != (RIGHT_SENTINEL,):
+            return config, scan
+        succ = successors(spec, config)
+        if not succ:
+            return None
+        ins, nxt = succ[0]
+        if ins.kind == MVR and scan is not None:
+            # A rewrite that removes k cells here is floored at the cut, but
+            # the next cycle cannot rise over one that removes over k-2.
+            scan = (scan + (nxt.state,))[-k:]
+            cut = nxt.pos - k + 1
+        elif ins.kind == MVR:
+            cut = nxt.pos
+        elif ins.kind == SL and _next_cycle_rises(spec, config, nxt, scan):
+            scan, cut = None, nxt.pos
+        elif ins.kind == RESTART and scan is None:
+            return _RISES
+        else:
+            return None
+        if cut > 0:
+            nxt = Configuration(nxt.tape[cut:], nxt.state, nxt.pos - cut, nxt.rewrites)
+        config = nxt
+
+
+def _next_cycle_rises(spec: AutomatonSpec, config: Configuration, after: Configuration,
+                      scan: tuple) -> bool:
+    """Whether the cycle after the rewrite from ``config`` to ``after``
+    rewrites with a larger right distance.  It takes up the scan at its
+    first position, in that position's state, and must rewrite left of
+    ``config.pos`` minus the cells removed.  The windows it reads there end
+    inside the cells read: the first rewrite's window was read whole."""
+    limit = config.pos - (len(config.tape) - len(after.tape))
+    probe = Configuration(after.tape, scan[0], config.pos - len(scan) + 1, 0)
+    while probe.pos < limit:
+        succ = successors(spec, probe)
+        if not succ:
+            return False
+        ins, probe = succ[0]
+        if ins.kind != MVR:
+            return ins.kind == SL
+    return False
 
 
 def check_cycle_soundness(

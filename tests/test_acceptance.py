@@ -92,7 +92,8 @@ def test_criterion_4_grammar_pipeline(anbn_built, dyck_built):
         tags = classify_automaton(spec)
         assert tags.deterministic, entry.name
         assert all(classify_rewrite(u, v) == "CL" for u, v in spec.sl_pairs()), entry.name
-        assert check_monotone(spec, 10).holds, entry.name
+        monotone = check_monotone(spec, 10)
+        assert monotone.holds and monotone.unbounded, entry.name
         got = enumerate_language(spec, LanguageQuery("hproper", 12))
         expected = [w for w in words_over(entry.oracle_alphabet, 12) if entry.oracle(w)]
         assert got == expected, entry.name

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from redukto.catalog import catalog_get
+from redukto.catalog import catalog_get, catalog_list
 from redukto.checks import (
     check_cycle_soundness,
     check_determinism,
@@ -13,7 +13,8 @@ from redukto.checks import (
     check_preservation,
     check_shrinking,
 )
-from redukto.engine import replay_trace, right_distance
+from redukto.construct import build_hrrwwc
+from redukto.engine import Limits, replay_trace, right_distance
 from redukto.model import (
     LEFT_SENTINEL as C,
     RIGHT_SENTINEL as D,
@@ -91,16 +92,63 @@ def test_monotone_center_deleter():
     assert check_monotone(l3.spec, 12).holds
 
 
-def test_monotone_fast_path_agrees_with_generic():
-    for name in ("m_e", "dyck1", "l_2", "lm_1", "reg_window1"):
-        spec = catalog_get(name).spec
-        unflagged = replace(spec, flags=replace(spec.flags, deterministic=False),
-                            table=dict(spec.table))
-        fast = check_monotone(spec, 6)
-        generic = check_monotone(unflagged, 6)
-        assert fast.verdict == generic.verdict, name
+def _unflagged(spec):
+    return replace(spec, flags=replace(spec.flags, deterministic=False), table=dict(spec.table))
+
+
+def _mono_outcome(report):
+    word = report.counterexample.word if report.counterexample is not None else None
+    return report.verdict, word
+
+
+def test_monotone_fast_path_agrees_with_generic(anbn_built, dyck_built):
+    # The exact search against the word-by-word walk of the unflagged copy,
+    # on every catalog automaton at 8 and on the grammar builds at 6.  All
+    # but m_e, m_e_h and the multi-rewrite lm_j hold at every length.
+    anbn4, _ = build_hrrwwc(anbn_built[0].grammar, 4)
+    every_length = {"dyck1", "l_2", "l_3", "l_4", "reg_window1"}
+    cases = [(entry.spec, 8, entry.name in every_length)
+             for entry in catalog_list() if entry.kind == "automaton"]
+    cases += [(spec, 6, True) for spec in (anbn_built[1], anbn4, dyck_built[1])]
+    assert len(cases) == 13
+    for spec, bound, unbounded in cases:
+        fast = check_monotone(spec, bound)
+        generic = check_monotone(_unflagged(spec), bound)
+        assert _mono_outcome(fast) == _mono_outcome(generic), spec.name
+        assert (fast.unbounded, generic.unbounded) == (unbounded, False), spec.name
         if fast.counterexample is not None:
-            assert generic.counterexample is not None
+            assert fast.counterexample.trace.steps == generic.counterexample.trace.steps
+
+
+def test_monotone_below_the_least_rising_word(m_e):
+    # m_e rises first on aaaa, so it holds up to 3 but not at every length.
+    report = check_monotone(m_e.spec, 3)
+    assert report.holds and not report.unbounded
+    assert check_monotone(m_e.spec, 4).counterexample.word == tuple("aaaa")
+
+
+def test_monotone_search_is_charged_to_the_configs_limit(dyck_built):
+    spec = dyck_built[1]
+    assert check_monotone(spec, 8, Limits(max_configs=50)).verdict == "resource-exceeded"
+    # The limit trips after every word up to length 2 is cleared.
+    report = check_monotone(spec, 2, Limits(max_configs=50))
+    assert report.holds and not report.unbounded
+
+
+def test_monotone_restart_without_rewrite_holds():
+    # The run restarts on the tape it started from and so loops without
+    # ever rewriting; a walk that forgets the configurations of earlier
+    # cycles at each restart spins until the configs limit trips.
+    table = {
+        ("q0", (C,)): (mvr("q1"),),
+        ("q1", ("a",)): (mvr("q1"),),
+        ("q1", (D,)): (restart(),),
+    }
+    spec = AutomatonSpec("loop", frozenset({"q0", "q1"}), "q0", 1, frozenset("a"),
+                         frozenset("a"), table, ClassFlags(deterministic=True))
+    for variant in (spec, _unflagged(spec)):
+        assert check_monotone(variant, 3).verdict == "holds-up-to-bound"
+    assert check_monotone(spec, 3).unbounded
 
 
 def test_cycle_soundness_single_rewrite(m_e):

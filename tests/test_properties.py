@@ -2,7 +2,8 @@
 the brute search and against a plain reference decider, deterministic runs
 against the search, resumed deterministic runs against a plain one, the
 h-proper decider against deciding every preimage and against the input
-language of ``to_shrinking``, and parsing against rendering."""
+language of ``to_shrinking``, exact monotonicity against the word-by-word
+walk, and parsing against rendering."""
 
 import itertools
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st, target
 
 from redukto.catalog import catalog_get
+from redukto.checks import check_monotone
 from redukto.construct import to_shrinking
 from redukto.engine import (
     DEFAULT_LIMITS,
@@ -120,6 +122,32 @@ def automata(draw, deterministic, min_window=1):
 
 
 @st.composite
+def scanners(draw):
+    """A deterministic scanner with window 2 or 3 and at most 2 symbols: q0
+    moves right, rewrites into q1, rejects, or accepts at the right
+    sentinel; q1 restarts or moves right.  Without MVL a rise needs a
+    window of at least 3, which ``automata`` never draws."""
+    k = draw(st.integers(2, 3))
+    symbols = SYMBOLS[: draw(st.integers(1, 2))]
+    table = {}
+    for window in window_contents(symbols, k):
+        targets = rewrite_targets(window, symbols)
+        moves = [MVR] if window != (D,) else []
+        scan = moves * 3 + [SL] * 2 * bool(targets) + [REJECT] + [ACCEPT] * 2 * (window[-1] == D)
+        kind = draw(st.sampled_from(scan))
+        if kind == SL:
+            table[("q0", window)] = (sl("q1", draw(st.sampled_from(targets))),)
+        else:
+            table[("q0", window)] = (Instruction(kind, "q0" if kind == MVR else None),)
+        kind = draw(st.sampled_from([RESTART, RESTART] + moves))
+        table[("q1", window)] = (Instruction(kind, "q1" if kind == MVR else None),)
+    spec = AutomatonSpec("scanner", frozenset({"q0", "q1"}), "q0", k, frozenset(symbols),
+                         frozenset(symbols), table, ClassFlags(deterministic=True))
+    assert validate_automaton(spec).ok, validate_automaton(spec).violations
+    return spec
+
+
+@st.composite
 def automaton_and_word(draw, deterministic):
     spec = draw(automata(deterministic))
     symbols = sorted(spec.work_alphabet)
@@ -184,6 +212,21 @@ def test_deterministic_run_agrees_with_search(case):
     assert (run.outcome == OUT_ACCEPT) == search.is_member
     if search.is_member:
         assert search.witness.steps == run.steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(scanners())
+def test_exact_monotonicity_agrees_with_generic_walk(spec):
+    unflagged = replace(spec, flags=replace(spec.flags, deterministic=False))
+    violating = 0
+    for bound in (0, 3, 5, 7):
+        exact = check_monotone(spec, bound)
+        generic = check_monotone(unflagged, bound)
+        assert exact.verdict == generic.verdict != "resource-exceeded", bound
+        if exact.counterexample is not None:
+            violating += 1
+            assert exact.counterexample.word == generic.counterexample.word, bound
+    target(float(violating))
 
 
 def reference_run(spec, w, limits):
