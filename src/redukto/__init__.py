@@ -31,6 +31,7 @@ from .model import (
     apply_morphism,
     classify_automaton,
     classify_rewrite,
+    contextual_deletions,
     project,
     validate_automaton,
     word_weight,

@@ -77,6 +77,7 @@ class CheckReport:
     counterexample: Optional[Counterexample] = None
     # The property holds at every length, not only up to the bound.
     unbounded: bool = False
+    exceeded: Optional[str] = None  # the tripped limit's message
 
     @property
     def holds(self) -> bool:
@@ -84,6 +85,8 @@ class CheckReport:
 
     def describe(self) -> str:
         head = "%s at length <= %d: %s" % (self.property_name, self.bound, self.verdict)
+        if self.exceeded is not None:
+            head += " (%s)" % self.exceeded
         if self.counterexample is None:
             return head
         ce = self.counterexample
@@ -97,8 +100,8 @@ def _report(
     resource-exceeded, and no counterexample is holds-up-to-bound."""
     try:
         found = search()
-    except ResourcesExceeded:
-        return CheckReport(name, max_len, EXCEEDED)
+    except ResourcesExceeded as err:
+        return CheckReport(name, max_len, EXCEEDED, exceeded=str(err))
     if found is None:
         return CheckReport(name, max_len, HOLDS)
     return CheckReport(name, max_len, VIOLATED, found)
@@ -170,8 +173,8 @@ def check_monotone(
         return _report("monotonicity", max_len, lambda: _first_flagged(spec, words, limits, _rise))
     try:
         word, finished = _least_rising_word(spec, max_len, limits)
-    except ResourcesExceeded:
-        return CheckReport("monotonicity", max_len, EXCEEDED)
+    except ResourcesExceeded as err:
+        return CheckReport("monotonicity", max_len, EXCEEDED, exceeded=str(err))
     if word is None or len(word) > max_len:
         return CheckReport("monotonicity", max_len, HOLDS, unbounded=word is None and finished)
     return _report("monotonicity", max_len, lambda: _first_flagged(spec, [word], limits, _rise))
@@ -381,7 +384,7 @@ def check_preservation(
     def member(w: Word) -> bool:
         d = decide_basic_membership(spec, w, limits, memo=memo)
         if d.verdict == "resource-exceeded":
-            raise ResourcesExceeded("limit exceeded deciding %s" % render_word(w))
+            raise ResourcesExceeded("%s while deciding %s" % (d.exceeded, render_word(w)))
         return d.is_member
 
     def cycle_search() -> Optional[Counterexample]:
@@ -408,7 +411,7 @@ def check_preservation(
                 continue
             trace = run_deterministic(spec, word, limits)
             if trace.outcome == OUT_LIMIT:
-                raise ResourcesExceeded("limit exceeded running %s" % render_word(word))
+                raise ResourcesExceeded("%s while running %s" % (trace.flag, render_word(word)))
             for tape in sorted(trace_tapes(trace), key=lambda t: (len(t), t)):
                 if member(tape) != followed:
                     return Counterexample(

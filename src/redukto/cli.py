@@ -274,12 +274,7 @@ def cmd_transform(args) -> int:
         grammar = _load_grammar(args.source)
         try:
             spec, report = build_hrrwwc(
-                grammar,
-                k=args.window,
-                train_len=args.train,
-                validate_len=args.validate,
-                window_cap=args.window_cap,
-                limits=limits,
+                grammar, k=args.window, window_cap=args.window_cap, limits=limits
             )
         except SynthesisError as err:
             print("synthesis-failed")
@@ -355,8 +350,18 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3, as the exit-code
+    contract asks; argparse's own code 2 means a tripped limit here.  The
+    subcommand parsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="redukto",
         description="Restarting-automaton workbench: run, decide, check, transform.",
     )
@@ -397,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--window", type=int, default=3)
     p.add_argument("--window-cap", type=int, default=8)
-    p.add_argument("--train", type=int, default=10)
-    p.add_argument("--validate", type=int, default=12)
     add_limits(p)
     p.set_defaults(func=cmd_transform)
 

@@ -11,13 +11,14 @@ The cited general transformation of deterministic context-free languages
 into deterministic monotone contextual-deletion automata is out of scope
 here; the synthesizer replaces it with an oracle-guided search whose result
 is certified only up to the validated length, as stated on its report:
-candidate deletion rules are harvested from derivation words, filtered by
-membership preservation at their leftmost matches, assembled into a
-leftmost-match scanner, and validated against the derivation oracle.
-Validation checks what the harvested rules can get wrong: the language (up
-to the validated length) and monotonicity.  The cycle discipline needs no
-check, because the scanner's shape fixes it: every cycle makes exactly one
-rewrite and only windows showing both sentinels accept.
+every contextual deletion of every window of a training word is a candidate
+rule, one filter keeps those that preserve membership at their leftmost
+matches, the survivors are assembled into a leftmost-match scanner, and the
+scanner is validated against the derivation oracle.  Validation checks what
+the kept rules can get wrong: the language (up to the validated length) and
+monotonicity.  The cycle discipline needs no check, because the scanner's
+shape fixes it: every cycle makes exactly one rewrite and only windows
+showing both sentinels accept.
 
 (B) Shrinking transform: any automaton with a morphism is turned into a
 shrinking automaton that first guesses, right to left and one symbol per
@@ -30,6 +31,7 @@ replacement and every simulated rewrite strictly decreases the tape weight.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -50,6 +52,7 @@ from .model import (
     ReduktoError,
     Word,
     accept,
+    contextual_deletions,
     mvr,
     reject,
     render_word,
@@ -58,6 +61,11 @@ from .model import (
 )
 
 C, D = LEFT_SENTINEL, RIGHT_SENTINEL
+
+# The synthesizer trains on the grammar's words up to TRAIN_LEN and
+# validates the scanner's language against them up to VALIDATE_LEN.
+TRAIN_LEN = 10
+VALIDATE_LEN = 12
 
 
 class SynthesisError(ReduktoError):
@@ -72,7 +80,6 @@ class DerivationAlphabet:
 
     symbols: tuple[str, ...]
     morphism: dict[str, str]          # tagged symbol -> original terminal
-    rule_numbers: dict[str, int]      # tagged symbol -> rule number
 
 
 def rule_token(number: int, terminal: str) -> str:
@@ -88,13 +95,11 @@ def derivation_encode(grammar: GnfGrammar) -> tuple[GnfGrammar, DerivationAlphab
     """
     symbols = []
     morphism = {}
-    numbers = {}
     new_rules = []
     for i, rule in enumerate(grammar.rules, start=1):
         tok = rule_token(i, rule.head)
         symbols.append(tok)
         morphism[tok] = rule.head
-        numbers[tok] = i
         new_rules.append(GnfRule(rule.lhs, tok, rule.tail))
     tagged = GnfGrammar(
         name=grammar.name + "_tagged",
@@ -103,7 +108,7 @@ def derivation_encode(grammar: GnfGrammar) -> tuple[GnfGrammar, DerivationAlphab
         start=grammar.start,
         rules=tuple(new_rules),
     )
-    return tagged, DerivationAlphabet(tuple(symbols), morphism, numbers)
+    return tagged, DerivationAlphabet(tuple(symbols), morphism)
 
 
 def derivation_check(tagged: GnfGrammar, word: Word) -> bool:
@@ -176,50 +181,23 @@ class SynthesisReport:
         return "\n".join(lines)
 
 
-def _contextual_deletions(u: Word) -> set[Word]:
-    """All nonempty-or-total deletions of at most two contiguous blocks of
-    non-sentinel cells from u."""
-    cells = [i for i, tok in enumerate(u) if tok not in (C, D)]
-    if not cells:
-        return set()
-    lo, hi = cells[0], cells[-1] + 1
-    out = set()
-    spans = [
-        (i, j) for i in range(lo, hi) for j in range(i + 1, hi + 1)
-    ]
-    for i, j in spans:
-        out.add(u[:i] + u[j:])
-        for i2, j2 in spans:
-            if i2 > j:
-                out.add(u[:i] + u[j:i2] + u[j2:])
-    return out
-
-
 def _attempt_synthesis(
     tagged: GnfGrammar,
     k: int,
-    train_len: int,
-    validate_len: int,
     limits: Limits,
 ) -> tuple[Optional[AutomatonSpec], SynthesisReport]:
-    report = SynthesisReport(k, k, train_len, validate_len)
+    report = SynthesisReport(k, k, TRAIN_LEN, VALIDATE_LEN)
     alphabet = sorted(tagged.terminals)
-    training = enumerate_grammar_words(tagged, train_len)
-    member = lambda w: derivation_check(tagged, w)
+    training = enumerate_grammar_words(tagged, TRAIN_LEN)
+    member = functools.cache(lambda w: derivation_check(tagged, w))
 
-    # Harvest: every contextual deletion of a window of a member word whose
-    # global result is again a member.
-    candidates: dict[Word, set[Word]] = {}
+    # Candidates: every contextual deletion of every window of a training
+    # word.  The filter below alone decides which of them survive.
+    windows: set[Word] = set()
     for word in training:
         tape = (C,) + word + (D,)
-        for p in range(len(tape)):
-            u = tape[p : p + k]
-            if len(u) < min(k, len(tape) - p):
-                continue
-            for v in _contextual_deletions(u):
-                result = tape[:p] + v + tape[p + len(u) :]
-                if member(result[1:-1]):
-                    candidates.setdefault(u, set()).add(v)
+        windows.update(tape[p : p + k] for p in range(len(tape)))
+    candidates = {u: contextual_deletions(u) for u in windows}
 
     # Filter: a rule survives only if applying it at its leftmost match
     # preserves the membership status of every sample word.  The sample
@@ -228,7 +206,7 @@ def _attempt_synthesis(
     # word into the language are rejected here rather than at validation.
     sample: dict[Word, bool] = {w: True for w in training}
     for w in itertools.chain.from_iterable(
-        itertools.product(alphabet, repeat=n) for n in range(min(6, train_len) + 1)
+        itertools.product(alphabet, repeat=n) for n in range(min(6, TRAIN_LEN) + 1)
     ):
         sample.setdefault(w, member(w))
     for word in training:
@@ -274,7 +252,7 @@ def _attempt_synthesis(
         return kept, _assemble_scanner(tagged, k, kept, member)
 
     # Validate and refine.  A round checks the language, by the closure
-    # enumeration up to validate_len, and monotonicity.  The cycle discipline
+    # enumeration up to VALIDATE_LEN, and monotonicity.  The cycle discipline
     # is not re-checked: _assemble_scanner lets qr only restart and q0 only
     # move right, rewrite into qr, accept or reject, and it accepts only on
     # windows that show both sentinels, so every cycle makes exactly one
@@ -283,19 +261,22 @@ def _attempt_synthesis(
     # the reduction chain of the offending word is added to the filter
     # sample (it pins down the exact rule application that changed a
     # membership status), the rule set is reassembled and validation runs
-    # again.  Every round retires at least one rule, so the loop terminates;
-    # residual failures are reported and the caller may retry with a wider
-    # window.
-    expected = enumerate_grammar_words(tagged, validate_len)
-    for _ in range(1 + len(candidates)):
+    # again.  The loop ends: a round that kills none of the kept rules
+    # reassembles the same scanner, which meets the same counterexample,
+    # whose chain is then already in the sample, so the next round fails the
+    # attempt; and a round that kills a kept rule retires one of finitely
+    # many candidates.  Residual failures are reported and the caller may
+    # retry with a wider window.
+    expected = enumerate_grammar_words(tagged, VALIDATE_LEN)
+    while True:
         kept, spec = assemble()
         report.rules = sorted(kept.items())
         compared = compare_word_sets(
             enumerate_language(
-                spec, LanguageQuery("input", validate_len, limits), strategy="closure"
+                spec, LanguageQuery("input", VALIDATE_LEN, limits), strategy="closure"
             ),
             expected,
-            validate_len,
+            VALIDATE_LEN,
         )
         if not compared.equal:
             witness = compared.counterexample
@@ -311,9 +292,9 @@ def _attempt_synthesis(
                 sample[w] = member(w)
             refilter(fresh)
             continue
-        checked = check_monotone(spec, min(8, validate_len), limits)
+        checked = check_monotone(spec, min(8, VALIDATE_LEN), limits)
         if checked.verdict == EXCEEDED:
-            raise ResourcesExceeded("monotonicity check ran out of resources")
+            raise ResourcesExceeded("%s in the monotonicity check" % checked.exceeded)
         if not checked.holds:
             if checked.counterexample:
                 report.counterexamples.append(checked.counterexample.word)
@@ -321,8 +302,6 @@ def _attempt_synthesis(
             return None, report
         report.verdict = "validated"
         return spec, report
-    report.notes.append("refinement loop exhausted")
-    return None, report
 
 
 def _assemble_scanner(
@@ -361,8 +340,6 @@ def _assemble_scanner(
 def synthesize_reduction_system(
     tagged: GnfGrammar,
     k: int,
-    train_len: int = 10,
-    validate_len: int = 12,
     window_cap: Optional[int] = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[AutomatonSpec, SynthesisReport]:
@@ -377,7 +354,7 @@ def synthesize_reduction_system(
     cap = k if window_cap is None else max(k, window_cap)
     last_report = None
     for width in range(k, cap + 1):
-        spec, report = _attempt_synthesis(tagged, width, train_len, validate_len, limits)
+        spec, report = _attempt_synthesis(tagged, width, limits)
         report.window_requested = k
         if spec is not None:
             return spec, report
@@ -390,8 +367,6 @@ def synthesize_reduction_system(
 def build_hrrwwc(
     grammar: GnfGrammar,
     k: int = 3,
-    train_len: int = 10,
-    validate_len: int = 12,
     window_cap: Optional[int] = 8,
     limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[AutomatonSpec, SynthesisReport]:
@@ -404,9 +379,7 @@ def build_hrrwwc(
     to the validated length.
     """
     tagged, dalpha = derivation_encode(grammar)
-    scanner, report = synthesize_reduction_system(
-        tagged, k, train_len, validate_len, window_cap, limits
-    )
+    scanner, report = synthesize_reduction_system(tagged, k, window_cap, limits)
     sigma = sorted(grammar.terminals)
     table = dict(scanner.table)
     for u in all_window_contents(scanner.window, sigma):

@@ -627,7 +627,6 @@ def decide_input_membership(
     spec: AutomatonSpec,
     word: Word,
     limits: Limits = DEFAULT_LIMITS,
-    memoize: bool = True,
     memo: Optional[dict] = None,
 ) -> Decision:
     """decide_basic_membership restricted to words over the input alphabet."""
@@ -635,7 +634,7 @@ def decide_input_membership(
     for tok in word:
         if tok not in spec.input_alphabet:
             raise SymbolError("symbol %r is not an input symbol" % tok)
-    return decide_basic_membership(spec, word, limits, memoize, memo)
+    return decide_basic_membership(spec, word, limits, memo=memo)
 
 
 def cycle_rewrites(

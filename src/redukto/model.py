@@ -271,49 +271,32 @@ FORMS = ("CL", "DL", "SL")
 _FORM_RANK = {CL_FORM: 0, DL_NOT_CL: 1, SL_NOT_DL: 2, ILLEGAL: 2}
 
 
-def min_deleted_blocks(u: Word, v: Word) -> Optional[int]:
-    """Minimum number of deleted contiguous blocks over all embeddings of v
-    into u as a subsequence, or None if v is not a subsequence of u.
-
-    Sentinels must align with sentinels: a sentinel cell of u can never be
-    deleted.  Dynamic program over (position in u, position in v, whether the
-    previous u-cell was deleted).
-    """
-    m, n = len(u), len(v)
-    INF = m + 2
-    # dp[j][d] = min blocks after consuming some prefix of u and j of v,
-    # d = 1 iff the last consumed u-cell was deleted.
-    dp = [[INF, INF] for _ in range(n + 1)]
-    dp[0][0] = 0
-    for i in range(m):
-        tok = u[i]
-        nxt = [[INF, INF] for _ in range(n + 1)]
-        deletable = tok != LEFT_SENTINEL and tok != RIGHT_SENTINEL
-        for j in range(n + 1):
-            best = dp[j][0] if dp[j][0] < dp[j][1] else dp[j][1]
-            if best >= INF and dp[j][0] >= INF and dp[j][1] >= INF:
-                continue
-            if j < n and v[j] == tok and best < INF:
-                if best < nxt[j + 1][0]:
-                    nxt[j + 1][0] = best
-            if deletable:
-                if dp[j][1] < nxt[j][1]:
-                    nxt[j][1] = dp[j][1]
-                if dp[j][0] + 1 < nxt[j][1]:
-                    nxt[j][1] = dp[j][0] + 1
-        dp = nxt
-    best = min(dp[n])
-    return None if best >= INF else best
+def contextual_deletions(u: Word) -> set[Word]:
+    """Every word made from ``u`` by deleting one or two nonempty blocks of
+    contiguous non-sentinel cells: the rewrites of (Marcus) contextual form."""
+    u = tuple(u)
+    blocks = []
+    for i in range(len(u)):
+        for j in range(i + 1, len(u) + 1):
+            if u[j - 1] == LEFT_SENTINEL or u[j - 1] == RIGHT_SENTINEL:
+                break
+            blocks.append((i, j))
+    out = set()
+    for i, j in blocks:
+        out.add(u[:i] + u[j:])
+        for i2, j2 in blocks:
+            if i2 > j:
+                out.add(u[:i] + u[j:i2] + u[j2:])
+    return out
 
 
 def classify_rewrite(u: Word, v: Word) -> str:
     """Classify the rewrite u -> v as CL, DL-not-CL, SL-not-DL or illegal.
 
-    CL: v arises from u by deleting at most two contiguous blocks (the
-    minimum is taken over all subsequence embeddings).  DL-not-CL: v is a
-    proper subsequence needing three or more blocks.  SL-not-DL: strictly
-    shorter but not a subsequence.  illegal: not shorter, or the sentinels
-    differ.
+    CL: v is one of the contextual_deletions of u.  DL-not-CL: v is a
+    subsequence of u that keeps every sentinel cell, but needs three or more
+    deleted blocks.  SL-not-DL: strictly shorter but no such subsequence.
+    illegal: not shorter, or the sentinels differ.
     """
     u, v = tuple(u), tuple(v)
     if len(v) >= len(u):
@@ -326,10 +309,18 @@ def classify_rewrite(u: Word, v: Word) -> str:
         return ILLEGAL
     if (u and u[-1] == RIGHT_SENTINEL) and (v and v[-1] != RIGHT_SENTINEL):
         return ILLEGAL
-    blocks = min_deleted_blocks(u, v)
-    if blocks is None:
-        return SL_NOT_DL
-    return CL_FORM if blocks <= 2 else DL_NOT_CL
+    if v in contextual_deletions(u):
+        return CL_FORM
+    # Matching each cell of u to the next cell of v as early as possible
+    # finds an embedding whenever one exists; only sentinels may not be
+    # skipped.
+    j = 0
+    for tok in u:
+        if j < len(v) and tok == v[j]:
+            j += 1
+        elif tok == LEFT_SENTINEL or tok == RIGHT_SENTINEL:
+            return SL_NOT_DL
+    return DL_NOT_CL if j == len(v) else SL_NOT_DL
 
 
 @dataclass

@@ -206,6 +206,35 @@ def test_tripped_limit_is_named(tmp_path, m_e_h_shrunk):
          search + "outcome: limit-exceeded (configs limit exceeded)\n"),
         (["decide", "dyck1", "a1ā1a1ā1", "--limits", "cycles=1"],
          "resource-exceeded: cycles limit exceeded\n"),
+        (["check", "dyck1", "--what", "cpp", "--max-len", "8", "--limits", "configs=5"],
+         "preservation(complete-correctness) at length <= 8: resource-exceeded"
+         " (configs limit exceeded while running a1 a1 ā1 ā1)\n"),
+        (["check", "m_e", "--what", "mono", "--max-len", "8", "--limits", "configs=3"],
+         "monotonicity at length <= 8: resource-exceeded (configs limit exceeded)\n"),
+        (["transform", "gnf2hrrwwc", "anbn_gnf", "-o", str(tmp_path / "anbn.rlww"),
+          "--limits", "configs=10"],
+         "resource-exceeded: configs limit exceeded in the monotonicity check\n"),
     ):
         proc = run_cli(*argv)
         assert (proc.returncode, proc.stdout) == (2, stdout), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "m_e"],
+    ["enum", "m_e", "--max-len", "x"],
+    ["check", "m_e", "--what", "bogus"],
+    ["transform", "gnf2hrrwwc", "anbn_gnf", "-o", "unused.rlww", "--train", "8"],
+    [],
+])
+def test_bad_usage_exits_3(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "error: " in proc.stderr
+
+
+def test_help_exits_0():
+    for argv in (["--help"], ["check", "--help"]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 0, argv
+        assert proc.stdout.startswith("usage: redukto")

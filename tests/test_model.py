@@ -18,7 +18,6 @@ from redukto.model import (
     classify_automaton,
     classify_rewrite,
     is_window_content,
-    min_deleted_blocks,
     mvl,
     mvr,
     project,
@@ -49,14 +48,17 @@ def embeddings_block_counts(u, v):
     return counts
 
 
-def test_min_blocks_matches_exhaustive_oracle():
+def test_classify_rewrite_matches_exhaustive_oracle():
     for total in range(0, 7):
         for u in itertools.product("ab", repeat=total):
             for keep in range(0, total):
                 for v in itertools.product("ab", repeat=keep):
                     counts = embeddings_block_counts(u, v)
-                    expect = min(counts) if counts else None
-                    assert min_deleted_blocks(u, v) == expect, (u, v)
+                    if not counts:
+                        expect = "SL-not-DL"
+                    else:
+                        expect = "CL" if min(counts) <= 2 else "DL-not-CL"
+                    assert classify_rewrite(u, v) == expect, (u, v)
 
 
 def test_classify_rewrite_single_block():
@@ -89,7 +91,7 @@ def test_contextual_implies_subsequence_exhaustively():
             for m in range(0, n):
                 for v in itertools.product("ab", repeat=m):
                     if classify_rewrite(u, v) == "CL":
-                        assert min_deleted_blocks(u, v) is not None
+                        assert embeddings_block_counts(u, v)
 
 
 def test_window_content_shapes():

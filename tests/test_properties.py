@@ -3,7 +3,8 @@ the brute search and against a plain reference decider, deterministic runs
 against the search, resumed deterministic runs against a plain one, the
 h-proper decider against deciding every preimage and against the input
 language of ``to_shrinking``, exact monotonicity against the word-by-word
-walk, and parsing against rendering."""
+walk, the closure enumerator against the brute one, and parsing against
+rendering."""
 
 import itertools
 from dataclasses import replace
@@ -29,7 +30,12 @@ from redukto.engine import (
     successors,
 )
 from redukto.fileformat import parse_automaton, render_automaton
-from redukto.languages import decide_hproper_membership
+from redukto.languages import (
+    LanguageQuery,
+    decide_hproper_membership,
+    enumerate_language,
+    tail_confined_bound,
+)
 from redukto.model import (
     ACCEPT,
     LEFT_SENTINEL as C,
@@ -227,6 +233,42 @@ def test_exact_monotonicity_agrees_with_generic_walk(spec):
             violating += 1
             assert exact.counterexample.word == generic.counterexample.word, bound
     target(float(violating))
+
+
+def confine_tails(spec):
+    """``spec`` with every ACCEPT whose window misses a sentinel turned into
+    REJECT, so that tail acceptance is confined to whole short words."""
+    table = {}
+    for (q, window), instrs in spec.table.items():
+        confined = C in window and D in window
+        table[(q, window)] = tuple(dict.fromkeys(
+            ins if ins.kind != ACCEPT or confined else Instruction(REJECT) for ins in instrs))
+    confined = replace(spec, table=table)
+    assert validate_automaton(confined).ok, validate_automaton(confined).violations
+    return confined
+
+
+# Under confined tails nearly every language ``automata`` draws is empty or
+# holds only the empty word; about a fifth of the scanners' languages hold
+# longer words, which the closure reaches only by inverse rewriting.  The
+# target steers both toward larger languages.
+CONFINABLE = {
+    "automata": st.booleans().flatmap(automata).map(confine_tails),
+    "scanners": scanners().map(confine_tails),
+}
+
+
+@pytest.mark.parametrize("drawn", sorted(CONFINABLE))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_closure_enumeration_agrees_with_brute_where_tails_are_confined(drawn, data):
+    spec = data.draw(CONFINABLE[drawn])
+    assert tail_confined_bound(spec) is not None
+    for bound in (0, 3, 6):
+        query = LanguageQuery("basic", bound)
+        brute = enumerate_language(spec, query, strategy="brute")
+        assert enumerate_language(spec, query, strategy="closure") == brute, bound
+    target(float(len(brute)))
 
 
 def reference_run(spec, w, limits):
