@@ -48,7 +48,7 @@ from .model import (
     render_word,
     word_weight,
 )
-from .languages import words_over
+from .languages import require_bound, words_over
 
 HOLDS = "holds-up-to-bound"
 VIOLATED = "violated"
@@ -168,6 +168,7 @@ def check_monotone(
     walk of the least rising word up to its rising rewrite, and the
     printed verdict reads as for a bounded search.
     """
+    require_bound(max_len)
     if not _decided_exactly(spec):
         words = words_over(spec.work_alphabet, max_len)
         return _report("monotonicity", max_len, lambda: _first_flagged(spec, words, limits, _rise))
@@ -332,6 +333,7 @@ def check_cycle_soundness(
     accepting tail contains a rewrite.  Branches are walked without the
     engine's discipline so that violations are observed rather than
     pruned."""
+    require_bound(max_len)
     cap = spec.flags.mr_degree if degree is None else degree
 
     def breaks(_, config, ins):
@@ -368,6 +370,7 @@ def check_preservation(
     automaton).  The transitive closure follows by induction since every
     intermediate word stays within the bound.
     """
+    require_bound(max_len)
     if mode not in PRESERVATION_MODES:
         raise PreconditionError("unknown preservation mode %r" % mode)
     needs_det = mode in ("complete-correctness", "complete-error", "cycle-correctness")
@@ -436,6 +439,7 @@ def check_shrinking(
 ) -> CheckReport:
     """Every observed cycle rewriting strictly decreases the total weight,
     and the weight function is positive and total on the working alphabet."""
+    require_bound(max_len)
 
     def search() -> Optional[Counterexample]:
         for tok in sorted(spec.work_alphabet):

@@ -22,25 +22,27 @@ A missing table entry halts the run; this is reported as a reject flagged
 Limits.  A search that trips one of its ``Limits`` raises ResourcesExceeded,
 naming the limit; the deciders turn it into a resource-exceeded verdict that
 keeps the message in ``Decision.exceeded``.  Deterministic runs stop with a
-limit-exceeded outcome flagged with the same message.
+limit-exceeded outcome flagged with the same message, and the decider turns
+that into the same verdict.
 
 Resumed scans.  Take a cycle of a deterministic automaton with window k
 that moved MVR from position 0 to position L and whose leftmost rewrite is
 at p.  Cells [0, p) keep their content into the next cycle, and the state
 at any x <= L depends only on cells [0, x+k-1).  So the next cycle repeats
 the first r = min(L, p-k+1) steps exactly and may start at position r in
-the recorded state; ``run_deterministic`` and the decider (on
-deterministic automata) do so.  The repeated steps are MVR moves at
-distinct positions without a rewrite, so they can trip neither a loop check
-nor the cycle discipline, and a configuration that an MVL brings back into
-the repeated prefix is matched against the recorded scan, so loops through
-the prefix are still seen.  The repeated steps are charged to every step
-and configuration count.  The cycle before took more than r steps, so the
-per-cycle step limit cannot trip inside the repeated scan; r is clamped to
-the configurations left, so that the configuration limit trips at the very
-step it would trip at without resuming.  A trace keeps one ``CycleRecord``
-per cycle, with the repeated scan as (state, instruction) pairs, and builds
-those configurations only when its steps are read.
+the recorded state.  A deterministic automaton has one computation, and
+``run_deterministic`` and the decider both follow it through one cycle loop
+(``_cycle``) that resumes each cycle so.  The repeated steps are MVR moves
+at distinct positions without a rewrite, so they can trip neither a loop
+check nor the cycle discipline, and a configuration that an MVL brings back
+into the repeated prefix is matched against the recorded scan, so loops
+through the prefix are still seen.  The repeated steps are charged to every
+step and configuration count.  The cycle before took more than r steps, so
+the per-cycle step limit cannot trip inside the repeated scan; r is clamped
+to the configurations left, so that the configuration limit trips at the
+very step it would trip at without resuming.  A trace keeps one
+``CycleRecord`` per cycle, with the repeated scan as (state, instruction)
+pairs, and builds those configurations only when its steps are read.
 
 Searches are reentrant and side-effect free apart from per-call memo tables;
 deciding distinct words in parallel is safe.
@@ -51,6 +53,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -218,23 +221,24 @@ class Decision:
     witness: Optional[Trace] = None
     configs_explored: int = 0
     exceeded: Optional[str] = None  # the tripped limit's message
-    # (configuration keys, window, tape length) of a first phase that
-    # rejected on its start tape, kept for rejected_prefix to read.
+    # (configurations or their keys, window, tape length) of a first phase
+    # that rejected on its start tape, kept for rejected_prefix to read
+    # once; the window position is item 2 of each.
     _start_reads: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def is_member(self) -> bool:
         return self.verdict == "member"
 
-    @property
+    @cached_property
     def rejected_prefix(self) -> Optional[int]:
         """Set on a non-member whose first phase alone rejected it: that
         phase neither rewrote nor restarted, and read only the first
         ``rejected_prefix`` letters of the word, never the right sentinel.
         So every word that starts with those letters, whatever its length,
         has the same first phase step for step and is a non-member.  None
-        otherwise.  Worked out when read, so that deciders which never ask
-        do not pay for it."""
+        otherwise.  Worked out when first read, so that deciders which
+        never ask do not pay for it."""
         if self._start_reads is None:
             return None
         keys, window, size = self._start_reads
@@ -345,61 +349,13 @@ def run_deterministic(
     stops being repeatable (see the module docstring)."""
     if not spec.flags.deterministic:
         raise PreconditionError("run_deterministic requires a deterministic automaton")
-    cap = spec.flags.mr_degree
     tape = restarting_configuration(spec, tuple(word)).tape
     records: list[CycleRecord] = []
-    scan: tuple = ()
-    state = spec.initial
-    cycles = 0
-    total = 0
+    scan, state = (), spec.initial
+    cycles = total = 0
     while True:
-        r = len(scan)
-        config = Configuration(tape, state, r, 0)
-        steps: list[Step] = []
-        seen: set[tuple[str, int, int]] = set()
-        cycle_steps = r
-        total += r
-        outcome = flag = None
-        while True:
-            # Only a rewrite changes the tape and ``seen`` is cleared at every
-            # restart, so within a cycle (state, pos, rewrites) fixes the tape;
-            # the repeated scan stands for the keys of its steps.
-            key = (config.state, config.pos, config.rewrites)
-            if key in seen or (key[1] < r and key[2] == 0 and scan[key[1]][0] == key[0]):
-                outcome = OUT_DIVERGES
-                break
-            seen.add(key)
-            total += 1
-            cycle_steps += 1
-            if cycle_steps > limits.max_steps_per_cycle:
-                outcome, flag = OUT_LIMIT, "steps limit exceeded"
-                break
-            if total > limits.max_configs:
-                outcome, flag = OUT_LIMIT, "configs limit exceeded"
-                break
-            succ = successors(spec, config)
-            if not succ:
-                outcome, flag = OUT_REJECT, "stuck"
-                break
-            if len(succ) > 1:
-                raise PreconditionError(
-                    "nondeterministic choice at (%s, %s)"
-                    % (config.state, render_word(window_of(spec, config)))
-                )
-            ins, nxt = succ[0]
-            steps.append((config, ins))
-            flag = discipline_break(cap, ins, config)
-            if flag is not None:
-                outcome = OUT_INVALID
-                break
-            if nxt is None:
-                outcome = OUT_ACCEPT if ins.kind == ACCEPT else OUT_REJECT
-                break
-            if ins.kind == RESTART:
-                break
-            config = nxt
-        record = CycleRecord(tape, scan, tuple(steps))
-        if scan or steps:
+        record, outcome, flag, config, total = _cycle(spec, limits, tape, scan, state, total)
+        if scan or record.steps:
             records.append(record)
         if outcome is None:
             cycles += 1
@@ -407,8 +363,69 @@ def run_deterministic(
                 outcome, flag = OUT_LIMIT, "cycles limit exceeded"
         if outcome is not None:
             return Trace(tuple(records), outcome, flag)
-        tape = nxt.tape
+        tape = config.tape
         scan, state = _resume(spec, record, limits.max_configs - total)
+
+
+def _cycle(spec: AutomatonSpec, limits: Limits, tape: Word, scan: tuple, state: str,
+           total: int) -> tuple[CycleRecord, Optional[str], Optional[str], Configuration, int]:
+    """One cycle, or the tail, of a deterministic automaton on ``tape``,
+    resumed after the repeated ``scan`` in ``state``, with ``total``
+    configurations expanded before it.
+
+    Returns (record, outcome, flag, configuration, total).  The outcome is
+    None when the cycle restarts, and the configuration is then the
+    restarting one; otherwise the outcome and flag are a trace's and the
+    configuration is the one the cycle stopped at.  ``total`` counts the
+    configurations expanded so far, the one that trips the steps limit
+    excepted.  Raises PreconditionError at a nondeterministic choice."""
+    cap = spec.flags.mr_degree
+    r = len(scan)
+    config = Configuration(tape, state, r, 0)
+    steps: list[Step] = []
+    seen: set[tuple[str, int, int]] = set()
+    cycle_steps = r
+    total += r
+    outcome = flag = None
+    while True:
+        # Only a rewrite changes the tape and ``seen`` is cleared at every
+        # restart, so within a cycle (state, pos, rewrites) fixes the tape;
+        # the repeated scan stands for the keys of its steps.
+        key = (config.state, config.pos, config.rewrites)
+        if key in seen or (key[1] < r and key[2] == 0 and scan[key[1]][0] == key[0]):
+            outcome = OUT_DIVERGES
+            break
+        seen.add(key)
+        cycle_steps += 1
+        if cycle_steps > limits.max_steps_per_cycle:
+            outcome, flag = OUT_LIMIT, "steps limit exceeded"
+            break
+        total += 1
+        if total > limits.max_configs:
+            outcome, flag = OUT_LIMIT, "configs limit exceeded"
+            break
+        succ = successors(spec, config)
+        if not succ:
+            outcome, flag = OUT_REJECT, "stuck"
+            break
+        if len(succ) > 1:
+            raise PreconditionError(
+                "nondeterministic choice at (%s, %s)"
+                % (config.state, render_word(window_of(spec, config)))
+            )
+        ins, nxt = succ[0]
+        steps.append((config, ins))
+        flag = discipline_break(cap, ins, config)
+        if flag is not None:
+            outcome = OUT_INVALID
+            break
+        if nxt is None:
+            outcome = OUT_ACCEPT if ins.kind == ACCEPT else OUT_REJECT
+            break
+        config = nxt
+        if ins.kind == RESTART:
+            break
+    return CycleRecord(tape, scan, tuple(steps)), outcome, flag, config, total
 
 
 class ResourcesExceeded(ReduktoError):
@@ -445,13 +462,12 @@ def _path_to(parents: dict, node, final: Step) -> list[Step]:
 
 class _PhaseResult(NamedTuple):
     tape: Word                              # the restarting tape
-    scan: tuple                             # the scan repeated into it
     tail_accept: Optional[list[Step]]       # an accepting tail, if any
     cycles: list[tuple[Word, list[Step]]]   # (successor word, its steps)
     start_reads: Optional[tuple]            # see Decision.rejected_prefix
 
     def record(self, steps: list[Step]) -> CycleRecord:
-        return CycleRecord(self.tape, self.scan, tuple(steps))
+        return CycleRecord(self.tape, (), tuple(steps))
 
 
 def _explore_phase(
@@ -459,7 +475,6 @@ def _explore_phase(
     word: Word,
     limits: Limits,
     budget: _Budget,
-    after: Optional[CycleRecord] = None,
 ) -> _PhaseResult:
     """Depth-first exploration of one phase (from a restarting configuration
     up to the next restart or halt) over all nondeterministic branches.
@@ -469,8 +484,6 @@ def _explore_phase(
     rewrites), where tapes are interned once per rewrite that makes them, so
     no lookup hashes a tape; two keys are equal exactly when their
     configurations are.  Paths are reconstructed through parent pointers.
-    ``after``, given only for a deterministic automaton, is the cycle that
-    produced ``word``; the phase then resumes after the scan it repeats.
     Raises ResourcesExceeded when the phase expands more than
     ``max_steps_per_cycle`` configurations or the budget runs out.
 
@@ -480,19 +493,13 @@ def _explore_phase(
     """
     cap = spec.flags.mr_degree
     start = restarting_configuration(spec, word)
-    scan: tuple = ()
-    if after is not None:
-        scan, state = _resume(spec, after, budget.left)
-        budget.left -= len(scan)
-        start = Configuration(start.tape, state, len(scan), 0)
-    r = len(scan)
     tape_ids = {start.tape: 0}
     root = (0, start.state, start.pos, start.rewrites)
     parents: dict = {root: None}
     stack = [(root, start)]
     tail_accept = None
     cycles = []
-    expanded = r
+    expanded = 0
     while stack:
         node, config = stack.pop()
         expanded += 1
@@ -513,8 +520,6 @@ def _explore_phase(
             child = (tape_id, nxt.state, nxt.pos, nxt.rewrites)
             if child in parents:
                 continue
-            if r and child[2] < r and child[3] == 0 and scan[child[2]][0] == child[1]:
-                continue  # a step of the repeated scan
             parents[child] = (node, (config, ins))
             stack.append((child, nxt))
     start_reads = None
@@ -522,7 +527,36 @@ def _explore_phase(
         start_reads = (parents, spec.window, len(start.tape))
     # Deterministic order for reproducible witnesses and reports.
     cycles.sort(key=lambda item: item[0])
-    return _PhaseResult(start.tape, scan, tail_accept, cycles, start_reads)
+    return _PhaseResult(start.tape, tail_accept, cycles, start_reads)
+
+
+# The memo's marker on a word whose verdict is being worked out, and the
+# verdict of a non-member.
+_IN_PROGRESS = "in-progress"
+_REJECTED = (False, None)
+
+
+def _settle(table: dict, memoize: bool, w: Word, verdict):
+    if memoize:
+        table[w] = verdict
+    else:
+        table.pop(w, None)
+    return verdict
+
+
+def _recurs(w: Word) -> PreconditionError:
+    return PreconditionError("restarting word %s recurs: a cycle made no progress" % render_word(w))
+
+
+def _decision(verdict, explored: int, start_reads: Optional[tuple]) -> Decision:
+    ok, link = verdict
+    if not ok:
+        return Decision("non-member", None, explored, None, start_reads)
+    records = []
+    while link is not None:
+        record, link = link
+        records.append(record)
+    return Decision("member", Trace(tuple(records), OUT_ACCEPT), explored)
 
 
 def decide_basic_membership(
@@ -535,60 +569,52 @@ def decide_basic_membership(
     """Decide whether some computation from the restarting configuration of
     ``word`` accepts.
 
-    The search is depth first over restarting words, on an explicit stack
-    whose depth is capped by ``max_total_cycles``.  With ``memoize`` it
-    keeps a table keyed on restarting tape words; this is sound because
-    behavior from a restarting configuration depends only on the tape.
-    Every cycle of a valid automaton makes progress, so a restarting word
-    never recurs; one that does (a shrinking automaton whose weights its
-    cycles do not lower) raises PreconditionError.  ``memoize=False``
-    re-explores every restarting word, remembering only the words open on
-    its stack so that it raises on a recurring word too, and serves as the
-    brute-force cross-check.
+    A deterministic automaton has one computation, which the decider
+    follows cycle by cycle through the loop ``run_deterministic`` runs (see
+    the module docstring); a choice between two instructions raises
+    PreconditionError as there.  Any other automaton gets a depth-first
+    search over restarting words, on an explicit stack.  Either way the
+    chain of open words is capped by ``max_total_cycles``.  With
+    ``memoize`` the decider keeps a table keyed on restarting tape words;
+    this is sound because behavior from a restarting configuration depends
+    only on the tape.  Every cycle of a valid automaton makes progress, so
+    a restarting word never recurs; one that does (a shrinking automaton
+    whose weights its cycles do not lower) raises PreconditionError.
+    ``memoize=False`` re-explores every restarting word, remembering only
+    the open words so that it raises on a recurring word too, and serves as
+    the brute-force cross-check.
 
     A verdict is (accepted, witness), and an accepting witness is a chain
     (record of one cycle or of the tail, rest of the chain or None), so that
     words along one computation share their witness suffixes.
     """
-    budget = _Budget(limits.max_configs)
-    # The brute search keeps a table of its own that holds only the words
-    # open on its stack.
+    # The brute search keeps a table of its own that holds only the open
+    # words.
     table = memo if memo is not None and memoize else {}
-    IN_PROGRESS = "in-progress"
-    rejected: tuple[bool, Optional[tuple]] = (False, None)
-    # A deterministic phase resumes after the scan its producing cycle
-    # repeats; a nondeterministic one may branch inside that scan.
-    resume = spec.flags.deterministic
+    if spec.flags.deterministic:
+        return _follow(spec, tuple(word), limits, memoize, table)
+    budget = _Budget(limits.max_configs)
     stack: list[list] = []  # frames [word, its phase, next cycle]
 
-    def settle(w: Word, verdict):
-        if memoize:
-            table[w] = verdict
-        else:
-            table.pop(w, None)
-        return verdict
-
-    def open_word(w: Word, after: Optional[CycleRecord]):
-        """The verdict on ``w``, reached by the cycle ``after``, if known at
-        once, else None after pushing its frame."""
+    def open_word(w: Word):
+        """The verdict on ``w`` if known at once, else None after pushing
+        its frame."""
         if len(stack) > limits.max_total_cycles:
             raise ResourcesExceeded("cycles limit exceeded")
         cached = table.get(w)
-        if cached is IN_PROGRESS:
-            raise PreconditionError(
-                "restarting word %s recurs: a cycle made no progress" % render_word(w)
-            )
+        if cached is _IN_PROGRESS:
+            raise _recurs(w)
         if cached is not None:
             return cached
-        phase = _explore_phase(spec, w, limits, budget, after)
+        phase = _explore_phase(spec, w, limits, budget)
         if phase.tail_accept is not None:
-            return settle(w, (True, (phase.record(phase.tail_accept), None)))
-        table[w] = IN_PROGRESS
+            return _settle(table, memoize, w, (True, (phase.record(phase.tail_accept), None)))
+        table[w] = _IN_PROGRESS
         stack.append([w, phase, 0])
         return None
 
     try:
-        verdict = open_word(tuple(word), None)
+        verdict = open_word(tuple(word))
         start_reads = stack[0][1].start_reads if stack else None
         while stack:
             frame = stack[-1]
@@ -596,14 +622,14 @@ def decide_basic_membership(
             cycles = phase.cycles
             if verdict is not None and verdict[0]:
                 stack.pop()
-                verdict = settle(w, (True, (phase.record(cycles[i - 1][1]), verdict[1])))
+                verdict = _settle(table, memoize, w,
+                                  (True, (phase.record(cycles[i - 1][1]), verdict[1])))
             elif i == len(cycles):
                 stack.pop()
-                verdict = settle(w, rejected)
+                verdict = _settle(table, memoize, w, _REJECTED)
             else:
                 frame[2] = i + 1
-                child, steps = cycles[i]
-                verdict = open_word(child, phase.record(steps) if resume else None)
+                verdict = open_word(cycles[i][0])
     except ResourcesExceeded as err:
         return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
     finally:
@@ -612,15 +638,62 @@ def decide_basic_membership(
         # explore them again.
         for frame in stack:
             del table[frame[0]]
-    explored = limits.max_configs - budget.left
-    ok, chain = verdict
-    if not ok:
-        return Decision("non-member", None, explored, None, start_reads)
-    records = []
-    while chain is not None:
-        record, chain = chain
-        records.append(record)
-    return Decision("member", Trace(tuple(records), OUT_ACCEPT), explored)
+    return _decision(verdict, limits.max_configs - budget.left, start_reads)
+
+
+def _follow(spec: AutomatonSpec, word: Word, limits: Limits, memoize: bool,
+            table: dict) -> Decision:
+    """decide_basic_membership on a deterministic automaton: one cycle at a
+    time from ``word`` until a memoized word or a halt, then the verdict is
+    settled on every word passed on the way."""
+    opened: list[tuple[Word, CycleRecord]] = []  # each restarted word and its cycle
+    w, tape = word, restarting_configuration(spec, word).tape
+    record = None
+    total = 0
+    start_reads = None
+    try:
+        while True:
+            if len(opened) > limits.max_total_cycles:
+                return Decision("resource-exceeded", None, total, "cycles limit exceeded")
+            verdict = table.get(w)
+            if verdict is _IN_PROGRESS:
+                raise _recurs(w)
+            if verdict is not None:
+                break
+            scan, state = (), spec.initial
+            if record is not None:
+                scan, state = _resume(spec, record, limits.max_configs - total)
+            record, outcome, flag, config, total = _cycle(spec, limits, tape, scan, state, total)
+            if outcome is None:
+                table[w] = _IN_PROGRESS
+                opened.append((w, record))
+                tape = config.tape
+                w = strip_sentinels(tape)
+                continue
+            if outcome == OUT_LIMIT:
+                return Decision("resource-exceeded", None, total, flag)
+            if outcome == OUT_ACCEPT:
+                verdict = (True, (record, None))
+            else:
+                verdict = _REJECTED
+                if not opened and config.rewrites == 0:
+                    # The phase expanded the configurations of its steps and
+                    # the one it stopped at.
+                    configs = chain((config,), map(itemgetter(0), record.steps))
+                    start_reads = (configs, spec.window, len(tape))
+            _settle(table, memoize, w, verdict)
+            break
+        while opened:
+            w, record = opened.pop()
+            if verdict[0]:
+                verdict = (True, (record, verdict[1]))
+            _settle(table, memoize, w, verdict)
+    finally:
+        # Words still open when the decider stops without a verdict are
+        # undecided, not rejected.
+        for w, _ in opened:
+            del table[w]
+    return _decision(verdict, total, start_reads)
 
 
 def decide_input_membership(

@@ -48,8 +48,13 @@ class LanguageQuery:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PreconditionError("unknown language kind %r" % self.kind)
-        if self.max_len < 0:
-            raise PreconditionError("length bound must be non-negative")
+        require_bound(self.max_len)
+
+
+def require_bound(max_len: int) -> None:
+    """Raise PreconditionError on a negative length bound."""
+    if max_len < 0:
+        raise PreconditionError("length bound must be non-negative")
 
 
 def words_over(alphabet: Iterable[str], max_len: int) -> Iterator[Word]:

@@ -306,3 +306,21 @@ def test_cycle_soundness_witness_ends_at_flagged_step(m_e):
     spinner = _spinner()
     config, ins = _assert_witness(spinner, check_cycle_soundness(spinner, 3))
     assert ins.kind == "Restart" and config.rewrites == 0
+
+
+NEGATIVE_BOUND_CHECKS = {
+    # The exact monotonicity search (dyck1) and the word walk (lm_1) alike.
+    "mono-exact": ("dyck1", lambda spec: check_monotone(spec, -1)),
+    "mono-walk": ("lm_1", lambda spec: check_monotone(spec, -3)),
+    "cycle": ("m_e", lambda spec: check_cycle_soundness(spec, -1)),
+    "cpp": ("m_e", lambda spec: check_preservation(spec, -1, "complete-correctness")),
+    "cycle-error": ("m_e", lambda spec: check_preservation(spec, -1, "cycle-error")),
+    "shrink": ("m_e", lambda spec: check_shrinking(spec, dict.fromkeys(spec.work_alphabet, 1), -1)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(NEGATIVE_BOUND_CHECKS))
+def test_checks_refuse_a_negative_bound(check):
+    name, run = NEGATIVE_BOUND_CHECKS[check]
+    with pytest.raises(PreconditionError, match="length bound must be non-negative"):
+        run(catalog_get(name).spec)

@@ -233,6 +233,27 @@ def test_bad_usage_exits_3(argv):
     assert "error: " in proc.stderr
 
 
+@pytest.mark.parametrize("what", ["mono", "cycle", "cpp", "epp", "shrink"])
+def test_check_with_a_negative_bound_exits_3(tmp_path, m_e_h_shrunk, what):
+    automaton = "m_e_h"
+    if what == "shrink":
+        automaton = str(tmp_path / "shrunk.rlww")
+        Path(automaton).write_text(render_automaton(m_e_h_shrunk[0]), encoding="utf-8")
+    proc = run_cli("check", automaton, "--what", what, "--max-len", "-1")
+    assert proc.returncode == 3, proc.stdout
+    assert proc.stdout == ""
+    assert proc.stderr == "error: length bound must be non-negative\n"
+
+
+def test_module_entry_point_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "redukto", "decide", "m_e", "aaaa"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "member\n"), proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "redukto", "check", "m_e", "--what", "mono",
+                           "--max-len", "-1"], capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+
+
 def test_help_exits_0():
     for argv in (["--help"], ["check", "--help"]):
         proc = run_cli(*argv)

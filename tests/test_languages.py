@@ -195,6 +195,16 @@ def test_closure_enumeration_matches_brute_force():
         assert brute == closed, name
 
 
+@pytest.mark.parametrize("j", [1, 2])
+def test_closure_composes_every_rewrite_of_a_multi_rewrite_cycle(j):
+    # lm_j's cycles rewrite up to j + 1 times; a closure that splices back
+    # one rewrite per candidate finds 3 of lm_1's 31 words and 1 of lm_2's 7.
+    spec = catalog_get("lm_%d" % j).spec
+    brute = enumerate_language(spec, LanguageQuery("basic", 9), strategy="brute")
+    assert enumerate_basic_by_reduction(spec, 9, seed_len=j + 2) == brute
+    assert len(brute) == {1: 31, 2: 7}[j]
+
+
 def test_closure_enumeration_big_bounds():
     l2 = catalog_get("l_2")
     got = enumerate_language(l2.spec, LanguageQuery("input", 15), strategy="closure")

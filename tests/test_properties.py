@@ -1,6 +1,8 @@
 """Differential properties on small random automata: the memo search against
 the brute search and against a plain reference decider, deterministic runs
-against the search, resumed deterministic runs against a plain one, the
+against the search, the deterministic decider against the depth-first
+search on the same automaton unflagged, resumed deterministic runs against
+a plain one, the
 h-proper decider against deciding every preimage and against the input
 language of ``to_shrinking``, exact monotonicity against the word-by-word
 walk, the closure enumerator against the brute one, and parsing against
@@ -48,6 +50,7 @@ from redukto.model import (
     AutomatonSpec,
     ClassFlags,
     Instruction,
+    PreconditionError,
     is_window_content,
     sl,
     validate_automaton,
@@ -218,6 +221,66 @@ def test_deterministic_run_agrees_with_search(case):
     assert (run.outcome == OUT_ACCEPT) == search.is_member
     if search.is_member:
         assert search.witness.steps == run.steps
+
+
+def decision_outcome(decision):
+    steps = list(decision.witness.steps) if decision.witness is not None else None
+    return (decision.verdict, decision.configs_explored, decision.exceeded, steps,
+            decision.rejected_prefix)
+
+
+def assert_follows_search(spec, w, limits):
+    """The decider, which follows a deterministic automaton's one
+    computation, against the depth-first search on the same automaton
+    flagged nondeterministic: verdict, count, tripped limit, witness,
+    rejected prefix and memoized words."""
+    unflagged = replace(spec, flags=replace(spec.flags, deterministic=False))
+    for memoize in (True, False):
+        followed_memo, searched_memo = {}, {}
+        followed = decide_basic_membership(spec, w, limits, memoize, followed_memo)
+        searched = decide_basic_membership(unflagged, w, limits, memoize, searched_memo)
+        assert decision_outcome(followed) == decision_outcome(searched), memoize
+        assert followed_memo.keys() == searched_memo.keys(), memoize
+
+
+CROSS_LIMITS = (
+    DEFAULT_LIMITS,
+    Limits(max_steps_per_cycle=3),
+    Limits(max_configs=12),
+    Limits(max_total_cycles=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(automaton_and_word(deterministic=True))
+def test_deterministic_decider_agrees_with_search(case):
+    spec, w = case
+    for limits in CROSS_LIMITS:
+        assert_follows_search(spec, w, limits)
+
+
+def test_deterministic_decider_agrees_with_search_on_a_flat_dyck_word():
+    spec = catalog_get("dyck1").spec
+    opening, closing = sorted(spec.input_alphabet)
+    assert_follows_search(spec, (opening, closing) * 1200, DEFAULT_LIMITS)
+
+
+def test_deterministic_decider_refuses_a_choice():
+    # Flagged deterministic, but a offers a move and a reject.  ba deletes
+    # its b and restarts on a, where the choice comes up.
+    table = {
+        ("q0", (C,)): (Instruction(MVR, "q0"),),
+        ("q0", ("a",)): (Instruction(MVR, "q0"), Instruction(REJECT)),
+        ("q0", ("b",)): (sl("q1", ()),),
+        ("q1", (C,)): (Instruction(RESTART),),
+    }
+    spec = AutomatonSpec("chooser", frozenset({"q0", "q1"}), "q0", 1, frozenset("ab"),
+                         frozenset("ab"), table, ClassFlags(deterministic=True))
+    assert not validate_automaton(spec).ok
+    memo = {}
+    with pytest.raises(PreconditionError, match="nondeterministic choice"):
+        decide_basic_membership(spec, ("b", "a"), memo=memo)
+    assert memo == {}  # the open word ba is undecided, not rejected
 
 
 @settings(max_examples=300, deadline=None)
