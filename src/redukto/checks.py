@@ -332,9 +332,12 @@ def check_cycle_soundness(
     """Every cycle performs between 1 and mr-degree rewrite steps and no
     accepting tail contains a rewrite.  Branches are walked without the
     engine's discipline so that violations are observed rather than
-    pruned."""
+    pruned.  ``degree``, when given, replaces the declared rewrite cap and
+    must be positive."""
     require_bound(max_len)
     cap = spec.flags.mr_degree if degree is None else degree
+    if cap < 1:
+        raise PreconditionError("rewrite cap must be positive")
 
     def breaks(_, config, ins):
         return None, discipline_break(cap, ins, config)

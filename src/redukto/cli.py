@@ -235,9 +235,13 @@ def cmd_decide(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.max_len is not None and args.what in ("det", "forms"):
+        raise UsageFailure("--max-len does not apply to --what %s" % args.what)
+    if args.degree is not None and args.what != "cycle":
+        raise UsageFailure("--degree applies to --what cycle only")
     spec = _load_spec(args.automaton)
     limits = parse_limits(args.limits)
-    n = args.max_len
+    n = 8 if args.max_len is None else args.max_len
     if args.what == "det":
         report = check_determinism(spec)
     elif args.what == "mono":
@@ -390,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--what", required=True,
         choices=("det", "mono", "forms", "cycle", "cpp", "epp", "shrink"),
     )
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=int, default=None,
+                   help="length bound of the bounded checks (default 8)")
     p.add_argument("--degree", type=int, default=None,
                    help="override the rewrite cap for --what cycle")
     add_limits(p)

@@ -1,6 +1,6 @@
 """Exact operational semantics: configurations, the six step types, cycles
-and tails, deterministic runs, nondeterministic membership search, and the
-cycle-rewriting relation.
+and tails, deterministic runs, membership search, and the cycle-rewriting
+relation.
 
 A configuration holds the whole tape including both sentinels; ``pos`` is the
 index of the leftmost window cell, so the restarting configuration of a word
@@ -31,7 +31,7 @@ at p.  Cells [0, p) keep their content into the next cycle, and the state
 at any x <= L depends only on cells [0, x+k-1).  So the next cycle repeats
 the first r = min(L, p-k+1) steps exactly and may start at position r in
 the recorded state.  A deterministic automaton has one computation, and
-``run_deterministic`` and the decider both follow it through one cycle loop
+``run_deterministic`` and the decider both take its cycles from one function
 (``_cycle``) that resumes each cycle so.  The repeated steps are MVR moves
 at distinct positions without a rewrite, so they can trip neither a loop
 check nor the cycle discipline, and a configuration that an MVL brings back
@@ -43,6 +43,13 @@ to the configurations left, so that the configuration limit trips at the
 very step it would trip at without resuming.  A trace keeps one
 ``CycleRecord`` per cycle, with the repeated scan as (state, instruction)
 pairs, and builds those configurations only when its steps are read.
+
+Membership.  ``decide_basic_membership`` is one depth-first loop over
+restarting words, with a memo, for every automaton.  It gets a word's phase
+from one of two phase functions, which return the same shape: on a
+deterministic automaton, ``_deterministic_phase`` runs the one cycle or tail,
+resumed after the cycle that restarted on the word; on any other,
+``_explore_phase`` searches every branch of the phase.
 
 Searches are reentrant and side-effect free apart from per-call memo tables;
 deciding distinct words in parallel is safe.
@@ -215,7 +222,7 @@ class CycleRewrite:
     steps: tuple[Step, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decision:
     verdict: str                    # member | non-member | resource-exceeded
     witness: Optional[Trace] = None
@@ -446,7 +453,7 @@ class _Budget:
             raise ResourcesExceeded("configs limit exceeded")
 
 
-def _path_to(parents: dict, node, final: Step) -> list[Step]:
+def _path_to(parents: dict, node, final: Step) -> tuple[Step, ...]:
     """Steps from the root of a parent-pointer map to ``node``, then
     ``final``.  ``parents`` maps every node to (parent node, step into it)
     and the root to None."""
@@ -457,17 +464,13 @@ def _path_to(parents: dict, node, final: Step) -> list[Step]:
         chain.append(step)
         link = parents[node]
     chain.reverse()
-    return chain
+    return tuple(chain)
 
 
-class _PhaseResult(NamedTuple):
-    tape: Word                              # the restarting tape
-    tail_accept: Optional[list[Step]]       # an accepting tail, if any
-    cycles: list[tuple[Word, list[Step]]]   # (successor word, its steps)
-    start_reads: Optional[tuple]            # see Decision.rejected_prefix
-
-    def record(self, steps: list[Step]) -> CycleRecord:
-        return CycleRecord(self.tape, (), tuple(steps))
+# A phase: the record of an accepting tail, if any; (successor word, record
+# of the cycle into it) for each cycle; and the start reads that
+# Decision.rejected_prefix reads.
+_Phase = tuple[Optional[CycleRecord], Sequence[tuple[Word, CycleRecord]], Optional[tuple]]
 
 
 def _explore_phase(
@@ -475,7 +478,7 @@ def _explore_phase(
     word: Word,
     limits: Limits,
     budget: _Budget,
-) -> _PhaseResult:
+) -> _Phase:
     """Depth-first exploration of one phase (from a restarting configuration
     up to the next restart or halt) over all nondeterministic branches.
 
@@ -511,10 +514,12 @@ def _explore_phase(
                 continue
             if nxt is None:
                 if ins.kind == ACCEPT and tail_accept is None:
-                    tail_accept = _path_to(parents, node, (config, ins))
+                    path = _path_to(parents, node, (config, ins))
+                    tail_accept = CycleRecord(start.tape, (), path)
                 continue
             if ins.kind == RESTART:
-                cycles.append((strip_sentinels(nxt.tape), _path_to(parents, node, (config, ins))))
+                record = CycleRecord(start.tape, (), _path_to(parents, node, (config, ins)))
+                cycles.append((strip_sentinels(nxt.tape), record))
                 continue
             tape_id = node[0] if ins.kind != SL else tape_ids.setdefault(nxt.tape, len(tape_ids))
             child = (tape_id, nxt.state, nxt.pos, nxt.rewrites)
@@ -527,7 +532,7 @@ def _explore_phase(
         start_reads = (parents, spec.window, len(start.tape))
     # Deterministic order for reproducible witnesses and reports.
     cycles.sort(key=lambda item: item[0])
-    return _PhaseResult(start.tape, tail_accept, cycles, start_reads)
+    return tail_accept, cycles, start_reads
 
 
 # The memo's marker on a word whose verdict is being worked out, and the
@@ -548,15 +553,34 @@ def _recurs(w: Word) -> PreconditionError:
     return PreconditionError("restarting word %s recurs: a cycle made no progress" % render_word(w))
 
 
-def _decision(verdict, explored: int, start_reads: Optional[tuple]) -> Decision:
-    ok, link = verdict
-    if not ok:
-        return Decision("non-member", None, explored, None, start_reads)
-    records = []
-    while link is not None:
-        record, link = link
-        records.append(record)
-    return Decision("member", Trace(tuple(records), OUT_ACCEPT), explored)
+def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord],
+                         limits: Limits, budget: _Budget) -> _Phase:
+    """The one cycle, or the tail, of a deterministic automaton on ``word``,
+    resumed after the cycle ``before`` that restarted on it (None for the
+    word a decision starts from, the only one whose start reads are kept;
+    see the module docstring).  Raises ResourcesExceeded when a limit
+    trips, and PreconditionError at a choice between two instructions."""
+    if before is None:
+        tape, scan, state = (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,), (), spec.initial
+    else:
+        tape = before.steps[-1][0].tape
+        scan, state = _resume(spec, before, budget.left)
+    record, outcome, flag, config, total = _cycle(
+        spec, limits, tape, scan, state, limits.max_configs - budget.left)
+    budget.left = limits.max_configs - total
+    if outcome is None:
+        return None, ((strip_sentinels(config.tape), record),), None
+    if outcome == OUT_LIMIT:
+        raise ResourcesExceeded(flag)
+    if outcome == OUT_ACCEPT:
+        return record, (), None
+    start_reads = None
+    if before is None and config.rewrites == 0:
+        # The phase expanded the configurations of its steps and the one it
+        # stopped at.
+        configs = chain((config,), map(itemgetter(0), record.steps))
+        start_reads = (configs, spec.window, len(tape))
+    return None, (), start_reads
 
 
 def decide_basic_membership(
@@ -569,20 +593,19 @@ def decide_basic_membership(
     """Decide whether some computation from the restarting configuration of
     ``word`` accepts.
 
-    A deterministic automaton has one computation, which the decider
-    follows cycle by cycle through the loop ``run_deterministic`` runs (see
-    the module docstring); a choice between two instructions raises
-    PreconditionError as there.  Any other automaton gets a depth-first
-    search over restarting words, on an explicit stack.  Either way the
-    chain of open words is capped by ``max_total_cycles``.  With
-    ``memoize`` the decider keeps a table keyed on restarting tape words;
-    this is sound because behavior from a restarting configuration depends
-    only on the tape.  Every cycle of a valid automaton makes progress, so
-    a restarting word never recurs; one that does (a shrinking automaton
-    whose weights its cycles do not lower) raises PreconditionError.
-    ``memoize=False`` re-explores every restarting word, remembering only
-    the open words so that it raises on a recurring word too, and serves as
-    the brute-force cross-check.
+    One depth-first loop over restarting words, on an explicit stack, for
+    every automaton; each word's phase comes from ``_deterministic_phase``
+    or ``_explore_phase`` (see the module docstring).  On a deterministic
+    automaton a choice between two instructions raises PreconditionError,
+    as in ``run_deterministic``.  The chain of open words is capped by
+    ``max_total_cycles``.  With ``memoize`` the decider keeps a table keyed
+    on restarting tape words; this is sound because behavior from a
+    restarting configuration depends only on the tape.  Every cycle of a
+    valid automaton makes progress, so a restarting word never recurs; one
+    that does (a shrinking automaton whose weights its cycles do not lower)
+    raises PreconditionError.  ``memoize=False`` re-explores every
+    restarting word, remembering only the open words so that it raises on
+    a recurring word too, and serves as the brute-force cross-check.
 
     A verdict is (accepted, witness), and an accepting witness is a chain
     (record of one cycle or of the tail, rest of the chain or None), so that
@@ -591,45 +614,51 @@ def decide_basic_membership(
     # The brute search keeps a table of its own that holds only the open
     # words.
     table = memo if memo is not None and memoize else {}
-    if spec.flags.deterministic:
-        return _follow(spec, tuple(word), limits, memoize, table)
+    deterministic = spec.flags.deterministic
     budget = _Budget(limits.max_configs)
-    stack: list[list] = []  # frames [word, its phase, next cycle]
-
-    def open_word(w: Word):
-        """The verdict on ``w`` if known at once, else None after pushing
-        its frame."""
-        if len(stack) > limits.max_total_cycles:
-            raise ResourcesExceeded("cycles limit exceeded")
-        cached = table.get(w)
-        if cached is _IN_PROGRESS:
-            raise _recurs(w)
-        if cached is not None:
-            return cached
-        phase = _explore_phase(spec, w, limits, budget)
-        if phase.tail_accept is not None:
-            return _settle(table, memoize, w, (True, (phase.record(phase.tail_accept), None)))
-        table[w] = _IN_PROGRESS
-        stack.append([w, phase, 0])
-        return None
-
+    stack: list[list] = []  # frames [word, its cycles, next cycle]
+    w, before = tuple(word), None
+    start_reads = None
     try:
-        verdict = open_word(tuple(word))
-        start_reads = stack[0][1].start_reads if stack else None
-        while stack:
-            frame = stack[-1]
-            w, phase, i = frame
-            cycles = phase.cycles
-            if verdict is not None and verdict[0]:
-                stack.pop()
-                verdict = _settle(table, memoize, w,
-                                  (True, (phase.record(cycles[i - 1][1]), verdict[1])))
-            elif i == len(cycles):
-                stack.pop()
-                verdict = _settle(table, memoize, w, _REJECTED)
+        while True:
+            if len(stack) > limits.max_total_cycles:
+                raise ResourcesExceeded("cycles limit exceeded")
+            verdict = table.get(w)
+            if verdict is _IN_PROGRESS:
+                raise _recurs(w)
+            if verdict is None:
+                if deterministic:
+                    tail, cycles, reads = _deterministic_phase(spec, w, before, limits, budget)
+                else:
+                    tail, cycles, reads = _explore_phase(spec, w, limits, budget)
+                if tail is not None:
+                    verdict = _settle(table, memoize, w, (True, (tail, None)))
+                elif not cycles:
+                    verdict = _settle(table, memoize, w, _REJECTED)
+                    if not stack:
+                        start_reads = reads
+                else:
+                    table[w] = _IN_PROGRESS
+                    stack.append([w, cycles, 1])
+                    w, before = cycles[0]
+                    continue
+            # Settle the frames that the verdict closes, then open the next
+            # cycle's word, if any is left.
+            while stack:
+                frame = stack[-1]
+                u, cycles, i = frame
+                if verdict[0]:
+                    stack.pop()
+                    verdict = _settle(table, memoize, u, (True, (cycles[i - 1][1], verdict[1])))
+                elif i == len(cycles):
+                    stack.pop()
+                    verdict = _settle(table, memoize, u, _REJECTED)
+                else:
+                    frame[2] = i + 1
+                    w, before = cycles[i]
+                    break
             else:
-                frame[2] = i + 1
-                verdict = open_word(cycles[i][0])
+                break
     except ResourcesExceeded as err:
         return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
     finally:
@@ -638,62 +667,15 @@ def decide_basic_membership(
         # explore them again.
         for frame in stack:
             del table[frame[0]]
-    return _decision(verdict, limits.max_configs - budget.left, start_reads)
-
-
-def _follow(spec: AutomatonSpec, word: Word, limits: Limits, memoize: bool,
-            table: dict) -> Decision:
-    """decide_basic_membership on a deterministic automaton: one cycle at a
-    time from ``word`` until a memoized word or a halt, then the verdict is
-    settled on every word passed on the way."""
-    opened: list[tuple[Word, CycleRecord]] = []  # each restarted word and its cycle
-    w, tape = word, restarting_configuration(spec, word).tape
-    record = None
-    total = 0
-    start_reads = None
-    try:
-        while True:
-            if len(opened) > limits.max_total_cycles:
-                return Decision("resource-exceeded", None, total, "cycles limit exceeded")
-            verdict = table.get(w)
-            if verdict is _IN_PROGRESS:
-                raise _recurs(w)
-            if verdict is not None:
-                break
-            scan, state = (), spec.initial
-            if record is not None:
-                scan, state = _resume(spec, record, limits.max_configs - total)
-            record, outcome, flag, config, total = _cycle(spec, limits, tape, scan, state, total)
-            if outcome is None:
-                table[w] = _IN_PROGRESS
-                opened.append((w, record))
-                tape = config.tape
-                w = strip_sentinels(tape)
-                continue
-            if outcome == OUT_LIMIT:
-                return Decision("resource-exceeded", None, total, flag)
-            if outcome == OUT_ACCEPT:
-                verdict = (True, (record, None))
-            else:
-                verdict = _REJECTED
-                if not opened and config.rewrites == 0:
-                    # The phase expanded the configurations of its steps and
-                    # the one it stopped at.
-                    configs = chain((config,), map(itemgetter(0), record.steps))
-                    start_reads = (configs, spec.window, len(tape))
-            _settle(table, memoize, w, verdict)
-            break
-        while opened:
-            w, record = opened.pop()
-            if verdict[0]:
-                verdict = (True, (record, verdict[1]))
-            _settle(table, memoize, w, verdict)
-    finally:
-        # Words still open when the decider stops without a verdict are
-        # undecided, not rejected.
-        for w, _ in opened:
-            del table[w]
-    return _decision(verdict, total, start_reads)
+    explored = limits.max_configs - budget.left
+    ok, link = verdict
+    if not ok:
+        return Decision("non-member", None, explored, None, start_reads)
+    records = []
+    while link is not None:
+        record, link = link
+        records.append(record)
+    return Decision("member", Trace(tuple(records), OUT_ACCEPT), explored)
 
 
 def decide_input_membership(
@@ -724,10 +706,10 @@ def cycle_rewrites(
     makes no such progress.
     """
     word = tuple(word)
-    phase = _explore_phase(spec, word, limits, _Budget(limits.max_configs))
+    _, cycles, _ = _explore_phase(spec, word, limits, _Budget(limits.max_configs))
     out = []
     seen = set()
-    for to_word, steps in phase.cycles:
+    for to_word, record in cycles:
         if to_word in seen:
             continue
         seen.add(to_word)
@@ -737,7 +719,7 @@ def cycle_rewrites(
         elif spec.weights is not None:
             if word_weight(spec.weights, to_word) >= word_weight(spec.weights, word):
                 raise PreconditionError("cycle did not decrease the tape weight")
-        out.append(CycleRewrite(word, to_word, tuple(steps)))
+        out.append(CycleRewrite(word, to_word, record.steps))
     return out
 
 

@@ -119,7 +119,7 @@ def parse_automaton(text: str) -> AutomatonSpec:
         elif head == "class":
             flags = _parse_class(rest, lineno)
         elif head == "window":
-            if len(rest) != 1 or not rest[0].isdigit():
+            if len(rest) != 1 or not _is_number(rest[0]):
                 raise ParseError("window takes one positive integer", lineno)
             window = int(rest[0])
         elif head == "input":
@@ -133,10 +133,9 @@ def parse_automaton(text: str) -> AutomatonSpec:
         elif head == "weight":
             if len(rest) != 2:
                 raise ParseError("weight takes symbol and positive integer", lineno)
-            try:
-                weights[_parse_symbol(rest[0], lineno)] = int(rest[1])
-            except ValueError:
-                raise ParseError("bad weight %r" % rest[1], lineno) from None
+            if not _is_number(rest[1]):
+                raise ParseError("bad weight %r" % rest[1], lineno)
+            weights[_parse_symbol(rest[0], lineno)] = int(rest[1])
         elif head == "states":
             states = list(rest)
         elif head == "initial":
@@ -176,6 +175,12 @@ def _parse_symbol(tok: str, lineno: int) -> str:
     return tok
 
 
+def _is_number(tok: str) -> bool:
+    # str.isdigit also holds for superscripts and other scripts' digits,
+    # which int() rejects or reads as ASCII ones.
+    return tok.isascii() and tok.isdigit()
+
+
 def _parse_class(fields: list[str], lineno: int) -> ClassFlags:
     if len(fields) < 5:
         raise ParseError("class takes direction, form, aux, det/nondet, j=N", lineno)
@@ -188,7 +193,7 @@ def _parse_class(fields: list[str], lineno: int) -> ClassFlags:
         raise ParseError("bad aux marker %r" % aux, lineno)
     if det not in ("det", "nondet"):
         raise ParseError("expected det or nondet, got %r" % det, lineno)
-    if not fields[4].startswith("j=") or not fields[4][2:].isdigit():
+    if not fields[4].startswith("j=") or not _is_number(fields[4][2:]):
         raise ParseError("expected j=N, got %r" % fields[4], lineno)
     shrinking = False
     if len(fields) == 6:
@@ -291,7 +296,7 @@ def parse_grammar(text: str) -> GnfGrammar:
         elif head == "rule":
             if len(rest) < 4 or rest[2] != ARROW:
                 raise ParseError("expected: rule N A -> a tail...", lineno)
-            if not rest[0].isdigit():
+            if not _is_number(rest[0]):
                 raise ParseError("bad rule number %r" % rest[0], lineno)
             number = int(rest[0])
             if number in rules:

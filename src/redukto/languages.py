@@ -11,7 +11,7 @@ versions can be longer); the other three kinds are complete up to the bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional
 
 from .engine import (
@@ -114,7 +114,7 @@ def decide_hproper_membership(
         decision = decide_basic_membership(spec, candidate, limits, memo=shared)
         explored += decision.configs_explored
         if decision.verdict != "non-member":
-            decision.configs_explored = explored
+            decision = replace(decision, configs_explored=explored)
             return decision, candidate if decision.is_member else None
         # Advance the odometer at the last letter read, carrying leftward.
         read = None if spec.flags.shrinking else decision.rejected_prefix

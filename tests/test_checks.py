@@ -316,11 +316,14 @@ NEGATIVE_BOUND_CHECKS = {
     "cpp": ("m_e", lambda spec: check_preservation(spec, -1, "complete-correctness")),
     "cycle-error": ("m_e", lambda spec: check_preservation(spec, -1, "cycle-error")),
     "shrink": ("m_e", lambda spec: check_shrinking(spec, dict.fromkeys(spec.work_alphabet, 1), -1)),
+    "cycle-degree": ("lm_1", lambda spec: check_cycle_soundness(spec, 8, degree=0)),
 }
+BOUND_ERRORS = {"cycle-degree": "rewrite cap must be positive"}
 
 
 @pytest.mark.parametrize("check", sorted(NEGATIVE_BOUND_CHECKS))
 def test_checks_refuse_a_negative_bound(check):
     name, run = NEGATIVE_BOUND_CHECKS[check]
-    with pytest.raises(PreconditionError, match="length bound must be non-negative"):
+    error = BOUND_ERRORS.get(check, "length bound must be non-negative")
+    with pytest.raises(PreconditionError, match=error):
         run(catalog_get(name).spec)

@@ -233,16 +233,35 @@ def test_bad_usage_exits_3(argv):
     assert "error: " in proc.stderr
 
 
-@pytest.mark.parametrize("what", ["mono", "cycle", "cpp", "epp", "shrink"])
+@pytest.mark.parametrize("what", ["mono", "cycle", "cpp", "epp", "shrink", "cycle-degree"])
 def test_check_with_a_negative_bound_exits_3(tmp_path, m_e_h_shrunk, what):
     automaton = "m_e_h"
+    bound, error = ("--max-len", "-1"), "length bound must be non-negative"
     if what == "shrink":
         automaton = str(tmp_path / "shrunk.rlww")
         Path(automaton).write_text(render_automaton(m_e_h_shrunk[0]), encoding="utf-8")
-    proc = run_cli("check", automaton, "--what", what, "--max-len", "-1")
+    if what == "cycle-degree":
+        what, bound, error = "cycle", ("--degree", "0"), "rewrite cap must be positive"
+    proc = run_cli("check", automaton, "--what", what, *bound)
     assert proc.returncode == 3, proc.stdout
     assert proc.stdout == ""
-    assert proc.stderr == "error: length bound must be non-negative\n"
+    assert proc.stderr == "error: %s\n" % error
+
+
+@pytest.mark.parametrize("what, option", [
+    ("det", "--max-len"),
+    ("forms", "--max-len"),
+    ("det", "--degree"),
+    ("mono", "--degree"),
+    ("cpp", "--degree"),
+    ("shrink", "--degree"),
+])
+def test_check_refuses_an_option_it_would_ignore(what, option):
+    value = "-1" if option == "--max-len" else "5"
+    proc = run_cli("check", "m_e", "--what", what, option, value)
+    assert proc.returncode == 3, proc.stdout
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: %s " % option)
 
 
 def test_module_entry_point_runs_the_cli():

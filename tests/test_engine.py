@@ -1,6 +1,7 @@
 """Step semantics, deterministic runs, membership search and cycle rewriting."""
 
 import itertools
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -169,6 +170,13 @@ def test_basic_membership_examples(m_e):
     assert decide_basic_membership(m_e.spec, word("b")).is_member
     assert not decide_basic_membership(m_e.spec, word("aaaaa")).is_member
     assert decide_basic_membership(m_e.spec, word("aab")).is_member
+
+
+def test_decisions_are_immutable(m_e):
+    decision = decide_basic_membership(m_e.spec, word("bab"))
+    with pytest.raises(FrozenInstanceError):
+        decision.configs_explored = 0
+    assert decision.rejected_prefix == 2
 
 
 def test_tail_acceptance_has_no_cycles(m_e):

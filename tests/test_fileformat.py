@@ -83,6 +83,21 @@ def test_parse_errors_carry_line_numbers():
                         "initial q0\ntrans q0 a -> Warp q1\n")
 
 
+@pytest.mark.parametrize("digit", ["³", "٣", "+3", "1_0"])
+def test_numbers_take_ascii_digits_only(digit):
+    # str.isdigit holds for both, and int() fails on one and reads the
+    # other as 3.  Signs and underscores, which int() takes, are no digits.
+    for parse, text in (
+        (parse_automaton, "name x\nwindow %s\n"),
+        (parse_automaton, "name x\nweight a %s\n"),
+        (parse_automaton, "name x\nclass R SL none det j=%s\n"),
+        (parse_grammar, "name g\nrule %s S -> a\n"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text % digit)
+        assert err.value.line == 2, text
+
+
 def test_grammar_rule_numbering_must_be_dense():
     text = (
         "name g\nnonterminals S\nterminals a\nstart S\n"

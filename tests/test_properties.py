@@ -233,14 +233,19 @@ def assert_follows_search(spec, w, limits):
     """The decider, which follows a deterministic automaton's one
     computation, against the depth-first search on the same automaton
     flagged nondeterministic: verdict, count, tripped limit, witness,
-    rejected prefix and memoized words."""
+    rejected prefix and memoized words.  Every word up to length 3 is
+    decided first, and ``w`` last, on one memo per side, so that chains
+    meet memoized words midway."""
     unflagged = replace(spec, flags=replace(spec.flags, deterministic=False))
+    symbols = sorted(spec.work_alphabet)
+    words = [v for n in range(4) for v in itertools.product(symbols, repeat=n)] + [w]
     for memoize in (True, False):
         followed_memo, searched_memo = {}, {}
-        followed = decide_basic_membership(spec, w, limits, memoize, followed_memo)
-        searched = decide_basic_membership(unflagged, w, limits, memoize, searched_memo)
-        assert decision_outcome(followed) == decision_outcome(searched), memoize
-        assert followed_memo.keys() == searched_memo.keys(), memoize
+        for v in words:
+            followed = decide_basic_membership(spec, v, limits, memoize, followed_memo)
+            searched = decide_basic_membership(unflagged, v, limits, memoize, searched_memo)
+            assert decision_outcome(followed) == decision_outcome(searched), (memoize, v)
+            assert followed_memo.keys() == searched_memo.keys(), (memoize, v)
 
 
 CROSS_LIMITS = (
