@@ -24,9 +24,8 @@ Entries:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .model import (
     LEFT_SENTINEL,
@@ -38,6 +37,7 @@ from .model import (
     ReduktoError,
     Word,
     accept,
+    all_window_contents,
     classify_automaton,
     mvr,
     reject,
@@ -62,21 +62,6 @@ class CatalogEntry:
     oracle_alphabet: tuple[str, ...] = ()
     monotone: Optional[bool] = None
     params: dict = field(default_factory=dict)
-
-
-def all_window_contents(k: int, alphabet) -> Iterator[Word]:
-    """Every legal content of a size-k window over the given alphabet."""
-    syms = sorted(alphabet)
-    for body in itertools.product(syms, repeat=k):
-        yield body
-    for body in itertools.product(syms, repeat=k - 1):
-        yield (LEFT_SENTINEL,) + body
-    for n in range(k):
-        for body in itertools.product(syms, repeat=n):
-            yield body + (RIGHT_SENTINEL,)
-    for n in range(max(0, k - 1)):
-        for body in itertools.product(syms, repeat=n):
-            yield (LEFT_SENTINEL,) + body + (RIGHT_SENTINEL,)
 
 
 C, D = LEFT_SENTINEL, RIGHT_SENTINEL

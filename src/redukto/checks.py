@@ -48,7 +48,7 @@ from .model import (
     render_word,
     word_weight,
 )
-from .languages import require_bound, words_over
+from .languages import require_bound, require_decided, words_over
 
 HOLDS = "holds-up-to-bound"
 VIOLATED = "violated"
@@ -72,7 +72,7 @@ class Counterexample:
 @dataclass
 class CheckReport:
     property_name: str
-    bound: int
+    bound: Optional[int]            # None for a check with no length bound
     verdict: str
     counterexample: Optional[Counterexample] = None
     # The property holds at every length, not only up to the bound.
@@ -84,7 +84,8 @@ class CheckReport:
         return self.verdict == HOLDS
 
     def describe(self) -> str:
-        head = "%s at length <= %d: %s" % (self.property_name, self.bound, self.verdict)
+        bound = "" if self.bound is None else " at length <= %d" % self.bound
+        head = "%s%s: %s" % (self.property_name, bound, self.verdict)
         if self.exceeded is not None:
             head += " (%s)" % self.exceeded
         if self.counterexample is None:
@@ -125,14 +126,14 @@ def check_determinism(spec: AutomatonSpec) -> CheckReport:
         if len(instrs) > 1
     ]
     if not conflicts:
-        return CheckReport("determinism", 0, HOLDS)
+        return CheckReport("determinism", None, HOLDS)
     state, window = conflicts[0]
     detail = "; ".join(
         "(%s, %s)" % (s, render_word(w)) for s, w in conflicts[:5]
     )
     return CheckReport(
         "determinism",
-        0,
+        None,
         VIOLATED,
         Counterexample(window, None, "%d conflicting keys: %s" % (len(conflicts), detail)),
     )
@@ -389,8 +390,7 @@ def check_preservation(
 
     def member(w: Word) -> bool:
         d = decide_basic_membership(spec, w, limits, memo=memo)
-        if d.verdict == "resource-exceeded":
-            raise ResourcesExceeded("%s while deciding %s" % (d.exceeded, render_word(w)))
+        require_decided(d, w)
         return d.is_member
 
     def cycle_search() -> Optional[Counterexample]:

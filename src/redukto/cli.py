@@ -234,11 +234,25 @@ def cmd_decide(args) -> int:
     return EXIT_OK if decision.is_member else EXIT_FAIL
 
 
+# The options that each check reads; a given option it does not read is
+# refused.
+_CHECK_READS = {
+    "det": (), "forms": (), "cycle": ("max_len", "degree", "limits"),
+    "mono": ("max_len", "limits"), "cpp": ("max_len", "limits"),
+    "epp": ("max_len", "limits"), "shrink": ("max_len", "limits"),
+}
+
+
+def _refuse_unread(args, options, reads, command: str) -> None:
+    """Raise UsageFailure on a given option that ``command`` would ignore."""
+    for name in options:
+        if getattr(args, name) is not None and name not in reads:
+            raise UsageFailure("--%s does not apply to %s" % (name.replace("_", "-"), command))
+
+
 def cmd_check(args) -> int:
-    if args.max_len is not None and args.what in ("det", "forms"):
-        raise UsageFailure("--max-len does not apply to --what %s" % args.what)
-    if args.degree is not None and args.what != "cycle":
-        raise UsageFailure("--degree applies to --what cycle only")
+    _refuse_unread(args, ("max_len", "degree", "limits"), _CHECK_READS[args.what],
+                   "--what %s" % args.what)
     spec = _load_spec(args.automaton)
     limits = parse_limits(args.limits)
     n = 8 if args.max_len is None else args.max_len
@@ -273,13 +287,12 @@ def _check_forms(spec: AutomatonSpec) -> int:
 
 
 def cmd_transform(args) -> int:
-    limits = parse_limits(args.limits)
     if args.transformation == "gnf2hrrwwc":
         grammar = _load_grammar(args.source)
         try:
             spec, report = build_hrrwwc(
-                grammar, k=args.window, window_cap=args.window_cap, limits=limits
-            )
+                grammar, 3 if args.window is None else args.window,
+                8 if args.window_cap is None else args.window_cap, parse_limits(args.limits))
         except SynthesisError as err:
             print("synthesis-failed")
             print(err.report.describe())
@@ -288,6 +301,7 @@ def cmd_transform(args) -> int:
         print(report.describe())
         print("wrote %s" % args.output)
         return EXIT_OK
+    _refuse_unread(args, ("limits", "window", "window_cap"), (), "transform shrink")
     spec = _load_spec(args.source)
     if spec.morphism is None:
         raise UsageFailure("automaton %s carries no morphism" % spec.name)
@@ -405,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("transformation", choices=("gnf2hrrwwc", "shrink"))
     p.add_argument("source")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--window-cap", type=int, default=8)
+    p.add_argument("--window", type=int, default=None, help="window size (default 3)")
+    p.add_argument("--window-cap", type=int, default=None, help="largest window tried (default 8)")
     add_limits(p)
     p.set_defaults(func=cmd_transform)
 

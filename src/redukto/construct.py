@@ -32,14 +32,12 @@ replacement and every simulated rewrite strictly decreases the tape weight.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .catalog import all_window_contents
 from .checks import EXCEEDED, check_monotone
 from .engine import DEFAULT_LIMITS, Limits, ResourcesExceeded, run_deterministic
-from .languages import compare_word_sets, enumerate_language, LanguageQuery
+from .languages import compare_word_sets, enumerate_language, LanguageQuery, words_over
 from .model import (
     LEFT_SENTINEL,
     RIGHT_SENTINEL,
@@ -52,6 +50,7 @@ from .model import (
     ReduktoError,
     Word,
     accept,
+    all_window_contents,
     contextual_deletions,
     mvr,
     reject,
@@ -205,9 +204,7 @@ def _attempt_synthesis(
     # corruptions of the members, so that rules which would repair an invalid
     # word into the language are rejected here rather than at validation.
     sample: dict[Word, bool] = {w: True for w in training}
-    for w in itertools.chain.from_iterable(
-        itertools.product(alphabet, repeat=n) for n in range(min(6, TRAIN_LEN) + 1)
-    ):
+    for w in words_over(alphabet, min(6, TRAIN_LEN)):
         sample.setdefault(w, member(w))
     for word in training:
         for i in range(len(word) + 1):

@@ -32,7 +32,8 @@ at any x <= L depends only on cells [0, x+k-1).  So the next cycle repeats
 the first r = min(L, p-k+1) steps exactly and may start at position r in
 the recorded state.  A deterministic automaton has one computation, and
 ``run_deterministic`` and the decider both take its cycles from one function
-(``_cycle``) that resumes each cycle so.  The repeated steps are MVR moves
+(``_cycle``) that resumes each cycle so and spends the caller's one
+configuration budget.  The repeated steps are MVR moves
 at distinct positions without a rewrite, so they can trip neither a loop
 check nor the cycle discipline, and a configuration that an MVL brings back
 into the repeated prefix is matched against the recorded scan, so loops
@@ -49,7 +50,8 @@ restarting words, with a memo, for every automaton.  It gets a word's phase
 from one of two phase functions, which return the same shape: on a
 deterministic automaton, ``_deterministic_phase`` runs the one cycle or tail,
 resumed after the cycle that restarted on the word; on any other,
-``_explore_phase`` searches every branch of the phase.
+``_explore_phase`` searches every branch of the phase.  Both return the
+phase's rejected prefix (see ``Decision``), kept for the start word only.
 
 Searches are reentrant and side-effect free apart from per-call memo tables;
 deciding distinct words in parallel is safe.
@@ -58,10 +60,8 @@ deciding distinct words in parallel is safe.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .model import (
@@ -224,33 +224,21 @@ class CycleRewrite:
 
 @dataclass(frozen=True)
 class Decision:
+    """A membership answer.  ``rejected_prefix`` is set on a non-member
+    whose first phase alone rejected it, neither rewriting nor restarting
+    and reading only the first ``rejected_prefix`` letters, never the right
+    sentinel: every word that starts with those letters has the same first
+    phase step for step and is a non-member."""
+
     verdict: str                    # member | non-member | resource-exceeded
     witness: Optional[Trace] = None
     configs_explored: int = 0
     exceeded: Optional[str] = None  # the tripped limit's message
-    # (configurations or their keys, window, tape length) of a first phase
-    # that rejected on its start tape, kept for rejected_prefix to read
-    # once; the window position is item 2 of each.
-    _start_reads: Optional[tuple] = field(default=None, repr=False, compare=False)
+    rejected_prefix: Optional[int] = None
 
     @property
     def is_member(self) -> bool:
         return self.verdict == "member"
-
-    @cached_property
-    def rejected_prefix(self) -> Optional[int]:
-        """Set on a non-member whose first phase alone rejected it: that
-        phase neither rewrote nor restarted, and read only the first
-        ``rejected_prefix`` letters of the word, never the right sentinel.
-        So every word that starts with those letters, whatever its length,
-        has the same first phase step for step and is a non-member.  None
-        otherwise.  Worked out when first read, so that deciders which
-        never ask do not pay for it."""
-        if self._start_reads is None:
-            return None
-        keys, window, size = self._start_reads
-        end = max(map(itemgetter(2), keys)) + window
-        return end - 1 if end < size else None
 
 
 def restarting_configuration(spec: AutomatonSpec, word: Word) -> Configuration:
@@ -357,12 +345,12 @@ def run_deterministic(
     if not spec.flags.deterministic:
         raise PreconditionError("run_deterministic requires a deterministic automaton")
     tape = restarting_configuration(spec, tuple(word)).tape
+    budget = _Budget(limits.max_configs)
     records: list[CycleRecord] = []
-    scan, state = (), spec.initial
-    cycles = total = 0
+    record, cycles = None, 0
     while True:
-        record, outcome, flag, config, total = _cycle(spec, limits, tape, scan, state, total)
-        if scan or record.steps:
+        record, outcome, flag, config = _cycle(spec, limits, tape, record, budget)
+        if record.scan or record.steps:
             records.append(record)
         if outcome is None:
             cycles += 1
@@ -371,28 +359,27 @@ def run_deterministic(
         if outcome is not None:
             return Trace(tuple(records), outcome, flag)
         tape = config.tape
-        scan, state = _resume(spec, record, limits.max_configs - total)
 
 
-def _cycle(spec: AutomatonSpec, limits: Limits, tape: Word, scan: tuple, state: str,
-           total: int) -> tuple[CycleRecord, Optional[str], Optional[str], Configuration, int]:
+def _cycle(spec: AutomatonSpec, limits: Limits, tape: Word, before: Optional[CycleRecord],
+           budget: _Budget) -> tuple[CycleRecord, Optional[str], Optional[str], Configuration]:
     """One cycle, or the tail, of a deterministic automaton on ``tape``,
-    resumed after the repeated ``scan`` in ``state``, with ``total``
-    configurations expanded before it.
+    resumed after the cycle ``before`` that restarted on it (None for the
+    first cycle).  Each configuration expanded, the repeated scan's too but
+    not the one that trips the steps limit, spends one unit of ``budget``.
 
-    Returns (record, outcome, flag, configuration, total).  The outcome is
-    None when the cycle restarts, and the configuration is then the
-    restarting one; otherwise the outcome and flag are a trace's and the
-    configuration is the one the cycle stopped at.  ``total`` counts the
-    configurations expanded so far, the one that trips the steps limit
-    excepted.  Raises PreconditionError at a nondeterministic choice."""
+    Returns (record, outcome, flag, configuration): the outcome is None when
+    the cycle restarts, with the restarting configuration; otherwise the
+    outcome and flag are a trace's, with the configuration the cycle
+    stopped at.  Raises PreconditionError at a nondeterministic choice."""
     cap = spec.flags.mr_degree
+    scan, state = ((), spec.initial) if before is None else _resume(spec, before, budget.left)
     r = len(scan)
     config = Configuration(tape, state, r, 0)
     steps: list[Step] = []
     seen: set[tuple[str, int, int]] = set()
     cycle_steps = r
-    total += r
+    left = budget.left - r
     outcome = flag = None
     while True:
         # Only a rewrite changes the tape and ``seen`` is cleared at every
@@ -407,8 +394,8 @@ def _cycle(spec: AutomatonSpec, limits: Limits, tape: Word, scan: tuple, state: 
         if cycle_steps > limits.max_steps_per_cycle:
             outcome, flag = OUT_LIMIT, "steps limit exceeded"
             break
-        total += 1
-        if total > limits.max_configs:
+        left -= 1
+        if left < 0:
             outcome, flag = OUT_LIMIT, "configs limit exceeded"
             break
         succ = successors(spec, config)
@@ -432,7 +419,8 @@ def _cycle(spec: AutomatonSpec, limits: Limits, tape: Word, scan: tuple, state: 
         config = nxt
         if ins.kind == RESTART:
             break
-    return CycleRecord(tape, scan, tuple(steps)), outcome, flag, config, total
+    budget.left = left
+    return CycleRecord(tape, scan, tuple(steps)), outcome, flag, config
 
 
 class ResourcesExceeded(ReduktoError):
@@ -467,10 +455,17 @@ def _path_to(parents: dict, node, final: Step) -> tuple[Step, ...]:
     return tuple(chain)
 
 
-# A phase: the record of an accepting tail, if any; (successor word, record
-# of the cycle into it) for each cycle; and the start reads that
-# Decision.rejected_prefix reads.
-_Phase = tuple[Optional[CycleRecord], Sequence[tuple[Word, CycleRecord]], Optional[tuple]]
+# A phase: the accepting tail's record or None, (successor word, record of
+# the cycle into it) for each cycle, and the rejected prefix (see Decision).
+_Phase = tuple[Optional[CycleRecord], Sequence[tuple[Word, CycleRecord]], Optional[int]]
+
+
+def _rejected_prefix(reach: int, window: int, size: int) -> Optional[int]:
+    """The letters read by a phase that rejected on its start tape of
+    ``size`` cells, sentinels included, with its largest window position at
+    ``reach``; None when a window reached the right sentinel."""
+    end = reach + window
+    return end - 1 if end < size else None
 
 
 def _explore_phase(
@@ -491,8 +486,8 @@ def _explore_phase(
     ``max_steps_per_cycle`` configurations or the budget runs out.
 
     A phase that ends with no accepting tail, no cycle and no tape but its
-    start tape depends only on the cells its windows covered; it keeps its
-    configuration keys, window and tape length as ``start_reads``.
+    start tape depends only on the cells its windows covered, and returns
+    its rejected prefix.
     """
     cap = spec.flags.mr_degree
     start = restarting_configuration(spec, word)
@@ -527,12 +522,13 @@ def _explore_phase(
                 continue
             parents[child] = (node, (config, ins))
             stack.append((child, nxt))
-    start_reads = None
+    prefix = None
     if tail_accept is None and not cycles and len(tape_ids) == 1:
-        start_reads = (parents, spec.window, len(start.tape))
+        reach = max([node[2] for node in parents])
+        prefix = _rejected_prefix(reach, spec.window, len(start.tape))
     # Deterministic order for reproducible witnesses and reports.
     cycles.sort(key=lambda item: item[0])
-    return tail_accept, cycles, start_reads
+    return tail_accept, cycles, prefix
 
 
 # The memo's marker on a word whose verdict is being worked out, and the
@@ -557,30 +553,24 @@ def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[Cycle
                          limits: Limits, budget: _Budget) -> _Phase:
     """The one cycle, or the tail, of a deterministic automaton on ``word``,
     resumed after the cycle ``before`` that restarted on it (None for the
-    word a decision starts from, the only one whose start reads are kept;
-    see the module docstring).  Raises ResourcesExceeded when a limit
-    trips, and PreconditionError at a choice between two instructions."""
-    if before is None:
-        tape, scan, state = (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,), (), spec.initial
-    else:
-        tape = before.steps[-1][0].tape
-        scan, state = _resume(spec, before, budget.left)
-    record, outcome, flag, config, total = _cycle(
-        spec, limits, tape, scan, state, limits.max_configs - budget.left)
-    budget.left = limits.max_configs - total
+    word a decision starts from, the only one whose rejected prefix is
+    worked out).  Raises ResourcesExceeded when a limit trips, and
+    PreconditionError at a choice between two instructions."""
+    tape = before.steps[-1][0].tape if before else (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,)
+    record, outcome, flag, config = _cycle(spec, limits, tape, before, budget)
     if outcome is None:
         return None, ((strip_sentinels(config.tape), record),), None
     if outcome == OUT_LIMIT:
         raise ResourcesExceeded(flag)
     if outcome == OUT_ACCEPT:
         return record, (), None
-    start_reads = None
+    prefix = None
     if before is None and config.rewrites == 0:
         # The phase expanded the configurations of its steps and the one it
         # stopped at.
-        configs = chain((config,), map(itemgetter(0), record.steps))
-        start_reads = (configs, spec.window, len(tape))
-    return None, (), start_reads
+        reach = max([config.pos] + [c.pos for c, _ in record.steps])
+        prefix = _rejected_prefix(reach, spec.window, len(tape))
+    return None, (), prefix
 
 
 def decide_basic_membership(
@@ -618,7 +608,7 @@ def decide_basic_membership(
     budget = _Budget(limits.max_configs)
     stack: list[list] = []  # frames [word, its cycles, next cycle]
     w, before = tuple(word), None
-    start_reads = None
+    rejected_prefix = None
     try:
         while True:
             if len(stack) > limits.max_total_cycles:
@@ -628,15 +618,15 @@ def decide_basic_membership(
                 raise _recurs(w)
             if verdict is None:
                 if deterministic:
-                    tail, cycles, reads = _deterministic_phase(spec, w, before, limits, budget)
+                    tail, cycles, prefix = _deterministic_phase(spec, w, before, limits, budget)
                 else:
-                    tail, cycles, reads = _explore_phase(spec, w, limits, budget)
+                    tail, cycles, prefix = _explore_phase(spec, w, limits, budget)
                 if tail is not None:
                     verdict = _settle(table, memoize, w, (True, (tail, None)))
                 elif not cycles:
                     verdict = _settle(table, memoize, w, _REJECTED)
                     if not stack:
-                        start_reads = reads
+                        rejected_prefix = prefix
                 else:
                     table[w] = _IN_PROGRESS
                     stack.append([w, cycles, 1])
@@ -670,7 +660,7 @@ def decide_basic_membership(
     explored = limits.max_configs - budget.left
     ok, link = verdict
     if not ok:
-        return Decision("non-member", None, explored, None, start_reads)
+        return Decision("non-member", None, explored, None, rejected_prefix)
     records = []
     while link is not None:
         record, link = link

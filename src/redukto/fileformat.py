@@ -35,9 +35,6 @@ LEFT_MARK = "^"
 EMPTY_MARK = "-"
 ARROW = "->"
 
-_KINDS = {MVR, MVL, SL, RESTART, ACCEPT, REJECT}
-
-
 class ParseError(ReduktoError):
     def __init__(self, message: str, line: int = 0):
         super().__init__("line %d: %s" % (line, message) if line else message)

@@ -57,6 +57,12 @@ def require_bound(max_len: int) -> None:
         raise PreconditionError("length bound must be non-negative")
 
 
+def require_decided(decision: Decision, word: Word) -> None:
+    """Raise ResourcesExceeded, naming the word, on an undecided decision."""
+    if decision.verdict == "resource-exceeded":
+        raise ResourcesExceeded("%s while deciding %s" % (decision.exceeded, render_word(word)))
+
+
 def words_over(alphabet: Iterable[str], max_len: int) -> Iterator[Word]:
     """All words up to max_len in length-lexicographic order."""
     symbols = sorted(alphabet)
@@ -197,7 +203,7 @@ def enumerate_language(
         basics = []
         for w in words_over(alphabet, query.max_len):
             d = decide_basic_membership(spec, w, query.limits, memo=memo)
-            _require_decided(d, w)
+            require_decided(d, w)
             if d.is_member:
                 basics.append(w)
     if kind in ("input", "basic"):
@@ -211,13 +217,6 @@ def enumerate_language(
             raise PreconditionError("automaton carries no morphism")
         images = {apply_morphism(spec.morphism, w) for w in basics}
     return sorted(images, key=lambda w: (len(w), w))
-
-
-def _require_decided(decision: Decision, word: Word) -> None:
-    if decision.verdict == "resource-exceeded":
-        raise ResourcesExceeded(
-            "%s while deciding %s" % (decision.exceeded, render_word(word))
-        )
 
 
 @dataclass
@@ -302,7 +301,7 @@ def enumerate_basic_by_reduction(
     members: set[Word] = set()
     for w in words_over(spec.work_alphabet, seed_len):
         d = decide_basic_membership(spec, w, limits, memo=memo)
-        _require_decided(d, w)
+        require_decided(d, w)
         if d.is_member:
             members.add(w)
 

@@ -13,8 +13,9 @@ threads; none of the operations in this module mutate their arguments.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 LEFT_SENTINEL = "¢"   # workspace left marker, rendered as ^ in files
 RIGHT_SENTINEL = "$"       # workspace right marker
@@ -186,6 +187,21 @@ class AutomatonSpec:
                 if ins.kind == SL:
                     pairs.append((window, ins.target))
         return pairs
+
+
+def all_window_contents(k: int, alphabet) -> Iterator[Word]:
+    """Every legal content of a size-k window over the given alphabet."""
+    syms = sorted(alphabet)
+    for body in itertools.product(syms, repeat=k):
+        yield body
+    for body in itertools.product(syms, repeat=k - 1):
+        yield (LEFT_SENTINEL,) + body
+    for n in range(k):
+        for body in itertools.product(syms, repeat=n):
+            yield body + (RIGHT_SENTINEL,)
+    for n in range(max(0, k - 1)):
+        for body in itertools.product(syms, repeat=n):
+            yield (LEFT_SENTINEL,) + body + (RIGHT_SENTINEL,)
 
 
 def is_window_content(word: Word, k: int, work_alphabet: frozenset[str]) -> bool:

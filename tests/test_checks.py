@@ -65,6 +65,9 @@ def test_determinism_reports_injected_conflict(m_e):
     report = check_determinism(doubled)
     assert not report.holds
     assert "q0" in report.counterexample.explanation
+    # A table check has no length bound, and its report names none.
+    assert report.bound is None
+    assert report.describe().startswith("determinism: violated\n")
 
 
 def test_determinism_violated_by_lexical_analysis(m_e_h_shrunk):

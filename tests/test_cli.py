@@ -255,13 +255,34 @@ def test_check_with_a_negative_bound_exits_3(tmp_path, m_e_h_shrunk, what):
     ("mono", "--degree"),
     ("cpp", "--degree"),
     ("shrink", "--degree"),
+    ("det", "--limits"),
+    ("forms", "--limits"),
 ])
 def test_check_refuses_an_option_it_would_ignore(what, option):
-    value = "-1" if option == "--max-len" else "5"
+    value = {"--max-len": "-1", "--degree": "5", "--limits": "configs=1"}[option]
     proc = run_cli("check", "m_e", "--what", what, option, value)
     assert proc.returncode == 3, proc.stdout
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: %s " % option)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--limits", "configs=1"),
+    ("--window", "5"),
+    ("--window-cap", "5"),
+])
+def test_transform_shrink_refuses_an_option_it_would_ignore(tmp_path, option, value):
+    out = tmp_path / "shrunk.rlww"
+    proc = run_cli("transform", "shrink", "m_e_h", "-o", str(out), option, value)
+    assert proc.returncode == 3, proc.stdout
+    assert proc.stdout == ""
+    assert proc.stderr == "error: %s does not apply to transform shrink\n" % option
+    assert not out.exists()
+
+
+def test_check_det_reports_no_length_bound():
+    proc = run_cli("check", "m_e", "--what", "det")
+    assert (proc.returncode, proc.stdout) == (0, "determinism: holds-up-to-bound\n")
 
 
 def test_module_entry_point_runs_the_cli():
