@@ -46,6 +46,7 @@ from .engine import (
     Trace,
     cycle_rewrites,
     decide_basic_membership,
+    decide_first_member,
     decide_input_membership,
     replay_trace,
     right_distance,

@@ -302,10 +302,7 @@ def cmd_transform(args) -> int:
         print("wrote %s" % args.output)
         return EXIT_OK
     _refuse_unread(args, ("limits", "window", "window_cap"), (), "transform shrink")
-    spec = _load_spec(args.source)
-    if spec.morphism is None:
-        raise UsageFailure("automaton %s carries no morphism" % spec.name)
-    shrunk, weights = to_shrinking(spec)
+    shrunk, weights = to_shrinking(_load_spec(args.source))
     Path(args.output).write_text(render_automaton(shrunk), encoding="utf-8")
     print("weights: %s" % " ".join("%s=%d" % (t, weights[t]) for t in sorted(weights)))
     print("wrote %s" % args.output)

@@ -37,7 +37,13 @@ from typing import Optional
 
 from .checks import EXCEEDED, check_monotone
 from .engine import DEFAULT_LIMITS, Limits, ResourcesExceeded, run_deterministic
-from .languages import compare_word_sets, enumerate_language, LanguageQuery, words_over
+from .languages import (
+    LanguageQuery,
+    compare_word_sets,
+    enumerate_language,
+    require_morphism,
+    words_over,
+)
 from .model import (
     LEFT_SENTINEL,
     RIGHT_SENTINEL,
@@ -402,11 +408,10 @@ def build_hrrwwc(
 def dga(spec: AutomatonSpec, symbol: str) -> int:
     """Degree of lexical ambiguity: number of working symbols mapping to the
     given input symbol (at least 1, since the morphism fixes input symbols)."""
-    if spec.morphism is None:
-        raise PreconditionError("automaton carries no morphism")
+    morphism = require_morphism(spec)
     if symbol not in spec.input_alphabet:
         raise PreconditionError("%r is not an input symbol" % symbol)
-    return sum(1 for tok, image in spec.morphism.items() if image == symbol)
+    return sum(1 for tok, image in morphism.items() if image == symbol)
 
 
 def hat_token(symbol: str) -> str:
@@ -429,8 +434,7 @@ def to_shrinking(spec: AutomatonSpec) -> tuple[AutomatonSpec, dict[str, int]]:
     gives every input symbol its preimage count plus one and every other
     symbol weight one, which makes every cycle weight-decreasing.
     """
-    if spec.morphism is None:
-        raise PreconditionError("to_shrinking requires a morphism")
+    morphism = require_morphism(spec)
     sigma = spec.input_alphabet
     gamma = spec.work_alphabet
     hats = {tok: hat_token(tok) for tok in sorted(sigma)}
@@ -438,7 +442,7 @@ def to_shrinking(spec: AutomatonSpec) -> tuple[AutomatonSpec, dict[str, int]]:
         if hat in gamma:
             raise PreconditionError("hatted symbol %r collides with the working alphabet" % hat)
     gamma_s = frozenset(gamma | set(hats.values()))
-    morphism_s = dict(spec.morphism)
+    morphism_s = dict(morphism)
     for tok, hat in hats.items():
         morphism_s[hat] = tok
     weights = {tok: dga(spec, tok) + 1 for tok in sorted(sigma)}

@@ -25,33 +25,42 @@ keeps the message in ``Decision.exceeded``.  Deterministic runs stop with a
 limit-exceeded outcome flagged with the same message, and the decider turns
 that into the same verdict.
 
-Resumed scans.  Take a cycle of a deterministic automaton with window k
-that moved MVR from position 0 to position L and whose leftmost rewrite is
-at p.  Cells [0, p) keep their content into the next cycle, and the state
-at any x <= L depends only on cells [0, x+k-1).  So the next cycle repeats
-the first r = min(L, p-k+1) steps exactly and may start at position r in
-the recorded state.  A deterministic automaton has one computation, and
-``run_deterministic`` and the decider both take its cycles from one function
-(``_cycle``) that resumes each cycle so and spends the caller's one
-configuration budget.  The repeated steps are MVR moves
+Resumed scans.  Take a recorded cycle, or tail, of a deterministic
+automaton with window k that moved MVR from position 0 to position L, and a
+start tape that agrees with the recorded cycle's start tape on cells
+[0, s).  The state at any x <= L depends only on cells [0, x+k-1), so a
+cycle on that tape repeats the first r = min(L, s-k+1) recorded steps
+exactly and may start at position r in the recorded state.  Two kinds of
+tape share cells so: within a run, the next cycle's tape keeps cells
+[0, p) of the one before, p being its leftmost rewrite; and between two
+candidate words of one length that first differ at letter i, the tapes
+share cells [0, i), cell 0 holding the left sentinel.  One function
+(``_cycle``) runs every cycle of a deterministic automaton, resumed so, and
+spends the caller's one configuration budget: ``run_deterministic``, the
+decider and ``decide_first_member`` take their cycles from it.  The
+repeated steps are MVR moves
 at distinct positions without a rewrite, so they can trip neither a loop
 check nor the cycle discipline, and a configuration that an MVL brings back
 into the repeated prefix is matched against the recorded scan, so loops
 through the prefix are still seen.  The repeated steps are charged to every
-step and configuration count.  The cycle before took more than r steps, so
-the per-cycle step limit cannot trip inside the repeated scan; r is clamped
-to the configurations left, so that the configuration limit trips at the
-very step it would trip at without resuming.  A trace keeps one
-``CycleRecord`` per cycle, with the repeated scan as (state, instruction)
-pairs, and builds those configurations only when its steps are read.
+step and configuration count.  The recorded cycle took those r steps under
+the same step limit, so that limit cannot trip inside the repeated scan;
+r is clamped to the configurations left, so that the configuration limit
+trips at the very step it would trip at without resuming.  A trace keeps
+one ``CycleRecord`` per cycle, with the repeated scan as (state,
+instruction) pairs, and builds those configurations only when its steps
+are read.
 
-Membership.  ``decide_basic_membership`` is one depth-first loop over
-restarting words, with a memo, for every automaton.  It gets a word's phase
-from one of two phase functions, which return the same shape: on a
-deterministic automaton, ``_deterministic_phase`` runs the one cycle or tail,
-resumed after the cycle that restarted on the word; on any other,
+Membership.  One depth-first loop over restarting words, with a memo,
+decides every word for every automaton (``_search``): it answers
+``decide_basic_membership`` and each candidate of ``decide_first_member``.
+It gets a word's phase from one of two phase functions, which return the
+same shape: on a deterministic automaton, ``_deterministic_phase`` runs the
+one cycle or tail, resumed after the cycle that restarted on the word, or
+for a start word after the previous candidate's first cycle; on any other,
 ``_explore_phase`` searches every branch of the phase.  Both return the
 phase's rejected prefix (see ``Decision``), kept for the start word only.
+``cycle_rewrites`` takes its one phase from the same two functions.
 
 Searches are reentrant and side-effect free apart from per-call memo tables;
 deciding distinct words in parallel is safe.
@@ -112,8 +121,9 @@ class CycleRecord(NamedTuple):
     """One cycle, or the closing tail, of a trace.
 
     ``tape`` is the tape the cycle starts on.  ``scan`` holds the (state,
-    instruction) pairs of the MVR steps that the cycle repeated from the one
-    before it, at positions 0 .. len(scan)-1; ``steps`` holds the steps it
+    instruction) pairs of the MVR steps that the cycle repeated from the
+    recorded cycle it resumed after, at positions 0 .. len(scan)-1;
+    ``steps`` holds the steps it
     took from there on.  A record refers to no other record, so memoized
     records can be reused by every trace that reaches them."""
 
@@ -308,29 +318,34 @@ def discipline_break(cap: int, ins: Instruction, config: Configuration) -> Optio
     return None
 
 
-def _resume(spec: AutomatonSpec, record: CycleRecord, most: int) -> tuple[tuple, str]:
-    """The scan that the cycle after ``record`` repeats, at most ``most``
-    steps long, and the state in which it goes on from there.
+def _resume(spec: AutomatonSpec, record: CycleRecord, same: int, most: int) -> tuple[tuple, str]:
+    """The scan that a cycle repeats from ``record``, at most ``most`` steps
+    long, and the state in which it goes on from there.
 
-    ``record`` is a finished cycle of a deterministic automaton.  Its steps
-    up to the first one that is not an MVR are the moves from 0 to L, and
-    its leftmost rewrite at p keeps cells [0, p), so the first
-    min(L, p - k + 1) steps recur (see the module docstring)."""
-    scan, steps = record.scan, record.steps
-    lead = len(scan)
-    for _, ins in steps:
-        if ins.kind != MVR:
-            break
-        lead += 1
-    low = min((config.pos for config, ins in steps if ins.kind == SL), default=0)
-    r = min(lead, low - spec.window + 1, most)
-    if r <= 0:
-        return (), spec.initial
+    ``record`` is a cycle, or tail, of a deterministic automaton whose start
+    tape agrees with the new cycle's on cells [0, same).  Its steps up to
+    the first one that is not an MVR are the moves from 0 to L, so the
+    first min(L, same - k + 1) steps recur (see the module docstring)."""
+    r = max(0, min(same - spec.window + 1, most))
+    scan = record.scan
     if r <= len(scan):
         scan = scan[:r]
     else:
-        scan += tuple((config.state, ins) for config, ins in steps[: r - len(scan)])
+        lead = []
+        for config, ins in record.steps[: r - len(scan)]:
+            if ins.kind != MVR:
+                break
+            lead.append((config.state, ins))
+        scan += tuple(lead)
+    if not scan:
+        return (), spec.initial
     return scan, scan[-1][1].state
+
+
+def _rewritten_from(record: CycleRecord) -> int:
+    """The leftmost position at which a finished cycle rewrote, so that it
+    left cells [0, p) of its tape as they were."""
+    return min(config.pos for config, ins in record.steps if ins.kind == SL)
 
 
 def run_deterministic(
@@ -347,9 +362,9 @@ def run_deterministic(
     tape = restarting_configuration(spec, tuple(word)).tape
     budget = _Budget(limits.max_configs)
     records: list[CycleRecord] = []
-    record, cycles = None, 0
+    record, same, cycles = None, 0, 0
     while True:
-        record, outcome, flag, config = _cycle(spec, limits, tape, record, budget)
+        record, outcome, flag, config = _cycle(spec, limits, tape, record, same, budget)
         if record.scan or record.steps:
             records.append(record)
         if outcome is None:
@@ -358,22 +373,28 @@ def run_deterministic(
                 outcome, flag = OUT_LIMIT, "cycles limit exceeded"
         if outcome is not None:
             return Trace(tuple(records), outcome, flag)
-        tape = config.tape
+        tape, same = config.tape, _rewritten_from(record)
 
 
-def _cycle(spec: AutomatonSpec, limits: Limits, tape: Word, before: Optional[CycleRecord],
-           budget: _Budget) -> tuple[CycleRecord, Optional[str], Optional[str], Configuration]:
+def _cycle(
+    spec: AutomatonSpec, limits: Limits, tape: Word, before: Optional[CycleRecord], same: int,
+    budget: _Budget,
+) -> tuple[CycleRecord, Optional[str], Optional[str], Configuration]:
     """One cycle, or the tail, of a deterministic automaton on ``tape``,
-    resumed after the cycle ``before`` that restarted on it (None for the
-    first cycle).  Each configuration expanded, the repeated scan's too but
-    not the one that trips the steps limit, spends one unit of ``budget``.
+    resumed after the recorded cycle ``before`` whose start tape agrees with
+    ``tape`` on cells [0, same) (None for nothing to resume after).  Each
+    configuration expanded, the repeated scan's too but not the one that
+    trips the steps limit, spends one unit of ``budget``.
 
     Returns (record, outcome, flag, configuration): the outcome is None when
     the cycle restarts, with the restarting configuration; otherwise the
     outcome and flag are a trace's, with the configuration the cycle
     stopped at.  Raises PreconditionError at a nondeterministic choice."""
     cap = spec.flags.mr_degree
-    scan, state = ((), spec.initial) if before is None else _resume(spec, before, budget.left)
+    if before is None:
+        scan, state = (), spec.initial
+    else:
+        scan, state = _resume(spec, before, same, budget.left)
     r = len(scan)
     config = Configuration(tape, state, r, 0)
     steps: list[Step] = []
@@ -456,8 +477,11 @@ def _path_to(parents: dict, node, final: Step) -> tuple[Step, ...]:
 
 
 # A phase: the accepting tail's record or None, (successor word, record of
-# the cycle into it) for each cycle, and the rejected prefix (see Decision).
-_Phase = tuple[Optional[CycleRecord], Sequence[tuple[Word, CycleRecord]], Optional[int]]
+# the cycle into it) for each cycle, the rejected prefix (see Decision), and
+# for a deterministic phase its one record, which a later phase may resume
+# after (None for a search over branches).
+_Phase = tuple[Optional[CycleRecord], Sequence[tuple[Word, CycleRecord]], Optional[int],
+               Optional[CycleRecord]]
 
 
 def _rejected_prefix(reach: int, window: int, size: int) -> Optional[int]:
@@ -528,7 +552,7 @@ def _explore_phase(
         prefix = _rejected_prefix(reach, spec.window, len(start.tape))
     # Deterministic order for reproducible witnesses and reports.
     cycles.sort(key=lambda item: item[0])
-    return tail_accept, cycles, prefix
+    return tail_accept, cycles, prefix, None
 
 
 # The memo's marker on a word whose verdict is being worked out, and the
@@ -550,65 +574,60 @@ def _recurs(w: Word) -> PreconditionError:
 
 
 def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord],
-                         limits: Limits, budget: _Budget) -> _Phase:
-    """The one cycle, or the tail, of a deterministic automaton on ``word``,
-    resumed after the cycle ``before`` that restarted on it (None for the
-    word a decision starts from, the only one whose rejected prefix is
-    worked out).  Raises ResourcesExceeded when a limit trips, and
+                         same: Optional[int], limits: Limits, budget: _Budget) -> _Phase:
+    """The one cycle, or the tail, of a deterministic automaton on ``word``.
+
+    With ``same`` None, ``before`` is the cycle that restarted on ``word``
+    and the phase resumes after it.  Otherwise ``word`` is a word that a
+    decision starts from, the only kind whose rejected prefix is worked
+    out, and the phase resumes after ``before`` (None for nothing), a
+    recorded cycle whose start tape agrees with the word's on cells
+    [0, same).  Raises ResourcesExceeded when a limit trips, and
     PreconditionError at a choice between two instructions."""
-    tape = before.steps[-1][0].tape if before else (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,)
-    record, outcome, flag, config = _cycle(spec, limits, tape, before, budget)
+    start = same is not None
+    if start:
+        tape = (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,)
+    else:
+        tape, same = before.steps[-1][0].tape, _rewritten_from(before)
+    record, outcome, flag, config = _cycle(spec, limits, tape, before, same, budget)
     if outcome is None:
-        return None, ((strip_sentinels(config.tape), record),), None
+        return None, ((strip_sentinels(config.tape), record),), None, record
     if outcome == OUT_LIMIT:
         raise ResourcesExceeded(flag)
     if outcome == OUT_ACCEPT:
-        return record, (), None
+        return record, (), None, record
     prefix = None
-    if before is None and config.rewrites == 0:
+    if start and config.rewrites == 0:
         # The phase expanded the configurations of its steps and the one it
-        # stopped at.
+        # stopped at; those of the repeated scan lie left of them.
         reach = max([config.pos] + [c.pos for c, _ in record.steps])
         prefix = _rejected_prefix(reach, spec.window, len(tape))
-    return None, (), prefix
+    return None, (), prefix, record
 
 
-def decide_basic_membership(
-    spec: AutomatonSpec,
-    word: Word,
-    limits: Limits = DEFAULT_LIMITS,
-    memoize: bool = True,
-    memo: Optional[dict] = None,
-) -> Decision:
-    """Decide whether some computation from the restarting configuration of
-    ``word`` accepts.
+def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same: int,
+            limits: Limits, memoize: bool, table: dict, budget: _Budget):
+    """The memo loop behind every decision: whether some computation from
+    the restarting configuration of ``word`` accepts.
 
-    One depth-first loop over restarting words, on an explicit stack, for
-    every automaton; each word's phase comes from ``_deterministic_phase``
-    or ``_explore_phase`` (see the module docstring).  On a deterministic
-    automaton a choice between two instructions raises PreconditionError,
-    as in ``run_deterministic``.  The chain of open words is capped by
-    ``max_total_cycles``.  With ``memoize`` the decider keeps a table keyed
-    on restarting tape words; this is sound because behavior from a
-    restarting configuration depends only on the tape.  Every cycle of a
-    valid automaton makes progress, so a restarting word never recurs; one
-    that does (a shrinking automaton whose weights its cycles do not lower)
-    raises PreconditionError.  ``memoize=False`` re-explores every
-    restarting word, remembering only the open words so that it raises on
-    a recurring word too, and serves as the brute-force cross-check.
+    One depth-first loop over restarting words, on an explicit stack; each
+    word's phase comes from ``_deterministic_phase``, the start word's
+    resumed after ``before`` whose start tape agrees with it on cells
+    [0, same), or from ``_explore_phase``.  ``table`` is the memo, holding
+    only the open words unless ``memoize``.  Returns (verdict, rejected
+    prefix, record of the start word's phase), the record being None when
+    the memo held the start word or the automaton is not deterministic.
+    Raises ResourcesExceeded when a limit trips, leaving no open word in
+    ``table``.
 
     A verdict is (accepted, witness), and an accepting witness is a chain
     (record of one cycle or of the tail, rest of the chain or None), so that
     words along one computation share their witness suffixes.
     """
-    # The brute search keeps a table of its own that holds only the open
-    # words.
-    table = memo if memo is not None and memoize else {}
     deterministic = spec.flags.deterministic
-    budget = _Budget(limits.max_configs)
     stack: list[list] = []  # frames [word, its cycles, next cycle]
-    w, before = tuple(word), None
-    rejected_prefix = None
+    w = word
+    rejected_prefix = first = None
     try:
         while True:
             if len(stack) > limits.max_total_cycles:
@@ -618,15 +637,18 @@ def decide_basic_membership(
                 raise _recurs(w)
             if verdict is None:
                 if deterministic:
-                    tail, cycles, prefix = _deterministic_phase(spec, w, before, limits, budget)
+                    tail, cycles, prefix, record = _deterministic_phase(
+                        spec, w, before, same, limits, budget)
                 else:
-                    tail, cycles, prefix = _explore_phase(spec, w, limits, budget)
+                    tail, cycles, prefix, record = _explore_phase(spec, w, limits, budget)
+                if not stack:
+                    # The start word's phase; every later word is reached
+                    # by a cycle.
+                    rejected_prefix, first, same = prefix, record, None
                 if tail is not None:
                     verdict = _settle(table, memoize, w, (True, (tail, None)))
                 elif not cycles:
                     verdict = _settle(table, memoize, w, _REJECTED)
-                    if not stack:
-                        rejected_prefix = prefix
                 else:
                     table[w] = _IN_PROGRESS
                     stack.append([w, cycles, 1])
@@ -648,24 +670,123 @@ def decide_basic_membership(
                     w, before = cycles[i]
                     break
             else:
-                break
-    except ResourcesExceeded as err:
-        return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
+                return verdict, rejected_prefix, first
     finally:
         # Words still open when the search ends without a verdict are
         # undecided, not rejected: a later call that shares the memo must
         # explore them again.
         for frame in stack:
             del table[frame[0]]
-    explored = limits.max_configs - budget.left
-    ok, link = verdict
-    if not ok:
-        return Decision("non-member", None, explored, None, rejected_prefix)
+
+
+def _witness(link) -> Trace:
+    """The accepting trace along a witness chain."""
     records = []
     while link is not None:
         record, link = link
         records.append(record)
-    return Decision("member", Trace(tuple(records), OUT_ACCEPT), explored)
+    return Trace(tuple(records), OUT_ACCEPT)
+
+
+def decide_basic_membership(
+    spec: AutomatonSpec,
+    word: Word,
+    limits: Limits = DEFAULT_LIMITS,
+    memoize: bool = True,
+    memo: Optional[dict] = None,
+) -> Decision:
+    """Decide whether some computation from the restarting configuration of
+    ``word`` accepts.
+
+    One depth-first loop over restarting words, on an explicit stack, for
+    every automaton (``_search``; see the module docstring).  On a
+    deterministic automaton a choice between two instructions raises
+    PreconditionError, as in ``run_deterministic``.  The chain of open words is capped by
+    ``max_total_cycles``.  With ``memoize`` the decider keeps a table keyed
+    on restarting tape words; this is sound because behavior from a
+    restarting configuration depends only on the tape.  Every cycle of a
+    valid automaton makes progress, so a restarting word never recurs; one
+    that does (a shrinking automaton whose weights its cycles do not lower)
+    raises PreconditionError.  ``memoize=False`` re-explores every
+    restarting word, remembering only the open words so that it raises on
+    a recurring word too, and serves as the brute-force cross-check.
+    """
+    # The brute search keeps a table of its own that holds only the open
+    # words.
+    table = memo if memo is not None and memoize else {}
+    budget = _Budget(limits.max_configs)
+    try:
+        (ok, link), prefix, _ = _search(spec, tuple(word), None, 0, limits, memoize, table, budget)
+    except ResourcesExceeded as err:
+        return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
+    explored = limits.max_configs - budget.left
+    if not ok:
+        return Decision("non-member", None, explored, None, prefix)
+    return Decision("member", _witness(link), explored)
+
+
+def decide_first_member(
+    spec: AutomatonSpec,
+    options: Sequence[Sequence[str]],
+    limits: Limits = DEFAULT_LIMITS,
+    memo: Optional[dict] = None,
+) -> tuple[Decision, Optional[Word]]:
+    """The first basic member among the words whose i-th letter is one of
+    ``options[i]``, tried in the order of ``itertools.product``, with its
+    decision; or, with None, the decision that ends the search: non-member
+    when no candidate is a member, resource-exceeded when a candidate trips
+    a limit.
+
+    Each candidate is decided as by ``decide_basic_membership``, under the
+    whole ``limits`` and on one memo shared by all candidates, and
+    ``configs_explored`` sums the candidates decided.  The candidates run
+    an odometer, so consecutive ones share the letters left of the one that
+    moved, and on a deterministic automaton each first phase resumes after
+    the previous candidate's (see the module docstring).  The repeated
+    steps are charged as they were taken, so every answer and count is that
+    of deciding each candidate in turn.
+
+    A candidate whose first phase alone rejects it having read only its
+    first m letters (``Decision.rejected_prefix``) rules out every
+    candidate that starts with those letters: each has the same first phase
+    step for step, and so the same non-member verdict under the same
+    limits.  Those candidates are skipped, and so are never written to the
+    memo; a later search that reaches one decides it again.  When cycles
+    shorten the tape, no candidate's search reaches another candidate, so
+    the answer is that of deciding every candidate in turn.  A shrinking
+    automaton's cycle may reach another candidate of the same length, and
+    deciding a skipped one again could trip a limit that the memo would
+    have spared, so its candidates are all decided.
+    """
+    if not all(options):
+        return Decision("non-member"), None
+    table = memo if memo is not None else {}
+    skip = not spec.flags.shrinking
+    n = len(options)
+    digits = [0] * n
+    explored, record, same = 0, None, 0
+    while True:
+        candidate = tuple(choices[d] for choices, d in zip(options, digits))
+        budget = _Budget(limits.max_configs)
+        try:
+            (ok, link), prefix, record = _search(
+                spec, candidate, record, same, limits, True, table, budget)
+        except ResourcesExceeded as err:
+            explored += limits.max_configs - budget.left
+            return Decision("resource-exceeded", None, explored, str(err)), None
+        explored += limits.max_configs - budget.left
+        if ok:
+            return Decision("member", _witness(link), explored), candidate
+        # Advance the odometer at the last letter read, carrying leftward;
+        # the next candidate's tape keeps cells [0, i).
+        i = prefix if skip and prefix is not None else n
+        while i > 0 and digits[i - 1] == len(options[i - 1]) - 1:
+            i -= 1
+        if i == 0:
+            return Decision("non-member", None, explored), None
+        digits[i - 1] += 1
+        digits[i:] = [0] * (n - i)
+        same = i
 
 
 def decide_input_membership(
@@ -691,12 +812,18 @@ def cycle_rewrites(
 
     For non-shrinking automata every returned word is strictly shorter than
     the argument; shrinking automata may preserve length and the weight
-    function carries the progress argument instead.  Raises
+    function carries the progress argument instead.  The phase comes from
+    ``_deterministic_phase`` on a deterministic automaton, as in the
+    decider, and from ``_explore_phase`` otherwise.  Raises
     ResourcesExceeded when a limit trips, and PreconditionError when a cycle
-    makes no such progress.
+    makes no such progress or a deterministic automaton meets a choice.
     """
     word = tuple(word)
-    _, cycles, _ = _explore_phase(spec, word, limits, _Budget(limits.max_configs))
+    budget = _Budget(limits.max_configs)
+    if spec.flags.deterministic:
+        _, cycles, _, _ = _deterministic_phase(spec, word, None, 0, limits, budget)
+    else:
+        _, cycles, _, _ = _explore_phase(spec, word, limits, budget)
     out = []
     seen = set()
     for to_word, record in cycles:

@@ -11,7 +11,8 @@ versions can be longer); the other three kinds are complete up to the bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .engine import (
@@ -21,6 +22,7 @@ from .engine import (
     ResourcesExceeded,
     cycle_rewrites,
     decide_basic_membership,
+    decide_first_member,
 )
 from .model import (
     ACCEPT,
@@ -71,6 +73,14 @@ def words_over(alphabet: Iterable[str], max_len: int) -> Iterator[Word]:
             yield combo
 
 
+def require_morphism(spec: AutomatonSpec) -> Mapping[str, str]:
+    """The automaton's lexical morphism; PreconditionError, naming the
+    automaton, when it carries none."""
+    if spec.morphism is None:
+        raise PreconditionError("automaton %s carries no morphism" % spec.name)
+    return spec.morphism
+
+
 def decide_hproper_membership(
     spec: AutomatonSpec,
     word: Word,
@@ -81,57 +91,26 @@ def decide_hproper_membership(
     extended version.
 
     A word v is h-proper iff some preimage w with h(w) = v (chosen
-    letter-by-letter, so |w| = |v|) lies in the basic language.  Preimages
-    are tried in the order of ``itertools.product`` over the per-position
-    lists in sorted symbol order, sharing one basic-membership memo across
-    all candidates, and each candidate decided gets the whole ``limits``.
-
-    A candidate whose first phase alone rejects it having read only its
-    first m letters (``Decision.rejected_prefix``) rules out every
-    candidate that starts with those letters: each has the same first phase
-    step for step, and so the same non-member verdict under the same
-    limits.  Those candidates are skipped, and so are never written to the
-    memo; a later search that reaches one decides it again.  When cycles
-    shorten the tape, no candidate's search reaches another candidate, so
-    verdict, preimage, witness and tripped limit are those of deciding every
-    candidate in turn.  A shrinking automaton's cycle may reach another
-    candidate of the same length, and deciding a skipped one again could
-    trip a limit that the memo would have spared, so its candidates are all
-    decided.  ``configs_explored`` sums the candidates actually decided.
+    letter-by-letter, so |w| = |v|) lies in the basic language.  The
+    preimages are the candidates of ``decide_first_member``, each position
+    trying its preimage symbols in sorted order, so all candidates share
+    one basic-membership memo and each gets the whole ``limits``.  On a
+    deterministic automaton each candidate resumes the previous one's first
+    scan after the letters they share, and a candidate whose first phase
+    rejected it on a prefix rules out, unexplored, every candidate with that
+    prefix (except on a shrinking automaton); neither changes the answer,
+    the tripped limit or ``configs_explored``, which sums the candidates
+    decided.
     """
-    if spec.morphism is None:
-        raise PreconditionError("automaton %s carries no morphism" % spec.name)
-    word = tuple(word)
-    preimages: list[list[str]] = []
     inverse: dict[str, list[str]] = {}
-    for sym, image in spec.morphism.items():
+    for sym, image in require_morphism(spec).items():
         inverse.setdefault(image, []).append(sym)
+    preimages = []
     for tok in word:
         if tok not in spec.input_alphabet:
             raise SymbolError("symbol %r is not an input symbol" % tok)
         preimages.append(sorted(inverse.get(tok, ())))
-    if not all(preimages):
-        return Decision("non-member"), None
-    shared = memo if memo is not None else {}
-    explored = 0
-    digits = [0] * len(word)
-    while True:
-        candidate = tuple(options[d] for options, d in zip(preimages, digits))
-        decision = decide_basic_membership(spec, candidate, limits, memo=shared)
-        explored += decision.configs_explored
-        if decision.verdict != "non-member":
-            decision = replace(decision, configs_explored=explored)
-            return decision, candidate if decision.is_member else None
-        # Advance the odometer at the last letter read, carrying leftward.
-        read = None if spec.flags.shrinking else decision.rejected_prefix
-        i = len(word) if read is None else read
-        while i > 0 and digits[i - 1] == len(preimages[i - 1]) - 1:
-            i -= 1
-        if i == 0:
-            break
-        digits[i - 1] += 1
-        digits[i:] = [0] * (len(word) - i)
-    return Decision("non-member", configs_explored=explored), None
+    return decide_first_member(spec, preimages, limits, memo)
 
 
 BRUTE_WORD_BUDGET = 300_000
@@ -177,6 +156,7 @@ def enumerate_language(
     alphabet = spec.input_alphabet if kind == "input" else spec.work_alphabet
     if strategy not in ("brute", "closure", "auto"):
         raise PreconditionError("unknown enumeration strategy %r" % strategy)
+    morphism = require_morphism(spec) if kind == "hproper" else None
     if strategy == "auto":
         # The basic domain is what gets decided for the projected kinds.
         if _domain_size(len(alphabet), query.max_len) <= BRUTE_WORD_BUDGET:
@@ -213,9 +193,7 @@ def enumerate_language(
             project(w, spec.input_alphabet, spec.work_alphabet) for w in basics
         }
     else:
-        if spec.morphism is None:
-            raise PreconditionError("automaton carries no morphism")
-        images = {apply_morphism(spec.morphism, w) for w in basics}
+        images = {apply_morphism(morphism, w) for w in basics}
     return sorted(images, key=lambda w: (len(w), w))
 
 

@@ -91,6 +91,18 @@ def test_decide_input_alphabet_violation():
     assert proc.stderr == "error: automaton m_e carries no morphism\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("decide", "dyck1", "a1", "--kind", "hproper"),
+    ("enum", "dyck1", "--kind", "hproper", "--max-len", "3"),
+    ("transform", "shrink", "dyck1", "-o"),
+])
+def test_a_missing_morphism_is_named_alike_everywhere(argv, tmp_path):
+    out = tmp_path / "shrunk.rlww"
+    proc = run_cli(*argv, *([str(out)] if argv[-1] == "-o" else []))
+    assert (proc.returncode, proc.stdout, out.exists()) == (3, "", False)
+    assert proc.stderr == "error: automaton dyck1 carries no morphism\n"
+
+
 def test_cycle_without_progress_is_invalid_input(tmp_path, heavy):
     path = tmp_path / "heavy.rlww"
     path.write_text(render_automaton(heavy), encoding="utf-8")

@@ -1,9 +1,10 @@
 """Differential properties on small random automata: the memo search against
 the brute search and against a plain reference decider, deterministic runs
 against the search, the deterministic decider against the depth-first
-search on the same automaton unflagged, resumed deterministic runs against
-a plain one, the
-h-proper decider against deciding every preimage and against the input
+search on the same automaton unflagged (deciders and ``cycle_rewrites``),
+resumed deterministic runs against a plain one, the
+h-proper decider against deciding every preimage, over one letter and
+over two, and against the input
 language of ``to_shrinking``, exact monotonicity against the word-by-word
 walk, the closure enumerator against the brute one, and parsing against
 rendering."""
@@ -22,6 +23,7 @@ from redukto.engine import (
     OUT_ACCEPT,
     Decision,
     Limits,
+    ResourcesExceeded,
     cycle_rewrites,
     decide_basic_membership,
     decide_input_membership,
@@ -56,7 +58,7 @@ from redukto.model import (
     validate_automaton,
 )
 
-SYMBOLS = ("a", "b")
+SYMBOLS = ("a", "b", "c")
 
 
 def window_contents(symbols, k):
@@ -108,13 +110,13 @@ def instructions(draw, q, states, window, symbols):
 
 
 @st.composite
-def automata(draw, deterministic, min_window=1):
+def automata(draw, deterministic, min_window=1, max_symbols=2):
     """A valid two-way automaton with at most 3 states, window 1 or 2 (at
-    least ``min_window``) and at most 2 symbols; deterministic ones hold at
-    most one instruction per table entry."""
+    least ``min_window``) and at most ``max_symbols`` symbols (3 at most);
+    deterministic ones hold at most one instruction per table entry."""
     states = ["q%d" % i for i in range(draw(st.integers(1, 3)))]
     k = draw(st.integers(min_window, 2))
-    symbols = SYMBOLS[: draw(st.integers(1, 2))]
+    symbols = SYMBOLS[: draw(st.integers(1, max_symbols))]
     table = {}
     for q in states:
         for window in window_contents(symbols, k):
@@ -286,6 +288,26 @@ def test_deterministic_decider_refuses_a_choice():
     with pytest.raises(PreconditionError, match="nondeterministic choice"):
         decide_basic_membership(spec, ("b", "a"), memo=memo)
     assert memo == {}  # the open word ba is undecided, not rejected
+    # cycle_rewrites follows the one computation too: on a it meets the
+    # choice.
+    with pytest.raises(PreconditionError, match="nondeterministic choice"):
+        cycle_rewrites(spec, ("a",))
+
+
+def rewrites_outcome(spec, w, limits):
+    try:
+        return [(r.to_word, r.steps) for r in cycle_rewrites(spec, w, limits)]
+    except (PreconditionError, ResourcesExceeded) as err:
+        return type(err).__name__, str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(automaton_and_word(deterministic=True))
+def test_cycle_rewrites_follow_the_search_on_a_deterministic_automaton(case):
+    spec, w = case
+    unflagged = replace(spec, flags=replace(spec.flags, deterministic=False))
+    for limits in (DEFAULT_LIMITS, Limits(max_steps_per_cycle=3), Limits(max_configs=12)):
+        assert rewrites_outcome(spec, w, limits) == rewrites_outcome(unflagged, w, limits), limits
 
 
 @settings(max_examples=300, deadline=None)
@@ -481,6 +503,14 @@ def over_one_letter(spec):
                    morphism={tok: "a" for tok in spec.work_alphabet})
 
 
+def over_two_letters(spec):
+    """``spec`` with the input alphabet {a, b} and the morphism that maps c
+    to a and fixes a and b, so that the preimages of a word differ only
+    where it has an a (drop b from the input when ``spec`` lacks it)."""
+    return replace(spec, input_alphabet=frozenset("ab") & spec.work_alphabet,
+                   morphism={tok: "a" if tok == "c" else tok for tok in spec.work_alphabet})
+
+
 def reference_hproper(spec, word, limits):
     """Every preimage of ``word`` decided in turn on one shared memo."""
     memo = {}
@@ -497,7 +527,12 @@ def hproper_outcome(decision, preimage):
     return decision.verdict, preimage, decision.exceeded, steps
 
 
-HPROPER_LIMITS = (DEFAULT_LIMITS, Limits(max_steps_per_cycle=3), Limits(max_configs=12))
+HPROPER_LIMITS = (
+    DEFAULT_LIMITS,
+    Limits(max_steps_per_cycle=3),
+    Limits(max_configs=12),
+    Limits(max_configs=200),
+)
 
 # The first phase of aa deletes the first a, sees the a behind it and
 # rejects, having read one letter of its start tape; ab is a member all the
@@ -515,9 +550,41 @@ REWRITE_THEN_REJECT = AutomatonSpec(
 )
 
 
+def sweeper(symbols, sweeps=30):
+    """A deterministic automaton with window 1 whose first phase moves
+    right over a's and rejects at the right sentinel, and at any other
+    symbol sweeps the tape end to end ``sweeps`` times and rejects: on
+    words of length 6, a^6 costs 8 configurations and the next preimage of
+    a^6, which ends in another symbol, about 210."""
+    sweep = ["s%d" % i for i in range(sweeps)]
+    table = {("q0", (C,)): (Instruction(MVR, "q0"),), ("q0", ("a",)): (Instruction(MVR, "q0"),),
+             ("q0", (D,)): (Instruction(REJECT),)}
+    for tok in symbols[1:]:
+        table[("q0", (tok,))] = (Instruction(MVL, sweep[0]),)
+    for i, (state, turned) in enumerate(zip(sweep, sweep[1:])):
+        move, turn, end = (MVL, MVR, C) if i % 2 == 0 else (MVR, MVL, D)
+        for tok in symbols:
+            table[(state, (tok,))] = (Instruction(move, state),)
+        table[(state, (end,))] = (Instruction(turn, turned),)
+    for window in window_contents(tuple(symbols), 1):
+        table[(sweep[-1], window)] = (Instruction(REJECT),)
+    return AutomatonSpec("sweeper", frozenset(["q0"] + sweep), "q0", 1, frozenset(symbols),
+                         frozenset(symbols), table, ClassFlags(deterministic=True))
+
+
+def test_the_sweeper_trips_a_limit_in_the_middle_of_the_odometer():
+    # The first preimage, a^6, is decided within the limit, and the second
+    # trips it after 201 more configurations.
+    for spec in (over_one_letter(sweeper("ab")), over_two_letters(sweeper("abc"))):
+        assert validate_automaton(spec).ok
+        decision, _ = decide_hproper_membership(spec, ("a",) * 6, Limits(max_configs=200))
+        assert (decision.verdict, decision.configs_explored) == ("resource-exceeded", 8 + 201)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.booleans().flatmap(automata))
 @example(REWRITE_THEN_REJECT)
+@example(sweeper("ab"))
 def test_hproper_skipping_agrees_with_deciding_every_preimage(spec):
     spec = over_one_letter(spec)
     for limits in HPROPER_LIMITS:
@@ -525,6 +592,22 @@ def test_hproper_skipping_agrees_with_deciding_every_preimage(spec):
             word = ("a",) * n
             got = hproper_outcome(*decide_hproper_membership(spec, word, limits))
             assert got == hproper_outcome(*reference_hproper(spec, word, limits)), (limits, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans().flatmap(lambda deterministic: automata(deterministic, max_symbols=3)))
+@example(sweeper("abc"))
+def test_hproper_resuming_agrees_with_deciding_every_preimage_on_two_letters(spec):
+    # Consecutive preimages of a word over {a, b} differ at one of its a's,
+    # which may sit anywhere in the word, so that a first phase resumes
+    # after a scan of any length.
+    spec = over_two_letters(spec)
+    letters = sorted(spec.input_alphabet)
+    for limits in HPROPER_LIMITS:
+        for word in itertools.chain.from_iterable(
+                itertools.product(letters, repeat=n) for n in range(6)):
+            got = hproper_outcome(*decide_hproper_membership(spec, word, limits))
+            assert got == hproper_outcome(*reference_hproper(spec, word, limits)), (limits, word)
 
 
 @settings(max_examples=100, deadline=None)
