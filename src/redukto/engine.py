@@ -764,10 +764,11 @@ def decide_first_member(
     skip = not spec.flags.shrinking
     n = len(options)
     digits = [0] * n
+    firsts = candidate = tuple(choices[0] for choices in options)
     explored, record, same = 0, None, 0
+    budget = _Budget(0)
     while True:
-        candidate = tuple(choices[d] for choices, d in zip(options, digits))
-        budget = _Budget(limits.max_configs)
+        budget.left = limits.max_configs  # each candidate gets the whole limits
         try:
             (ok, link), prefix, record = _search(
                 spec, candidate, record, same, limits, True, table, budget)
@@ -786,6 +787,7 @@ def decide_first_member(
             return Decision("non-member", None, explored), None
         digits[i - 1] += 1
         digits[i:] = [0] * (n - i)
+        candidate = candidate[: i - 1] + (options[i - 1][digits[i - 1]],) + firsts[i:]
         same = i
 
 
