@@ -79,37 +79,32 @@ class UsageFailure(ReduktoError):
     pass
 
 
-def _load_spec(ref: str) -> AutomatonSpec:
+# The two kinds of file or catalog argument, as messages name them.
+_KINDS = {"automaton": "an automaton", "grammar": "a grammar"}
+
+
+def _load(ref: str, kind: str = "automaton"):
+    """The automaton (validated) or grammar that a file path, or else a
+    catalog entry name, gives."""
     path = Path(ref)
     if path.exists():
-        spec = parse_automaton(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        loaded = parse_automaton(text) if kind == "automaton" else parse_grammar(text)
     else:
         try:
             entry = catalog_get(ref)
         except CatalogError:
             raise UsageFailure("no file or catalog entry named %r" % ref) from None
-        if entry.kind != "automaton":
-            raise UsageFailure("%r names a grammar, not an automaton" % ref)
-        spec = entry.spec
-    report = validate_automaton(spec)
-    if not report.ok:
-        raise UsageFailure(
-            "invalid automaton %s: %s" % (spec.name, "; ".join(report.violations[:3]))
-        )
-    return spec
-
-
-def _load_grammar(ref: str):
-    path = Path(ref)
-    if path.exists():
-        return parse_grammar(path.read_text(encoding="utf-8"))
-    try:
-        entry = catalog_get(ref)
-    except CatalogError:
-        raise UsageFailure("no file or catalog entry named %r" % ref) from None
-    if entry.kind != "grammar":
-        raise UsageFailure("%r names an automaton, not a grammar" % ref)
-    return entry.grammar
+        if entry.kind != kind:
+            raise UsageFailure("%r names %s, not %s" % (ref, _KINDS[entry.kind], _KINDS[kind]))
+        loaded = entry.spec if kind == "automaton" else entry.grammar
+    if kind == "automaton":
+        report = validate_automaton(loaded)
+        if not report.ok:
+            raise UsageFailure(
+                "invalid automaton %s: %s" % (loaded.name, "; ".join(report.violations[:3]))
+            )
+    return loaded
 
 
 def tokenize_word(text: str, alphabet) -> tuple[str, ...]:
@@ -187,7 +182,7 @@ def _show(word) -> str:
 
 
 def cmd_run(args) -> int:
-    spec = _load_spec(args.automaton)
+    spec = _load(args.automaton)
     word = tokenize_word(args.word, spec.work_alphabet)
     limits = parse_limits(args.limits)
     if spec.flags.deterministic:
@@ -215,7 +210,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    spec = _load_spec(args.automaton)
+    spec = _load(args.automaton)
     limits = parse_limits(args.limits)
     word = tokenize_word(args.word, spec.work_alphabet)
     witness_word = None
@@ -253,7 +248,7 @@ def _refuse_unread(args, options, reads, command: str) -> None:
 def cmd_check(args) -> int:
     _refuse_unread(args, ("max_len", "degree", "limits"), _CHECK_READS[args.what],
                    "--what %s" % args.what)
-    spec = _load_spec(args.automaton)
+    spec = _load(args.automaton)
     limits = parse_limits(args.limits)
     n = 8 if args.max_len is None else args.max_len
     if args.what == "det":
@@ -288,7 +283,7 @@ def _check_forms(spec: AutomatonSpec) -> int:
 
 def cmd_transform(args) -> int:
     if args.transformation == "gnf2hrrwwc":
-        grammar = _load_grammar(args.source)
+        grammar = _load(args.source, "grammar")
         try:
             spec, report = build_hrrwwc(
                 grammar, 3 if args.window is None else args.window,
@@ -302,7 +297,7 @@ def cmd_transform(args) -> int:
         print("wrote %s" % args.output)
         return EXIT_OK
     _refuse_unread(args, ("limits", "window", "window_cap"), (), "transform shrink")
-    shrunk, weights = to_shrinking(_load_spec(args.source))
+    shrunk, weights = to_shrinking(_load(args.source))
     Path(args.output).write_text(render_automaton(shrunk), encoding="utf-8")
     print("weights: %s" % " ".join("%s=%d" % (t, weights[t]) for t in sorted(weights)))
     print("wrote %s" % args.output)
@@ -310,7 +305,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    spec = _load_spec(args.automaton)
+    spec = _load(args.automaton)
     limits = parse_limits(args.limits)
     words = enumerate_language(spec, LanguageQuery(args.kind, args.max_len, limits))
     for word in words:
@@ -324,7 +319,7 @@ def _side_words(ref: str, kind: str, max_len: int, limits: Limits):
         if entry.oracle is None:
             raise UsageFailure("catalog entry %r has no oracle" % ref)
         return [w for w in words_over(entry.oracle_alphabet, max_len) if entry.oracle(w)]
-    spec = _load_spec(ref)
+    spec = _load(ref)
     return enumerate_language(spec, LanguageQuery(kind, max_len, limits))
 
 

@@ -12,13 +12,14 @@ into deterministic monotone contextual-deletion automata is out of scope
 here; the synthesizer replaces it with an oracle-guided search whose result
 is certified only up to the validated length, as stated on its report:
 every contextual deletion of every window of a training word is a candidate
-rule, one filter keeps those that preserve membership at their leftmost
-matches, the survivors are assembled into a leftmost-match scanner, and the
-scanner is validated against the derivation oracle.  Validation checks what
-the kept rules can get wrong: the language (up to the validated length) and
-monotonicity.  The cycle discipline needs no check, because the scanner's
-shape fixes it: every cycle makes exactly one rewrite and only windows
-showing both sentinels accept.
+rule, held in one table from which the filter removes every rule that
+changes a sample word's membership at its leftmost match, the survivors are
+assembled into a leftmost-match scanner, and the scanner is validated
+against the derivation oracle.  Validation checks what the kept rules can
+get wrong: the language (up to the validated length) and monotonicity.  The
+cycle discipline needs no check, because the scanner's shape fixes it: every
+cycle makes exactly one rewrite and only windows showing both sentinels
+accept.
 
 (B) Shrinking transform: any automaton with a morphism is turned into a
 shrinking automaton that first guesses, right to left and one symbol per
@@ -32,7 +33,7 @@ replacement and every simulated rewrite strictly decreases the tape weight.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .checks import EXCEEDED, check_monotone
@@ -196,83 +197,69 @@ def _attempt_synthesis(
     training = enumerate_grammar_words(tagged, TRAIN_LEN)
     member = functools.cache(lambda w: derivation_check(tagged, w))
 
-    # Candidates: every contextual deletion of every window of a training
-    # word.  The filter below alone decides which of them survive.
-    windows: set[Word] = set()
+    # The filter's one table: each window of a training word, with those of
+    # its contextual deletions that still survive.  A deletion u -> v is
+    # removed as soon as applying it at u's leftmost match in a sample word
+    # changes that word's membership.  Whether it does depends only on the
+    # word and the rule, so the order in which words are filtered does not
+    # matter.
+    candidates: dict[Word, set[Word]] = {}
     for word in training:
         tape = (C,) + word + (D,)
-        windows.update(tape[p : p + k] for p in range(len(tape)))
-    candidates = {u: contextual_deletions(u) for u in windows}
-
-    # Filter: a rule survives only if applying it at its leftmost match
-    # preserves the membership status of every sample word.  The sample
-    # extends the training members with all short words and with single-edit
-    # corruptions of the members, so that rules which would repair an invalid
-    # word into the language are rejected here rather than at validation.
-    sample: dict[Word, bool] = {w: True for w in training}
-    for w in words_over(alphabet, min(6, TRAIN_LEN)):
-        sample.setdefault(w, member(w))
-    for word in training:
-        for i in range(len(word) + 1):
-            for tok in alphabet:
-                grown = word[:i] + (tok,) + word[i:]
-                sample.setdefault(grown, member(grown))
-        for i in range(len(word)):
-            shrunk = word[:i] + word[i + 1 :]
-            sample.setdefault(shrunk, member(shrunk))
-            for tok in alphabet:
-                if tok != word[i]:
-                    swapped = word[:i] + (tok,) + word[i + 1 :]
-                    sample.setdefault(swapped, member(swapped))
-
-    killed: set[tuple[Word, Word]] = set()
+        for p in range(len(tape)):
+            u = tape[p : p + k]
+            if u not in candidates:
+                candidates[u] = contextual_deletions(u)
 
     def refilter(words) -> None:
         for word in words:
-            status = sample[word]
+            status = member(word)
             tape = (C,) + word + (D,)
-            seen: set[Word] = set()
+            leftmost: dict[Word, int] = {}
             for p in range(len(tape)):
-                u = tape[p : p + k]
-                if u in seen or u not in candidates:
-                    continue
-                seen.add(u)
-                for v in candidates[u]:
-                    if (u, v) in killed:
-                        continue
-                    result = tape[:p] + v + tape[p + len(u) :]
-                    if member(result[1:-1]) != status:
-                        killed.add((u, v))
+                leftmost.setdefault(tape[p : p + k], p)
+            for u, p in leftmost.items():
+                survivors = candidates.get(u)
+                if survivors:
+                    survivors -= {
+                        v for v in survivors
+                        if member((tape[:p] + v + tape[p + len(u) :])[1:-1]) != status
+                    }
 
-    refilter(list(sample))
+    # The sample extends the training members with all short words and with
+    # single-edit corruptions of the members, so that rules which would
+    # repair an invalid word into the language are removed here rather than
+    # at validation.  Short words go first: they remove most rules early,
+    # which spares oracle calls on the longer ones.
+    sample = set(training).union(words_over(alphabet, min(6, TRAIN_LEN)))
+    for word in training:
+        for i in range(len(word) + 1):
+            head, rest = word[:i], word[i + 1 :]
+            sample.add(head + rest)
+            for tok in alphabet:
+                sample.update((head + (tok,) + word[i:], head + (tok,) + rest))
+    refilter(sorted(sample, key=lambda w: (len(w), w)))
 
-    def assemble() -> tuple[dict[Word, Word], AutomatonSpec]:
-        kept: dict[Word, Word] = {}
-        for u in sorted(candidates):
-            survivors = [v for v in candidates[u] if (u, v) not in killed]
-            if survivors:
-                kept[u] = min(survivors, key=lambda w: (len(w), w))
-        return kept, _assemble_scanner(tagged, k, kept, member)
-
-    # Validate and refine.  A round checks the language, by the closure
-    # enumeration up to VALIDATE_LEN, and monotonicity.  The cycle discipline
-    # is not re-checked: _assemble_scanner lets qr only restart and q0 only
-    # move right, rewrite into qr, accept or reject, and it accepts only on
-    # windows that show both sentinels, so every cycle makes exactly one
-    # rewrite and no tail makes one.  The same confinement of tail
-    # acceptance makes the closure enumeration exact.  On a language mismatch,
-    # the reduction chain of the offending word is added to the filter
-    # sample (it pins down the exact rule application that changed a
-    # membership status), the rule set is reassembled and validation runs
-    # again.  The loop ends: a round that kills none of the kept rules
-    # reassembles the same scanner, which meets the same counterexample,
-    # whose chain is then already in the sample, so the next round fails the
-    # attempt; and a round that kills a kept rule retires one of finitely
-    # many candidates.  Residual failures are reported and the caller may
-    # retry with a wider window.
+    # Validate and refine.  A round takes the shortlex-least surviving
+    # deletion of every window, assembles the scanner and checks the
+    # language, by the closure enumeration up to VALIDATE_LEN, and
+    # monotonicity.  The cycle discipline is not re-checked: _assemble_scanner
+    # lets qr only restart and q0 only move right, rewrite into qr, accept or
+    # reject, and it accepts only on windows that show both sentinels, so
+    # every cycle makes exactly one rewrite and no tail makes one.  The same
+    # confinement of tail acceptance makes the closure enumeration exact.  On
+    # a language mismatch, the reduction chain of the offending word is added
+    # to the filter sample (it pins down the exact rule application that
+    # changed a membership status) and validation runs again.  The loop ends:
+    # a round that removes none of the kept rules assembles the same scanner,
+    # which meets the same counterexample, whose chain is then already in the
+    # sample, so the next round fails the attempt; and a round that removes a
+    # kept rule retires one of finitely many candidates.  Residual failures
+    # are reported and the caller may retry with a wider window.
     expected = enumerate_grammar_words(tagged, VALIDATE_LEN)
     while True:
-        kept, spec = assemble()
+        kept = {u: min(vs, key=lambda w: (len(w), w)) for u, vs in candidates.items() if vs}
+        spec = _assemble_scanner(tagged, k, kept, member)
         report.rules = sorted(kept.items())
         compared = compare_word_sets(
             enumerate_language(
@@ -283,16 +270,13 @@ def _attempt_synthesis(
         )
         if not compared.equal:
             witness = compared.counterexample
-            chain = {witness}
             trace = run_deterministic(spec, witness, limits)
-            chain.update(v for _, v in trace.reductions())
-            fresh = [w for w in sorted(chain) if w not in sample]
+            fresh = {witness, *(v for _, v in trace.reductions())} - sample
             if not fresh:
                 report.counterexamples.append(witness)
                 report.notes.append("language mismatch: %s" % compared.describe())
                 return None, report
-            for w in fresh:
-                sample[w] = member(w)
+            sample |= fresh
             refilter(fresh)
             continue
         checked = check_monotone(spec, min(8, VALIDATE_LEN), limits)
@@ -391,15 +375,13 @@ def build_hrrwwc(
     morphism = dict(dalpha.morphism)
     for tok in sigma:
         morphism[tok] = tok
-    spec = AutomatonSpec(
+    spec = replace(
+        scanner,
         name="g2c_" + grammar.name,
-        states=scanner.states,
-        initial=scanner.initial,
-        window=scanner.window,
         input_alphabet=frozenset(sigma),
         work_alphabet=frozenset(sigma) | scanner.work_alphabet,
         table=table,
-        flags=ClassFlags(direction="R", form="CL", aux="WW", deterministic=True),
+        flags=replace(scanner.flags, aux="WW"),
         morphism=morphism,
     )
     return spec, report

@@ -59,8 +59,8 @@ same shape: on a deterministic automaton, ``_deterministic_phase`` runs the
 one cycle or tail, resumed after the cycle that restarted on the word, or
 for a start word after the previous candidate's first cycle; on any other,
 ``_explore_phase`` searches every branch of the phase.  Both return the
-phase's rejected prefix (see ``Decision``), kept for the start word only.
-``cycle_rewrites`` takes its one phase from the same two functions.
+phase's rejected prefix (see ``_rejected_prefix``), kept for the start word
+only.  ``cycle_rewrites`` takes its one phase from the same two functions.
 
 Searches are reentrant and side-effect free apart from per-call memo tables;
 deciding distinct words in parallel is safe.
@@ -234,17 +234,12 @@ class CycleRewrite:
 
 @dataclass(frozen=True)
 class Decision:
-    """A membership answer.  ``rejected_prefix`` is set on a non-member
-    whose first phase alone rejected it, neither rewriting nor restarting
-    and reading only the first ``rejected_prefix`` letters, never the right
-    sentinel: every word that starts with those letters has the same first
-    phase step for step and is a non-member."""
+    """A membership answer."""
 
     verdict: str                    # member | non-member | resource-exceeded
     witness: Optional[Trace] = None
     configs_explored: int = 0
     exceeded: Optional[str] = None  # the tripped limit's message
-    rejected_prefix: Optional[int] = None
 
     @property
     def is_member(self) -> bool:
@@ -477,9 +472,9 @@ def _path_to(parents: dict, node, final: Step) -> tuple[Step, ...]:
 
 
 # A phase: the accepting tail's record or None, (successor word, record of
-# the cycle into it) for each cycle, the rejected prefix (see Decision), and
-# for a deterministic phase its one record, which a later phase may resume
-# after (None for a search over branches).
+# the cycle into it) for each cycle, the rejected prefix, and for a
+# deterministic phase its one record, which a later phase may resume after
+# (None for a search over branches).
 _Phase = tuple[Optional[CycleRecord], Sequence[tuple[Word, CycleRecord]], Optional[int],
                Optional[CycleRecord]]
 
@@ -487,7 +482,11 @@ _Phase = tuple[Optional[CycleRecord], Sequence[tuple[Word, CycleRecord]], Option
 def _rejected_prefix(reach: int, window: int, size: int) -> Optional[int]:
     """The letters read by a phase that rejected on its start tape of
     ``size`` cells, sentinels included, with its largest window position at
-    ``reach``; None when a window reached the right sentinel."""
+    ``reach``; None when a window reached the right sentinel.
+
+    A phase that rejects its start word alone, neither rewriting nor
+    restarting, having read only its first m letters, rejects every word
+    that starts with those letters the same way, step for step."""
     end = reach + window
     return end - 1 if end < size else None
 
@@ -716,12 +715,12 @@ def decide_basic_membership(
     table = memo if memo is not None and memoize else {}
     budget = _Budget(limits.max_configs)
     try:
-        (ok, link), prefix, _ = _search(spec, tuple(word), None, 0, limits, memoize, table, budget)
+        (ok, link), _, _ = _search(spec, tuple(word), None, 0, limits, memoize, table, budget)
     except ResourcesExceeded as err:
         return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
     explored = limits.max_configs - budget.left
     if not ok:
-        return Decision("non-member", None, explored, None, prefix)
+        return Decision("non-member", None, explored)
     return Decision("member", _witness(link), explored)
 
 
@@ -747,7 +746,7 @@ def decide_first_member(
     of deciding each candidate in turn.
 
     A candidate whose first phase alone rejects it having read only its
-    first m letters (``Decision.rejected_prefix``) rules out every
+    first m letters (see ``_rejected_prefix``) rules out every
     candidate that starts with those letters: each has the same first phase
     step for step, and so the same non-member verdict under the same
     limits.  Those candidates are skipped, and so are never written to the

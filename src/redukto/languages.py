@@ -148,9 +148,10 @@ def enumerate_language(
     "brute" decides every word of the domain.  "closure" builds the basic
     members by inverse cycle-rewriting from the short ones, which requires
     that tail acceptance is confined to short words (checked syntactically
-    via tail_confined_bound).  "auto" uses brute force while the domain is
-    small and falls back to the closure when the confinement bound is
-    evident, failing with ResourcesExceeded otherwise.
+    via tail_confined_bound; PreconditionError when it is not).  "auto"
+    uses brute force while the domain is small and falls back to the
+    closure when the confinement bound is evident, failing with
+    ResourcesExceeded otherwise.
     """
     kind = query.kind
     alphabet = spec.input_alphabet if kind == "input" else spec.work_alphabet
@@ -171,7 +172,12 @@ def enumerate_language(
             )
     if strategy == "closure":
         bound = tail_confined_bound(spec)
-        seed = min(query.max_len, max(spec.window, bound if bound is not None else 0))
+        if bound is None:
+            raise PreconditionError(
+                "automaton %s: tail acceptance is not syntactically confined, "
+                "which the closure enumeration requires" % spec.name
+            )
+        seed = min(query.max_len, max(spec.window, bound))
         basics = enumerate_basic_by_reduction(
             spec, query.max_len, seed_len=seed, limits=query.limits
         )

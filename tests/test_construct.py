@@ -1,5 +1,6 @@
 """Grammar pipeline and shrinking transform."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -18,6 +19,7 @@ from redukto.construct import (
     to_shrinking,
 )
 from redukto.engine import cycle_rewrites, decide_basic_membership
+from redukto.fileformat import render_automaton
 from redukto.languages import (
     LanguageQuery,
     compare_word_sets,
@@ -120,6 +122,50 @@ def test_synthesis_fails_without_retry_budget():
     with pytest.raises(SynthesisError) as err:
         synthesize_reduction_system(tagged, 2)
     assert err.value.report.counterexamples or err.value.report.notes
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+A2_B3 = "language mismatch: counterexample (2,a) (3,b) (only in right)"
+A1_CLOSE = "language mismatch: counterexample (2,a1) (4,ā1) (only in right)"
+
+# What build_hrrwwc(grammar, k, window_cap=k) gives: verdict, window used,
+# notes, counterexamples, and the SHA-256 of the report's description, which
+# lists every rule, and of the rendered automaton (None on a failure).  A
+# change to the synthesizer's filter must keep these.
+SYNTHESIS_PINS = {
+    ("anbn_gnf", 2): ("failed", 2, [A2_B3], [(R2, R3)],
+                      "9bd14f274022838ca41603437e4dbe157eeea7fdb42e09a38ce318c581a34afb", None),
+    ("anbn_gnf", 3): ("failed", 3, [A2_B3], [(R2, R3)],
+                      "bacad8f61d5c938516dd2eb3e0764b7bc29f3ce1fa5e61fcfd463c31280e6470", None),
+    ("anbn_gnf", 4): ("validated", 4, [], [],
+                      "6ac10fa5d883d844f627f35c10f6c062ed02e7e9c196fa6051032bd139f2ebe9",
+                      "107bbf9a3a4237ed866876221b44392fac3a6479a2289809a465d5574e67c21c"),
+    ("anbn_gnf", 5): ("validated", 5, [], [],
+                      "c8a947d786548f84261edb5052386be87f437989d7316e5df341b2c078e55b2b",
+                      "b7d17683505b4e53ece754cd392e3e9e88d8acbf861b8c169781841ab9c50a94"),
+    ("dyck_gnf", 2): ("failed", 2, [A1_CLOSE], [("(2,a1)", "(4,ā1)")],
+                      "21280c98ee9075af6d8ba15afc5e1d0f04ed8f23e614c171e2efa19c36c50334", None),
+    ("dyck_gnf", 3): ("failed", 3, [A1_CLOSE], [("(2,a1)", "(4,ā1)")],
+                      "1b49a9c851331c166413219b006872d8cbcd0e2e51f41543a1e1756c84b1517f", None),
+    ("dyck_gnf", 4): ("validated", 4, [], [],
+                      "92f3cfb9ac8eec1f87ad6c672c5fbedb354057973d1359b13a342bac310c1d7a",
+                      "8fd4930ce4dae793dd9563a162761f6e36da24a6a375043a6e100125446f1736"),
+}
+
+
+@pytest.mark.parametrize("name,k", sorted(SYNTHESIS_PINS))
+def test_synthesis_output_is_pinned(name, k):
+    try:
+        spec, report = build_hrrwwc(catalog_get(name).grammar, k, window_cap=k)
+        rendered = sha256(render_automaton(spec))
+    except SynthesisError as err:
+        report, rendered = err.report, None
+    got = (report.verdict, report.window_used, report.notes, report.counterexamples,
+           sha256(report.describe()), rendered)
+    assert got == SYNTHESIS_PINS[name, k]
 
 
 def test_synthesized_rules_are_contextual(anbn_built, dyck_built):

@@ -12,6 +12,7 @@ from redukto.engine import (
     ResourcesExceeded,
     cycle_rewrites,
     decide_basic_membership,
+    decide_first_member,
     decide_input_membership,
     replay_trace,
     restarting_configuration,
@@ -176,7 +177,19 @@ def test_decisions_are_immutable(m_e):
     decision = decide_basic_membership(m_e.spec, word("bab"))
     with pytest.raises(FrozenInstanceError):
         decision.configs_explored = 0
-    assert decision.rejected_prefix == 2
+
+
+def test_first_member_skips_the_candidates_of_a_rejected_prefix(m_e):
+    # m_e rejects ba on its first window, ¢ba, having read two letters: one
+    # configuration rules out every candidate that starts with them.
+    assert decide_basic_membership(m_e.spec, word("baab")).configs_explored == 1
+    options = [["b"], ["a"], ["a", "b"], ["a", "b"]]
+    decision, member = decide_first_member(m_e.spec, options)
+    assert (decision.verdict, decision.configs_explored, member) == ("non-member", 1, None)
+    # baa rules out bab, and the odometer moves on to the member bba, which
+    # takes 7.
+    decision, member = decide_first_member(m_e.spec, [["b"], ["a", "b"], ["a", "b"]])
+    assert (decision.verdict, decision.configs_explored, member) == ("member", 1 + 7, word("bba"))
 
 
 def test_tail_acceptance_has_no_cycles(m_e):

@@ -234,6 +234,16 @@ def test_tail_confined_bound(m_e, dyck1):
     assert tail_confined_bound(catalog_get("lm_2").spec) is None
 
 
+def test_explicit_closure_refuses_unconfined_tails():
+    # lm_3 accepts ccc in a scanning tail, beyond any seed the closure could
+    # take from the window alone.
+    spec = catalog_get("lm_3").spec
+    query = LanguageQuery("basic", 5)
+    assert enumerate_language(spec, query, strategy="brute") == [("c", "c", "c")]
+    with pytest.raises(PreconditionError, match="automaton lm_3"):
+        enumerate_language(spec, query, strategy="closure")
+
+
 def test_auto_strategy_uses_closure_for_large_domains(anbn_built):
     entry, spec, _ = anbn_built
     got = enumerate_language(spec, LanguageQuery("hproper", 12))

@@ -1,13 +1,12 @@
 """Differential properties on small random automata: the memo search against
 the brute search and against a plain reference decider, deterministic runs
 against the search, the deterministic decider against the depth-first
-search on the same automaton unflagged (deciders and ``cycle_rewrites``),
-resumed deterministic runs against a plain one, the
-h-proper decider against deciding every preimage, over one letter and
-over two, and against the input
-language of ``to_shrinking``, exact monotonicity against the word-by-word
-walk, the closure enumerator against the brute one, and parsing against
-rendering."""
+search on the same automaton unflagged (deciders, ``decide_first_member``
+and ``cycle_rewrites``), resumed deterministic runs against a plain one, the
+h-proper decider against deciding every preimage, over one letter and over
+two, and against the input language of ``to_shrinking``, exact monotonicity
+against the word-by-word walk, the closure enumerator against the brute one,
+and parsing against rendering."""
 
 import itertools
 from dataclasses import replace
@@ -26,6 +25,7 @@ from redukto.engine import (
     ResourcesExceeded,
     cycle_rewrites,
     decide_basic_membership,
+    decide_first_member,
     decide_input_membership,
     discipline_break,
     restarting_configuration,
@@ -227,17 +227,15 @@ def test_deterministic_run_agrees_with_search(case):
 
 def decision_outcome(decision):
     steps = list(decision.witness.steps) if decision.witness is not None else None
-    return (decision.verdict, decision.configs_explored, decision.exceeded, steps,
-            decision.rejected_prefix)
+    return decision.verdict, decision.configs_explored, decision.exceeded, steps
 
 
 def assert_follows_search(spec, w, limits):
     """The decider, which follows a deterministic automaton's one
     computation, against the depth-first search on the same automaton
-    flagged nondeterministic: verdict, count, tripped limit, witness,
-    rejected prefix and memoized words.  Every word up to length 3 is
-    decided first, and ``w`` last, on one memo per side, so that chains
-    meet memoized words midway."""
+    flagged nondeterministic: verdict, count, tripped limit, witness and
+    memoized words.  Every word up to length 3 is decided first, and ``w``
+    last, on one memo per side, so that chains meet memoized words midway."""
     unflagged = replace(spec, flags=replace(spec.flags, deterministic=False))
     symbols = sorted(spec.work_alphabet)
     words = [v for n in range(4) for v in itertools.product(symbols, repeat=n)] + [w]
@@ -248,6 +246,19 @@ def assert_follows_search(spec, w, limits):
             searched = decide_basic_membership(unflagged, v, limits, memoize, searched_memo)
             assert decision_outcome(followed) == decision_outcome(searched), (memoize, v)
             assert followed_memo.keys() == searched_memo.keys(), (memoize, v)
+
+
+def assert_first_member_follows_search(spec, n, limits):
+    """The first member among the words of length ``n``, on a deterministic
+    automaton and on the same automaton flagged nondeterministic: verdict,
+    count, tripped limit, witness and word.  The two phase functions'
+    rejected prefixes pick the candidates that are skipped, which the count
+    shows."""
+    unflagged = replace(spec, flags=replace(spec.flags, deterministic=False))
+    options = [sorted(spec.work_alphabet)] * n
+    followed, word = decide_first_member(spec, options, limits)
+    searched, searched_word = decide_first_member(unflagged, options, limits)
+    assert (decision_outcome(followed), word) == (decision_outcome(searched), searched_word)
 
 
 CROSS_LIMITS = (
@@ -264,6 +275,7 @@ def test_deterministic_decider_agrees_with_search(case):
     spec, w = case
     for limits in CROSS_LIMITS:
         assert_follows_search(spec, w, limits)
+        assert_first_member_follows_search(spec, len(w), limits)
 
 
 def test_deterministic_decider_agrees_with_search_on_a_flat_dyck_word():
