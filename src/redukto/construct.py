@@ -202,7 +202,7 @@ def _attempt_synthesis(
     # removed as soon as applying it at u's leftmost match in a sample word
     # changes that word's membership.  Whether it does depends only on the
     # word and the rule, so the order in which words are filtered does not
-    # matter.
+    # change which rules survive.
     candidates: dict[Word, set[Word]] = {}
     for word in training:
         tape = (C,) + word + (D,)
