@@ -39,7 +39,6 @@ from .model import (
 from .engine import (
     DEFAULT_LIMITS,
     Configuration,
-    CycleRewrite,
     Decision,
     Limits,
     ResourcesExceeded,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .engine import (
     DEFAULT_LIMITS,
@@ -167,7 +167,8 @@ def check_monotone(
     longer than the bound.  Any other automaton is walked word by word in
     shortlex order.  Either way the witness of a violation is the branch
     walk of the least rising word up to its rising rewrite, and the
-    printed verdict reads as for a bounded search.
+    printed verdict reads as for a bounded search.  Of ``limits`` it reads
+    ``max_configs`` only.
     """
     require_bound(max_len)
     if not _decided_exactly(spec):
@@ -334,7 +335,7 @@ def check_cycle_soundness(
     accepting tail contains a rewrite.  Branches are walked without the
     engine's discipline so that violations are observed rather than
     pruned.  ``degree``, when given, replaces the declared rewrite cap and
-    must be positive."""
+    must be positive.  Of ``limits`` it reads ``max_configs`` only."""
     require_bound(max_len)
     cap = spec.flags.mr_degree if degree is None else degree
     if cap < 1:
@@ -348,10 +349,6 @@ def check_cycle_soundness(
         "cycle-soundness(j=%d)" % cap, max_len,
         lambda: _first_flagged(spec, words, limits, breaks),
     )
-
-
-def _status(member: bool) -> str:
-    return "member" if member else "non-member"
 
 
 def check_preservation(
@@ -373,64 +370,63 @@ def check_preservation(
     automata) and non-membership of u implies non-membership of v (error, any
     automaton).  The transitive closure follows by induction since every
     intermediate word stays within the bound.
+
+    Of the four modes, only complete-error can report a violation unless
+    the decider contradicts itself.  Cycle-error holds for every automaton:
+    u => v followed by an accepting computation from v is an accepting
+    computation from u.  Cycle- and complete-correctness hold for
+    deterministic automata, whose one computation from a member accepts
+    from every word it restarts on.  Complete-error can fail only through
+    the rewritten tape of a cycle that halts without restarting (it
+    rejects, gets stuck or breaks the discipline), which the run visits but
+    never restarts on.
     """
     require_bound(max_len)
     if mode not in PRESERVATION_MODES:
         raise PreconditionError("unknown preservation mode %r" % mode)
-    needs_det = mode in ("complete-correctness", "complete-error", "cycle-correctness")
-    if needs_det and not spec.flags.deterministic:
+    if mode != "cycle-error" and not spec.flags.deterministic:
         raise PreconditionError("%s requires a deterministic automaton" % mode)
-    if mode.startswith("complete") and spec.flags.mr_degree != 1:
-        raise PreconditionError(
-            "complete preservation applies to single-rewrite cycles only"
-        )
+    cycles = mode.startswith("cycle")
+    if not cycles and spec.flags.mr_degree != 1:
+        raise PreconditionError("complete preservation applies to single-rewrite cycles only")
     memo: dict = {}
     # Correctness follows members, error follows non-members.
     followed = mode.endswith("correctness")
+    status = {True: "member", False: "non-member"}
 
     def member(w: Word) -> bool:
         d = decide_basic_membership(spec, w, limits, memo=memo)
         require_decided(d, w)
         return d.is_member
 
-    def cycle_search() -> Optional[Counterexample]:
+    def visits(word: Word) -> Iterator[tuple[Word, Trace]]:
+        """The words to compare with ``word``, each with the trace that
+        reaches it: each cycle's successor, or every tape of the one run."""
+        if cycles:
+            for record in cycle_rewrites(spec, word, limits):
+                yield record.to_word, Trace((record,), "counterexample")
+            return
+        trace = run_deterministic(spec, word, limits)
+        if trace.outcome == OUT_LIMIT:
+            raise ResourcesExceeded("%s while running %s" % (trace.flag, render_word(word)))
+        for tape in sorted(trace_tapes(trace), key=lambda t: (len(t), t)):
+            yield tape, trace
+
+    explain = ("cycle rewrites %s (%s) to %s (%s)" if cycles
+               else "computation from %s (%s) visits %s (%s)")
+
+    def search() -> Optional[Counterexample]:
         for word in words_over(spec.work_alphabet, max_len):
             if member(word) != followed:
                 continue
-            for rewrite in cycle_rewrites(spec, word, limits):
-                if member(rewrite.to_word) != followed:
-                    return Counterexample(
-                        word,
-                        Trace.of_steps(rewrite.steps, "counterexample"),
-                        "cycle rewrites %s (%s) to %s (%s)" % (
-                            render_word(word), _status(followed),
-                            render_word(rewrite.to_word), _status(not followed),
-                        ),
-                    )
+            for visited, trace in visits(word):
+                if member(visited) != followed:
+                    return Counterexample(word, trace, explain % (
+                        render_word(word), status[followed],
+                        render_word(visited), status[not followed],
+                    ))
         return None
 
-    def complete_search() -> Optional[Counterexample]:
-        # The computation is deterministic, so every tape it visits is on
-        # the one run from the start word.
-        for word in words_over(spec.work_alphabet, max_len):
-            if member(word) != followed:
-                continue
-            trace = run_deterministic(spec, word, limits)
-            if trace.outcome == OUT_LIMIT:
-                raise ResourcesExceeded("%s while running %s" % (trace.flag, render_word(word)))
-            for tape in sorted(trace_tapes(trace), key=lambda t: (len(t), t)):
-                if member(tape) != followed:
-                    return Counterexample(
-                        word,
-                        trace,
-                        "computation from %s (%s) visits %s (%s)" % (
-                            render_word(word), _status(followed),
-                            render_word(tape), _status(not followed),
-                        ),
-                    )
-        return None
-
-    search = cycle_search if mode.startswith("cycle") else complete_search
     return _report("preservation(%s)" % mode, max_len, search)
 
 
@@ -455,14 +451,14 @@ def check_shrinking(
         relaxed = replace(spec, flags=replace(spec.flags, shrinking=True), weights=None)
         for word in words_over(spec.work_alphabet, max_len):
             before = word_weight(weights, word)
-            for rewrite in cycle_rewrites(relaxed, word, limits):
-                after = word_weight(weights, rewrite.to_word)
+            for record in cycle_rewrites(relaxed, word, limits):
+                after = word_weight(weights, record.to_word)
                 if after >= before:
                     return Counterexample(
                         word,
-                        Trace.of_steps(rewrite.steps, "counterexample"),
+                        Trace((record,), "counterexample"),
                         "cycle %s -> %s raises weight %d -> %d" % (
-                            render_word(word), render_word(rewrite.to_word),
+                            render_word(word), render_word(record.to_word),
                             before, after,
                         ),
                     )

@@ -132,10 +132,14 @@ def tokenize_word(text: str, alphabet) -> tuple[str, ...]:
     return tuple(out)
 
 
-def parse_limits(text: str | None) -> Limits:
-    source = text if text is not None else os.environ.get("REDUKTO_LIMITS")
-    if not source:
-        return DEFAULT_LIMITS
+# The --limits keys and the fields of ``Limits`` that they set.
+_LIMIT_FIELDS = {"steps": "max_steps_per_cycle", "configs": "max_configs",
+                 "cycles": "max_total_cycles"}
+
+
+def _limit_entries(source: str) -> dict[str, int]:
+    """The values that a limits string gives, by key; UsageFailure on a bad
+    or repeated entry."""
     values = {}
     for part in source.split(","):
         part = part.strip()
@@ -145,14 +149,18 @@ def parse_limits(text: str | None) -> Limits:
             raise UsageFailure("bad limits entry %r" % part)
         key, _, raw = part.partition("=")
         # str.isdigit also holds for superscripts and other scripts' digits.
-        if key not in ("steps", "configs", "cycles") or not (raw.isascii() and raw.isdigit()):
+        if key not in _LIMIT_FIELDS or not (raw.isascii() and raw.isdigit()):
             raise UsageFailure("bad limits entry %r" % part)
+        if key in values:
+            raise UsageFailure("bad limits entry %r: %s is given twice" % (part, key))
         values[key] = int(raw)
-    return Limits(
-        max_steps_per_cycle=values.get("steps", DEFAULT_LIMITS.max_steps_per_cycle),
-        max_configs=values.get("configs", DEFAULT_LIMITS.max_configs),
-        max_total_cycles=values.get("cycles", DEFAULT_LIMITS.max_total_cycles),
-    )
+    return values
+
+
+def parse_limits(text: str | None) -> Limits:
+    source = text if text is not None else os.environ.get("REDUKTO_LIMITS", "")
+    values = _limit_entries(source)
+    return DEFAULT_LIMITS._replace(**{_LIMIT_FIELDS[key]: n for key, n in values.items()})
 
 
 def render_trace(spec: AutomatonSpec, trace: Trace) -> str:
@@ -229,20 +237,29 @@ def cmd_decide(args) -> int:
     return EXIT_OK if decision.is_member else EXIT_FAIL
 
 
-# The options that each check reads; a given option it does not read is
-# refused.
+# The options and --limits keys that each check reads; a given option or
+# key that it does not read is refused.  The branch walk and the exact
+# monotonicity search count configurations only, and the shrinking check
+# observes single cycles.
 _CHECK_READS = {
-    "det": (), "forms": (), "cycle": ("max_len", "degree", "limits"),
-    "mono": ("max_len", "limits"), "cpp": ("max_len", "limits"),
-    "epp": ("max_len", "limits"), "shrink": ("max_len", "limits"),
+    "det": (), "forms": (), "cycle": ("max_len", "degree", "limits", "configs"),
+    "mono": ("max_len", "limits", "configs"),
+    "cpp": ("max_len", "limits", "steps", "configs", "cycles"),
+    "epp": ("max_len", "limits", "steps", "configs", "cycles"),
+    "shrink": ("max_len", "limits", "steps", "configs"),
 }
 
 
 def _refuse_unread(args, options, reads, command: str) -> None:
-    """Raise UsageFailure on a given option that ``command`` would ignore."""
+    """Raise UsageFailure on a given option, or a key of a given --limits,
+    that ``command`` would ignore."""
     for name in options:
         if getattr(args, name) is not None and name not in reads:
             raise UsageFailure("--%s does not apply to %s" % (name.replace("_", "-"), command))
+    if "limits" in options and args.limits:
+        for key in _limit_entries(args.limits):
+            if key not in reads:
+                raise UsageFailure("--limits %s does not apply to %s" % (key, command))
 
 
 def cmd_check(args) -> int:
@@ -345,6 +362,7 @@ def cmd_catalog(args) -> int:
         else:
             sys.stdout.write(text)
         return EXIT_OK
+    _refuse_unread(args, ("output",), (), "catalog without --export")
     for entry in catalog_list():
         if entry.kind == "automaton":
             tags = entry.spec.flags.label()

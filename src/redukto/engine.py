@@ -60,7 +60,9 @@ one cycle or tail, resumed after the cycle that restarted on the word, or
 for a start word after the previous candidate's first cycle; on any other,
 ``_explore_phase`` searches every branch of the phase.  Both return the
 phase's rejected prefix (see ``_rejected_prefix``), kept for the start word
-only.  ``cycle_rewrites`` takes its one phase from the same two functions.
+only.  ``cycle_rewrites`` takes its one phase from the same two functions
+and returns that phase's ``CycleRecord``s, whose ``from_word`` and
+``to_word`` are the words a cycle starts and restarts on.
 
 Searches are reentrant and side-effect free apart from per-call memo tables;
 deciding distinct words in parallel is safe.
@@ -130,6 +132,16 @@ class CycleRecord(NamedTuple):
     tape: Word
     scan: tuple[tuple[str, Instruction], ...]
     steps: tuple[Step, ...]
+
+    @property
+    def from_word(self) -> Word:
+        """The word the cycle starts on."""
+        return self.tape[1:-1]
+
+    @property
+    def to_word(self) -> Word:
+        """The word the cycle restarts on: the tape of its last step."""
+        return self.steps[-1][0].tape[1:-1]
 
     def ends_cycle(self) -> bool:
         return bool(self.steps) and self.steps[-1][1].kind == RESTART
@@ -218,18 +230,8 @@ class Trace:
 
     def reductions(self) -> list[tuple[Word, Word]]:
         """The sequence of cycle rewritings u => v along this trace."""
-        return [
-            (strip_sentinels(record.tape), strip_sentinels(record.steps[-1][0].tape))
-            for record in self.records
-            if record.ends_cycle()
-        ]
-
-
-@dataclass(frozen=True)
-class CycleRewrite:
-    from_word: Word
-    to_word: Word
-    steps: tuple[Step, ...]
+        return [(record.from_word, record.to_word)
+                for record in self.records if record.ends_cycle()]
 
 
 @dataclass(frozen=True)
@@ -471,12 +473,10 @@ def _path_to(parents: dict, node, final: Step) -> tuple[Step, ...]:
     return tuple(chain)
 
 
-# A phase: the accepting tail's record or None, (successor word, record of
-# the cycle into it) for each cycle, the rejected prefix, and for a
-# deterministic phase its one record, which a later phase may resume after
-# (None for a search over branches).
-_Phase = tuple[Optional[CycleRecord], Sequence[tuple[Word, CycleRecord]], Optional[int],
-               Optional[CycleRecord]]
+# A phase: the accepting tail's record or None, the record of each cycle,
+# the rejected prefix, and for a deterministic phase its one record, which a
+# later phase may resume after (None for a search over branches).
+_Phase = tuple[Optional[CycleRecord], Sequence[CycleRecord], Optional[int], Optional[CycleRecord]]
 
 
 def _rejected_prefix(reach: int, window: int, size: int) -> Optional[int]:
@@ -536,8 +536,7 @@ def _explore_phase(
                     tail_accept = CycleRecord(start.tape, (), path)
                 continue
             if ins.kind == RESTART:
-                record = CycleRecord(start.tape, (), _path_to(parents, node, (config, ins)))
-                cycles.append((strip_sentinels(nxt.tape), record))
+                cycles.append(CycleRecord(start.tape, (), _path_to(parents, node, (config, ins))))
                 continue
             tape_id = node[0] if ins.kind != SL else tape_ids.setdefault(nxt.tape, len(tape_ids))
             child = (tape_id, nxt.state, nxt.pos, nxt.rewrites)
@@ -550,7 +549,7 @@ def _explore_phase(
         reach = max([node[2] for node in parents])
         prefix = _rejected_prefix(reach, spec.window, len(start.tape))
     # Deterministic order for reproducible witnesses and reports.
-    cycles.sort(key=lambda item: item[0])
+    cycles.sort(key=lambda record: record.to_word)
     return tail_accept, cycles, prefix, None
 
 
@@ -590,7 +589,7 @@ def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[Cycle
         tape, same = before.steps[-1][0].tape, _rewritten_from(before)
     record, outcome, flag, config = _cycle(spec, limits, tape, before, same, budget)
     if outcome is None:
-        return None, ((strip_sentinels(config.tape), record),), None, record
+        return None, (record,), None, record
     if outcome == OUT_LIMIT:
         raise ResourcesExceeded(flag)
     if outcome == OUT_ACCEPT:
@@ -651,7 +650,8 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
                 else:
                     table[w] = _IN_PROGRESS
                     stack.append([w, cycles, 1])
-                    w, before = cycles[0]
+                    before = cycles[0]
+                    w = before.to_word
                     continue
             # Settle the frames that the verdict closes, then open the next
             # cycle's word, if any is left.
@@ -660,13 +660,14 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
                 u, cycles, i = frame
                 if verdict[0]:
                     stack.pop()
-                    verdict = _settle(table, memoize, u, (True, (cycles[i - 1][1], verdict[1])))
+                    verdict = _settle(table, memoize, u, (True, (cycles[i - 1], verdict[1])))
                 elif i == len(cycles):
                     stack.pop()
                     verdict = _settle(table, memoize, u, _REJECTED)
                 else:
                     frame[2] = i + 1
-                    w, before = cycles[i]
+                    before = cycles[i]
+                    w = before.to_word
                     break
             else:
                 return verdict, rejected_prefix, first
@@ -808,8 +809,9 @@ def cycle_rewrites(
     spec: AutomatonSpec,
     word: Word,
     limits: Limits = DEFAULT_LIMITS,
-) -> list[CycleRewrite]:
-    """All v with word => v in one cycle, each with a witness step sequence.
+) -> list[CycleRecord]:
+    """The cycles word => v, one record for each distinct v (its
+    ``to_word``), in the order of v.
 
     For non-shrinking automata every returned word is strictly shorter than
     the argument; shrinking automata may preserve length and the weight
@@ -825,20 +827,17 @@ def cycle_rewrites(
         _, cycles, _, _ = _deterministic_phase(spec, word, None, 0, limits, budget)
     else:
         _, cycles, _, _ = _explore_phase(spec, word, limits, budget)
-    out = []
-    seen = set()
-    for to_word, record in cycles:
-        if to_word in seen:
-            continue
-        seen.add(to_word)
+    firsts: dict[Word, CycleRecord] = {}
+    for record in cycles:
+        firsts.setdefault(record.to_word, record)
+    for to_word in firsts:
         if not spec.flags.shrinking:
             if len(to_word) >= len(word):
                 raise PreconditionError("cycle did not shorten the tape")
         elif spec.weights is not None:
             if word_weight(spec.weights, to_word) >= word_weight(spec.weights, word):
                 raise PreconditionError("cycle did not decrease the tape weight")
-        out.append(CycleRewrite(word, to_word, record.steps))
-    return out
+    return list(firsts.values())
 
 
 def walk_branches(
@@ -858,7 +857,7 @@ def walk_branches(
     the flag.  Branches are pruned on repeated (configuration, path state)
     pairs, which is sound because the downstream behavior depends on nothing
     else.  Returns None when no step is flagged; raises ResourcesExceeded
-    after ``max_configs`` expansions.
+    after ``max_configs`` expansions, the only limit it reads.
     """
     budget = _Budget(limits.max_configs)
     root = (restarting_configuration(spec, word), None)
@@ -897,20 +896,13 @@ def replay_trace(spec: AutomatonSpec, trace: Trace) -> bool:
     return True
 
 
-def trace_tapes(trace: Trace) -> list[Word]:
-    """Distinct tape contents (sentinels stripped) visited along a trace, in
-    first-visit order, including the final tape if the trace halts."""
-    seen = []
-    have = set()
+def trace_tapes(trace: Trace) -> set[Word]:
+    """The tape contents (sentinels stripped) that a trace visits: each
+    record's start tape, and each rewritten tape that a later step reads."""
+    tapes = set()
     for record in trace.records:
-        # A record's steps all visit its start tape, and a new tape is
-        # visited by the step after each rewrite.
-        tapes = [record.tape]
-        tapes += (after[0].tape for before, after in zip(record.steps, record.steps[1:])
-                  if before[1].kind == SL)
-        for tape in tapes:
-            w = strip_sentinels(tape)
-            if w not in have:
-                have.add(w)
-                seen.append(w)
-    return seen
+        tapes.add(record.from_word)
+        tapes.update(strip_sentinels(after[0].tape)
+                     for before, after in zip(record.steps, record.steps[1:])
+                     if before[1].kind == SL)
+    return tapes

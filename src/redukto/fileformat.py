@@ -41,6 +41,30 @@ class ParseError(ReduktoError):
         self.line = line
 
 
+# The sections of an automaton or grammar file that take one line, and those
+# that take one line per symbol.
+_ONE_LINE = ("name", "class", "window", "input", "work", "states", "initial",
+             "nonterminals", "terminals", "start")
+_PER_SYMBOL = ("morphism", "weight")
+
+
+def _lines(text: str):
+    """(line number, head, rest) of each line that is not blank or a
+    comment; ParseError on a second line that a section takes only once."""
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        head, rest = fields[0], fields[1:]
+        if head in _ONE_LINE or head in _PER_SYMBOL:
+            once = head if head in _ONE_LINE else " ".join(fields[:2])
+            if once in seen:
+                raise ParseError("%s given twice" % once, lineno)
+            seen.add(once)
+        yield lineno, head, rest
+
+
 def _encode_token(tok: str) -> str:
     return LEFT_MARK if tok == LEFT_SENTINEL else tok
 
@@ -103,12 +127,7 @@ def parse_automaton(text: str) -> AutomatonSpec:
     initial = None
     table: dict = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        head, rest = fields[0], fields[1:]
+    for lineno, head, rest in _lines(text):
         if head == "name":
             if len(rest) != 1:
                 raise ParseError("name takes one token", lineno)
@@ -272,12 +291,7 @@ def parse_grammar(text: str) -> GnfGrammar:
     start = None
     rules: dict[int, GnfRule] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        head, rest = fields[0], fields[1:]
+    for lineno, head, rest in _lines(text):
         if head == "name":
             if len(rest) != 1:
                 raise ParseError("name takes one token", lineno)

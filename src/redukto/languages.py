@@ -329,10 +329,9 @@ def enumerate_basic_by_reduction(
         candidates -= members
         confirmed = set()
         for x in sorted(candidates, key=level_of):
-            for rewrite in cycle_rewrites(spec, x, limits):
-                if rewrite.to_word in members or rewrite.to_word in confirmed:
-                    confirmed.add(x)
-                    break
+            if any(record.to_word in members or record.to_word in confirmed
+                   for record in cycle_rewrites(spec, x, limits)):
+                confirmed.add(x)
         members |= confirmed
         frontier = confirmed
     return sorted(members, key=lambda w: (len(w), w))

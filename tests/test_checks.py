@@ -14,7 +14,7 @@ from redukto.checks import (
     check_shrinking,
 )
 from redukto.construct import build_hrrwwc
-from redukto.engine import Limits, replay_trace, right_distance
+from redukto.engine import Limits, replay_trace, right_distance, run_deterministic
 from redukto.model import (
     LEFT_SENTINEL as C,
     RIGHT_SENTINEL as D,
@@ -152,6 +152,29 @@ def test_monotone_restart_without_rewrite_holds():
     for variant in (spec, _unflagged(spec)):
         assert check_monotone(variant, 3).verdict == "holds-up-to-bound"
     assert check_monotone(spec, 3).unbounded
+
+
+def test_monotone_with_a_left_move_walks_word_by_word():
+    # Right, right, back left, delete the first letter: monotone at every
+    # length, but an automaton with MVL is walked word by word, and the
+    # walk claims no more than its bound.
+    table = {
+        ("q0", (C,)): (mvr("q1"),),
+        ("q1", ("a",)): (mvr("q2"),),
+        ("q1", (D,)): (accept(),),
+        ("q2", ("a",)): (mvl("q3"),),
+        ("q2", (D,)): (accept(),),
+        ("q3", ("a",)): (sl("q4", ()),),
+        ("q4", (C,)): (restart(),),
+    }
+    spec = AutomatonSpec("backstep", frozenset({"q0", "q1", "q2", "q3", "q4"}), "q0", 1,
+                         frozenset("a"), frozenset("a"), table,
+                         ClassFlags(deterministic=True, direction="RL"))
+    trace = run_deterministic(spec, ("a",) * 3)
+    assert trace.outcome == "accept" and trace.cycle_count() == 2
+    assert any(ins.kind == "MVL" for _, ins in trace.steps)
+    report = check_monotone(spec, 6)
+    assert report.holds and not report.unbounded
 
 
 def test_cycle_soundness_single_rewrite(m_e):

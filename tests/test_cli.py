@@ -66,6 +66,10 @@ def test_limits_environment_override():
     env = dict(os.environ, REDUKTO_LIMITS="steps=3")
     proc = run_cli("run", "m_e", "aaaaaaaa", env=env)
     assert proc.returncode == 2
+    # The environment sets a default for every command, also for a check
+    # that reads none of those limits.
+    env = dict(os.environ, REDUKTO_LIMITS="steps=1,cycles=0")
+    assert run_cli("check", "dyck1", "--what", "mono", env=env).returncode == 0
 
 
 def test_limits_take_ascii_digits_only():
@@ -78,6 +82,17 @@ def test_limits_take_ascii_digits_only():
         env = dict(os.environ, REDUKTO_LIMITS="configs=" + raw)
         proc = run_cli("decide", "m_e", "aa", env=env)
         assert (proc.returncode, proc.stderr) == (3, "error: bad limits entry 'configs=%s'\n" % raw)
+
+
+def test_a_repeated_limit_is_refused():
+    import os
+
+    stderr = "error: bad limits entry 'configs=100': configs is given twice\n"
+    proc = run_cli("decide", "m_e", "aa", "--limits", "configs=1,configs=100")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", stderr)
+    env = dict(os.environ, REDUKTO_LIMITS="configs=1,configs=100")
+    proc = run_cli("decide", "m_e", "aa", env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", stderr)
 
 
 def test_decide_input_alphabet_violation():
@@ -190,6 +205,8 @@ def test_check_cycle_degree_override():
     ["enum", "l_3", "--kind", "input", "--max-len", "16", "--limits", "steps=6"],
     ["enum", "m_e", "--kind", "input", "--max-len", "40", "--limits", "configs=50"],
     ["cmp", "m_e", "input", "oracle:m_e", "input", "--max-len", "40", "--limits", "configs=50"],
+    # 797,161 words, and no syntactic bound on the accepting tails.
+    ["enum", "lm_3", "--kind", "basic", "--max-len", "12"],
 ])
 def test_running_out_of_resources_exits_2(argv):
     proc = run_cli(*argv)
@@ -237,6 +254,7 @@ def test_tripped_limit_is_named(tmp_path, m_e_h_shrunk):
     ["check", "m_e", "--what", "bogus"],
     ["transform", "gnf2hrrwwc", "anbn_gnf", "-o", "unused.rlww", "--train", "8"],
     [],
+    ["catalog", "-o", "unused.txt"],
 ])
 def test_bad_usage_exits_3(argv):
     proc = run_cli(*argv)
@@ -278,6 +296,21 @@ def test_check_refuses_an_option_it_would_ignore(what, option):
     assert proc.stderr.startswith("error: %s " % option)
 
 
+@pytest.mark.parametrize("what, limits, key", [
+    ("mono", "steps=1", "steps"),
+    ("mono", "cycles=0", "cycles"),
+    ("cycle", "configs=9,steps=1", "steps"),
+    ("cycle", "cycles=0", "cycles"),
+    ("shrink", "cycles=0", "cycles"),
+])
+def test_check_refuses_a_limit_it_would_ignore(what, limits, key):
+    # The branch walk and the exact monotonicity search count
+    # configurations only; the shrinking check observes single cycles.
+    proc = run_cli("check", "m_e", "--what", what, "--limits", limits)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: --limits %s does not apply to --what %s\n" % (key, what)
+
+
 @pytest.mark.parametrize("option, value", [
     ("--limits", "configs=1"),
     ("--window", "5"),
@@ -311,3 +344,27 @@ def test_help_exits_0():
         proc = run_cli(*argv)
         assert proc.returncode == 0, argv
         assert proc.stdout.startswith("usage: redukto")
+
+
+def test_run_decides_a_nondeterministic_automaton_by_search(tmp_path):
+    shrunk = tmp_path / "shrunk.rlww"
+    assert run_cli("transform", "shrink", "m_e_h", "-o", str(shrunk)).returncode == 0
+    note = "note: nondeterministic automaton, deciding by search\n"
+    proc = run_cli("run", str(shrunk), "aaaa")
+    assert (proc.returncode, proc.stdout) == (0, note + "outcome: accept\n")
+    proc = run_cli("run", str(shrunk), "aaaa", "--trace")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[0] == note.strip() and lines[-1] == "outcome: accept"
+    assert any("\tRestart\t" in line for line in lines)
+
+
+def test_word_arguments():
+    # Whitespace-separated tokens, an unknown token, and "-" for the empty word.
+    proc = run_cli("decide", "dyck1", "a1 ā1")
+    assert (proc.returncode, proc.stdout) == (0, "member\n")
+    proc = run_cli("decide", "dyck1", "a1 zz")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: unknown symbol 'zz'\n")
+    assert run_cli("decide", "dyck1", "-").stdout == "member\n"
+    assert run_cli("decide", "m_e", "-").stdout == "non-member\n"
+

@@ -8,8 +8,10 @@ import pytest
 from redukto.catalog import catalog_get, catalog_list
 from redukto.engine import (
     Configuration,
+    CycleRecord,
     Limits,
     ResourcesExceeded,
+    Trace,
     cycle_rewrites,
     decide_basic_membership,
     decide_first_member,
@@ -381,3 +383,29 @@ def test_resumed_scans_skip_the_repeated_steps(m_e, monkeypatch):
     assert len(trace.steps) == decision.configs_explored == 88_404
     assert ran < 0.05 * len(trace.steps)
     assert len(calls) < 0.05 * len(trace.steps)
+
+
+def test_replay_refuses_a_step_not_offered_and_steps_that_do_not_chain(m_e):
+    steps = list(run_deterministic(m_e.spec, word("aaaa")).steps)
+    tape = steps[0][0].tape
+
+    def replays(*chosen):
+        return replay_trace(m_e.spec, Trace((CycleRecord(tape, (), chosen),), "counterexample"))
+
+    assert replays(*steps[:3])
+    config, ins = steps[0]
+    assert ins != accept() and not replays((config, accept()))
+    assert not replays(steps[0], steps[2])
+
+
+def test_cycle_rewrites_are_the_phase_records(m_e):
+    # Each record starts on the word, restarts on its successor, and
+    # replays alone as a one-cycle trace.
+    (record,) = cycle_rewrites(m_e.spec, word("aaaa"))
+    assert isinstance(record, CycleRecord) and record.ends_cycle()
+    assert (record.from_word, record.to_word) == (word("aaaa"), word("aab"))
+    trace = Trace((record,), "counterexample")
+    assert replay_trace(m_e.spec, trace)
+    assert trace.reductions() == [(word("aaaa"), word("aab"))]
+    run = run_deterministic(m_e.spec, word("aaaa"))
+    assert run.records[0] == record

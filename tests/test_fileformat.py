@@ -110,3 +110,40 @@ def test_grammar_rule_numbering_must_be_dense():
 def test_reserved_tokens_rejected_as_symbols():
     with pytest.raises(ParseError):
         parse_automaton("name x\nwindow 2\ninput ^\nstates q0\ninitial q0\n")
+
+
+def _with_line_repeated(text, section):
+    """``text`` with its first ``section`` line written twice, and the line
+    number of the second."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.split()[0] == section)
+    return "\n".join(lines[: i + 1] + lines[i:]) + "\n", i + 2
+
+
+@pytest.mark.parametrize("section", [
+    "name", "class", "window", "input", "work", "morphism", "weight", "states", "initial",
+])
+def test_a_repeated_automaton_line_is_refused(m_e_h_shrunk, section):
+    # A second line would silently replace the first one's value.
+    text, lineno = _with_line_repeated(render_automaton(m_e_h_shrunk[0]), section)
+    with pytest.raises(ParseError, match="given twice") as err:
+        parse_automaton(text)
+    assert err.value.line == lineno
+
+
+def test_two_morphism_or_weight_lines_for_one_symbol_are_refused(m_e_h_shrunk):
+    text = render_automaton(m_e_h_shrunk[0])
+    for first, second in (("morphism b a", "morphism b b"), ("weight b 1", "weight b 2")):
+        with pytest.raises(ParseError, match="%s given twice" % second[:-2]):
+            parse_automaton(text.replace(first + "\n", "%s\n%s\n" % (first, second)))
+    # Lines for distinct symbols are the canonical form.
+    assert parse_automaton(text).weights == m_e_h_shrunk[0].weights
+
+
+@pytest.mark.parametrize("section", ["name", "nonterminals", "terminals", "start"])
+def test_a_repeated_grammar_line_is_refused(section):
+    grammar = next(e.grammar for e in catalog_list() if e.kind == "grammar")
+    text, lineno = _with_line_repeated(render_grammar(grammar), section)
+    with pytest.raises(ParseError, match="given twice") as err:
+        parse_grammar(text)
+    assert err.value.line == lineno

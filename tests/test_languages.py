@@ -256,3 +256,12 @@ def test_closure_enumeration_reports_step_limit():
     query = LanguageQuery("input", 16, Limits(max_steps_per_cycle=6))
     with pytest.raises(ResourcesExceeded):
         enumerate_language(l3.spec, query, strategy="closure")
+
+
+def test_auto_enumeration_refuses_an_unconfined_domain_too_large_to_search():
+    # lm_3's basic domain up to 12 holds 797,161 words, over the brute
+    # budget, and its tail acceptance has no syntactic bound.
+    lm_3 = catalog_get("lm_3").spec
+    assert tail_confined_bound(lm_3) is None
+    with pytest.raises(ResourcesExceeded, match="domain too large for brute enumeration"):
+        enumerate_language(lm_3, LanguageQuery("basic", 12), strategy="auto")
