@@ -9,8 +9,8 @@ the engine.  Monotonicity is decided at every length for deterministic
 automata without MVL whose cycles rewrite at most once (every stock
 automaton but the multi-rewrite ``lm_j``, and every grammar build): a
 report that holds for every length sets ``CheckReport.unbounded``, and the
-printed verdict stays "holds-up-to-bound".  No other verdict claims the
-unbounded property.
+printed verdict stays "holds-up-to-bound".  So do the preservation modes
+that hold by theorem, which ``check_preservation`` answers without a sweep.
 """
 
 from __future__ import annotations
@@ -360,38 +360,39 @@ def check_preservation(
     """Correctness/error preservation of the basic language.
 
     complete modes: along every computation from every word up to the bound,
-    the basic-membership status of every visited tape matches the status of
-    the start word.  These require a deterministic automaton with one rewrite
-    per cycle (the hypothesis under which the properties are guaranteed; with
-    multiple rewrites per cycle the mid-cycle tapes genuinely break them).
+    every visited tape has the basic-membership status of the start word.
+    They require a deterministic automaton with one rewrite per cycle (with
+    more, the mid-cycle tapes genuinely break them).  cycle modes: for every
+    cycle u => v, membership of u implies that of v (correctness), and
+    non-membership of u that of v (error).
 
-    cycle modes: for every single cycle rewriting u => v up to the bound,
-    membership of u implies membership of v (correctness, deterministic
-    automata) and non-membership of u implies non-membership of v (error, any
-    automaton).  The transitive closure follows by induction since every
-    intermediate word stays within the bound.
-
-    Of the four modes, only complete-error can report a violation unless
-    the decider contradicts itself.  Cycle-error holds for every automaton:
-    u => v followed by an accepting computation from v is an accepting
-    computation from u.  Cycle- and complete-correctness hold for
-    deterministic automata, whose one computation from a member accepts
-    from every word it restarts on.  Complete-error can fail only through
-    the rewritten tape of a cycle that halts without restarting (it
-    rejects, gets stuck or breaks the discipline), which the run visits but
-    never restarts on.
+    Three cases hold by theorem and are answered as holding at every length
+    (``unbounded``), without deciding a word or reading ``limits``:
+    cycle-error on every automaton (u => v followed by an accepting
+    computation from v is one from u), and both correctness modes on a
+    deterministic automaton, whose one computation from a member accepts
+    from every word it restarts on; a table flagged deterministic that
+    offers a choice is refused.  The other two are swept up to the bound.
+    Complete-error fails only through the rewritten tape of a cycle that
+    halts without restarting, which the run visits but never restarts on.
+    Cycle-correctness on a nondeterministic automaton fails where a branch's
+    cycle rewrites a member into a non-member, and that cycle is the trace.
     """
     require_bound(max_len)
     if mode not in PRESERVATION_MODES:
         raise PreconditionError("unknown preservation mode %r" % mode)
-    if mode != "cycle-error" and not spec.flags.deterministic:
+    # The cycle modes follow members, complete-error follows non-members.
+    cycles, deterministic = mode.startswith("cycle"), spec.flags.deterministic
+    if not cycles and not deterministic:
         raise PreconditionError("%s requires a deterministic automaton" % mode)
-    cycles = mode.startswith("cycle")
     if not cycles and spec.flags.mr_degree != 1:
         raise PreconditionError("complete preservation applies to single-rewrite cycles only")
+    name = "preservation(%s)" % mode
+    if mode == "cycle-error" or (deterministic and mode != "complete-error"):
+        if deterministic and not (choices := check_determinism(spec)).holds:
+            raise PreconditionError("deterministic flag but " + choices.counterexample.explanation)
+        return CheckReport(name, max_len, HOLDS, unbounded=True)
     memo: dict = {}
-    # Correctness follows members, error follows non-members.
-    followed = mode.endswith("correctness")
     status = {True: "member", False: "non-member"}
 
     def member(w: Word) -> bool:
@@ -417,17 +418,15 @@ def check_preservation(
 
     def search() -> Optional[Counterexample]:
         for word in words_over(spec.work_alphabet, max_len):
-            if member(word) != followed:
+            if member(word) != cycles:
                 continue
             for visited, trace in visits(word):
-                if member(visited) != followed:
-                    return Counterexample(word, trace, explain % (
-                        render_word(word), status[followed],
-                        render_word(visited), status[not followed],
-                    ))
+                if member(visited) != cycles:
+                    return Counterexample(word, trace, explain % (render_word(word), status[cycles],
+                                                                  render_word(visited), status[not cycles]))
         return None
 
-    return _report("preservation(%s)" % mode, max_len, search)
+    return _report(name, max_len, search)
 
 
 def check_shrinking(

@@ -239,12 +239,11 @@ def cmd_decide(args) -> int:
 
 # The options and --limits keys that each check reads; a given option or
 # key that it does not read is refused.  The branch walk and the exact
-# monotonicity search count configurations only, and the shrinking check
-# observes single cycles.
+# monotonicity search count configurations only, the shrinking check
+# observes single cycles, and cpp holds by theorem without deciding a word.
 _CHECK_READS = {
     "det": (), "forms": (), "cycle": ("max_len", "degree", "limits", "configs"),
-    "mono": ("max_len", "limits", "configs"),
-    "cpp": ("max_len", "limits", "steps", "configs", "cycles"),
+    "mono": ("max_len", "limits", "configs"), "cpp": ("max_len",),
     "epp": ("max_len", "limits", "steps", "configs", "cycles"),
     "shrink": ("max_len", "limits", "steps", "configs"),
 }

@@ -24,6 +24,7 @@ from redukto.model import (
     accept,
     mvl,
     mvr,
+    reject,
     restart,
     sl,
 )
@@ -215,8 +216,9 @@ def test_complete_preservation_needs_single_rewrite_cycles():
 
 def test_complete_preservation_needs_determinism(m_e_h_shrunk):
     spec, _ = m_e_h_shrunk
-    with pytest.raises(PreconditionError):
-        check_preservation(spec, 4, "complete-error")
+    for mode in ("complete-correctness", "complete-error"):
+        with pytest.raises(PreconditionError, match="requires a deterministic automaton"):
+            check_preservation(spec, 4, mode)
 
 
 def test_cycle_preservation_of_copy_machine():
@@ -230,7 +232,74 @@ def test_cycle_error_is_engine_coherence(m_e_h_shrunk):
     # direction can only fail if the engine itself is incoherent; it must
     # hold even on nondeterministic automata.
     spec, _ = m_e_h_shrunk
-    assert check_preservation(spec, 5, "cycle-error").holds
+    report = check_preservation(spec, 5, "cycle-error")
+    assert report.holds and report.unbounded
+
+
+@pytest.mark.parametrize("name, mode", [
+    ("dyck1", "complete-correctness"),
+    ("dyck1", "cycle-correctness"),
+    ("dyck1", "cycle-error"),
+    ("m_e_h_shrunk", "cycle-error"),
+])
+def test_preservation_by_theorem_decides_no_word(m_e_h_shrunk, name, mode):
+    # Not one configuration may be explored, yet the report holds at every
+    # length; a sweep trips at once (see the next test).
+    spec = m_e_h_shrunk[0] if name == "m_e_h_shrunk" else catalog_get(name).spec
+    report = check_preservation(spec, 8, mode, Limits(max_configs=0))
+    assert (report.verdict, report.unbounded, report.bound) == ("holds-up-to-bound", True, 8)
+    assert report.describe() == "preservation(%s) at length <= 8: holds-up-to-bound" % mode
+
+
+def _unflagged(spec):
+    return replace(spec, flags=replace(spec.flags, deterministic=False))
+
+
+def test_cycle_correctness_is_swept_on_a_nondeterministic_automaton():
+    for name in ("m_e", "dyck1", "l_2", "lm_1"):
+        report = check_preservation(_unflagged(catalog_get(name).spec), 6, "cycle-correctness")
+        assert report.holds and not report.unbounded, name
+        assert check_preservation(catalog_get(name).spec, 6, "cycle-correctness").unbounded
+    for spec, mode in ((_unflagged(catalog_get("m_e").spec), "cycle-correctness"),
+                       (catalog_get("dyck1").spec, "complete-error")):
+        swept = check_preservation(spec, 6, mode, Limits(max_configs=0))
+        assert swept.verdict == "resource-exceeded" and not swept.unbounded
+
+
+def test_cycle_correctness_fails_on_a_wrong_guess(m_e_h_shrunk, anbn_shrunk):
+    # The guessing phase of the shrunk automata may rewrite a letter into a
+    # preimage that leaves the language: one branch's cycle turns a member
+    # into a non-member.
+    for spec, bound, word, to_word in (
+        (m_e_h_shrunk[0], 5, ("a", "a^"), ("b", "a^")),
+        (anbn_shrunk[1], 5, ("a", "(3,b)"), ("(1,a)", "(3,b)")),
+    ):
+        report = check_preservation(spec, bound, "cycle-correctness")
+        assert report.verdict == "violated" and not report.unbounded
+        ce = report.counterexample
+        assert ce.word == word
+        (record,) = ce.trace.records
+        assert (record.from_word, record.to_word) == (word, to_word)
+        assert replay_trace(spec, ce.trace)
+        assert ce.explanation == "cycle rewrites %s (member) to %s (non-member)" % (
+            " ".join(word), " ".join(to_word))
+
+
+def test_theorem_answers_refuse_a_contradictory_determinism_flag():
+    # Flagged deterministic, yet a offers a move and a reject: the engine
+    # refuses the choice, so no mode answers by theorem on this table.
+    table = {
+        ("q0", (C,)): (mvr("q0"),),
+        ("q0", ("a",)): (mvr("q0"), reject()),
+        ("q0", ("b",)): (sl("q1", ()),),
+        ("q1", (C,)): (restart(),),
+    }
+    spec = AutomatonSpec("chooser", frozenset({"q0", "q1"}), "q0", 1, frozenset("ab"),
+                         frozenset("ab"), table, ClassFlags(deterministic=True))
+    for mode in ("complete-correctness", "cycle-correctness", "cycle-error"):
+        with pytest.raises(PreconditionError, match=r"deterministic flag but 1 conflicting keys"):
+            check_preservation(spec, 4, mode)
+    assert check_preservation(_unflagged(spec), 4, "cycle-error").unbounded
 
 
 def test_complete_error_catches_discipline_breaker():

@@ -70,6 +70,11 @@ def test_limits_environment_override():
     # that reads none of those limits.
     env = dict(os.environ, REDUKTO_LIMITS="steps=1,cycles=0")
     assert run_cli("check", "dyck1", "--what", "mono", env=env).returncode == 0
+    # cpp holds by theorem, deciding no word, so it trips no limit.
+    env = dict(os.environ, REDUKTO_LIMITS="configs=5")
+    proc = run_cli("check", "dyck1", "--what", "cpp", env=env)
+    assert (proc.returncode, proc.stdout) == (
+        0, "preservation(complete-correctness) at length <= 8: holds-up-to-bound\n")
 
 
 def test_limits_take_ascii_digits_only():
@@ -235,9 +240,9 @@ def test_tripped_limit_is_named(tmp_path, m_e_h_shrunk):
          search + "outcome: limit-exceeded (configs limit exceeded)\n"),
         (["decide", "dyck1", "a1ā1a1ā1", "--limits", "cycles=1"],
          "resource-exceeded: cycles limit exceeded\n"),
-        (["check", "dyck1", "--what", "cpp", "--max-len", "8", "--limits", "configs=5"],
-         "preservation(complete-correctness) at length <= 8: resource-exceeded"
-         " (configs limit exceeded while running a1 a1 ā1 ā1)\n"),
+        (["check", "dyck1", "--what", "epp", "--max-len", "8", "--limits", "configs=5"],
+         "preservation(complete-error) at length <= 8: resource-exceeded"
+         " (configs limit exceeded while running a1 a1 ā1)\n"),
         (["check", "m_e", "--what", "mono", "--max-len", "8", "--limits", "configs=3"],
          "monotonicity at length <= 8: resource-exceeded (configs limit exceeded)\n"),
         (["transform", "gnf2hrrwwc", "anbn_gnf", "-o", str(tmp_path / "anbn.rlww"),
@@ -287,6 +292,7 @@ def test_check_with_a_negative_bound_exits_3(tmp_path, m_e_h_shrunk, what):
     ("shrink", "--degree"),
     ("det", "--limits"),
     ("forms", "--limits"),
+    ("cpp", "--limits"),
 ])
 def test_check_refuses_an_option_it_would_ignore(what, option):
     value = {"--max-len": "-1", "--degree": "5", "--limits": "configs=1"}[option]

@@ -6,7 +6,9 @@ and ``cycle_rewrites``), resumed deterministic runs against a plain one, the
 h-proper decider against deciding every preimage, over one letter and over
 two, and against the input language of ``to_shrinking``, exact monotonicity
 against the word-by-word walk, the closure enumerator against the brute one,
-and parsing against rendering."""
+and parsing against rendering.  The deciders also keep the preservation
+properties that hold by theorem: cycle-error everywhere, cycle-correctness
+on deterministic automata."""
 
 import itertools
 from dataclasses import replace
@@ -200,8 +202,12 @@ def reference_member(spec, w, path=frozenset()):
 @given(automaton_and_word(deterministic=False))
 def test_search_agrees_with_reference_decider(case):
     spec, w = case
-    assert {c.to_word for c in cycle_rewrites(spec, w)} == reference_phase(spec, w)[1]
-    assert decide_basic_membership(spec, w).is_member == reference_member(spec, w)
+    records = cycle_rewrites(spec, w)
+    assert {c.to_word for c in records} == reference_phase(spec, w)[1]
+    member = reference_member(spec, w)
+    assert decide_basic_membership(spec, w).is_member == member
+    # Cycle-error preservation: a cycle into a member makes its source one.
+    assert member or not any(reference_member(spec, r.to_word) for r in records)
 
 
 @settings(max_examples=150, deadline=None)
@@ -223,6 +229,20 @@ def test_deterministic_run_agrees_with_search(case):
     assert (run.outcome == OUT_ACCEPT) == search.is_member
     if search.is_member:
         assert search.witness.steps == run.steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(automata(deterministic=True), scanners()))
+def test_deterministic_cycles_preserve_membership(spec):
+    # Cycle-correctness preservation: the one computation from a member
+    # accepts from the word it restarts on.  Scanners restart after their
+    # rewrites, so their members have cycles far more often.
+    memo = {}
+    symbols = sorted(spec.work_alphabet)
+    for w in (v for n in range(5) for v in itertools.product(symbols, repeat=n)):
+        if decide_basic_membership(spec, w, memo=memo).is_member:
+            for record in cycle_rewrites(spec, w):
+                assert decide_basic_membership(spec, record.to_word, memo=memo).is_member
 
 
 def decision_outcome(decision):
