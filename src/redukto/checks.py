@@ -31,8 +31,8 @@ from .engine import (
     discipline_break,
     right_distance,
     run_deterministic,
+    strip_sentinels,
     successors,
-    trace_tapes,
     walk_branches,
 )
 from .model import (
@@ -62,14 +62,14 @@ PRESERVATION_MODES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Counterexample:
     word: Word
     trace: Optional[Trace]
     explanation: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
     property_name: str
     bound: Optional[int]            # None for a check with no length bound
@@ -373,8 +373,10 @@ def check_preservation(
     deterministic automaton, whose one computation from a member accepts
     from every word it restarts on; a table flagged deterministic that
     offers a choice is refused.  The other two are swept up to the bound.
-    Complete-error fails only through the rewritten tape of a cycle that
-    halts without restarting, which the run visits but never restarts on.
+    Complete-error fails only through the rewritten tape that a later step
+    of the run's last record reads: the run restarts only on non-members,
+    already in the decider's memo, and a restarting cycle's one rewrite
+    makes the tape it restarts on.  A run with no record has none.
     Cycle-correctness on a nondeterministic automaton fails where a branch's
     cycle rewrites a member into a non-member, and that cycle is the trace.
     """
@@ -402,7 +404,7 @@ def check_preservation(
 
     def visits(word: Word) -> Iterator[tuple[Word, Trace]]:
         """The words to compare with ``word``, each with the trace that
-        reaches it: each cycle's successor, or every tape of the one run."""
+        reaches it: each cycle's successor, or the last record's rewrite."""
         if cycles:
             for record in cycle_rewrites(spec, word, limits):
                 yield record.to_word, Trace((record,), "counterexample")
@@ -410,8 +412,10 @@ def check_preservation(
         trace = run_deterministic(spec, word, limits)
         if trace.outcome == OUT_LIMIT:
             raise ResourcesExceeded("%s while running %s" % (trace.flag, render_word(word)))
-        for tape in sorted(trace_tapes(trace), key=lambda t: (len(t), t)):
-            yield tape, trace
+        steps = trace.records[-1].steps if trace.records else ()
+        for (_, ins), (config, _) in zip(steps, steps[1:]):
+            if ins.kind == SL:
+                yield strip_sentinels(config.tape), trace
 
     explain = ("cycle rewrites %s (%s) to %s (%s)" if cycles
                else "computation from %s (%s) visits %s (%s)")

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Mapping, Optional
 
 from .checks import EXCEEDED, check_monotone
 from .engine import DEFAULT_LIMITS, Limits, ResourcesExceeded, run_deterministic
@@ -54,6 +54,7 @@ from .model import (
     GnfGrammar,
     GnfRule,
     PreconditionError,
+    ReadOnlyDict,
     ReduktoError,
     Word,
     accept,
@@ -85,7 +86,10 @@ class DerivationAlphabet:
     """One tagged terminal per grammar rule, mapped back by the morphism."""
 
     symbols: tuple[str, ...]
-    morphism: dict[str, str]          # tagged symbol -> original terminal
+    morphism: Mapping[str, str]       # tagged symbol -> original terminal
+
+    def __post_init__(self):
+        object.__setattr__(self, "morphism", ReadOnlyDict(self.morphism))
 
 
 def rule_token(number: int, terminal: str) -> str:
@@ -332,13 +336,16 @@ def synthesize_reduction_system(
 ) -> tuple[AutomatonSpec, SynthesisReport]:
     """Synthesize a deterministic contextual-deletion scanner for the tagged
     language, retrying with a wider window up to ``window_cap`` (no retries
-    when the cap is omitted).  Raises SynthesisError, carrying the last
+    when the cap is omitted; a cap below ``k`` is refused with
+    PreconditionError).  Raises SynthesisError, carrying the last
     report and its counterexamples, when no window up to the cap validates,
     and ResourcesExceeded when a limit trips during validation.
     """
     if k < 2:
         raise PreconditionError("window size must be at least 2")
-    cap = k if window_cap is None else max(k, window_cap)
+    cap = k if window_cap is None else window_cap
+    if cap < k:
+        raise PreconditionError("window cap %d is below the window size %d" % (cap, k))
     last_report = None
     for width in range(k, cap + 1):
         spec, report = _attempt_synthesis(tagged, width, limits)

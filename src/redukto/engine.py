@@ -48,8 +48,8 @@ the same step limit, so that limit cannot trip inside the repeated scan;
 r is clamped to the configurations left, so that the configuration limit
 trips at the very step it would trip at without resuming.  A trace keeps
 one ``CycleRecord`` per cycle, with the repeated scan as (state,
-instruction) pairs, and builds those configurations only when its steps
-are read.
+instruction) pairs; ``Trace.steps`` is a tuple built from the records when
+it is first read, with those configurations expanded inline.
 
 Membership.  One depth-first loop over restarting words, with a memo,
 decides every word for every automaton (``_search``): it answers
@@ -146,61 +146,12 @@ class CycleRecord(NamedTuple):
     def ends_cycle(self) -> bool:
         return bool(self.steps) and self.steps[-1][1].kind == RESTART
 
-    def step(self, j: int) -> Step:
-        if j < len(self.scan):
-            state, ins = self.scan[j]
-            return Configuration(self.tape, state, j, 0), ins
-        return self.steps[j - len(self.scan)]
 
-    def all_steps(self):
-        tape = self.tape
-        for j, (state, ins) in enumerate(self.scan):
-            yield Configuration(tape, state, j, 0), ins
-        yield from self.steps
-
-
-class TraceSteps(Sequence):
-    """The steps of a trace, read only.  ``len`` is counted once and an
-    index is looked up from the last record back, so the last step costs
-    one lookup; iteration, slicing and ``==`` build the configurations of
-    repeated scans as they go."""
-
-    __slots__ = ("_records", "_len")
-
-    def __init__(self, records: tuple[CycleRecord, ...]):
-        self._records = records
-        self._len = sum(len(record.scan) + len(record.steps) for record in records)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        n = self._len
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("trace step index out of range")
-        for record in reversed(self._records):
-            n -= len(record.scan) + len(record.steps)
-            if i >= n:
-                return record.step(i - n)
-
-    def __iter__(self):
-        for record in self._records:
-            yield from record.all_steps()
-
-    def __eq__(self, other):
-        if not isinstance(other, (TraceSteps, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-
-@dataclass
+@dataclass(frozen=True)
 class Trace:
-    """A computation: one record per cycle, then the tail.  ``steps`` is a
-    read-only sequence of (configuration, instruction) over the records."""
+    """A computation: one record per cycle, then the tail.  ``steps`` is the
+    tuple of its (configuration, instruction) pairs, each record's repeated
+    scan expanded, built when it is first read."""
 
     records: tuple[CycleRecord, ...]
     outcome: str
@@ -222,8 +173,13 @@ class Trace:
         return cls(tuple(records), outcome, flag)
 
     @cached_property
-    def steps(self) -> TraceSteps:
-        return TraceSteps(self.records)
+    def steps(self) -> tuple[Step, ...]:
+        steps: list[Step] = []
+        for record in self.records:
+            steps += [(Configuration(record.tape, state, j, 0), ins)
+                      for j, (state, ins) in enumerate(record.scan)]
+            steps += record.steps
+        return tuple(steps)
 
     def cycle_count(self) -> int:
         return sum(1 for record in self.records if record.ends_cycle())
@@ -884,25 +840,12 @@ def walk_branches(
 def replay_trace(spec: AutomatonSpec, trace: Trace) -> bool:
     """Check that every step of a trace is offered by the step relation and
     that consecutive configurations chain together."""
-    steps = list(trace.steps)
+    steps = trace.steps
     for i, (config, ins) in enumerate(steps):
-        offered = successors(spec, config)
-        match = [nxt for cand, nxt in offered if cand == ins]
+        match = [nxt for cand, nxt in successors(spec, config) if cand == ins]
         if not match:
             return False
-        nxt = match[0]
-        if i + 1 < len(steps) and nxt is not None and steps[i + 1][0] != nxt:
+        if i + 1 < len(steps) and match[0] is not None and steps[i + 1][0] != match[0]:
             return False
     return True
 
-
-def trace_tapes(trace: Trace) -> set[Word]:
-    """The tape contents (sentinels stripped) that a trace visits: each
-    record's start tape, and each rewritten tape that a later step reads."""
-    tapes = set()
-    for record in trace.records:
-        tapes.add(record.from_word)
-        tapes.update(strip_sentinels(after[0].tape)
-                     for before, after in zip(record.steps, record.steps[1:])
-                     if before[1].kind == SL)
-    return tapes

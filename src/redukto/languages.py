@@ -203,7 +203,7 @@ def enumerate_language(
     return sorted(images, key=lambda w: (len(w), w))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Comparison:
     equal: bool
     max_len: int

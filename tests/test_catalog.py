@@ -33,6 +33,16 @@ def test_lookup_aliases_and_params():
         catalog_get("l_0")
 
 
+@pytest.mark.parametrize("name, message", [
+    ("l_k", "parameter 'k' required"),
+    ("lm_0", "lm_j parameter must be positive"),
+    ("l_x", "bad l_k parameter 'x'"),
+])
+def test_lookup_refuses_a_missing_or_bad_parameter(name, message):
+    with pytest.raises(CatalogError, match="^%s$" % message):
+        catalog_get(name)
+
+
 def test_listing_is_stable():
     first = [(e.name, e.description) for e in catalog_list()]
     second = [(e.name, e.description) for e in catalog_list()]

@@ -422,3 +422,8 @@ def test_checks_refuse_a_negative_bound(check):
     error = BOUND_ERRORS.get(check, "length bound must be non-negative")
     with pytest.raises(PreconditionError, match=error):
         run(catalog_get(name).spec)
+
+
+def test_unknown_preservation_mode_is_refused(m_e):
+    with pytest.raises(PreconditionError, match="unknown preservation mode 'partial-error'"):
+        check_preservation(m_e.spec, 4, "partial-error")

@@ -374,3 +374,48 @@ def test_word_arguments():
     assert run_cli("decide", "dyck1", "-").stdout == "member\n"
     assert run_cli("decide", "m_e", "-").stdout == "non-member\n"
 
+
+
+def test_transform_refuses_a_window_cap_below_the_window(tmp_path):
+    out = tmp_path / "cap.rlww"
+    proc = run_cli("transform", "gnf2hrrwwc", "anbn_gnf", "--window", "4",
+                   "--window-cap", "2", "-o", str(out))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: window cap 2 is below the window size 4\n"
+    assert not out.exists()
+
+
+def cli(capsys, *argv):
+    """Exit code, stdout and stderr of the command line run in-process."""
+    from redukto.cli import main
+
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_run_on_a_nondeterministic_automaton_that_rejects(tmp_path, capsys, m_e_h_shrunk):
+    shrunk = tmp_path / "shrunk.rlww"
+    shrunk.write_text(render_automaton(m_e_h_shrunk[0]), encoding="utf-8")
+    assert cli(capsys, "run", str(shrunk), "ba") == (
+        1, "note: nondeterministic automaton, deciding by search\noutcome: reject\n", "")
+
+
+def test_automaton_arguments_that_name_no_valid_automaton_exit_3(tmp_path, capsys):
+    invalid = tmp_path / "invalid.rlww"
+    invalid.write_text("name x\nwindow 1\nstates q0\ninitial q1\n", encoding="utf-8")
+    for ref, message in (
+        ("nope", "no file or catalog entry named 'nope'"),
+        ("anbn_gnf", "'anbn_gnf' names a grammar, not an automaton"),
+        (str(invalid), "invalid automaton x: initial state 'q1' not among states"),
+    ):
+        assert cli(capsys, "decide", ref, "a") == (3, "", "error: %s\n" % message)
+
+
+def test_check_shrink_without_weights_exits_3(capsys):
+    assert cli(capsys, "check", "m_e", "--what", "shrink") == (
+        3, "", "error: automaton m_e carries no weight function\n")
+
+
+def test_catalog_export_without_output_prints_the_file(capsys, m_e):
+    assert cli(capsys, "catalog", "--export", "m_e") == (0, render_automaton(m_e.spec), "")

@@ -124,6 +124,11 @@ def test_synthesis_fails_without_retry_budget():
     assert err.value.report.counterexamples or err.value.report.notes
 
 
+def test_a_window_cap_below_the_window_is_refused():
+    with pytest.raises(PreconditionError, match="^window cap 3 is below the window size 5$"):
+        build_hrrwwc(catalog_get("anbn_gnf").grammar, 5, window_cap=3)
+
+
 def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

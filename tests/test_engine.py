@@ -181,6 +181,30 @@ def test_decisions_are_immutable(m_e):
         decision.configs_explored = 0
 
 
+def test_results_refuse_assignment(m_e):
+    from redukto.checks import check_monotone
+    from redukto.construct import derivation_encode
+    from redukto.languages import compare_word_sets
+
+    report = check_monotone(m_e.spec, 8)
+    for result, name in (
+        (run_deterministic(m_e.spec, word("aaa")), "outcome"),
+        (report, "verdict"),
+        (report.counterexample, "word"),
+        (compare_word_sets([word("a")], [], 1), "equal"),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            setattr(result, name, None)
+    _, alphabet = derivation_encode(catalog_get("anbn_gnf").grammar)
+    with pytest.raises(TypeError):
+        alphabet.morphism["(1,a)"] = "b"
+
+
+def test_first_member_takes_no_candidate_from_an_empty_choice(m_e):
+    decision, member = decide_first_member(m_e.spec, [["a"], [], ["a"]])
+    assert (decision.verdict, decision.configs_explored, member) == ("non-member", 0, None)
+
+
 def test_first_member_skips_the_candidates_of_a_rejected_prefix(m_e):
     # m_e rejects ba on its first window, ¢ba, having read two letters: one
     # configuration rules out every candidate that starts with them.

@@ -147,3 +147,60 @@ def test_a_repeated_grammar_line_is_refused(section):
     with pytest.raises(ParseError, match="given twice") as err:
         parse_grammar(text)
     assert err.value.line == lineno
+
+
+# One malformed file per parse error: the parser, the text, the line the
+# error names (0 for a missing section, which names none) and the message.
+PARSE_ERRORS = [
+    (parse_automaton, "name x y\n", 1, "name takes one token"),
+    (parse_automaton, "name x\nclass R SL WW det\n", 2,
+     "class takes direction, form, aux, det/nondet, j=N"),
+    (parse_automaton, "name x\nclass L SL WW det j=1\n", 2, "bad direction 'L'"),
+    (parse_automaton, "name x\nclass R XL WW det j=1\n", 2, "bad rewrite form 'XL'"),
+    (parse_automaton, "name x\nclass R SL V det j=1\n", 2, "bad aux marker 'V'"),
+    (parse_automaton, "name x\nclass R SL WW maybe j=1\n", 2, "expected det or nondet, got 'maybe'"),
+    (parse_automaton, "name x\nclass R SL WW det k=1\n", 2, "expected j=N, got 'k=1'"),
+    (parse_automaton, "name x\nclass R SL WW det j=1 growing\n", 2,
+     "unexpected class token 'growing'"),
+    (parse_automaton, "name x\nclass R SL WW det j=1 shrinking x\n", 2, "too many class tokens"),
+    (parse_automaton, "name x\nwindow 2 3\n", 2, "window takes one positive integer"),
+    (parse_automaton, "name x\nwork a $\n", 2, "reserved token '$' used as symbol"),
+    (parse_automaton, "name x\nmorphism a\n", 2, "morphism takes symbol and image"),
+    (parse_automaton, "name x\nmorphism a -\n", 2, "reserved token '-' used as symbol"),
+    (parse_automaton, "name x\nweight a\n", 2, "weight takes symbol and positive integer"),
+    (parse_automaton, "name x\nweight a x\n", 2, "bad weight 'x'"),
+    (parse_automaton, "name x\nweight -> 1\n", 2, "reserved token '->' used as symbol"),
+    (parse_automaton, "name x\ninitial q0 q1\n", 2, "initial takes one state"),
+    (parse_automaton, "name x\ntrans q0 a\n", 2, "malformed trans line"),
+    (parse_automaton, "name x\ntrans q0 a MVR q0\n", 2, "trans line lacks ->"),
+    (parse_automaton, "name x\ntrans q0 -> MVR q0\n", 2, "empty window content"),
+    (parse_automaton, "name x\ntrans q0 a ->\n", 2, "trans line lacks an instruction"),
+    (parse_automaton, "name x\ntrans q0 a -> MVL\n", 2, "MVL takes a successor state"),
+    (parse_automaton, "name x\ntrans q0 a a -> SL q1\n", 2, "SL takes a successor state and a target"),
+    (parse_automaton, "name x\ntrans q0 a -> Accept q1\n", 2, "Accept takes no arguments"),
+    (parse_automaton, "name x\ntrans q0 a -> Warp q1\n", 2, "unknown instruction 'Warp'"),
+    (parse_automaton, "name x\nalphabet a\n", 2, "unknown section 'alphabet'"),
+    (parse_automaton, "window 2\nstates q0\ninitial q0\n", 0, "missing name section"),
+    (parse_automaton, "name x\nstates q0\ninitial q0\n", 0, "missing window section"),
+    (parse_automaton, "name x\nwindow 2\nstates q0\n", 0, "missing initial section"),
+    (parse_automaton, "name x\nwindow 2\ninitial q0\n", 0, "missing states section"),
+    (parse_grammar, "name g h\n", 1, "name takes one token"),
+    (parse_grammar, "name g\nstart S T\n", 2, "start takes one nonterminal"),
+    (parse_grammar, "name g\nrule 1 S a\n", 2, "expected: rule N A -> a tail..."),
+    (parse_grammar, "name g\nrule one S -> a\n", 2, "bad rule number 'one'"),
+    (parse_grammar, "name g\nrule 1 S -> a\nrule 1 S -> b\n", 3, "duplicate rule number 1"),
+    (parse_grammar, "name g\nproduction 1 S -> a\n", 2, "unknown section 'production'"),
+    (parse_grammar, "start S\nrule 1 S -> a\n", 0, "missing name section"),
+    (parse_grammar, "name g\nrule 1 S -> a\n", 0, "missing start section"),
+    (parse_grammar, "name g\nstart S\n", 0, "grammar has no rules"),
+    (parse_grammar, "name g\nstart S\nrule 2 S -> a\n", 0, "rule numbers must be dense from 1"),
+]
+
+
+@pytest.mark.parametrize("parse,text,line,message", PARSE_ERRORS,
+                         ids=["%s: %s" % (p.__name__, m) for p, _, _, m in PARSE_ERRORS])
+def test_each_parse_error_names_its_line(parse, text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert str(err.value) == ("line %d: %s" % (line, message) if line else message)

@@ -265,3 +265,10 @@ def test_auto_enumeration_refuses_an_unconfined_domain_too_large_to_search():
     assert tail_confined_bound(lm_3) is None
     with pytest.raises(ResourcesExceeded, match="domain too large for brute enumeration"):
         enumerate_language(lm_3, LanguageQuery("basic", 12), strategy="auto")
+
+
+def test_unknown_language_kind_and_strategy_are_refused(m_e):
+    with pytest.raises(PreconditionError, match="unknown language kind 'working'"):
+        LanguageQuery("working", 4)
+    with pytest.raises(PreconditionError, match="unknown enumeration strategy 'greedy'"):
+        enumerate_language(m_e.spec, LanguageQuery("basic", 4), strategy="greedy")

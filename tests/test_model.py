@@ -1,6 +1,7 @@
 """Window contents, rewrite classification, validation, morphisms and tags."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -200,6 +201,61 @@ def test_validate_requires_identity_morphism_on_input():
     assert validate_automaton(bad).ok
     worse = _spec({}, morphism={"a": "b", "b": "a"})
     assert not validate_automaton(worse).ok
+
+
+R_SL = ClassFlags(deterministic=True, direction="R", form="SL", aux="WW")
+
+
+def _rewriting(u, v, flags=R_SL):
+    return {"table": {("q0", u): [sl("q1", v)]}, "flags": flags}
+
+
+# One malformed spec per violation message: the changes to the valid
+# ``_spec({})`` and the message they draw.
+VIOLATIONS = [
+    ({"window": 0}, "window size must be at least 1"),
+    ({"initial": "qx"}, "initial state 'qx' not among states"),
+    ({"input_alphabet": frozenset("ac")}, "input symbols outside working alphabet: c"),
+    ({"work_alphabet": AB | {D}}, "sentinel '$' used as working symbol"),
+    ({"work_alphabet": AB | {"x y"}}, "malformed symbol token 'x y'"),
+    ({"flags": replace(R_SL, aux="none")},
+     "aux=none requires the working alphabet to equal the input alphabet"),
+    ({"flags": replace(R_SL, mr_degree=0)}, "mr-degree must be positive"),
+    ({"table": {("qx", ("a", "a", "a")): [mvr("q0")]}}, "table state 'qx' unknown at (qx, aaa)"),
+    ({"table": {("q0", ("a", "a")): [mvr("q0")]}}, "malformed window content at (q0, aa)"),
+    ({"table": {("q0", ("a", "a", "a")): [mvr("q0"), mvr("q1")]}},
+     "deterministic flag but 2 instructions at (q0, aaa)"),
+    ({"table": {("q0", ("a", "a", "a")): [mvr("qx")]}}, "unknown successor state 'qx' at (q0, aaa)"),
+    ({"table": {("q0", (D,)): [mvr("q0")]}}, "MVR on right-sentinel-only window at (q0, $)"),
+    ({"table": {("q0", ("a", "a", "a")): [mvl("q0")]}},
+     "MVL instruction under direction R at (q0, aaa)"),
+    ({"table": {("q0", (C, "a", "a")): [mvl("q0")]}, "flags": replace(R_SL, direction="RL")},
+     "MVL with window at the left sentinel at (q0, ¢aa)"),
+    (_rewriting(("a", "a", D), ("b", D), replace(R_SL, form="DL")),
+     "non-deletion rewrite under DL form at (q0, aa$)"),
+    (_rewriting(("a", "a", D), ("b", D), replace(R_SL, form="CL")),
+     "rewrite at (q0, aa$) classifies as SL-not-DL under CL form"),
+    ({"table": {("q0", ("a", "a", "a")): [sl("q1", ("a",))], ("q1", ("a", "a", D)): [mvr("q1")]}},
+     "direction R but post-rewrite state 'q1' admits MVR"),
+    ({"morphism": {"a": "a"}}, "morphism not total: no image for 'b'"),
+    ({"morphism": {"a": "a", "b": "a", "c": "a"}}, "morphism defined on unknown symbol 'c'"),
+    ({"morphism": {"a": "a", "b": "b"}}, "morphism image 'b' of 'b' is not an input symbol"),
+    ({"morphism": {"a": "b", "b": "a"}}, "morphism not the identity on input symbol 'a'"),
+    ({"weights": {"a": 1}}, "weight function not total: no weight for 'b'"),
+    ({"weights": {"a": 1, "b": 0}}, "weight of 'b' must be a positive integer"),
+    (_rewriting((C, "a", "a"), ("a", C)), "left sentinel not first in target a¢"),
+    (_rewriting(("a", "a", D), (D, "a")), "right sentinel not last in target $a"),
+    (_rewriting(("a", "a", "a"), ("c",)), "target symbol 'c' outside working alphabet"),
+    (_rewriting(("a", "a", D), ("b",)), "sentinel mismatch between aa$ and target b"),
+    (_rewriting(("a", "a", D), ("a", "b", D)), "SL target not shorter: aa$ -> ab$"),
+    (_rewriting(("a", "a", D), ()), "empty target for sentinel-bearing window aa$"),
+]
+
+
+@pytest.mark.parametrize("changes,message", VIOLATIONS, ids=[m for _, m in VIOLATIONS])
+def test_validate_names_each_violation(changes, message):
+    report = validate_automaton(replace(_spec({}), **changes))
+    assert message in report.violations
 
 
 def test_empty_target_is_a_deviation_not_a_violation():

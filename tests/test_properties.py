@@ -445,7 +445,7 @@ def assert_resumed_run_is_plain(spec, w, limits):
     trace = run_deterministic(spec, w, limits)
     assert (trace.outcome, trace.flag) == (outcome, flag)
     assert len(trace.steps) == len(steps)
-    assert list(trace.steps) == steps and trace.steps == steps
+    assert list(trace.steps) == steps and trace.steps == tuple(steps)
     assert not steps or trace.steps[-1] == steps[-1]
     assert trace.cycle_count() == sum(ins.kind == RESTART for _, ins in steps)
     assert trace.reductions() == reference_reductions(steps)
@@ -459,7 +459,7 @@ def assert_resumed_run_is_plain(spec, w, limits):
         assert decision.exceeded == (flag if verdict == "resource-exceeded" else None)
         assert decision.configs_explored == configs
         if decision.is_member:
-            assert decision.witness.steps == steps
+            assert decision.witness.steps == tuple(steps)
     return trace
 
 
