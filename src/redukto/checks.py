@@ -167,8 +167,7 @@ def check_monotone(
     longer than the bound.  Any other automaton is walked word by word in
     shortlex order.  Either way the witness of a violation is the branch
     walk of the least rising word up to its rising rewrite, and the
-    printed verdict reads as for a bounded search.  Of ``limits`` it reads
-    ``max_configs`` only.
+    printed verdict reads as for a bounded search.
     """
     require_bound(max_len)
     if not _decided_exactly(spec):
@@ -335,7 +334,7 @@ def check_cycle_soundness(
     accepting tail contains a rewrite.  Branches are walked without the
     engine's discipline so that violations are observed rather than
     pruned.  ``degree``, when given, replaces the declared rewrite cap and
-    must be positive.  Of ``limits`` it reads ``max_configs`` only."""
+    must be positive."""
     require_bound(max_len)
     cap = spec.flags.mr_degree if degree is None else degree
     if cap < 1:

@@ -9,7 +9,7 @@ no such file exists.  Words are given either as whitespace-separated tokens
 or as one unbroken string, which is tokenized by greedy longest match
 against the automaton's alphabet.  Limits can be overridden per call with
 --limits or globally through the REDUKTO_LIMITS environment variable, e.g.
-"steps=10000,configs=1000000,cycles=100000".
+"configs=1000000": the one limit, on the configurations a question expands.
 """
 
 from __future__ import annotations
@@ -132,35 +132,23 @@ def tokenize_word(text: str, alphabet) -> tuple[str, ...]:
     return tuple(out)
 
 
-# The --limits keys and the fields of ``Limits`` that they set.
-_LIMIT_FIELDS = {"steps": "max_steps_per_cycle", "configs": "max_configs",
-                 "cycles": "max_total_cycles"}
-
-
-def _limit_entries(source: str) -> dict[str, int]:
-    """The values that a limits string gives, by key; UsageFailure on a bad
-    or repeated entry."""
-    values = {}
+def parse_limits(text: str | None) -> Limits:
+    """The limits that ``text``, or else REDUKTO_LIMITS, sets as
+    ``configs=N``; UsageFailure on any other or a repeated entry."""
+    source = text if text is not None else os.environ.get("REDUKTO_LIMITS", "")
+    configs = None
     for part in source.split(","):
         part = part.strip()
         if not part:
             continue
-        if "=" not in part:
-            raise UsageFailure("bad limits entry %r" % part)
-        key, _, raw = part.partition("=")
+        key, equals, raw = part.partition("=")
         # str.isdigit also holds for superscripts and other scripts' digits.
-        if key not in _LIMIT_FIELDS or not (raw.isascii() and raw.isdigit()):
+        if key != "configs" or not equals or not (raw.isascii() and raw.isdigit()):
             raise UsageFailure("bad limits entry %r" % part)
-        if key in values:
-            raise UsageFailure("bad limits entry %r: %s is given twice" % (part, key))
-        values[key] = int(raw)
-    return values
-
-
-def parse_limits(text: str | None) -> Limits:
-    source = text if text is not None else os.environ.get("REDUKTO_LIMITS", "")
-    values = _limit_entries(source)
-    return DEFAULT_LIMITS._replace(**{_LIMIT_FIELDS[key]: n for key, n in values.items()})
+        if configs is not None:
+            raise UsageFailure("bad limits entry %r: configs is given twice" % part)
+        configs = int(raw)
+    return DEFAULT_LIMITS if configs is None else Limits(max_configs=configs)
 
 
 def render_trace(spec: AutomatonSpec, trace: Trace) -> str:
@@ -237,28 +225,20 @@ def cmd_decide(args) -> int:
     return EXIT_OK if decision.is_member else EXIT_FAIL
 
 
-# The options and --limits keys that each check reads; a given option or
-# key that it does not read is refused.  The branch walk and the exact
-# monotonicity search count configurations only, the shrinking check
-# observes single cycles, and cpp holds by theorem without deciding a word.
+# The options that each check reads; a given option that it does not read
+# is refused.  cpp holds by theorem without deciding a word.
 _CHECK_READS = {
-    "det": (), "forms": (), "cycle": ("max_len", "degree", "limits", "configs"),
-    "mono": ("max_len", "limits", "configs"), "cpp": ("max_len",),
-    "epp": ("max_len", "limits", "steps", "configs", "cycles"),
-    "shrink": ("max_len", "limits", "steps", "configs"),
+    "det": (), "forms": (), "cycle": ("max_len", "degree", "limits"),
+    "mono": ("max_len", "limits"), "cpp": ("max_len",),
+    "epp": ("max_len", "limits"), "shrink": ("max_len", "limits"),
 }
 
 
 def _refuse_unread(args, options, reads, command: str) -> None:
-    """Raise UsageFailure on a given option, or a key of a given --limits,
-    that ``command`` would ignore."""
+    """Raise UsageFailure on a given option that ``command`` would ignore."""
     for name in options:
         if getattr(args, name) is not None and name not in reads:
             raise UsageFailure("--%s does not apply to %s" % (name.replace("_", "-"), command))
-    if "limits" in options and args.limits:
-        for key in _limit_entries(args.limits):
-            if key not in reads:
-                raise UsageFailure("--limits %s does not apply to %s" % (key, command))
 
 
 def cmd_check(args) -> int:
@@ -395,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_limits(p):
-        p.add_argument("--limits", help="steps=N,configs=N,cycles=N", default=None)
+        p.add_argument("--limits", help="configs=N", default=None)
 
     p = sub.add_parser("run", help="run a word on an automaton")
     p.add_argument("automaton")

@@ -19,37 +19,37 @@ so that the checks observe violations rather than prune them.
 A missing table entry halts the run; this is reported as a reject flagged
 "stuck", distinct from an explicit reject step.
 
-Limits.  A search that trips one of its ``Limits`` raises ResourcesExceeded,
-naming the limit; the deciders turn it into a resource-exceeded verdict that
-keeps the message in ``Decision.exceeded``.  Deterministic runs stop with a
-limit-exceeded outcome flagged with the same message, and the decider turns
-that into the same verdict.
+Limits.  ``Limits`` holds one limit, ``max_configs``, which bounds every
+step, cycle and phase too, since each expands a configuration.  A search
+that runs out raises ResourcesExceeded, naming the limit; the deciders turn
+it into a resource-exceeded verdict that keeps the message in
+``Decision.exceeded``.  Deterministic runs stop with a limit-exceeded
+outcome flagged with the same message, and the decider turns that into the
+same verdict.
 
-Resumed scans.  Take a recorded cycle, or tail, of a deterministic
-automaton with window k that moved MVR from position 0 to position L, and a
-start tape that agrees with the recorded cycle's start tape on cells
-[0, s).  The state at any x <= L depends only on cells [0, x+k-1), so a
-cycle on that tape repeats the first r = min(L, s-k+1) recorded steps
-exactly and may start at position r in the recorded state.  Two kinds of
-tape share cells so: within a run, the next cycle's tape keeps cells
-[0, p) of the one before, p being its leftmost rewrite; and between two
-candidate words of one length that first differ at letter i, the tapes
-share cells [0, i), cell 0 holding the left sentinel.  One function
-(``_cycle``) runs every cycle of a deterministic automaton, resumed so, and
-spends the caller's one configuration budget: ``run_deterministic``, the
-decider and ``decide_first_member`` take their cycles from it.  The
-repeated steps are MVR moves
-at distinct positions without a rewrite, so they can trip neither a loop
-check nor the cycle discipline, and a configuration that an MVL brings back
-into the repeated prefix is matched against the recorded scan, so loops
-through the prefix are still seen.  The repeated steps are charged to every
-step and configuration count.  The recorded cycle took those r steps under
-the same step limit, so that limit cannot trip inside the repeated scan;
-r is clamped to the configurations left, so that the configuration limit
-trips at the very step it would trip at without resuming.  A trace keeps
-one ``CycleRecord`` per cycle, with the repeated scan as (state,
-instruction) pairs; ``Trace.steps`` is a tuple built from the records when
-it is first read, with those configurations expanded inline.
+Resumed scans.  Take a recorded cycle, or tail, of a deterministic automaton
+with window k that moved MVR from position 0 to position L, and a start tape
+that agrees with the recorded cycle's start tape on cells [0, s).  The state
+at any x <= L depends only on cells [0, x+k-1), so a cycle on that tape
+repeats the first r = min(L, s-k+1) recorded steps exactly and may start at
+position r in the recorded state.  Two kinds of tape share cells so: within
+a run, the next cycle's tape keeps cells [0, p) of the one before, p being
+its leftmost rewrite; and between two candidate words of one length that
+first differ at letter i, the tapes share cells [0, i), cell 0 holding the
+left sentinel.  One function (``_cycle``) runs every cycle of a
+deterministic automaton, resumed so, and spends the caller's one
+configuration budget: ``run_deterministic``, the decider and
+``decide_first_member`` take their cycles from it.  The repeated steps are
+MVR moves at distinct positions without a rewrite, so they can trip neither
+a loop check nor the cycle discipline, and a configuration that an MVL
+brings back into the repeated prefix is matched against the recorded scan,
+so loops through the prefix are still seen.  The repeated steps are charged
+to every step and configuration count, and r is clamped to the
+configurations left, so that the limit trips at the very step it would trip
+at without resuming.  A trace keeps one ``CycleRecord`` per cycle, with the
+repeated scan as (state, instruction) pairs; ``Trace.steps`` is a tuple
+built from the records when it is first read, with those configurations
+expanded inline.
 
 Membership.  One depth-first loop over restarting words, with a memo,
 decides every word for every automaton (``_search``): it answers
@@ -102,9 +102,7 @@ class Configuration(NamedTuple):
 
 
 class Limits(NamedTuple):
-    max_steps_per_cycle: int = 10_000
     max_configs: int = 1_000_000
-    max_total_cycles: int = 100_000
 
 
 DEFAULT_LIMITS = Limits()
@@ -315,29 +313,23 @@ def run_deterministic(
     tape = restarting_configuration(spec, tuple(word)).tape
     budget = _Budget(limits.max_configs)
     records: list[CycleRecord] = []
-    record, same, cycles = None, 0, 0
+    record, same = None, 0
     while True:
-        record, outcome, flag, config = _cycle(spec, limits, tape, record, same, budget)
+        record, outcome, flag, config = _cycle(spec, tape, record, same, budget)
         if record.scan or record.steps:
             records.append(record)
-        if outcome is None:
-            cycles += 1
-            if cycles > limits.max_total_cycles:
-                outcome, flag = OUT_LIMIT, "cycles limit exceeded"
         if outcome is not None:
             return Trace(tuple(records), outcome, flag)
         tape, same = config.tape, _rewritten_from(record)
 
 
 def _cycle(
-    spec: AutomatonSpec, limits: Limits, tape: Word, before: Optional[CycleRecord], same: int,
-    budget: _Budget,
+    spec: AutomatonSpec, tape: Word, before: Optional[CycleRecord], same: int, budget: _Budget,
 ) -> tuple[CycleRecord, Optional[str], Optional[str], Configuration]:
     """One cycle, or the tail, of a deterministic automaton on ``tape``,
     resumed after the recorded cycle ``before`` whose start tape agrees with
     ``tape`` on cells [0, same) (None for nothing to resume after).  Each
-    configuration expanded, the repeated scan's too but not the one that
-    trips the steps limit, spends one unit of ``budget``.
+    configuration it expands, the repeated scan's too, spends ``budget``.
 
     Returns (record, outcome, flag, configuration): the outcome is None when
     the cycle restarts, with the restarting configuration; otherwise the
@@ -352,7 +344,6 @@ def _cycle(
     config = Configuration(tape, state, r, 0)
     steps: list[Step] = []
     seen: set[tuple[str, int, int]] = set()
-    cycle_steps = r
     left = budget.left - r
     outcome = flag = None
     while True:
@@ -364,10 +355,6 @@ def _cycle(
             outcome = OUT_DIVERGES
             break
         seen.add(key)
-        cycle_steps += 1
-        if cycle_steps > limits.max_steps_per_cycle:
-            outcome, flag = OUT_LIMIT, "steps limit exceeded"
-            break
         left -= 1
         if left < 0:
             outcome, flag = OUT_LIMIT, "configs limit exceeded"
@@ -447,12 +434,7 @@ def _rejected_prefix(reach: int, window: int, size: int) -> Optional[int]:
     return end - 1 if end < size else None
 
 
-def _explore_phase(
-    spec: AutomatonSpec,
-    word: Word,
-    limits: Limits,
-    budget: _Budget,
-) -> _Phase:
+def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
     """Depth-first exploration of one phase (from a restarting configuration
     up to the next restart or halt) over all nondeterministic branches.
 
@@ -461,8 +443,7 @@ def _explore_phase(
     rewrites), where tapes are interned once per rewrite that makes them, so
     no lookup hashes a tape; two keys are equal exactly when their
     configurations are.  Paths are reconstructed through parent pointers.
-    Raises ResourcesExceeded when the phase expands more than
-    ``max_steps_per_cycle`` configurations or the budget runs out.
+    Raises ResourcesExceeded when the budget runs out.
 
     A phase that ends with no accepting tail, no cycle and no tape but its
     start tape depends only on the cells its windows covered, and returns
@@ -476,12 +457,8 @@ def _explore_phase(
     stack = [(root, start)]
     tail_accept = None
     cycles = []
-    expanded = 0
     while stack:
         node, config = stack.pop()
-        expanded += 1
-        if expanded > limits.max_steps_per_cycle:
-            raise ResourcesExceeded("steps limit exceeded")
         budget.spend()
         for ins, nxt in successors(spec, config):
             if discipline_break(cap, ins, config) is not None:
@@ -528,7 +505,7 @@ def _recurs(w: Word) -> PreconditionError:
 
 
 def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord],
-                         same: Optional[int], limits: Limits, budget: _Budget) -> _Phase:
+                         same: Optional[int], budget: _Budget) -> _Phase:
     """The one cycle, or the tail, of a deterministic automaton on ``word``.
 
     With ``same`` None, ``before`` is the cycle that restarted on ``word``
@@ -536,14 +513,14 @@ def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[Cycle
     decision starts from, the only kind whose rejected prefix is worked
     out, and the phase resumes after ``before`` (None for nothing), a
     recorded cycle whose start tape agrees with the word's on cells
-    [0, same).  Raises ResourcesExceeded when a limit trips, and
+    [0, same).  Raises ResourcesExceeded when the budget runs out, and
     PreconditionError at a choice between two instructions."""
     start = same is not None
     if start:
         tape = (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,)
     else:
         tape, same = before.steps[-1][0].tape, _rewritten_from(before)
-    record, outcome, flag, config = _cycle(spec, limits, tape, before, same, budget)
+    record, outcome, flag, config = _cycle(spec, tape, before, same, budget)
     if outcome is None:
         return None, (record,), None, record
     if outcome == OUT_LIMIT:
@@ -560,7 +537,7 @@ def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[Cycle
 
 
 def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same: int,
-            limits: Limits, memoize: bool, table: dict, budget: _Budget):
+            memoize: bool, table: dict, budget: _Budget):
     """The memo loop behind every decision: whether some computation from
     the restarting configuration of ``word`` accepts.
 
@@ -571,8 +548,8 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
     only the open words unless ``memoize``.  Returns (verdict, rejected
     prefix, record of the start word's phase), the record being None when
     the memo held the start word or the automaton is not deterministic.
-    Raises ResourcesExceeded when a limit trips, leaving no open word in
-    ``table``.
+    Raises ResourcesExceeded when the budget runs out, leaving no open word
+    in ``table``.
 
     A verdict is (accepted, witness), and an accepting witness is a chain
     (record of one cycle or of the tail, rest of the chain or None), so that
@@ -584,17 +561,13 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
     rejected_prefix = first = None
     try:
         while True:
-            if len(stack) > limits.max_total_cycles:
-                raise ResourcesExceeded("cycles limit exceeded")
             verdict = table.get(w)
             if verdict is _IN_PROGRESS:
                 raise _recurs(w)
             if verdict is None:
-                if deterministic:
-                    tail, cycles, prefix, record = _deterministic_phase(
-                        spec, w, before, same, limits, budget)
-                else:
-                    tail, cycles, prefix, record = _explore_phase(spec, w, limits, budget)
+                tail, cycles, prefix, record = (
+                    _deterministic_phase(spec, w, before, same, budget) if deterministic
+                    else _explore_phase(spec, w, budget))
                 if not stack:
                     # The start word's phase; every later word is reached
                     # by a cycle.
@@ -657,10 +630,11 @@ def decide_basic_membership(
     One depth-first loop over restarting words, on an explicit stack, for
     every automaton (``_search``; see the module docstring).  On a
     deterministic automaton a choice between two instructions raises
-    PreconditionError, as in ``run_deterministic``.  The chain of open words is capped by
-    ``max_total_cycles``.  With ``memoize`` the decider keeps a table keyed
-    on restarting tape words; this is sound because behavior from a
-    restarting configuration depends only on the tape.  Every cycle of a
+    PreconditionError, as in ``run_deterministic``.  Every phase spends the
+    one ``max_configs`` budget, so it bounds the chain of open words too.
+    With ``memoize`` the decider keeps a table keyed on restarting tape
+    words; this is sound because behavior from a restarting configuration
+    depends only on the tape.  Every cycle of a
     valid automaton makes progress, so a restarting word never recurs; one
     that does (a shrinking automaton whose weights its cycles do not lower)
     raises PreconditionError.  ``memoize=False`` re-explores every
@@ -672,7 +646,7 @@ def decide_basic_membership(
     table = memo if memo is not None and memoize else {}
     budget = _Budget(limits.max_configs)
     try:
-        (ok, link), _, _ = _search(spec, tuple(word), None, 0, limits, memoize, table, budget)
+        (ok, link), _, _ = _search(spec, tuple(word), None, 0, memoize, table, budget)
     except ResourcesExceeded as err:
         return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
     explored = limits.max_configs - budget.left
@@ -727,7 +701,7 @@ def decide_first_member(
         budget.left = limits.max_configs  # each candidate gets the whole limits
         try:
             (ok, link), prefix, record = _search(
-                spec, candidate, record, same, limits, True, table, budget)
+                spec, candidate, record, same, True, table, budget)
         except ResourcesExceeded as err:
             explored += limits.max_configs - budget.left
             return Decision("resource-exceeded", None, explored, str(err)), None
@@ -774,15 +748,16 @@ def cycle_rewrites(
     function carries the progress argument instead.  The phase comes from
     ``_deterministic_phase`` on a deterministic automaton, as in the
     decider, and from ``_explore_phase`` otherwise.  Raises
-    ResourcesExceeded when a limit trips, and PreconditionError when a cycle
-    makes no such progress or a deterministic automaton meets a choice.
+    ResourcesExceeded when the budget runs out, and PreconditionError when
+    a cycle makes no such progress or a deterministic automaton meets a
+    choice.
     """
     word = tuple(word)
     budget = _Budget(limits.max_configs)
     if spec.flags.deterministic:
-        _, cycles, _, _ = _deterministic_phase(spec, word, None, 0, limits, budget)
+        _, cycles, _, _ = _deterministic_phase(spec, word, None, 0, budget)
     else:
-        _, cycles, _, _ = _explore_phase(spec, word, limits, budget)
+        _, cycles, _, _ = _explore_phase(spec, word, budget)
     firsts: dict[Word, CycleRecord] = {}
     for record in cycles:
         firsts.setdefault(record.to_word, record)
@@ -813,7 +788,7 @@ def walk_branches(
     the flag.  Branches are pruned on repeated (configuration, path state)
     pairs, which is sound because the downstream behavior depends on nothing
     else.  Returns None when no step is flagged; raises ResourcesExceeded
-    after ``max_configs`` expansions, the only limit it reads.
+    after ``max_configs`` expansions.
     """
     budget = _Budget(limits.max_configs)
     root = (restarting_configuration(spec, word), None)

@@ -276,14 +276,22 @@ def enumerate_basic_by_reduction(
     splicing rewrite rules back in (composed up to the mr degree) and keeping
     every candidate with a member among its cycle successors reaches exactly
     the members.  This makes bounds feasible where the working alphabet is
-    too large for the brute-force enumerator; callers are responsible for the
-    tail confinement assumption (it holds by construction for the automata
-    built by the constructions module and for the reduction-style catalog
-    entries).
+    too large for the brute-force enumerator.  A seed length below
+    ``tail_confined_bound``, when that is evident and below ``max_len``, is
+    refused with PreconditionError; otherwise callers are responsible for
+    the tail confinement assumption (it holds by construction for the
+    automata built by the constructions module and for the reduction-style
+    catalog entries).  Seeds longer than ``max_len`` are not decided.
     """
+    require_bound(max_len)
+    require_bound(seed_len)
+    bound = tail_confined_bound(spec)
+    if bound is not None and seed_len < min(max_len, bound):
+        raise PreconditionError("seed length %d is below the tail bound %d of automaton %s"
+                                % (seed_len, bound, spec.name))
     memo: dict = {}
     members: set[Word] = set()
-    for w in words_over(spec.work_alphabet, seed_len):
+    for w in words_over(spec.work_alphabet, min(seed_len, max_len)):
         d = decide_basic_membership(spec, w, limits, memo=memo)
         require_decided(d, w)
         if d.is_member:

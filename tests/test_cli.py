@@ -56,21 +56,38 @@ def test_run_exit_codes(tmp_path):
 
 
 def test_run_with_limits_exit():
-    proc = run_cli("run", "m_e", "aaaaaaaa", "--limits", "steps=3")
+    proc = run_cli("run", "m_e", "aaaaaaaa", "--limits", "configs=3")
     assert proc.returncode == 2
+
+
+def test_a_run_takes_as_many_steps_per_cycle_as_its_budget_allows(dyck1):
+    # The first cycle of a1^10001 ā1 takes 10,003 steps, the whole run
+    # 20,004; only the configurations budget bounds them.
+    opening, closing = sorted(dyck1.spec.input_alphabet)
+    proc = run_cli("run", "dyck1", opening * 10_001 + closing)
+    assert (proc.returncode, proc.stdout) == (1, "outcome: reject\n")
+
+
+@pytest.mark.parametrize("limits", ["steps=3", "cycles=1"])
+def test_only_the_configs_limit_is_taken(limits):
+    import os
+
+    stderr = "error: bad limits entry %r\n" % limits
+    proc = run_cli("run", "dyck1", "a1ā1a1ā1", "--limits", limits)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", stderr)
+    env = dict(os.environ, REDUKTO_LIMITS=limits)
+    proc = run_cli("run", "dyck1", "a1ā1a1ā1", env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", stderr)
 
 
 def test_limits_environment_override():
     import os
 
-    env = dict(os.environ, REDUKTO_LIMITS="steps=3")
+    env = dict(os.environ, REDUKTO_LIMITS="configs=3")
     proc = run_cli("run", "m_e", "aaaaaaaa", env=env)
     assert proc.returncode == 2
     # The environment sets a default for every command, also for a check
-    # that reads none of those limits.
-    env = dict(os.environ, REDUKTO_LIMITS="steps=1,cycles=0")
-    assert run_cli("check", "dyck1", "--what", "mono", env=env).returncode == 0
-    # cpp holds by theorem, deciding no word, so it trips no limit.
+    # that reads no limit: cpp holds by theorem, deciding no word.
     env = dict(os.environ, REDUKTO_LIMITS="configs=5")
     proc = run_cli("check", "dyck1", "--what", "cpp", env=env)
     assert (proc.returncode, proc.stdout) == (
@@ -82,8 +99,8 @@ def test_limits_take_ascii_digits_only():
 
     # "²" and "٣" pass str.isdigit; the first is no int() literal at all.
     for raw in ("²", "٣"):
-        proc = run_cli("decide", "m_e", "aa", "--limits", "steps=" + raw)
-        assert (proc.returncode, proc.stderr) == (3, "error: bad limits entry 'steps=%s'\n" % raw)
+        proc = run_cli("decide", "m_e", "aa", "--limits", "configs=" + raw)
+        assert (proc.returncode, proc.stderr) == (3, "error: bad limits entry 'configs=%s'\n" % raw)
         env = dict(os.environ, REDUKTO_LIMITS="configs=" + raw)
         proc = run_cli("decide", "m_e", "aa", env=env)
         assert (proc.returncode, proc.stderr) == (3, "error: bad limits entry 'configs=%s'\n" % raw)
@@ -207,7 +224,7 @@ def test_check_cycle_degree_override():
 
 @pytest.mark.parametrize("argv", [
     ["enum", "l_3", "--kind", "input", "--max-len", "16", "--limits", "configs=3"],
-    ["enum", "l_3", "--kind", "input", "--max-len", "16", "--limits", "steps=6"],
+    ["enum", "l_3", "--kind", "input", "--max-len", "16", "--limits", "configs=6"],
     ["enum", "m_e", "--kind", "input", "--max-len", "40", "--limits", "configs=50"],
     ["cmp", "m_e", "input", "oracle:m_e", "input", "--max-len", "40", "--limits", "configs=50"],
     # 797,161 words, and no syntactic bound on the accepting tails.
@@ -230,16 +247,14 @@ def test_tripped_limit_is_named(tmp_path, m_e_h_shrunk):
     shrunk.write_text(render_automaton(m_e_h_shrunk[0]), encoding="utf-8")
     search = "note: nondeterministic automaton, deciding by search\n"
     for argv, stdout in (
-        (["run", "m_e", "aaaaaaaa", "--limits", "steps=3"],
-         "outcome: limit-exceeded (steps limit exceeded)\n"),
         (["run", "m_e", "aaaaaaaa", "--limits", "configs=3"],
          "outcome: limit-exceeded (configs limit exceeded)\n"),
-        (["run", "dyck1", "a1ā1a1ā1", "--limits", "cycles=1"],
-         "outcome: limit-exceeded (cycles limit exceeded)\n"),
+        (["run", "dyck1", "a1ā1a1ā1", "--limits", "configs=4"],
+         "outcome: limit-exceeded (configs limit exceeded)\n"),
         (["run", str(shrunk), "aaaa", "--limits", "configs=5"],
          search + "outcome: limit-exceeded (configs limit exceeded)\n"),
-        (["decide", "dyck1", "a1ā1a1ā1", "--limits", "cycles=1"],
-         "resource-exceeded: cycles limit exceeded\n"),
+        (["decide", "dyck1", "a1ā1a1ā1", "--limits", "configs=4"],
+         "resource-exceeded: configs limit exceeded\n"),
         (["check", "dyck1", "--what", "epp", "--max-len", "8", "--limits", "configs=5"],
          "preservation(complete-error) at length <= 8: resource-exceeded"
          " (configs limit exceeded while running a1 a1 ā1)\n"),
@@ -300,21 +315,6 @@ def test_check_refuses_an_option_it_would_ignore(what, option):
     assert proc.returncode == 3, proc.stdout
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: %s " % option)
-
-
-@pytest.mark.parametrize("what, limits, key", [
-    ("mono", "steps=1", "steps"),
-    ("mono", "cycles=0", "cycles"),
-    ("cycle", "configs=9,steps=1", "steps"),
-    ("cycle", "cycles=0", "cycles"),
-    ("shrink", "cycles=0", "cycles"),
-])
-def test_check_refuses_a_limit_it_would_ignore(what, limits, key):
-    # The branch walk and the exact monotonicity search count
-    # configurations only; the shrinking check observes single cycles.
-    proc = run_cli("check", "m_e", "--what", what, "--limits", limits)
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == "error: --limits %s does not apply to --what %s\n" % (key, what)
 
 
 @pytest.mark.parametrize("option, value", [

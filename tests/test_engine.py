@@ -300,12 +300,24 @@ def test_search_agrees_with_deterministic_run(m_e, dyck1):
 
 
 def test_limits_are_reported():
-    tiny = Limits(max_steps_per_cycle=2, max_configs=2, max_total_cycles=1)
+    tiny = Limits(max_configs=2)
     m_e = catalog_get("m_e")
     decision = decide_basic_membership(m_e.spec, word("aaaa"), tiny)
     assert decision.verdict == "resource-exceeded"
     trace = run_deterministic(m_e.spec, word("aaaa"), tiny)
     assert trace.outcome == "limit-exceeded"
+
+
+def test_only_the_configurations_budget_bounds_a_cycle(dyck1):
+    # The first cycle of a1^10001 ā1 takes 10,003 steps, the whole run
+    # 20,004.
+    opening, closing = sorted(dyck1.spec.input_alphabet)
+    w = (opening,) * 10_001 + (closing,)
+    run = run_deterministic(dyck1.spec, w)
+    assert (run.outcome, run.flag, len(run.steps)) == ("reject", None, 20_004)
+    decision = decide_basic_membership(dyck1.spec, w)
+    assert (decision.verdict, decision.exceeded, decision.configs_explored) == \
+        ("non-member", None, 20_004)
 
 
 def test_decider_agrees_with_run_beyond_a_thousand_cycles(m_e, dyck1):
@@ -320,22 +332,6 @@ def test_decider_agrees_with_run_beyond_a_thousand_cycles(m_e, dyck1):
         assert decision.is_member
         assert decision.witness.steps == run.steps
         assert decision.configs_explored == len(run.steps) == work
-
-
-def test_cycle_limit_trips_exactly_at_its_value(dyck1):
-    # Accepting (a1 ā1)^1200 takes 1200 cycles, past Python's recursion limit.
-    open_, close = sorted(dyck1.spec.input_alphabet)
-    flat = (open_, close) * 1200
-    tripped = "cycles limit exceeded"
-    for cap, verdict, outcome, named in (
-        (1199, "resource-exceeded", "limit-exceeded", tripped),
-        (1200, "member", "accept", None),
-    ):
-        limits = Limits(max_total_cycles=cap)
-        decision = decide_input_membership(dyck1.spec, flat, limits)
-        run = run_deterministic(dyck1.spec, flat, limits)
-        assert (decision.verdict, decision.exceeded) == (verdict, named)
-        assert (run.outcome, run.flag) == (outcome, named)
 
 
 def test_phase_keeps_branches_that_meet_on_different_tapes():
@@ -356,7 +352,7 @@ def test_phase_keeps_branches_that_meet_on_different_tapes():
 
 def test_cycle_rewrites_raise_on_step_limit(m_e):
     with pytest.raises(ResourcesExceeded):
-        cycle_rewrites(m_e.spec, word("aaaa"), Limits(max_steps_per_cycle=2))
+        cycle_rewrites(m_e.spec, word("aaaa"), Limits(max_configs=2))
 
 
 def test_cycle_rewrites_require_progress(heavy):
@@ -388,7 +384,7 @@ def test_recurring_restarting_word_is_invalid(swapper):
     # The brute search re-explores every word, but not one still open on
     # its own stack: it raises at once rather than running into a limit.
     with pytest.raises(PreconditionError, match="restarting word ab recurs"):
-        decide_basic_membership(swapper, word("ab"), Limits(max_total_cycles=1000), memoize=False)
+        decide_basic_membership(swapper, word("ab"), memoize=False)
 
 
 def test_resumed_scans_skip_the_repeated_steps(m_e, monkeypatch):

@@ -226,6 +226,22 @@ def test_closure_enumeration_big_bounds():
     assert got == expected
 
 
+def test_closure_enumeration_keeps_to_its_bounds(m_e, dyck1):
+    # Seeds longer than the bound are not members up to it.
+    assert enumerate_basic_by_reduction(dyck1.spec, 2, seed_len=4) == [(), ("a1", "ā1")]
+    for max_len, seed_len in ((-1, 0), (2, -1)):
+        with pytest.raises(PreconditionError, match="length bound must be non-negative"):
+            enumerate_basic_by_reduction(dyck1.spec, max_len, seed_len=seed_len)
+    # m_e accepts its one-letter words in a tail, l_3 accepts cc: a shorter
+    # seed misses them.
+    for spec, seed_len, bound in ((m_e.spec, 0, 1), (catalog_get("l_3").spec, 1, 2)):
+        with pytest.raises(PreconditionError, match="seed length %d is below the tail bound %d"
+                           % (seed_len, bound)):
+            enumerate_basic_by_reduction(spec, 6, seed_len=seed_len)
+    # Up to length 0 the seed covers every word.
+    assert enumerate_basic_by_reduction(m_e.spec, 0, seed_len=0) == []
+
+
 def test_tail_confined_bound(m_e, dyck1):
     assert tail_confined_bound(m_e.spec) == 1
     assert tail_confined_bound(dyck1.spec) == 0
@@ -253,7 +269,7 @@ def test_auto_strategy_uses_closure_for_large_domains(anbn_built):
 
 def test_closure_enumeration_reports_step_limit():
     l3 = catalog_get("l_3")
-    query = LanguageQuery("input", 16, Limits(max_steps_per_cycle=6))
+    query = LanguageQuery("input", 16, Limits(max_configs=6))
     with pytest.raises(ResourcesExceeded):
         enumerate_language(l3.spec, query, strategy="closure")
 

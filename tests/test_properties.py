@@ -283,9 +283,7 @@ def assert_first_member_follows_search(spec, n, limits):
 
 CROSS_LIMITS = (
     DEFAULT_LIMITS,
-    Limits(max_steps_per_cycle=3),
     Limits(max_configs=12),
-    Limits(max_total_cycles=2),
 )
 
 
@@ -338,7 +336,7 @@ def rewrites_outcome(spec, w, limits):
 def test_cycle_rewrites_follow_the_search_on_a_deterministic_automaton(case):
     spec, w = case
     unflagged = replace(spec, flags=replace(spec.flags, deterministic=False))
-    for limits in (DEFAULT_LIMITS, Limits(max_steps_per_cycle=3), Limits(max_configs=12)):
+    for limits in (DEFAULT_LIMITS, Limits(max_configs=12)):
         assert rewrites_outcome(spec, w, limits) == rewrites_outcome(unflagged, w, limits), limits
 
 
@@ -399,14 +397,11 @@ def reference_run(spec, w, limits):
     configuration of the current cycle."""
     cap = spec.flags.mr_degree
     config = restarting_configuration(spec, w)
-    steps, seen, cycles, cycle_steps = [], set(), 0, 0
+    steps, seen = [], set()
     while True:
         if config in seen:
             return steps, "diverges", None
         seen.add(config)
-        cycle_steps += 1
-        if cycle_steps > limits.max_steps_per_cycle:
-            return steps, "limit-exceeded", "steps limit exceeded"
         if len(steps) + 1 > limits.max_configs:
             return steps, "limit-exceeded", "configs limit exceeded"
         succ = successors(spec, config)
@@ -420,10 +415,7 @@ def reference_run(spec, w, limits):
         if nxt is None:
             return steps, "accept" if ins.kind == ACCEPT else "reject", None
         if ins.kind == RESTART:
-            cycles += 1
-            if cycles > limits.max_total_cycles:
-                return steps, "limit-exceeded", "cycles limit exceeded"
-            seen, cycle_steps = set(), 0
+            seen = set()
         config = nxt
 
 
@@ -465,9 +457,7 @@ def assert_resumed_run_is_plain(spec, w, limits):
 
 LIMIT_SETS = (
     DEFAULT_LIMITS,
-    Limits(max_steps_per_cycle=9),
     Limits(max_configs=60),
-    Limits(max_total_cycles=3),
 )
 
 
@@ -491,7 +481,6 @@ def test_resumed_run_agrees_with_plain_run(case):
     # The second cycle repeats 197 steps but has 99 configurations left.
     ("m_e", "a" * 200, Limits(max_configs=300), True),
     ("m_e", "a" * 256, Limits(max_configs=9_000), True),
-    ("m_e", "a" * 256, Limits(max_total_cycles=150), False),
     ("l_3", "a" * 60 + "cc" + "b" * 60, Limits(max_configs=1_500), True),
     ("dyck1", "(" * 90 + ")" * 90, Limits(max_configs=3_000), True),
     ("dyck1", "(" * 90 + ")" * 89, DEFAULT_LIMITS, False),
@@ -561,7 +550,6 @@ def hproper_outcome(decision, preimage):
 
 HPROPER_LIMITS = (
     DEFAULT_LIMITS,
-    Limits(max_steps_per_cycle=3),
     Limits(max_configs=12),
     Limits(max_configs=200),
 )
