@@ -226,10 +226,11 @@ def cmd_decide(args) -> int:
 
 
 # The options that each check reads; a given option that it does not read
-# is refused.  cpp holds by theorem without deciding a word.
+# is refused.  cpp holds by theorem without deciding a word, and so does ccp
+# on a deterministic automaton.
 _CHECK_READS = {
     "det": (), "forms": (), "cycle": ("max_len", "degree", "limits"),
-    "mono": ("max_len", "limits"), "cpp": ("max_len",),
+    "mono": ("max_len", "limits"), "cpp": ("max_len",), "ccp": ("max_len", "limits"),
     "epp": ("max_len", "limits"), "shrink": ("max_len", "limits"),
 }
 
@@ -245,6 +246,8 @@ def cmd_check(args) -> int:
     _refuse_unread(args, ("max_len", "degree", "limits"), _CHECK_READS[args.what],
                    "--what %s" % args.what)
     spec = _load(args.automaton)
+    if args.what == "ccp" and spec.flags.deterministic:
+        _refuse_unread(args, ("limits",), (), "--what ccp on a deterministic automaton")
     limits = parse_limits(args.limits)
     n = 8 if args.max_len is None else args.max_len
     if args.what == "det":
@@ -257,6 +260,8 @@ def cmd_check(args) -> int:
         report = check_cycle_soundness(spec, n, limits, degree=args.degree)
     elif args.what == "cpp":
         report = check_preservation(spec, n, "complete-correctness", limits)
+    elif args.what == "ccp":
+        report = check_preservation(spec, n, "cycle-correctness", limits)
     elif args.what == "epp":
         report = check_preservation(spec, n, "complete-error", limits)
     else:
@@ -395,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("automaton")
     p.add_argument(
         "--what", required=True,
-        choices=("det", "mono", "forms", "cycle", "cpp", "epp", "shrink"),
+        choices=("det", "mono", "forms", "cycle", "cpp", "ccp", "epp", "shrink"),
     )
     p.add_argument("--max-len", type=int, default=None,
                    help="length bound of the bounded checks (default 8)")

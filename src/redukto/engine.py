@@ -51,6 +51,21 @@ repeated scan as (state, instruction) pairs; ``Trace.steps`` is a tuple
 built from the records when it is first read, with those configurations
 expanded inline.
 
+Compiled step.  ``_cycle`` looks each step up in ``spec.step_table``, which
+maps each key of the spec's table to the one instruction offered there
+(None if a side condition refuses all) and lives and dies with the spec.
+The spec's first deterministic cycle sets it up with the key objects of
+the spec's table, so that filling it allocates no key and it never holds a
+key the spec's table lacks (stuck; sweeps over words reach many).  Each
+entry is filled from ``successors`` when a cycle first reaches its key
+(``compiled_step``), so that the step relation keeps one definition; a key
+that offers a choice is never filled, and a run that reaches it raises
+PreconditionError.  ``_cycle`` applies moves and rewrites inline, asks
+``discipline_break`` only at steps other than MVR, and keeps the leftmost
+rewrite position in ``CycleRecord.rewritten_from``, where the next cycle
+resumes.  The branch search, ``walk_branches`` and ``replay_trace`` call
+``successors`` itself.
+
 Membership.  One depth-first loop over restarting words, with a memo,
 decides every word for every automaton (``_search``): it answers
 ``decide_basic_membership`` and each candidate of ``decide_first_member``.
@@ -64,8 +79,8 @@ only.  ``cycle_rewrites`` takes its one phase from the same two functions
 and returns that phase's ``CycleRecord``s, whose ``from_word`` and
 ``to_word`` are the words a cycle starts and restarts on.
 
-Searches are reentrant and side-effect free apart from per-call memo tables;
-deciding distinct words in parallel is safe.
+Searches are reentrant and side-effect free apart from per-call memo tables
+and a spec's step table; deciding distinct words in parallel is safe.
 """
 
 from __future__ import annotations
@@ -116,6 +131,10 @@ OUT_INVALID = "invalid-cycle"
 
 Step = tuple[Configuration, Instruction]
 
+# A step table's value for a key that no run has reached yet, or that offers
+# a choice.
+_UNCOMPILED = object()
+
 
 class CycleRecord(NamedTuple):
     """One cycle, or the closing tail, of a trace.
@@ -124,12 +143,17 @@ class CycleRecord(NamedTuple):
     instruction) pairs of the MVR steps that the cycle repeated from the
     recorded cycle it resumed after, at positions 0 .. len(scan)-1;
     ``steps`` holds the steps it
-    took from there on.  A record refers to no other record, so memoized
-    records can be reused by every trace that reaches them."""
+    took from there on.  ``rewritten_from`` is the leftmost position at
+    which a deterministic cycle rewrote, so that it left cells [0, p) of its
+    tape as they were: None without a rewrite, and in the records that no
+    cycle resumes after (the branch search's and ``Trace.of_steps``'s).  A
+    record refers to no other record, so memoized records can be reused by
+    every trace that reaches them."""
 
     tape: Word
     scan: tuple[tuple[str, Instruction], ...]
     steps: tuple[Step, ...]
+    rewritten_from: Optional[int] = None
 
     @property
     def from_word(self) -> Word:
@@ -293,10 +317,18 @@ def _resume(spec: AutomatonSpec, record: CycleRecord, same: int, most: int) -> t
     return scan, scan[-1][1].state
 
 
-def _rewritten_from(record: CycleRecord) -> int:
-    """The leftmost position at which a finished cycle rewrote, so that it
-    left cells [0, p) of its tape as they were."""
-    return min(config.pos for config, ins in record.steps if ins.kind == SL)
+def compiled_step(spec: AutomatonSpec, state: str, window: Word) -> Optional[Instruction]:
+    """The one instruction that ``successors`` offers in ``state`` at
+    ``window``, or None when it offers none; PreconditionError at a choice.
+
+    The probe sits at position 0 when the window starts with the left
+    sentinel, which a tape holds in cell 0 alone, so an MVL is refused there
+    as in a run."""
+    pad = () if window[:1] == (LEFT_SENTINEL,) else (LEFT_SENTINEL,)
+    offered = successors(spec, Configuration(pad + window, state, len(pad), 0))
+    if len(offered) > 1:
+        raise PreconditionError("nondeterministic choice at (%s, %s)" % (state, render_word(window)))
+    return offered[0][0] if offered else None
 
 
 def run_deterministic(
@@ -320,7 +352,7 @@ def run_deterministic(
             records.append(record)
         if outcome is not None:
             return Trace(tuple(records), outcome, flag)
-        tape, same = config.tape, _rewritten_from(record)
+        tape, same = config.tape, record.rewritten_from
 
 
 def _cycle(
@@ -335,53 +367,70 @@ def _cycle(
     the cycle restarts, with the restarting configuration; otherwise the
     outcome and flag are a trace's, with the configuration the cycle
     stopped at.  Raises PreconditionError at a nondeterministic choice."""
-    cap = spec.flags.mr_degree
+    cap, k, table = spec.flags.mr_degree, spec.window, spec.step_table
+    if table is None:
+        # Set whole, so that a run on another thread sees None or every key.
+        table = dict.fromkeys(spec.table, _UNCOMPILED)
+        object.__setattr__(spec, "step_table", table)
     if before is None:
         scan, state = (), spec.initial
     else:
         scan, state = _resume(spec, before, same, budget.left)
-    r = len(scan)
-    config = Configuration(tape, state, r, 0)
+    r = pos = len(scan)
+    start, rewrites, leftmost = tape, 0, None
     steps: list[Step] = []
-    seen: set[tuple[str, int, int]] = set()
+    seen: Optional[set[tuple[str, int, int]]] = None
     left = budget.left - r
     outcome = flag = None
     while True:
-        # Only a rewrite changes the tape and ``seen`` is cleared at every
-        # restart, so within a cycle (state, pos, rewrites) fixes the tape;
-        # the repeated scan stands for the keys of its steps.
-        key = (config.state, config.pos, config.rewrites)
-        if key in seen or (key[1] < r and key[2] == 0 and scan[key[1]][0] == key[0]):
-            outcome = OUT_DIVERGES
-            break
-        seen.add(key)
+        # Only a rewrite changes the tape, so within a cycle (state, pos,
+        # rewrites) fixes the tape; the repeated scan stands for the keys of
+        # its steps.  Until an MVL, (rewrites, pos) grows at every step and
+        # no key recurs, so ``seen`` is kept from the first MVL on.
+        if seen is not None:
+            key = (state, pos, rewrites)
+            if key in seen or (pos < r and rewrites == 0 and scan[pos][0] == state):
+                outcome = OUT_DIVERGES
+                break
+            seen.add(key)
         left -= 1
         if left < 0:
             outcome, flag = OUT_LIMIT, "configs limit exceeded"
             break
-        succ = successors(spec, config)
-        if not succ:
+        window = tape[pos : pos + k]
+        ins = table.get((state, window))
+        if ins is _UNCOMPILED:
+            ins = table[state, window] = compiled_step(spec, state, window)
+        if ins is None:
             outcome, flag = OUT_REJECT, "stuck"
             break
-        if len(succ) > 1:
-            raise PreconditionError(
-                "nondeterministic choice at (%s, %s)"
-                % (config.state, render_word(window_of(spec, config)))
-            )
-        ins, nxt = succ[0]
+        config = Configuration(tape, state, pos, rewrites)
         steps.append((config, ins))
+        kind = ins.kind
+        if kind == MVR:
+            state, pos = ins.state, pos + 1
+            continue
         flag = discipline_break(cap, ins, config)
         if flag is not None:
             outcome = OUT_INVALID
             break
-        if nxt is None:
-            outcome = OUT_ACCEPT if ins.kind == ACCEPT else OUT_REJECT
+        if kind == SL:
+            leftmost = pos if leftmost is None else min(leftmost, pos)
+            tape = tape[:pos] + ins.target + tape[pos + len(window):]
+            state, pos, rewrites = ins.state, max(0, pos - len(window) + len(ins.target)), rewrites + 1
+        elif kind == MVL:
+            if seen is None:
+                seen = {(c.state, c.pos, c.rewrites) for c, _ in steps}
+            state, pos = ins.state, pos - 1
+        elif kind == RESTART:
+            state, pos, rewrites = spec.initial, 0, 0
             break
-        config = nxt
-        if ins.kind == RESTART:
+        else:
+            outcome = OUT_ACCEPT if kind == ACCEPT else OUT_REJECT
             break
     budget.left = left
-    return CycleRecord(tape, scan, tuple(steps)), outcome, flag, config
+    record = CycleRecord(start, scan, tuple(steps), leftmost)
+    return record, outcome, flag, Configuration(tape, state, pos, rewrites)
 
 
 class ResourcesExceeded(ReduktoError):
@@ -519,7 +568,7 @@ def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[Cycle
     if start:
         tape = (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,)
     else:
-        tape, same = before.steps[-1][0].tape, _rewritten_from(before)
+        tape, same = before.steps[-1][0].tape, before.rewritten_from
     record, outcome, flag, config = _cycle(spec, tape, before, same, budget)
     if outcome is None:
         return None, (record,), None, record

@@ -8,7 +8,10 @@ are single tokens.  The sentinels are the two reserved tokens ``LEFT_SENTINEL``
 and ``RIGHT_SENTINEL``; they are never members of a working alphabet.
 
 All model objects are immutable after construction and safe to share between
-threads; none of the operations in this module mutate their arguments.
+threads; none of the operations in this module mutate their arguments.  The
+one cache, ``AutomatonSpec.step_table``, is set when the spec is first run
+and filled as runs go, each entry worked out from the table alone, so two
+threads that fill it agree.
 """
 
 from __future__ import annotations
@@ -166,6 +169,9 @@ class AutomatonSpec:
     flags: ClassFlags = field(default_factory=ClassFlags)
     morphism: Optional[Mapping[str, str]] = None
     weights: Optional[Mapping[str, int]] = None
+    # The deterministic step that ``engine`` compiles from the table, set
+    # when it first runs the spec and filled as runs go; no part of its value.
+    step_table: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         norm = {}

@@ -14,6 +14,25 @@ from redukto.model import (
 )
 
 
+@pytest.fixture
+def interpreted_steps(monkeypatch):
+    """A list that gets, for every deterministic cycle run in the test, the
+    number of steps it interpreted rather than repeated from the cycle it
+    resumed after."""
+    import redukto.engine as engine
+
+    counts = []
+    plain = engine._cycle
+
+    def counted(*args):
+        result = plain(*args)
+        counts.append(len(result[0].steps))
+        return result
+
+    monkeypatch.setattr(engine, "_cycle", counted)
+    return counts
+
+
 @pytest.fixture(scope="session")
 def m_e():
     return catalog_get("m_e")

@@ -206,6 +206,24 @@ def test_transform_shrink(tmp_path):
     assert run_cli("check", str(out), "--what", "shrink", "--max-len", "6").returncode == 0
 
 
+def test_cycle_correctness_is_checked_on_a_shrunk_automaton(tmp_path):
+    # A wrong guess of the shrunk m_e_h rewrites a member into a non-member;
+    # the deterministic m_e keeps it by theorem, deciding no word.
+    out = tmp_path / "s.rlww"
+    assert run_cli("transform", "shrink", "m_e_h", "-o", str(out)).returncode == 0
+    proc = run_cli("check", str(out), "--what", "ccp")
+    assert (proc.returncode, proc.stdout) == (1, (
+        "preservation(cycle-correctness) at length <= 8: violated\n"
+        "  word: a a^\n"
+        "  cycle rewrites a a^ (member) to b a^ (non-member)\n"))
+    proc = run_cli("check", str(out), "--what", "ccp", "--limits", "configs=5")
+    assert proc.returncode == 2, proc.stdout
+    assert "resource-exceeded (configs limit exceeded" in proc.stdout
+    proc = run_cli("check", "m_e", "--what", "ccp", "--max-len", "3")
+    assert (proc.returncode, proc.stdout) == (
+        0, "preservation(cycle-correctness) at length <= 3: holds-up-to-bound\n")
+
+
 def test_cmp_against_oracle():
     proc = run_cli("cmp", "m_e", "input", "oracle:m_e", "input", "--max-len", "12")
     assert proc.returncode == 0
@@ -283,7 +301,7 @@ def test_bad_usage_exits_3(argv):
     assert "error: " in proc.stderr
 
 
-@pytest.mark.parametrize("what", ["mono", "cycle", "cpp", "epp", "shrink", "cycle-degree"])
+@pytest.mark.parametrize("what", ["mono", "cycle", "cpp", "ccp", "epp", "shrink", "cycle-degree"])
 def test_check_with_a_negative_bound_exits_3(tmp_path, m_e_h_shrunk, what):
     automaton = "m_e_h"
     bound, error = ("--max-len", "-1"), "length bound must be non-negative"
@@ -304,10 +322,12 @@ def test_check_with_a_negative_bound_exits_3(tmp_path, m_e_h_shrunk, what):
     ("det", "--degree"),
     ("mono", "--degree"),
     ("cpp", "--degree"),
+    ("ccp", "--degree"),
     ("shrink", "--degree"),
     ("det", "--limits"),
     ("forms", "--limits"),
     ("cpp", "--limits"),
+    ("ccp", "--limits"),
 ])
 def test_check_refuses_an_option_it_would_ignore(what, option):
     value = {"--max-len": "-1", "--degree": "5", "--limits": "configs=1"}[option]

@@ -1,7 +1,10 @@
 """Step semantics, deterministic runs, membership search and cycle rewriting."""
 
+import gc
 import itertools
-from dataclasses import FrozenInstanceError
+import types
+import weakref
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -387,22 +390,37 @@ def test_recurring_restarting_word_is_invalid(swapper):
         decide_basic_membership(swapper, word("ab"), memoize=False)
 
 
-def test_resumed_scans_skip_the_repeated_steps(m_e, monkeypatch):
+def test_resumed_scans_skip_the_repeated_steps(m_e, interpreted_steps):
     # a^512 takes 88,404 steps, nearly all of them rescans of cells that the
     # cycle before left alone; run and decider interpret only the rest.
-    import redukto.engine as engine
-
-    calls = []
-    plain = engine.successors
-    monkeypatch.setattr(engine, "successors", lambda *args: calls.append(1) or plain(*args))
     w = word("a" * 512)
     trace = run_deterministic(m_e.spec, w)
-    ran, calls[:] = len(calls), []
+    ran, interpreted_steps[:] = sum(interpreted_steps), []
     decision = decide_input_membership(m_e.spec, w)
     assert trace.outcome == "accept" and decision.is_member
     assert len(trace.steps) == decision.configs_explored == 88_404
     assert ran < 0.05 * len(trace.steps)
-    assert len(calls) < 0.05 * len(trace.steps)
+    assert sum(interpreted_steps) < 0.05 * len(trace.steps)
+
+
+def test_a_dropped_automaton_takes_its_step_table_with_it(m_e):
+    # The compiled step lives on the spec alone: no registry in the engine
+    # holds the spec or its table, and its keys are the table's own.
+    spec = replace(m_e.spec)
+    assert spec.step_table is None
+    assert run_deterministic(spec, word("aaaa")).outcome == "accept"
+    assert not decide_input_membership(spec, word("aaa")).is_member
+    table = spec.step_table
+    assert table and m_e.spec.step_table is not table
+    own = {id(key) for key in spec.table}
+    assert all(id(key) in own for key in table)
+    # The spec refers to it directly, or through its instance dictionary.
+    holders = [r for r in gc.get_referrers(table) if not isinstance(r, types.FrameType)]
+    assert len(holders) == 1 and holders[0] in (spec, vars(spec))
+    alive = weakref.ref(spec)
+    del spec, table, holders
+    gc.collect()
+    assert alive() is None
 
 
 def test_replay_refuses_a_step_not_offered_and_steps_that_do_not_chain(m_e):

@@ -103,29 +103,24 @@ def test_hproper_decision_with_witness(anbn_built):
     assert not decision.is_member and witness is None
 
 
-def test_hproper_skips_preimages_a_first_phase_rejected(anbn_built, dyck_built, monkeypatch):
+def test_hproper_skips_preimages_a_first_phase_rejected(anbn_built, dyck_built, interpreted_steps):
     # Deciding every preimage took 106,509 and 6,745 configurations.  Each
     # candidate's first phase resumes after the previous one's, so fewer
     # steps are interpreted than charged: run from cell 0 every time, the
-    # dyck candidates took 29,561 successors calls.
-    import redukto.engine as engine
-
-    calls = []
-    plain = engine.successors
-    monkeypatch.setattr(engine, "successors", lambda *args: calls.append(1) or plain(*args))
+    # dyck candidates interpreted 29,561 steps.
     _, dyck, _ = dyck_built
     opening, closing = sorted(dyck.input_alphabet)
     decision, preimage = decide_hproper_membership(
         dyck, (opening, closing) * 4 + (closing, opening))
     assert (decision.verdict, preimage) == ("non-member", None)
     assert decision.configs_explored == 29_831
-    assert len(calls) <= 19_881
+    assert sum(interpreted_steps) <= 19_881
     _, anbn, _ = anbn_built
-    calls[:] = []
+    interpreted_steps[:] = []
     decision, preimage = decide_hproper_membership(anbn, tuple("aaaabbbba"))
     assert (decision.verdict, preimage) == ("non-member", None)
     assert decision.configs_explored == 1_112
-    assert len(calls) < 1_112
+    assert sum(interpreted_steps) < 1_112
 
 
 def test_hproper_decides_every_preimage_of_a_shrinking_automaton():
