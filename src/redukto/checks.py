@@ -341,7 +341,7 @@ def check_cycle_soundness(
         raise PreconditionError("rewrite cap must be positive")
 
     def breaks(_, config, ins):
-        return None, discipline_break(cap, ins, config)
+        return None, discipline_break(cap, ins, config.rewrites)
 
     words = words_over(spec.work_alphabet, max_len)
     return _report(
@@ -411,10 +411,8 @@ def check_preservation(
         trace = run_deterministic(spec, word, limits)
         if trace.outcome == OUT_LIMIT:
             raise ResourcesExceeded("%s while running %s" % (trace.flag, render_word(word)))
-        steps = trace.records[-1].steps if trace.records else ()
-        for (_, ins), (config, _) in zip(steps, steps[1:]):
-            if ins.kind == SL:
-                yield strip_sentinels(config.tape), trace
+        for tape in trace.records[-1].tapes[1:] if trace.records else ():
+            yield strip_sentinels(tape), trace
 
     explain = ("cycle rewrites %s (%s) to %s (%s)" if cycles
                else "computation from %s (%s) visits %s (%s)")

@@ -17,7 +17,8 @@ rewrite cap; the branch walk behind the checks applies none of them itself,
 so that the checks observe violations rather than prune them.
 
 A missing table entry halts the run; this is reported as a reject flagged
-"stuck", distinct from an explicit reject step.
+"stuck", distinct from an explicit reject step.  A word with a symbol outside
+the working alphabet, a sentinel included, is refused with SymbolError.
 
 Limits.  ``Limits`` holds one limit, ``max_configs``, which bounds every
 step, cycle and phase too, since each expands a configuration.  A search
@@ -46,10 +47,9 @@ brings back into the repeated prefix is matched against the recorded scan,
 so loops through the prefix are still seen.  The repeated steps are charged
 to every step and configuration count, and r is clamped to the
 configurations left, so that the limit trips at the very step it would trip
-at without resuming.  A trace keeps one ``CycleRecord`` per cycle, with the
-repeated scan as (state, instruction) pairs; ``Trace.steps`` is a tuple
-built from the records when it is first read, with those configurations
-expanded inline.
+at without resuming.  A trace keeps one ``CycleRecord`` per cycle, whose
+steps, the repeated scan's too, are (state, instruction) pairs, with the
+tapes they read; only ``Trace.steps`` builds configurations from them.
 
 Compiled step.  ``_cycle`` looks each step up in ``spec.step_table``, which
 maps each key of the spec's table to the one instruction offered there
@@ -61,10 +61,10 @@ entry is filled from ``successors`` when a cycle first reaches its key
 (``compiled_step``), so that the step relation keeps one definition; a key
 that offers a choice is never filled, and a run that reaches it raises
 PreconditionError.  ``_cycle`` applies moves and rewrites inline, asks
-``discipline_break`` only at steps other than MVR, and keeps the leftmost
-rewrite position in ``CycleRecord.rewritten_from``, where the next cycle
-resumes.  The branch search, ``walk_branches`` and ``replay_trace`` call
-``successors`` itself.
+``discipline_break`` only at steps other than MVR, keeps each step's state
+and the tape after each rewrite, and keeps the leftmost rewrite position in
+``CycleRecord.rewritten_from``, where the next cycle resumes.  The branch
+search, ``walk_branches`` and ``replay_trace`` call ``successors`` itself.
 
 Membership.  One depth-first loop over restarting words, with a memo,
 decides every word for every automaton (``_search``): it answers
@@ -139,31 +139,32 @@ _UNCOMPILED = object()
 class CycleRecord(NamedTuple):
     """One cycle, or the closing tail, of a trace.
 
-    ``tape`` is the tape the cycle starts on.  ``scan`` holds the (state,
+    ``tapes`` holds the tape the cycle starts on, then the tape after each
+    rewrite that a later step reads.  ``scan`` holds the (state,
     instruction) pairs of the MVR steps that the cycle repeated from the
-    recorded cycle it resumed after, at positions 0 .. len(scan)-1;
-    ``steps`` holds the steps it
-    took from there on.  ``rewritten_from`` is the leftmost position at
+    recorded cycle it resumed after, at positions 0 .. len(scan)-1, and
+    ``steps`` those of the steps it took from there on, whose positions
+    ``Trace.steps`` replays.  ``rewritten_from`` is the leftmost position at
     which a deterministic cycle rewrote, so that it left cells [0, p) of its
     tape as they were: None without a rewrite, and in the records that no
     cycle resumes after (the branch search's and ``Trace.of_steps``'s).  A
     record refers to no other record, so memoized records can be reused by
     every trace that reaches them."""
 
-    tape: Word
+    tapes: tuple[Word, ...]
     scan: tuple[tuple[str, Instruction], ...]
-    steps: tuple[Step, ...]
+    steps: tuple[tuple[str, Instruction], ...]
     rewritten_from: Optional[int] = None
 
     @property
     def from_word(self) -> Word:
         """The word the cycle starts on."""
-        return self.tape[1:-1]
+        return self.tapes[0][1:-1]
 
     @property
     def to_word(self) -> Word:
         """The word the cycle restarts on: the tape of its last step."""
-        return self.steps[-1][0].tape[1:-1]
+        return self.tapes[-1][1:-1]
 
     def ends_cycle(self) -> bool:
         return bool(self.steps) and self.steps[-1][1].kind == RESTART
@@ -172,8 +173,8 @@ class CycleRecord(NamedTuple):
 @dataclass(frozen=True)
 class Trace:
     """A computation: one record per cycle, then the tail.  ``steps`` is the
-    tuple of its (configuration, instruction) pairs, each record's repeated
-    scan expanded, built when it is first read."""
+    tuple of its (configuration, instruction) pairs, the repeated scans'
+    too, the only configurations built from records, when first read."""
 
     records: tuple[CycleRecord, ...]
     outcome: str
@@ -183,25 +184,12 @@ class Trace:
     def of_steps(cls, steps: Iterable[Step], outcome: str, flag: Optional[str] = None) -> "Trace":
         """A trace over plain steps that start at a restarting
         configuration, split into one record per cycle."""
-        records = []
-        part: list[Step] = []
-        for step in steps:
-            part.append(step)
-            if step[1].kind == RESTART:
-                records.append(CycleRecord(part[0][0].tape, (), tuple(part)))
-                part = []
-        if part:
-            records.append(CycleRecord(part[0][0].tape, (), tuple(part)))
-        return cls(tuple(records), outcome, flag)
+        return cls(tuple(_records([(c.tape, c.state, ins) for c, ins in steps])), outcome, flag)
 
     @cached_property
     def steps(self) -> tuple[Step, ...]:
-        steps: list[Step] = []
-        for record in self.records:
-            steps += [(Configuration(record.tape, state, j, 0), ins)
-                      for j, (state, ins) in enumerate(record.scan)]
-            steps += record.steps
-        return tuple(steps)
+        return tuple([(Configuration(tape, state, pos, n), ins) for record in self.records
+                      for tape, state, pos, n, ins in _replay(record.tapes, record.scan + record.steps)])
 
     def cycle_count(self) -> int:
         return sum(1 for record in self.records if record.ends_cycle())
@@ -226,8 +214,51 @@ class Decision:
         return self.verdict == "member"
 
 
+def _records(steps: Sequence[tuple[Word, str, Instruction]]) -> list[CycleRecord]:
+    """One record per cycle of ``steps``, (tape, state, instruction) triples
+    from a restarting configuration on, then one for the tail, if any."""
+    records, tapes, pairs, read = [], [], [], True
+    for tape, state, ins in steps:
+        if read:  # the first step's tape, or a rewrite's
+            tapes.append(tape)
+        pairs.append((state, ins))
+        read = ins.kind == SL
+        if ins.kind == RESTART:
+            records.append(CycleRecord(tuple(tapes), (), tuple(pairs)))
+            tapes, pairs, read = [], [], True
+    if pairs:
+        records.append(CycleRecord(tuple(tapes), (), tuple(pairs)))
+    return records
+
+
+def _replay(tapes: Sequence[Word], steps: Iterable[tuple[str, Instruction]], pos: int = 0):
+    """(tape, state, pos, rewrites, instruction) of each of ``steps``, the
+    pairs of a record taken from position ``pos`` on ``tapes[0]``, as
+    ``successors`` moves: an MVR one cell right, an MVL one left, and a
+    rewrite onto the next tape, left by the cells it cut, floored at 0."""
+    tape, rewrites = tapes[0], 0
+    for state, ins in steps:
+        yield tape, state, pos, rewrites, ins
+        kind = ins.kind
+        if kind == SL and rewrites + 1 < len(tapes):
+            rewrites += 1
+            pos, tape = max(0, pos - len(tape) + len(tapes[rewrites])), tapes[rewrites]
+        else:
+            pos += (kind == MVR) - (kind == MVL)
+
+
 def restarting_configuration(spec: AutomatonSpec, word: Word) -> Configuration:
     return Configuration((LEFT_SENTINEL,) + tuple(word) + (RIGHT_SENTINEL,), spec.initial, 0, 0)
+
+
+def _over(alphabet: frozenset[str], word: Sequence[str],
+          message: str = "symbol %r outside working alphabet") -> Word:
+    """``word`` as a tuple; SymbolError with ``message`` at its first symbol
+    outside ``alphabet``."""
+    word = tuple(word)
+    if not alphabet.issuperset(word):
+        raise SymbolError(message % next(tok for tok in word if tok not in alphabet))
+    return word
 
 
 def strip_sentinels(tape: Word) -> Word:
@@ -277,18 +308,19 @@ def successors(spec: AutomatonSpec, config: Configuration):
     return out
 
 
-def discipline_break(cap: int, ins: Instruction, config: Configuration) -> Optional[str]:
-    """Why taking ``ins`` at ``config`` breaks the cycle discipline with at
-    most ``cap`` rewrite steps per cycle, or None if it does not."""
+def discipline_break(cap: int, ins: Instruction, rewrites: int) -> Optional[str]:
+    """Why taking ``ins`` after ``rewrites`` rewrite steps of the phase
+    breaks the cycle discipline with at most ``cap`` rewrite steps per
+    cycle, or None if it does not."""
     # A rejecting halt after a rewrite is treated as an aborted cycle, not as
     # a rewriting tail: deterministic multi-rewrite automata must delete
     # eagerly and can discover a mismatch only afterwards, and a mid-cycle
     # reject contributes nothing to any language.
-    if ins.kind == SL and config.rewrites >= cap:
+    if ins.kind == SL and rewrites >= cap:
         return "more than %d rewrite steps in a cycle" % cap
-    if ins.kind == RESTART and config.rewrites == 0:
+    if ins.kind == RESTART and rewrites == 0:
         return "cycle without a rewrite step"
-    if ins.kind == ACCEPT and config.rewrites > 0:
+    if ins.kind == ACCEPT and rewrites > 0:
         return "rewrite step in an accepting tail"
     return None
 
@@ -302,19 +334,11 @@ def _resume(spec: AutomatonSpec, record: CycleRecord, same: int, most: int) -> t
     the first one that is not an MVR are the moves from 0 to L, so the
     first min(L, same - k + 1) steps recur (see the module docstring)."""
     r = max(0, min(same - spec.window + 1, most))
-    scan = record.scan
-    if r <= len(scan):
-        scan = scan[:r]
-    else:
-        lead = []
-        for config, ins in record.steps[: r - len(scan)]:
-            if ins.kind != MVR:
-                break
-            lead.append((config.state, ins))
-        scan += tuple(lead)
-    if not scan:
-        return (), spec.initial
-    return scan, scan[-1][1].state
+    scan = record.scan[:r]
+    if r > len(scan):
+        lead = record.steps[: r - len(scan)]
+        scan += lead[: next((i for i, (_, ins) in enumerate(lead) if ins.kind != MVR), len(lead))]
+    return scan, scan[-1][1].state if scan else spec.initial
 
 
 def compiled_step(spec: AutomatonSpec, state: str, window: Word) -> Optional[Instruction]:
@@ -331,41 +355,37 @@ def compiled_step(spec: AutomatonSpec, state: str, window: Word) -> Optional[Ins
     return offered[0][0] if offered else None
 
 
-def run_deterministic(
-    spec: AutomatonSpec,
-    word: Word,
-    limits: Limits = DEFAULT_LIMITS,
-) -> Trace:
+def run_deterministic(spec: AutomatonSpec, word: Word, limits: Limits = DEFAULT_LIMITS) -> Trace:
     """Run a deterministic automaton from the restarting configuration of
     ``word`` until it halts, loops, gets stuck, breaks the cycle discipline,
     or exhausts the limits.  Each cycle resumes where the one before it
     stops being repeatable (see the module docstring)."""
     if not spec.flags.deterministic:
         raise PreconditionError("run_deterministic requires a deterministic automaton")
-    tape = restarting_configuration(spec, tuple(word)).tape
+    tape = (LEFT_SENTINEL,) + _over(spec.work_alphabet, word) + (RIGHT_SENTINEL,)
     budget = _Budget(limits.max_configs)
     records: list[CycleRecord] = []
     record, same = None, 0
     while True:
-        record, outcome, flag, config = _cycle(spec, tape, record, same, budget)
+        record, outcome, flag, _, _ = _cycle(spec, tape, record, same, budget)
         if record.scan or record.steps:
             records.append(record)
         if outcome is not None:
             return Trace(tuple(records), outcome, flag)
-        tape, same = config.tape, record.rewritten_from
+        tape, same = record.tapes[-1], record.rewritten_from
 
 
 def _cycle(
     spec: AutomatonSpec, tape: Word, before: Optional[CycleRecord], same: int, budget: _Budget,
-) -> tuple[CycleRecord, Optional[str], Optional[str], Configuration]:
+) -> tuple[CycleRecord, Optional[str], Optional[str], int, int]:
     """One cycle, or the tail, of a deterministic automaton on ``tape``,
     resumed after the recorded cycle ``before`` whose start tape agrees with
     ``tape`` on cells [0, same) (None for nothing to resume after).  Each
     configuration it expands, the repeated scan's too, spends ``budget``.
 
-    Returns (record, outcome, flag, configuration): the outcome is None when
-    the cycle restarts, with the restarting configuration; otherwise the
-    outcome and flag are a trace's, with the configuration the cycle
+    Returns (record, outcome, flag, pos, rewrites): the outcome is None
+    when the cycle restarts, on the record's last tape; otherwise the
+    outcome and flag are a trace's, with the position and rewrite count it
     stopped at.  Raises PreconditionError at a nondeterministic choice."""
     cap, k, table = spec.flags.mr_degree, spec.window, spec.step_table
     if table is None:
@@ -377,8 +397,8 @@ def _cycle(
     else:
         scan, state = _resume(spec, before, same, budget.left)
     r = pos = len(scan)
-    start, rewrites, leftmost = tape, 0, None
-    steps: list[Step] = []
+    rewrites, leftmost, tapes = 0, None, [tape]
+    steps: list[tuple[str, Instruction]] = []
     seen: Optional[set[tuple[str, int, int]]] = None
     left = budget.left - r
     outcome = flag = None
@@ -404,33 +424,33 @@ def _cycle(
         if ins is None:
             outcome, flag = OUT_REJECT, "stuck"
             break
-        config = Configuration(tape, state, pos, rewrites)
-        steps.append((config, ins))
+        steps.append((state, ins))
         kind = ins.kind
         if kind == MVR:
             state, pos = ins.state, pos + 1
             continue
-        flag = discipline_break(cap, ins, config)
+        flag = discipline_break(cap, ins, rewrites)
         if flag is not None:
             outcome = OUT_INVALID
             break
         if kind == SL:
             leftmost = pos if leftmost is None else min(leftmost, pos)
             tape = tape[:pos] + ins.target + tape[pos + len(window):]
+            tapes.append(tape)
             state, pos, rewrites = ins.state, max(0, pos - len(window) + len(ins.target)), rewrites + 1
         elif kind == MVL:
             if seen is None:
-                seen = {(c.state, c.pos, c.rewrites) for c, _ in steps}
+                seen = {(q, p, n) for _, q, p, n, _ in _replay(tapes, steps, r)}
             state, pos = ins.state, pos - 1
         elif kind == RESTART:
-            state, pos, rewrites = spec.initial, 0, 0
             break
         else:
             outcome = OUT_ACCEPT if kind == ACCEPT else OUT_REJECT
             break
     budget.left = left
-    record = CycleRecord(start, scan, tuple(steps), leftmost)
-    return record, outcome, flag, Configuration(tape, state, pos, rewrites)
+    if steps and steps[-1][1].kind == SL and outcome != OUT_INVALID:
+        del tapes[-1]  # no step read the last rewrite's tape
+    return CycleRecord(tuple(tapes), scan, tuple(steps), leftmost), outcome, flag, pos, rewrites
 
 
 class ResourcesExceeded(ReduktoError):
@@ -451,7 +471,7 @@ class _Budget:
             raise ResourcesExceeded("configs limit exceeded")
 
 
-def _path_to(parents: dict, node, final: Step) -> tuple[Step, ...]:
+def _path_to(parents: dict, node, final: tuple) -> list[tuple]:
     """Steps from the root of a parent-pointer map to ``node``, then
     ``final``.  ``parents`` maps every node to (parent node, step into it)
     and the root to None."""
@@ -462,7 +482,7 @@ def _path_to(parents: dict, node, final: Step) -> tuple[Step, ...]:
         chain.append(step)
         link = parents[node]
     chain.reverse()
-    return tuple(chain)
+    return chain
 
 
 # A phase: the accepting tail's record or None, the record of each cycle,
@@ -491,7 +511,8 @@ def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
     phase are pruned by a visited set keyed on (tape id, state, pos,
     rewrites), where tapes are interned once per rewrite that makes them, so
     no lookup hashes a tape; two keys are equal exactly when their
-    configurations are.  Paths are reconstructed through parent pointers.
+    configurations are.  Paths are reconstructed through parent pointers,
+    each keeping the (tape, state, instruction) of the step into its key.
     Raises ResourcesExceeded when the budget runs out.
 
     A phase that ends with no accepting tail, no cycle and no tape but its
@@ -509,27 +530,26 @@ def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
     while stack:
         node, config = stack.pop()
         budget.spend()
+        tape, state, _, rewrites = config
         for ins, nxt in successors(spec, config):
-            if discipline_break(cap, ins, config) is not None:
+            if discipline_break(cap, ins, rewrites) is not None:
                 continue
             if nxt is None:
                 if ins.kind == ACCEPT and tail_accept is None:
-                    path = _path_to(parents, node, (config, ins))
-                    tail_accept = CycleRecord(start.tape, (), path)
+                    tail_accept = _records(_path_to(parents, node, (tape, state, ins)))[0]
                 continue
             if ins.kind == RESTART:
-                cycles.append(CycleRecord(start.tape, (), _path_to(parents, node, (config, ins))))
+                cycles.append(_records(_path_to(parents, node, (tape, state, ins)))[0])
                 continue
             tape_id = node[0] if ins.kind != SL else tape_ids.setdefault(nxt.tape, len(tape_ids))
             child = (tape_id, nxt.state, nxt.pos, nxt.rewrites)
             if child in parents:
                 continue
-            parents[child] = (node, (config, ins))
+            parents[child] = (node, (tape, state, ins))
             stack.append((child, nxt))
     prefix = None
     if tail_accept is None and not cycles and len(tape_ids) == 1:
-        reach = max([node[2] for node in parents])
-        prefix = _rejected_prefix(reach, spec.window, len(start.tape))
+        prefix = _rejected_prefix(max([node[2] for node in parents]), spec.window, len(start.tape))
     # Deterministic order for reproducible witnesses and reports.
     cycles.sort(key=lambda record: record.to_word)
     return tail_accept, cycles, prefix, None
@@ -568,8 +588,8 @@ def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[Cycle
     if start:
         tape = (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,)
     else:
-        tape, same = before.steps[-1][0].tape, before.rewritten_from
-    record, outcome, flag, config = _cycle(spec, tape, before, same, budget)
+        tape, same = before.tapes[-1], before.rewritten_from
+    record, outcome, flag, pos, rewrites = _cycle(spec, tape, before, same, budget)
     if outcome is None:
         return None, (record,), None, record
     if outcome == OUT_LIMIT:
@@ -577,10 +597,10 @@ def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[Cycle
     if outcome == OUT_ACCEPT:
         return record, (), None, record
     prefix = None
-    if start and config.rewrites == 0:
+    if start and rewrites == 0:
         # The phase expanded the configurations of its steps and the one it
         # stopped at; those of the repeated scan lie left of them.
-        reach = max([config.pos] + [c.pos for c, _ in record.steps])
+        reach = max([pos] + [step[2] for step in _replay(record.tapes, record.steps, len(record.scan))])
         prefix = _rejected_prefix(reach, spec.window, len(tape))
     return None, (), prefix, record
 
@@ -666,13 +686,8 @@ def _witness(link) -> Trace:
     return Trace(tuple(records), OUT_ACCEPT)
 
 
-def decide_basic_membership(
-    spec: AutomatonSpec,
-    word: Word,
-    limits: Limits = DEFAULT_LIMITS,
-    memoize: bool = True,
-    memo: Optional[dict] = None,
-) -> Decision:
+def decide_basic_membership(spec: AutomatonSpec, word: Word, limits: Limits = DEFAULT_LIMITS,
+                            memoize: bool = True, memo: Optional[dict] = None) -> Decision:
     """Decide whether some computation from the restarting configuration of
     ``word`` accepts.
 
@@ -690,12 +705,13 @@ def decide_basic_membership(
     restarting word, remembering only the open words so that it raises on
     a recurring word too, and serves as the brute-force cross-check.
     """
+    word = _over(spec.work_alphabet, word)
     # The brute search keeps a table of its own that holds only the open
     # words.
     table = memo if memo is not None and memoize else {}
     budget = _Budget(limits.max_configs)
     try:
-        (ok, link), _, _ = _search(spec, tuple(word), None, 0, memoize, table, budget)
+        (ok, link), _, _ = _search(spec, word, None, 0, memoize, table, budget)
     except ResourcesExceeded as err:
         return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
     explored = limits.max_configs - budget.left
@@ -704,12 +720,9 @@ def decide_basic_membership(
     return Decision("member", _witness(link), explored)
 
 
-def decide_first_member(
-    spec: AutomatonSpec,
-    options: Sequence[Sequence[str]],
-    limits: Limits = DEFAULT_LIMITS,
-    memo: Optional[dict] = None,
-) -> tuple[Decision, Optional[Word]]:
+def decide_first_member(spec: AutomatonSpec, options: Sequence[Sequence[str]],
+                        limits: Limits = DEFAULT_LIMITS, memo: Optional[dict] = None,
+                        ) -> tuple[Decision, Optional[Word]]:
     """The first basic member among the words whose i-th letter is one of
     ``options[i]``, tried in the order of ``itertools.product``, with its
     decision; or, with None, the decision that ends the search: non-member
@@ -737,6 +750,8 @@ def decide_first_member(
     deciding a skipped one again could trip a limit that the memo would
     have spared, so its candidates are all decided.
     """
+    for choices in options:
+        _over(spec.work_alphabet, choices)
     if not all(options):
         return Decision("non-member"), None
     table = memo if memo is not None else {}
@@ -770,25 +785,15 @@ def decide_first_member(
         same = i
 
 
-def decide_input_membership(
-    spec: AutomatonSpec,
-    word: Word,
-    limits: Limits = DEFAULT_LIMITS,
-    memo: Optional[dict] = None,
-) -> Decision:
+def decide_input_membership(spec: AutomatonSpec, word: Word, limits: Limits = DEFAULT_LIMITS,
+                            memo: Optional[dict] = None) -> Decision:
     """decide_basic_membership restricted to words over the input alphabet."""
-    word = tuple(word)
-    for tok in word:
-        if tok not in spec.input_alphabet:
-            raise SymbolError("symbol %r is not an input symbol" % tok)
+    word = _over(spec.input_alphabet, word, "symbol %r is not an input symbol")
     return decide_basic_membership(spec, word, limits, memo=memo)
 
 
-def cycle_rewrites(
-    spec: AutomatonSpec,
-    word: Word,
-    limits: Limits = DEFAULT_LIMITS,
-) -> list[CycleRecord]:
+def cycle_rewrites(spec: AutomatonSpec, word: Word,
+                   limits: Limits = DEFAULT_LIMITS) -> list[CycleRecord]:
     """The cycles word => v, one record for each distinct v (its
     ``to_word``), in the order of v.
 
@@ -801,7 +806,7 @@ def cycle_rewrites(
     a cycle makes no such progress or a deterministic automaton meets a
     choice.
     """
-    word = tuple(word)
+    word = _over(spec.work_alphabet, word)
     budget = _Budget(limits.max_configs)
     if spec.flags.deterministic:
         _, cycles, _, _ = _deterministic_phase(spec, word, None, 0, budget)
@@ -820,12 +825,9 @@ def cycle_rewrites(
     return list(firsts.values())
 
 
-def walk_branches(
-    spec: AutomatonSpec,
-    word: Word,
-    on_step: Callable[[object, Configuration, Instruction], tuple[object, Optional[str]]],
-    limits: Limits = DEFAULT_LIMITS,
-) -> Optional[Trace]:
+def walk_branches(spec: AutomatonSpec, word: Word,
+                  on_step: Callable[[object, Configuration, Instruction], tuple[object, Optional[str]]],
+                  limits: Limits = DEFAULT_LIMITS) -> Optional[Trace]:
     """Walk every branch of every computation from the restarting
     configuration of ``word``, across cycles and without the cycle
     discipline, and return the steps up to the first flagged one.

@@ -328,6 +328,20 @@ def test_complete_error_catches_discipline_breaker():
     assert report.counterexample.word == ("b", "b")
 
 
+def test_complete_error_skips_a_rewrite_that_no_step_reads():
+    # The run deletes the a of "a" and is stuck at once, so no step reads
+    # the rewritten tape: the run visits no word but "a", though the empty
+    # word that the rewrite made is a member.
+    stuck = AutomatonSpec(
+        "stuck", frozenset({"q0", "q1"}), "q0", 1, frozenset("a"), frozenset("a"),
+        {("q0", (C,)): (mvr("q0"),), ("q0", ("a",)): (sl("q1", ()),), ("q0", (D,)): (accept(),)},
+        ClassFlags(deterministic=True),
+    )
+    trace = run_deterministic(stuck, ("a",))
+    assert (trace.outcome, trace.flag, trace.records[-1].tapes) == ("reject", "stuck", ((C, "a", D),))
+    assert check_preservation(stuck, 3, "complete-error").holds
+
+
 def test_shrinking_weights_on_transform(m_e_h_shrunk):
     spec, weights = m_e_h_shrunk
     assert check_shrinking(spec, weights, 8).holds

@@ -24,6 +24,8 @@ GOLDEN_CASES = [
     ("run_m_e_aaaa_trace.txt", ["run", "m_e", "aaaa", "--trace"]),
     ("run_m_e_aaa.txt", ["run", "m_e", "aaa"]),
     ("run_dyck1_trace.txt", ["run", "dyck1", "a1ā1a1ā1", "--trace"]),
+    # Two rewrites a cycle, the second floored at position 0.
+    ("run_lm_1_abcab_trace.txt", ["run", "lm_1", "abcab", "--trace"]),
     ("decide_m_e_basic_b.txt", ["decide", "m_e", "b", "--kind", "basic"]),
     ("decide_m_e_h_hproper_aaa.txt", ["decide", "m_e_h", "aaa", "--kind", "hproper"]),
     ("decide_dyck1_input.txt", ["decide", "dyck1", "a1ā1a1ā1", "--kind", "input"]),
@@ -42,6 +44,16 @@ def test_golden(name, argv):
     proc = run_cli(*argv)
     got = "exit %d\n%s" % (proc.returncode, proc.stdout)
     assert got == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_golden_witness_of_a_shrunk_automaton(tmp_path):
+    # A nondeterministic witness from the branch search, whose rewrites
+    # keep the tape's length.
+    shrunk = tmp_path / "shrunk.rlww"
+    assert run_cli("transform", "shrink", "m_e_h", "-o", str(shrunk)).returncode == 0
+    proc = run_cli("run", str(shrunk), "aa", "--trace")
+    got = "exit %d\n%s" % (proc.returncode, proc.stdout)
+    assert got == (GOLDEN / "run_m_e_h_shrunk_aa_trace.txt").read_text(encoding="utf-8")
 
 
 def test_run_exit_codes(tmp_path):

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import re
 import types
 import weakref
 from dataclasses import FrozenInstanceError, replace
@@ -233,6 +234,24 @@ def test_input_membership_checks_alphabet(m_e):
         decide_input_membership(m_e.spec, word("b"))
 
 
+@pytest.mark.parametrize("foreign", [C, D, "zz"])
+def test_entries_refuse_symbols_outside_the_working_alphabet(m_e, foreign):
+    # A sentinel inside a word would be read as a border, and a symbol the
+    # table never names would leave the run stuck, so each is an error.
+    spec, w = m_e.spec, ("a", foreign, "a", "a")
+    message = "^%s$" % re.escape("symbol %r outside working alphabet" % foreign)
+    for call in (lambda: run_deterministic(spec, w),
+                 lambda: decide_basic_membership(spec, w),
+                 lambda: decide_basic_membership(spec, w, memoize=False),
+                 lambda: cycle_rewrites(spec, w),
+                 lambda: decide_first_member(spec, [("a",), ("b", foreign)])):
+        with pytest.raises(SymbolError, match=message):
+            call()
+    # The input decider names the input alphabet, which b is outside too.
+    with pytest.raises(SymbolError, match=r"^symbol 'b' is not an input symbol$"):
+        decide_input_membership(spec, ("a", "b", foreign))
+
+
 def test_input_membership_brackets(dyck1):
     open_, close = sorted(dyck1.spec.input_alphabet)
     assert decide_input_membership(dyck1.spec, (open_, close, open_, close)).is_member
@@ -425,15 +444,17 @@ def test_a_dropped_automaton_takes_its_step_table_with_it(m_e):
 
 def test_replay_refuses_a_step_not_offered_and_steps_that_do_not_chain(m_e):
     steps = list(run_deterministic(m_e.spec, word("aaaa")).steps)
-    tape = steps[0][0].tape
 
     def replays(*chosen):
-        return replay_trace(m_e.spec, Trace((CycleRecord(tape, (), chosen),), "counterexample"))
+        return replay_trace(m_e.spec, Trace.of_steps(chosen, "counterexample"))
 
     assert replays(*steps[:3])
     config, ins = steps[0]
     assert ins != accept() and not replays((config, accept()))
-    assert not replays(steps[0], steps[2])
+    # A record replays positions from its pairs, so a step that does not
+    # chain is one taken in the wrong state: the restart of q1 after q0's MVR.
+    assert steps[4][0].state != steps[0][1].state
+    assert not replays(steps[0], steps[4])
 
 
 def test_cycle_rewrites_are_the_phase_records(m_e):

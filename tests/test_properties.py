@@ -26,12 +26,14 @@ from redukto.engine import (
     Decision,
     Limits,
     ResourcesExceeded,
+    Trace,
     cycle_rewrites,
     decide_basic_membership,
     decide_first_member,
     compiled_step,
     decide_input_membership,
     discipline_break,
+    replay_trace,
     restarting_configuration,
     run_deterministic,
     strip_sentinels,
@@ -181,7 +183,7 @@ def reference_phase(spec, w):
     while todo:
         config = todo.pop()
         for ins, nxt in successors(spec, config):
-            if discipline_break(cap, ins, config):
+            if discipline_break(cap, ins, config.rewrites):
                 continue
             if ins.kind == RESTART:
                 words.add(strip_sentinels(nxt.tape))
@@ -332,7 +334,7 @@ def test_deterministic_decider_refuses_a_choice():
 
 def rewrites_outcome(spec, w, limits):
     try:
-        return [(r.to_word, r.steps) for r in cycle_rewrites(spec, w, limits)]
+        return [(r.to_word, Trace((r,), "counterexample").steps) for r in cycle_rewrites(spec, w, limits)]
     except (PreconditionError, ResourcesExceeded) as err:
         return type(err).__name__, str(err)
 
@@ -415,7 +417,7 @@ def reference_run(spec, w, limits):
             return steps, "reject", "stuck"
         [(ins, nxt)] = succ
         steps.append((config, ins))
-        bad = discipline_break(cap, ins, config)
+        bad = discipline_break(cap, ins, config.rewrites)
         if bad is not None:
             return steps, "invalid-cycle", bad
         if nxt is None:
@@ -481,7 +483,8 @@ def test_resumed_run_agrees_with_plain_run(case):
     trace = assert_resumed_run_is_plain(*case)
     cap = case[0].flags.mr_degree
     for record in trace.records:
-        rewrote = [c.pos for c, ins in record.steps if ins.kind == SL and c.rewrites < cap]
+        steps = Trace((record,), trace.outcome).steps
+        rewrote = [c.pos for c, ins in steps if ins.kind == SL and c.rewrites < cap]
         assert record.rewritten_from == min(rewrote, default=None)
     target(float(sum(len(record.scan) for record in trace.records)))
 
@@ -716,6 +719,24 @@ def test_shrunk_input_language_is_hproper_language(spec):
         via_input = decide_input_membership(shrunk, word)
         via_hproper, _ = decide_hproper_membership(spec, word)
         assert via_input.verdict == via_hproper.verdict != "resource-exceeded", n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(automata(deterministic=False),
+                 automata(deterministic=True, min_window=2).map(
+                     lambda spec: to_shrinking(over_one_letter(spec))[0])))
+def test_every_witness_replays(spec):
+    # The branch search's witnesses, the shrunk automata's with rewrites
+    # that keep the tape's length, start at the word and replay step by step.
+    memo, members = {}, 0
+    for n in range(4):
+        for word in itertools.product(sorted(spec.work_alphabet), repeat=n):
+            decision = decide_basic_membership(spec, word, Limits(max_configs=5_000), memo=memo)
+            if decision.is_member:
+                members += 1
+                assert decision.witness.steps[0][0] == restarting_configuration(spec, word)
+                assert replay_trace(spec, decision.witness), word
+    target(float(members))
 
 
 @settings(max_examples=100, deadline=None)
