@@ -133,8 +133,28 @@ def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def gnf(name, *rules):
+    """A GNF grammar from (lhs, head, tail) triples, started at S."""
+    return GnfGrammar(name, frozenset(lhs for lhs, _, _ in rules),
+                      frozenset(head for _, head, _ in rules), "S",
+                      tuple(GnfRule(lhs, head, tuple(tail)) for lhs, head, tail in rules))
+
+
+# Grammars beyond the catalog's two, pinned below with the catalog's.
+GRAMMARS = {g.name: g for g in (
+    # Marked palindromes: w c reverse(w) over {a, b}.
+    gnf("mpal_gnf", ("S", "a", "SA"), ("S", "b", "SB"), ("S", "c", ""),
+        ("A", "a", ""), ("B", "b", "")),
+    # a^n c b^n.
+    gnf("ancbn_gnf", ("S", "a", "SB"), ("S", "c", ""), ("B", "b", "")),
+    # Non-empty Dyck words over two bracket pairs.
+    gnf("dyck2_gnf", ("S", "(", "SX"), ("S", "(", "X"), ("S", "[", "SY"), ("S", "[", "Y"),
+        ("X", ")", "S"), ("X", ")", ""), ("Y", "]", "S"), ("Y", "]", "")),
+)}
+
 A2_B3 = "language mismatch: counterexample (2,a) (3,b) (only in right)"
 A1_CLOSE = "language mismatch: counterexample (2,a1) (4,ā1) (only in right)"
+OPEN_CLOSE = "language mismatch: counterexample (2,() (6,)) (only in right)"
 
 # What build_hrrwwc(grammar, k, window_cap=k) gives: verdict, window used,
 # notes, counterexamples, and the SHA-256 of the report's description, which
@@ -158,13 +178,29 @@ SYNTHESIS_PINS = {
     ("dyck_gnf", 4): ("validated", 4, [], [],
                       "92f3cfb9ac8eec1f87ad6c672c5fbedb354057973d1359b13a342bac310c1d7a",
                       "8fd4930ce4dae793dd9563a162761f6e36da24a6a375043a6e100125446f1736"),
+    ("mpal_gnf", 3): ("validated", 3, [], [],
+                      "5d51ebda76bd28a591012d53a3034fb1bdf01a29d42d7e784d1912183d2d4441",
+                      "44aae27d90e7177b414e12563df9b15ec0aefe8d0c3269aed3ac3f3c059cd67b"),
+    ("mpal_gnf", 4): ("validated", 4, [], [],
+                      "49959c160cd52991704418494c7037bd5036947e8aedc0f55e562ac2d37a7e5e",
+                      "c8c3ffd92ebeb5bac3fe8920357e5aa4b70643c0fdae153a0e764192d03451a4"),
+    ("ancbn_gnf", 3): ("validated", 3, [], [],
+                       "bdf5aa57306a534f142da7874681bd5bff76f2de60039f01a0936f56ce901c29",
+                       "6090b91d2ff746de080b5c10fb3ff111d1c5fc6fcd6136adbafcb044d03a2ec0"),
+    ("ancbn_gnf", 4): ("validated", 4, [], [],
+                       "bf67116e0f49d6788352f0738f03a695ba501b14ff2bec50d3799c348e4523f4",
+                       "eaf64822fcf32411318423f6f80b7c7c39dcc5ee695b5fef59b93d15a81f44bc"),
+    # The largest filter sample of these; no window up to 4 validates.
+    ("dyck2_gnf", 2): ("failed", 2, [OPEN_CLOSE], [("(2,()", "(6,))")],
+                       "106230bc57b0e13cd8bbd809c2473b339c5de069b4cbe562fd0b48e12c83d890", None),
 }
 
 
 @pytest.mark.parametrize("name,k", sorted(SYNTHESIS_PINS))
 def test_synthesis_output_is_pinned(name, k):
     try:
-        spec, report = build_hrrwwc(catalog_get(name).grammar, k, window_cap=k)
+        grammar = GRAMMARS[name] if name in GRAMMARS else catalog_get(name).grammar
+        spec, report = build_hrrwwc(grammar, k, window_cap=k)
         rendered = sha256(render_automaton(spec))
     except SynthesisError as err:
         report, rendered = err.report, None
