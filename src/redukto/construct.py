@@ -10,11 +10,13 @@ automaton whose h-proper language is L(G) and whose input language is empty.
 The cited general transformation of deterministic context-free languages
 into deterministic monotone contextual-deletion automata is out of scope
 here; the synthesizer replaces it with an oracle-guided search whose result
-is certified only up to the validated length, as stated on its report:
-every contextual deletion of every window of a training word is a candidate
-rule, held in one table from which the filter removes every rule that
-changes a sample word's membership at its leftmost match, the survivors are
-assembled into a leftmost-match scanner, and the scanner is validated
+is certified only up to the validated length, as stated on its report.
+Every contextual deletion of every window of a training word (a word of the
+grammar up to TRAIN_LEN) is a candidate rule, held in one table.  The filter
+removes from it every rule that changes a sample word's membership at its
+leftmost match; a sample word is a training word or any word up to length 6,
+and validation adds the reduction chains of its counterexamples.  The
+survivors are assembled into a leftmost-match scanner, which is validated
 against the derivation oracle.  Validation checks what the kept rules can
 get wrong: the language (up to the validated length) and monotonicity.  The
 cycle discipline needs no check, because the scanner's shape fixes it: every
@@ -198,7 +200,8 @@ def _attempt_synthesis(
 ) -> tuple[Optional[AutomatonSpec], SynthesisReport]:
     report = SynthesisReport(k, k, TRAIN_LEN, VALIDATE_LEN)
     alphabet = sorted(tagged.terminals)
-    training = enumerate_grammar_words(tagged, TRAIN_LEN)
+    expected = enumerate_grammar_words(tagged, VALIDATE_LEN)
+    training = [w for w in expected if len(w) <= TRAIN_LEN]
     member = functools.cache(lambda w: derivation_check(tagged, w))
 
     # The filter's one table: each window of a training word, with those of
@@ -230,18 +233,10 @@ def _attempt_synthesis(
                         if member((tape[:p] + v + tape[p + len(u) :])[1:-1]) != status
                     }
 
-    # The sample extends the training members with all short words and with
-    # single-edit corruptions of the members, so that rules which would
-    # repair an invalid word into the language are removed here rather than
-    # at validation.  Short words go first: they remove most rules early,
-    # which spares oracle calls on the longer ones.
-    sample = set(training).union(words_over(alphabet, min(6, TRAIN_LEN)))
-    for word in training:
-        for i in range(len(word) + 1):
-            head, rest = word[:i], word[i + 1 :]
-            sample.add(head + rest)
-            for tok in alphabet:
-                sample.update((head + (tok,) + word[i:], head + (tok,) + rest))
+    # The sample: the training words and every word up to length 6, members
+    # or not.  Short words go first: they remove most rules early, which
+    # spares oracle calls on the longer ones.
+    sample = set(training).union(words_over(alphabet, 6))
     refilter(sorted(sample, key=lambda w: (len(w), w)))
 
     # Validate and refine.  A round takes the shortlex-least surviving
@@ -260,7 +255,6 @@ def _attempt_synthesis(
     # sample, so the next round fails the attempt; and a round that removes a
     # kept rule retires one of finitely many candidates.  Residual failures
     # are reported and the caller may retry with a wider window.
-    expected = enumerate_grammar_words(tagged, VALIDATE_LEN)
     while True:
         kept = {u: min(vs, key=lambda w: (len(w), w)) for u, vs in candidates.items() if vs}
         spec = _assemble_scanner(tagged, k, kept, member)

@@ -177,9 +177,10 @@ def enumerate_language(
                 "automaton %s: tail acceptance is not syntactically confined, "
                 "which the closure enumeration requires" % spec.name
             )
-        seed = min(query.max_len, max(spec.window, bound))
+        # Seeding at the tail bound is enough: every longer member makes a
+        # first cycle to a member (see enumerate_basic_by_reduction).
         basics = enumerate_basic_by_reduction(
-            spec, query.max_len, seed_len=seed, limits=query.limits
+            spec, query.max_len, seed_len=min(query.max_len, bound), limits=query.limits
         )
         if kind == "input":
             sigma = spec.input_alphabet
