@@ -147,9 +147,9 @@ class CycleRecord(NamedTuple):
     ``Trace.steps`` replays.  ``rewritten_from`` is the leftmost position at
     which a deterministic cycle rewrote, so that it left cells [0, p) of its
     tape as they were: None without a rewrite, and in the records that no
-    cycle resumes after (the branch search's and ``Trace.of_steps``'s).  A
-    record refers to no other record, so memoized records can be reused by
-    every trace that reaches them."""
+    cycle resumes after (those of the branch searches).  A record refers to
+    no other record, so memoized records can be reused by every trace that
+    reaches them."""
 
     tapes: tuple[Word, ...]
     scan: tuple[tuple[str, Instruction], ...]
@@ -179,12 +179,6 @@ class Trace:
     records: tuple[CycleRecord, ...]
     outcome: str
     flag: Optional[str] = None
-
-    @classmethod
-    def of_steps(cls, steps: Iterable[Step], outcome: str, flag: Optional[str] = None) -> "Trace":
-        """A trace over plain steps that start at a restarting
-        configuration, split into one record per cycle."""
-        return cls(tuple(_records([(c.tape, c.state, ins) for c, ins in steps])), outcome, flag)
 
     @cached_property
     def steps(self) -> tuple[Step, ...]:
@@ -851,14 +845,15 @@ def walk_branches(spec: AutomatonSpec, word: Word,
         budget.spend()
         for ins, nxt in successors(spec, config):
             new_state, flag = on_step(state, config, ins)
+            step = (config.tape, config.state, ins)
             if flag is not None:
-                return Trace.of_steps(_path_to(parents, node, (config, ins)), "counterexample", flag)
+                return Trace(tuple(_records(_path_to(parents, node, step))), "counterexample", flag)
             if nxt is None:
                 continue
             child = (nxt, new_state)
             if child in parents:
                 continue
-            parents[child] = (node, (config, ins))
+            parents[child] = (node, step)
             stack.append(child)
     return None
 

@@ -443,18 +443,20 @@ def test_a_dropped_automaton_takes_its_step_table_with_it(m_e):
 
 
 def test_replay_refuses_a_step_not_offered_and_steps_that_do_not_chain(m_e):
-    steps = list(run_deterministic(m_e.spec, word("aaaa")).steps)
+    first = run_deterministic(m_e.spec, word("aaaa")).records[0]
+    start = first.tapes[:1]
 
-    def replays(*chosen):
-        return replay_trace(m_e.spec, Trace.of_steps(chosen, "counterexample"))
+    def replays(tapes, *pairs):
+        return replay_trace(m_e.spec, Trace((CycleRecord(tapes, (), pairs),), "counterexample"))
 
-    assert replays(*steps[:3])
-    config, ins = steps[0]
-    assert ins != accept() and not replays((config, accept()))
+    assert replays(first.tapes, *first.steps) and replays(start, *first.steps[:3])
+    state, ins = first.steps[0]
+    assert ins != accept() and not replays(start, (state, accept()))
     # A record replays positions from its pairs, so a step that does not
     # chain is one taken in the wrong state: the restart of q1 after q0's MVR.
-    assert steps[4][0].state != steps[0][1].state
-    assert not replays(steps[0], steps[4])
+    last = first.steps[-1]
+    assert last[0] != ins.state
+    assert not replays(start, first.steps[0], last)
 
 
 def test_cycle_rewrites_are_the_phase_records(m_e):
