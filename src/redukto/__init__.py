@@ -45,8 +45,8 @@ from .engine import (
     Trace,
     cycle_rewrites,
     decide_basic_membership,
-    decide_first_member,
     decide_input_membership,
+    decide_members,
     replay_trace,
     right_distance,
     run_deterministic,

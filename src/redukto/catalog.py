@@ -24,7 +24,7 @@ Entries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .model import (
@@ -61,7 +61,6 @@ class CatalogEntry:
     oracle: Optional[Callable[[Word], bool]] = None
     oracle_alphabet: tuple[str, ...] = ()
     monotone: Optional[bool] = None
-    params: dict = field(default_factory=dict)
 
 
 C, D = LEFT_SENTINEL, RIGHT_SENTINEL
@@ -337,8 +336,7 @@ def _verify(entry: CatalogEntry) -> CatalogEntry:
     return entry
 
 
-def _automaton_entry(name, description, spec, oracle, alphabet, monotone,
-                     **params) -> CatalogEntry:
+def _automaton_entry(name, description, spec, oracle, alphabet, monotone) -> CatalogEntry:
     return _verify(CatalogEntry(
         name=name,
         kind="automaton",
@@ -347,63 +345,52 @@ def _automaton_entry(name, description, spec, oracle, alphabet, monotone,
         oracle=oracle,
         oracle_alphabet=tuple(sorted(alphabet)),
         monotone=monotone,
-        params=params,
     ))
 
 
-def catalog_get(name: str, **params) -> CatalogEntry:
-    """Look up a catalog entry.
-
-    Parametrized families accept either the family name with a keyword
-    (``catalog_get("l_k", k=3)``) or a flat name (``catalog_get("l_3")``,
-    ``catalog_get("lm2")``).
-    """
-    key = name.strip()
-    if key in ("l_k", "lm_j"):
-        if key == "l_k":
-            return catalog_get("l_%d" % _require_param(params, "k"))
-        return catalog_get("lm_%d" % _require_param(params, "j"))
-    if key == "m_e":
+def catalog_get(name: str) -> CatalogEntry:
+    """Look up a catalog entry; the families take their index in the name,
+    as in ``l_3`` and ``lm_2``."""
+    if name == "m_e":
         return _automaton_entry(
             "m_e", "doubling recognizer of a^(2^n); non-monotone",
             _build_m_e(False), _oracle_power_of_two, ("a",), False,
         )
-    if key == "m_e_h":
+    if name == "m_e_h":
         return _automaton_entry(
             "m_e_h", "doubling recognizer with the morphism b -> a attached",
             _build_m_e(True), _oracle_power_of_two, ("a",), False,
         )
-    if key in ("dyck1", "l_1"):
+    if name == "dyck1":
         return _automaton_entry(
             "dyck1", "deletes the first matching bracket pair; balanced brackets",
             _build_dyck1(), _oracle_balanced, (OPEN, CLOSE), True,
         )
-    if key.startswith("l_"):
-        k = _parse_index(key[2:], "l_k")
+    if name.startswith("l_"):
+        k = _parse_index(name[2:], "l_k")
         return _automaton_entry(
             "l_%d" % k, "deletes one a and one b around the c block",
-            _build_l_k(k), _oracle_l_k(k), ("a", "b", "c"), True, k=k,
+            _build_l_k(k), _oracle_l_k(k), ("a", "b", "c"), True,
         )
-    if key.startswith("lm_") or key.startswith("lm"):
-        raw = key[3:] if key.startswith("lm_") else key[2:]
-        j = _parse_index(raw, "lm_j")
+    if name.startswith("lm_"):
+        j = _parse_index(name[3:], "lm_j")
         return _automaton_entry(
             "lm_%d" % j, "deletes the leading symbol of every copy per cycle",
-            _build_lm_j(j), _oracle_lm_j(j), ("a", "b", "c"), None, j=j,
+            _build_lm_j(j), _oracle_lm_j(j), ("a", "b", "c"), None,
         )
-    if key == "reg_window1":
+    if name == "reg_window1":
         return _automaton_entry(
             "reg_window1", "window-1 deleter for the regular language a*",
             _build_reg_window1(), _oracle_all_a, ("a", "b"), True,
         )
-    if key == "anbn_gnf":
+    if name == "anbn_gnf":
         return CatalogEntry(
             name="anbn_gnf", kind="grammar",
             description="Greibach-form grammar for a^n b^n (n >= 1)",
             grammar=ANBN_GRAMMAR, oracle=_oracle_anbn,
             oracle_alphabet=("a", "b"),
         )
-    if key == "dyck_gnf":
+    if name == "dyck_gnf":
         return CatalogEntry(
             name="dyck_gnf", kind="grammar",
             description="Greibach-form grammar for the nonempty balanced-bracket words",
@@ -411,12 +398,6 @@ def catalog_get(name: str, **params) -> CatalogEntry:
             oracle_alphabet=(OPEN, CLOSE),
         )
     raise CatalogError("unknown catalog entry %r" % name)
-
-
-def _require_param(params: dict, key: str) -> int:
-    if key not in params:
-        raise CatalogError("parameter %r required" % key)
-    return int(params[key])
 
 
 def _parse_index(raw: str, family: str) -> int:

@@ -18,10 +18,10 @@ leftmost match; a sample word is a training word or any word up to length 6,
 and validation adds the reduction chains of its counterexamples.  The
 survivors are assembled into a leftmost-match scanner, which is validated
 against the derivation oracle.  Validation checks what the kept rules can
-get wrong: the language (up to the validated length) and monotonicity.  The
-cycle discipline needs no check, because the scanner's shape fixes it: every
-cycle makes exactly one rewrite and only windows showing both sentinels
-accept.
+get wrong: the language (up to the validated length) and monotonicity (at
+every length, by the exact search).  The cycle discipline needs no check,
+because the scanner's shape fixes it: every cycle makes exactly one rewrite
+and only windows showing both sentinels accept.
 
 (B) Shrinking transform: any automaton with a morphism is turned into a
 shrinking automaton that first guesses, right to left and one symbol per
@@ -242,16 +242,18 @@ def _attempt_synthesis(
     # Validate and refine.  A round takes the shortlex-least surviving
     # deletion of every window, assembles the scanner and checks the
     # language, by the closure enumeration up to VALIDATE_LEN, and
-    # monotonicity.  The cycle discipline is not re-checked: _assemble_scanner
-    # lets qr only restart and q0 only move right, rewrite into qr, accept or
-    # reject, and it accepts only on windows that show both sentinels, so
-    # every cycle makes exactly one rewrite and no tail makes one.  The same
-    # confinement of tail acceptance makes the closure enumeration exact.  On
-    # a language mismatch, the reduction chain of the offending word is added
-    # to the filter sample (it pins down the exact rule application that
-    # changed a membership status) and validation runs again.  The loop ends:
-    # a round that removes none of the kept rules assembles the same scanner,
-    # which meets the same counterexample, whose chain is then already in the
+    # monotonicity, which must hold at every length: a word that rises past
+    # the check's bound, or a search cut off there, fails the attempt too.
+    # The cycle discipline is not re-checked: _assemble_scanner lets qr only
+    # restart and q0 only move right, rewrite into qr, accept or reject, and
+    # it accepts only on windows that show both sentinels, so every cycle
+    # makes exactly one rewrite and no tail makes one.  The same confinement
+    # of tail acceptance makes the closure enumeration exact.  On a language
+    # mismatch, the reduction chain of the offending word is added to the
+    # filter sample (it pins down the exact rule application that changed a
+    # membership status) and validation runs again.  The loop ends: a round
+    # that removes none of the kept rules assembles the same scanner, which
+    # meets the same counterexample, whose chain is then already in the
     # sample, so the next round fails the attempt; and a round that removes a
     # kept rule retires one of finitely many candidates.  Residual failures
     # are reported and the caller may retry with a wider window.
@@ -280,10 +282,11 @@ def _attempt_synthesis(
         checked = check_monotone(spec, min(8, VALIDATE_LEN), limits)
         if checked.verdict == EXCEEDED:
             raise ResourcesExceeded("%s in the monotonicity check" % checked.exceeded)
-        if not checked.holds:
+        if not checked.unbounded:
             if checked.counterexample:
                 report.counterexamples.append(checked.counterexample.word)
-            report.notes.append("monotonicity check: %s" % checked.verdict)
+            report.notes.append("monotonicity check: %s" % (
+                "not shown beyond length %d" % checked.bound if checked.holds else checked.verdict))
             return None, report
         report.verdict = "validated"
         return spec, report

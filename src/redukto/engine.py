@@ -40,7 +40,7 @@ first differ at letter i, the tapes share cells [0, i), cell 0 holding the
 left sentinel.  One function (``_cycle``) runs every cycle of a
 deterministic automaton, resumed so, and spends the caller's one
 configuration budget: ``run_deterministic``, the decider and
-``decide_first_member`` take their cycles from it.  The repeated steps are
+``decide_members`` take their cycles from it.  The repeated steps are
 MVR moves at distinct positions without a rewrite, so they can trip neither
 a loop check nor the cycle discipline, and a configuration that an MVL
 brings back into the repeated prefix is matched against the recorded scan,
@@ -68,16 +68,19 @@ search, ``walk_branches`` and ``replay_trace`` call ``successors`` itself.
 
 Membership.  One depth-first loop over restarting words, with a memo,
 decides every word for every automaton (``_search``): it answers
-``decide_basic_membership`` and each candidate of ``decide_first_member``.
-It gets a word's phase from one of two phase functions, which return the
-same shape: on a deterministic automaton, ``_deterministic_phase`` runs the
-one cycle or tail, resumed after the cycle that restarted on the word, or
-for a start word after the previous candidate's first cycle; on any other,
-``_explore_phase`` searches every branch of the phase.  Both return the
-phase's rejected prefix (see ``_rejected_prefix``), kept for the start word
-only.  ``cycle_rewrites`` takes its one phase from the same two functions
-and returns that phase's ``CycleRecord``s, whose ``from_word`` and
-``to_word`` are the words a cycle starts and restarts on.
+``decide_basic_membership`` and each candidate of ``decide_members``, the
+one candidate loop under brute enumeration, the closure's seeds and the
+h-proper decider.  It gets a word's phase from one of two phase functions,
+which return the same shape: on a deterministic automaton,
+``_deterministic_phase`` runs the one cycle or tail, resumed after the
+cycle that restarted on the word, or for a start word after the previous
+candidate's first cycle; on any other, ``_explore_phase`` searches every
+branch of the phase.  Both return the phase's rejected prefix (see
+``_rejected_prefix``), kept for the start word only, by which
+``decide_members`` skips candidates.  ``cycle_rewrites`` takes its one
+phase from the same two functions and returns that phase's
+``CycleRecord``s, whose ``from_word`` and ``to_word`` are the words a cycle
+starts and restarts on.
 
 Searches are reentrant and side-effect free apart from per-call memo tables
 and a spec's step table; deciding distinct words in parallel is safe.
@@ -88,7 +91,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .model import (
     ACCEPT,
@@ -714,23 +717,23 @@ def decide_basic_membership(spec: AutomatonSpec, word: Word, limits: Limits = DE
     return Decision("member", _witness(link), explored)
 
 
-def decide_first_member(spec: AutomatonSpec, options: Sequence[Sequence[str]],
-                        limits: Limits = DEFAULT_LIMITS, memo: Optional[dict] = None,
-                        ) -> tuple[Decision, Optional[Word]]:
-    """The first basic member among the words whose i-th letter is one of
-    ``options[i]``, tried in the order of ``itertools.product``, with its
-    decision; or, with None, the decision that ends the search: non-member
-    when no candidate is a member, resource-exceeded when a candidate trips
-    a limit.
+def decide_members(spec: AutomatonSpec, options: Sequence[Sequence[str]],
+                   limits: Limits = DEFAULT_LIMITS, memo: Optional[dict] = None,
+                   ) -> Iterator[tuple[Decision, Optional[Word]]]:
+    """The basic members among the words whose i-th letter is one of
+    ``options[i]``, tried in the order of ``itertools.product``: yields
+    (decision, word) for each member in that order, then one closing pair,
+    (non-member decision, None) after the last candidate, or
+    (resource-exceeded decision, the candidate that tripped a limit).
 
     Each candidate is decided as by ``decide_basic_membership``, under the
-    whole ``limits`` and on one memo shared by all candidates, and
-    ``configs_explored`` sums the candidates decided.  The candidates run
-    an odometer, so consecutive ones share the letters left of the one that
-    moved, and on a deterministic automaton each first phase resumes after
-    the previous candidate's (see the module docstring).  The repeated
-    steps are charged as they were taken, so every answer and count is that
-    of deciding each candidate in turn.
+    whole ``limits`` and on one memo shared by all candidates, and each
+    yielded ``configs_explored`` sums the candidates decided so far.  The
+    candidates run an odometer, so consecutive ones share the letters left
+    of the one that moved, and on a deterministic automaton each first
+    phase resumes after the previous candidate's (see the module
+    docstring).  The repeated steps are charged as they were taken, so
+    every answer and count is that of deciding each candidate in turn.
 
     A candidate whose first phase alone rejects it having read only its
     first m letters (see ``_rejected_prefix``) rules out every
@@ -739,15 +742,17 @@ def decide_first_member(spec: AutomatonSpec, options: Sequence[Sequence[str]],
     limits.  Those candidates are skipped, and so are never written to the
     memo; a later search that reaches one decides it again.  When cycles
     shorten the tape, no candidate's search reaches another candidate, so
-    the answer is that of deciding every candidate in turn.  A shrinking
-    automaton's cycle may reach another candidate of the same length, and
-    deciding a skipped one again could trip a limit that the memo would
-    have spared, so its candidates are all decided.
+    the answers are those of deciding every candidate in turn; a later
+    call's search from a longer word on the same memo may reach a skipped
+    one, and exploring it again may trip a limit that the memo would have
+    spared.  A shrinking automaton's cycle may reach another candidate of
+    the same length, so its candidates are all decided.
     """
     for choices in options:
         _over(spec.work_alphabet, choices)
     if not all(options):
-        return Decision("non-member"), None
+        yield Decision("non-member"), None
+        return
     table = memo if memo is not None else {}
     skip = not spec.flags.shrinking
     n = len(options)
@@ -762,17 +767,19 @@ def decide_first_member(spec: AutomatonSpec, options: Sequence[Sequence[str]],
                 spec, candidate, record, same, True, table, budget)
         except ResourcesExceeded as err:
             explored += limits.max_configs - budget.left
-            return Decision("resource-exceeded", None, explored, str(err)), None
+            yield Decision("resource-exceeded", None, explored, str(err)), candidate
+            return
         explored += limits.max_configs - budget.left
         if ok:
-            return Decision("member", _witness(link), explored), candidate
+            yield Decision("member", _witness(link), explored), candidate
         # Advance the odometer at the last letter read, carrying leftward;
         # the next candidate's tape keeps cells [0, i).
         i = prefix if skip and prefix is not None else n
         while i > 0 and digits[i - 1] == len(options[i - 1]) - 1:
             i -= 1
         if i == 0:
-            return Decision("non-member", None, explored), None
+            yield Decision("non-member", None, explored), None
+            return
         digits[i - 1] += 1
         digits[i:] = [0] * (n - i)
         candidate = candidate[: i - 1] + (options[i - 1][digits[i - 1]],) + firsts[i:]

@@ -6,6 +6,10 @@ order; the result at bound n is a prefix of the result at n+1.  Proper
 enumeration is indexed by the length of the basic word, not of its
 projection, and is therefore incomplete for any fixed bound (extended
 versions can be longer); the other three kinds are complete up to the bound.
+
+The h-proper decider and the brute enumerator, which seeds the closure,
+decide their words as candidates of one loop, ``engine.decide_members``;
+the closure confirms its longer members by their cycles.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from .engine import (
     Limits,
     ResourcesExceeded,
     cycle_rewrites,
-    decide_basic_membership,
-    decide_first_member,
+    decide_members,
 )
 from .model import (
     ACCEPT,
@@ -92,9 +95,10 @@ def decide_hproper_membership(
 
     A word v is h-proper iff some preimage w with h(w) = v (chosen
     letter-by-letter, so |w| = |v|) lies in the basic language.  The
-    preimages are the candidates of ``decide_first_member``, each position
+    preimages are the candidates of ``decide_members``, each position
     trying its preimage symbols in sorted order, so all candidates share
-    one basic-membership memo and each gets the whole ``limits``.  On a
+    one basic-membership memo and each gets the whole ``limits``; the first
+    member ends the search.  On a
     deterministic automaton each candidate resumes the previous one's first
     scan after the letters they share, and a candidate whose first phase
     rejected it on a prefix rules out, unexplored, every candidate with that
@@ -110,7 +114,8 @@ def decide_hproper_membership(
         if tok not in spec.input_alphabet:
             raise SymbolError("symbol %r is not an input symbol" % tok)
         preimages.append(sorted(inverse.get(tok, ())))
-    return decide_first_member(spec, preimages, limits, memo)
+    decision, preimage = next(decide_members(spec, preimages, limits, memo))
+    return decision, preimage if decision.is_member else None
 
 
 BRUTE_WORD_BUDGET = 300_000
@@ -145,13 +150,19 @@ def enumerate_language(
 ) -> list[Word]:
     """Enumerate a language kind up to the length bound.
 
-    "brute" decides every word of the domain.  "closure" builds the basic
-    members by inverse cycle-rewriting from the short ones, which requires
-    that tail acceptance is confined to short words (checked syntactically
-    via tail_confined_bound; PreconditionError when it is not).  "auto"
-    uses brute force while the domain is small and falls back to the
-    closure when the confinement bound is evident, failing with
-    ResourcesExceeded otherwise.
+    "brute" decides the words of each length of the domain through the
+    odometer ``decide_members`` on one memo, so a candidate whose first
+    phase rejected a prefix rules out, undecided, every later word of its
+    length with that prefix.  Skipped words are not memoized, and a longer
+    word's search that reaches one decides it again, so under a limit
+    within a few configurations of a word's cost the enumeration may trip
+    where deciding every word in turn would not; it never returns another
+    list.  "closure" builds the basic members by inverse cycle-rewriting
+    from the short ones, which requires that tail acceptance is confined to
+    short words (checked syntactically via tail_confined_bound;
+    PreconditionError when it is not).  "auto" uses brute force while the
+    domain is small and falls back to the closure when the confinement
+    bound is evident, failing with ResourcesExceeded otherwise.
     """
     kind = query.kind
     alphabet = spec.input_alphabet if kind == "input" else spec.work_alphabet
@@ -188,11 +199,11 @@ def enumerate_language(
     else:
         memo: dict = {}
         basics = []
-        for w in words_over(alphabet, query.max_len):
-            d = decide_basic_membership(spec, w, query.limits, memo=memo)
-            require_decided(d, w)
-            if d.is_member:
-                basics.append(w)
+        for n in range(query.max_len + 1):
+            for d, w in decide_members(spec, [sorted(alphabet)] * n, query.limits, memo):
+                require_decided(d, w)
+                if d.is_member:
+                    basics.append(w)
     if kind in ("input", "basic"):
         return basics
     if kind == "proper":
@@ -282,7 +293,8 @@ def enumerate_basic_by_reduction(
     refused with PreconditionError; otherwise callers are responsible for
     the tail confinement assumption (it holds by construction for the
     automata built by the constructions module and for the reduction-style
-    catalog entries).  Seeds longer than ``max_len`` are not decided.
+    catalog entries).  The seeds come from the brute enumerator, and those
+    longer than ``max_len`` are not decided.
     """
     require_bound(max_len)
     require_bound(seed_len)
@@ -290,13 +302,8 @@ def enumerate_basic_by_reduction(
     if bound is not None and seed_len < min(max_len, bound):
         raise PreconditionError("seed length %d is below the tail bound %d of automaton %s"
                                 % (seed_len, bound, spec.name))
-    memo: dict = {}
-    members: set[Word] = set()
-    for w in words_over(spec.work_alphabet, min(seed_len, max_len)):
-        d = decide_basic_membership(spec, w, limits, memo=memo)
-        require_decided(d, w)
-        if d.is_member:
-            members.add(w)
+    members = set(enumerate_language(
+        spec, LanguageQuery("basic", min(seed_len, max_len), limits), strategy="brute"))
 
     rules = sorted(set(spec.sl_pairs()))
     weights = spec.weights if spec.flags.shrinking else None

@@ -1,6 +1,7 @@
 """Catalog entries: oracle agreement, declared tags, listing stability."""
 
 import itertools
+import re
 
 import pytest
 
@@ -23,10 +24,11 @@ def test_every_entry_validates_with_declared_tags():
 
 
 def test_lookup_aliases_and_params():
-    assert catalog_get("l_k", k=3).name == "l_3"
-    assert catalog_get("lm_j", j=2).name == "lm_2"
-    assert catalog_get("lm2").name == "lm_2"
-    assert catalog_get("l_1").name == "dyck1"
+    assert catalog_get("l_3").name == "l_3"
+    assert catalog_get("lm_2").name == "lm_2"
+    for name in ("lm2", " m_e"):
+        with pytest.raises(CatalogError, match="^unknown catalog entry"):
+            catalog_get(name)
     with pytest.raises(CatalogError):
         catalog_get("nope")
     with pytest.raises(CatalogError):
@@ -34,12 +36,13 @@ def test_lookup_aliases_and_params():
 
 
 @pytest.mark.parametrize("name, message", [
-    ("l_k", "parameter 'k' required"),
+    ("l_k", "bad l_k parameter 'k'"),
+    ("l_1", "l_k requires k >= 2 (l_1 is dyck1)"),
     ("lm_0", "lm_j parameter must be positive"),
     ("l_x", "bad l_k parameter 'x'"),
 ])
 def test_lookup_refuses_a_missing_or_bad_parameter(name, message):
-    with pytest.raises(CatalogError, match="^%s$" % message):
+    with pytest.raises(CatalogError, match="^%s$" % re.escape(message)):
         catalog_get(name)
 
 

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from redukto.catalog import catalog_get
-from redukto.checks import check_cycle_soundness
+from redukto.checks import HOLDS, VIOLATED, CheckReport, Counterexample, check_cycle_soundness
 from redukto.construct import (
     SynthesisError,
     build_hrrwwc,
@@ -122,6 +122,26 @@ def test_synthesis_fails_without_retry_budget():
     with pytest.raises(SynthesisError) as err:
         synthesize_reduction_system(tagged, 2)
     assert err.value.report.counterexamples or err.value.report.notes
+
+
+@pytest.mark.parametrize("checked, counterexamples, note", [
+    (CheckReport("monotonicity", 8, HOLDS), [], "monotonicity check: not shown beyond length 8"),
+    (CheckReport("monotonicity", 8, VIOLATED, Counterexample(tuple("ab"), None, "rises")),
+     [tuple("ab")], "monotonicity check: violated"),
+])
+def test_synthesis_fails_unless_the_scanner_is_monotone_at_every_length(
+        monkeypatch, checked, counterexamples, note):
+    # The anbn scanner at window 4 is monotone at every length; a report
+    # that holds only up to its bound, or a violation, fails the attempt.
+    import redukto.construct as construct
+
+    monkeypatch.setattr(construct, "check_monotone", lambda *args: checked)
+    tagged, _ = derivation_encode(catalog_get("anbn_gnf").grammar)
+    with pytest.raises(SynthesisError) as err:
+        synthesize_reduction_system(tagged, 4)
+    report = err.value.report
+    assert (report.verdict, report.counterexamples, report.notes) == (
+        "failed", counterexamples, [note])
 
 
 def test_a_window_cap_below_the_window_is_refused():

@@ -18,8 +18,8 @@ from redukto.engine import (
     Trace,
     cycle_rewrites,
     decide_basic_membership,
-    decide_first_member,
     decide_input_membership,
+    decide_members,
     replay_trace,
     restarting_configuration,
     right_distance,
@@ -204,9 +204,13 @@ def test_results_refuse_assignment(m_e):
         alphabet.morphism["(1,a)"] = "b"
 
 
+def outcomes(pairs):
+    return [(decision.verdict, decision.configs_explored, member) for decision, member in pairs]
+
+
 def test_first_member_takes_no_candidate_from_an_empty_choice(m_e):
-    decision, member = decide_first_member(m_e.spec, [["a"], [], ["a"]])
-    assert (decision.verdict, decision.configs_explored, member) == ("non-member", 0, None)
+    pairs = decide_members(m_e.spec, [["a"], [], ["a"]])
+    assert outcomes(pairs) == [("non-member", 0, None)]
 
 
 def test_first_member_skips_the_candidates_of_a_rejected_prefix(m_e):
@@ -214,12 +218,21 @@ def test_first_member_skips_the_candidates_of_a_rejected_prefix(m_e):
     # configuration rules out every candidate that starts with them.
     assert decide_basic_membership(m_e.spec, word("baab")).configs_explored == 1
     options = [["b"], ["a"], ["a", "b"], ["a", "b"]]
-    decision, member = decide_first_member(m_e.spec, options)
-    assert (decision.verdict, decision.configs_explored, member) == ("non-member", 1, None)
+    assert outcomes(decide_members(m_e.spec, options)) == [("non-member", 1, None)]
     # baa rules out bab, and the odometer moves on to the member bba, which
-    # takes 7.
-    decision, member = decide_first_member(m_e.spec, [["b"], ["a", "b"], ["a", "b"]])
-    assert (decision.verdict, decision.configs_explored, member) == ("member", 1 + 7, word("bba"))
+    # takes 7, and to bbb, the last candidate, which takes 5.
+    assert outcomes(decide_members(m_e.spec, [["b"], ["a", "b"], ["a", "b"]])) == [
+        ("member", 1 + 7, word("bba")), ("non-member", 1 + 7 + 5, None)]
+
+
+def test_members_end_with_the_candidate_that_tripped_a_limit(m_e):
+    # The member aaba takes 10 configurations, and aaaa, which needs 12,
+    # trips the limit on its 11th.
+    options = [["a"], ["a"], ["b", "a"], ["a"]]
+    pairs = list(decide_members(m_e.spec, options, Limits(max_configs=10)))
+    assert outcomes(pairs) == [("member", 10, word("aaba")),
+                               ("resource-exceeded", 10 + 11, word("aaaa"))]
+    assert pairs[-1][0].exceeded == "configs limit exceeded"
 
 
 def test_tail_acceptance_has_no_cycles(m_e):
@@ -244,7 +257,7 @@ def test_entries_refuse_symbols_outside_the_working_alphabet(m_e, foreign):
                  lambda: decide_basic_membership(spec, w),
                  lambda: decide_basic_membership(spec, w, memoize=False),
                  lambda: cycle_rewrites(spec, w),
-                 lambda: decide_first_member(spec, [("a",), ("b", foreign)])):
+                 lambda: next(decide_members(spec, [("a",), ("b", foreign)]))):
         with pytest.raises(SymbolError, match=message):
             call()
     # The input decider names the input alphabet, which b is outside too.

@@ -123,6 +123,19 @@ def test_hproper_skips_preimages_a_first_phase_rejected(anbn_built, dyck_built, 
     assert sum(interpreted_steps) < 1_112
 
 
+@pytest.mark.parametrize("name, max_len, cycles, members", [
+    ("l_3", 8, 561, 4),
+    ("dyck1", 9, 641, 23),
+])
+def test_brute_enumeration_skips_the_words_a_first_phase_rejected(
+        name, max_len, cycles, members, interpreted_steps):
+    # Deciding every word of the domain in turn ran 9,841 and 1,023
+    # deterministic cycles.
+    got = enumerate_language(catalog_get(name).spec, LanguageQuery("input", max_len),
+                             strategy="brute")
+    assert (len(interpreted_steps), len(got)) == (cycles, members)
+
+
 def test_hproper_decides_every_preimage_of_a_shrinking_automaton():
     # ab rejects at once, having read its first letter; ba cycles to ab.
     # Deciding every preimage of aa in turn leaves ab in the memo before ba
@@ -195,7 +208,7 @@ def test_closure_enumeration_matches_brute_force():
     for name in ("m_e", "dyck1", "l_2", "lm_1", "lm_2", "reg_window1"):
         entry = catalog_get(name)
         spec = entry.spec
-        seed = max(spec.window, entry.params.get("j", 0))
+        seed = max(spec.window, {"lm_1": 1, "lm_2": 2}.get(name, 0))
         brute = enumerate_language(spec, LanguageQuery("basic", 7), strategy="brute")
         closed = enumerate_basic_by_reduction(spec, 7, seed_len=seed)
         assert brute == closed, name

@@ -1,12 +1,13 @@
 """Differential properties on small random automata: the memo search against
 the brute search and against a plain reference decider, deterministic runs
 against the search, the deterministic decider against the depth-first
-search on the same automaton unflagged (deciders, ``decide_first_member``
-and ``cycle_rewrites``), resumed deterministic runs against a plain one, the
+search on the same automaton unflagged (deciders, ``decide_members`` and
+``cycle_rewrites``), resumed deterministic runs against a plain one, the
 h-proper decider against deciding every preimage, over one letter and over
 two, and against the input language of ``to_shrinking``, exact monotonicity
-against the word-by-word walk, the closure enumerator against the brute one,
-and parsing against rendering.  The deciders also keep the preservation
+against the word-by-word walk, the brute enumerator against deciding every
+word in turn, the closure enumerator against the brute one, and parsing
+against rendering.  The deciders also keep the preservation
 properties that hold by theorem: cycle-error everywhere, cycle-correctness
 on deterministic automata."""
 
@@ -29,9 +30,9 @@ from redukto.engine import (
     Trace,
     cycle_rewrites,
     decide_basic_membership,
-    decide_first_member,
     compiled_step,
     decide_input_membership,
+    decide_members,
     discipline_break,
     replay_trace,
     restarting_configuration,
@@ -273,17 +274,20 @@ def assert_follows_search(spec, w, limits):
             assert followed_memo.keys() == searched_memo.keys(), (memoize, v)
 
 
-def assert_first_member_follows_search(spec, n, limits):
-    """The first member among the words of length ``n``, on a deterministic
-    automaton and on the same automaton flagged nondeterministic: verdict,
-    count, tripped limit, witness and word.  The two phase functions'
-    rejected prefixes pick the candidates that are skipped, which the count
-    shows."""
+def assert_members_follow_search(spec, n, limits):
+    """The members among the words of length ``n`` and the closing pair, on
+    a deterministic automaton and on the same automaton flagged
+    nondeterministic: verdict, count, tripped limit, witness and word.  The
+    two phase functions' rejected prefixes pick the candidates that are
+    skipped, which the counts show."""
     unflagged = replace(spec, flags=replace(spec.flags, deterministic=False))
     options = [sorted(spec.work_alphabet)] * n
-    followed, word = decide_first_member(spec, options, limits)
-    searched, searched_word = decide_first_member(unflagged, options, limits)
-    assert (decision_outcome(followed), word) == (decision_outcome(searched), searched_word)
+
+    def members(automaton):
+        pairs = decide_members(automaton, options, limits)
+        return [(decision_outcome(decision), word) for decision, word in pairs]
+
+    assert members(spec) == members(unflagged)
 
 
 CROSS_LIMITS = (
@@ -298,7 +302,7 @@ def test_deterministic_decider_agrees_with_search(case):
     spec, w = case
     for limits in CROSS_LIMITS:
         assert_follows_search(spec, w, limits)
-        assert_first_member_follows_search(spec, len(w), limits)
+        assert_members_follow_search(spec, len(w), limits)
 
 
 def test_deterministic_decider_agrees_with_search_on_a_flat_dyck_word():
@@ -384,6 +388,58 @@ CONFINABLE = {
     "automata": st.booleans().flatmap(automata).map(confine_tails),
     "scanners": scanners().map(confine_tails),
 }
+
+
+def per_word_enumeration(spec, max_len, limits):
+    """The basic members up to ``max_len``, each word of the domain decided
+    in turn on one memo, as brute enumeration did before it walked the
+    odometer."""
+    memo, members = {}, []
+    symbols = sorted(spec.work_alphabet)
+    for w in (v for n in range(max_len + 1) for v in itertools.product(symbols, repeat=n)):
+        decision = decide_basic_membership(spec, w, limits, memo=memo)
+        if decision.verdict == "resource-exceeded":
+            raise ResourcesExceeded("%s while deciding %s" % (decision.exceeded, render_word(w)))
+        if decision.is_member:
+            members.append(w)
+    return members
+
+
+def enumeration_outcome(enumerate_words):
+    try:
+        return enumerate_words()
+    except ResourcesExceeded as err:
+        return str(err)
+
+
+def with_shrinking_flag(spec):
+    return replace(spec, flags=replace(spec.flags, shrinking=True),
+                   weights=dict.fromkeys(spec.work_alphabet, 1))
+
+
+# The default limit and 200 leave every draw's words room to be decided
+# again; 40, 12 and 5 trip on some.
+BRUTE_LIMITS = (DEFAULT_LIMITS, Limits(max_configs=200), Limits(max_configs=40),
+                Limits(max_configs=12), Limits(max_configs=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.booleans(), st.booleans()).flatmap(
+    lambda flags: automata(flags[0], max_symbols=3).map(
+        with_shrinking_flag if flags[1] else lambda spec: spec)))
+def test_brute_enumeration_agrees_with_deciding_every_word(spec):
+    # The odometer skips the words whose prefix a first phase rejected, and
+    # does not memoize them, so a longer word's search that reaches one
+    # decides it again and may trip a tight limit that the memo would have
+    # spared.  It never returns another list.
+    for limits in BRUTE_LIMITS:
+        query = LanguageQuery("basic", 5, limits)
+        got = enumeration_outcome(lambda: enumerate_language(spec, query, strategy="brute"))
+        expected = enumeration_outcome(lambda: per_word_enumeration(spec, 5, limits))
+        if limits.max_configs >= 200:
+            assert got == expected, limits
+        else:
+            assert got == expected or isinstance(got, str), limits
 
 
 @pytest.mark.parametrize("drawn", sorted(CONFINABLE))
