@@ -128,7 +128,7 @@ def test_synthesis_fails_without_retry_budget():
     (CheckReport("monotonicity", 8, HOLDS), [], "monotonicity check: not shown beyond length 8"),
     (CheckReport("monotonicity", 8, VIOLATED, Counterexample(tuple("ab"), None, "rises")),
      [tuple("ab")], "monotonicity check: violated"),
-])
+], ids=["holds-up-to-bound", "violated"])
 def test_synthesis_fails_unless_the_scanner_is_monotone_at_every_length(
         monkeypatch, checked, counterexamples, note):
     # The anbn scanner at window 4 is monotone at every length; a report
