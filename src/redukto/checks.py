@@ -183,17 +183,15 @@ def check_monotone(
 
 
 def _decided_exactly(spec: AutomatonSpec) -> bool:
-    """Whether ``spec`` is flagged deterministic with one instruction per
-    table entry, has no MVL, shortens the tape at every rewrite, and holds
-    no rewrite in any state that MVR steps reach from a rewrite's successor
-    state, so that no cycle rewrites twice."""
+    """Whether ``spec`` is flagged deterministic, has no MVL, shortens the
+    tape at every rewrite, and holds no rewrite in any state that MVR steps
+    reach from a rewrite's successor state, so that no cycle rewrites
+    twice."""
     if not spec.flags.deterministic:
         return False
     moves: dict[str, set[str]] = {}
     after: set[str] = set()
     for (state, window), instrs in spec.table.items():
-        if len(instrs) > 1:
-            return False
         for ins in instrs:
             if ins.kind == MVL or (ins.kind == SL and len(ins.target) >= len(window)):
                 return False
@@ -370,8 +368,7 @@ def check_preservation(
     cycle-error on every automaton (u => v followed by an accepting
     computation from v is one from u), and both correctness modes on a
     deterministic automaton, whose one computation from a member accepts
-    from every word it restarts on; a table flagged deterministic that
-    offers a choice is refused.  The other two are swept up to the bound.
+    from every word it restarts on.  The other two are swept up to the bound.
     Complete-error fails only through the rewritten tape that a later step
     of the run's last record reads: the run restarts only on non-members,
     already in the decider's memo, and a restarting cycle's one rewrite
@@ -390,8 +387,6 @@ def check_preservation(
         raise PreconditionError("complete preservation applies to single-rewrite cycles only")
     name = "preservation(%s)" % mode
     if mode == "cycle-error" or (deterministic and mode != "complete-error"):
-        if deterministic and not (choices := check_determinism(spec)).holds:
-            raise PreconditionError("deterministic flag but " + choices.counterexample.explanation)
         return CheckReport(name, max_len, HOLDS, unbounded=True)
     memo: dict = {}
     status = {True: "member", False: "non-member"}

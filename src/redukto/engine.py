@@ -51,18 +51,12 @@ at without resuming.  A trace keeps one ``CycleRecord`` per cycle, whose
 steps, the repeated scan's too, are (state, instruction) pairs, with the
 tapes they read; only ``Trace.steps`` builds configurations from them.
 
-Compiled step.  ``_cycle`` looks each step up in ``spec.step_table``, which
-maps each key of the spec's table to the one instruction offered there
-(None if a side condition refuses all) and lives and dies with the spec.
-The spec's first deterministic cycle sets it up with the key objects of
-the spec's table, so that filling it allocates no key and it never holds a
-key the spec's table lacks (stuck; sweeps over words reach many).  Each
-entry is filled from ``successors`` when a cycle first reaches its key
-(``compiled_step``), so that the step relation keeps one definition; a key
-that offers a choice is never filled, and a run that reaches it raises
-PreconditionError.  ``_cycle`` applies moves and rewrites inline, asks
-``discipline_break`` only at steps other than MVR, keeps each step's state
-and the tape after each rewrite, and keeps the leftmost rewrite position in
+Deterministic step.  A spec flagged deterministic holds at most one
+instruction per table entry, and only one that ``successors`` offers there;
+the spec refuses any other table when it is built.  So ``_cycle`` takes the
+entry in ``spec.table`` as its step, and a missing or empty entry as stuck.
+It applies moves and rewrites inline, asks ``discipline_break`` only at
+steps other than MVR, and keeps the leftmost rewrite position in
 ``CycleRecord.rewritten_from``, where the next cycle resumes.  The branch
 search, ``walk_branches`` and ``replay_trace`` call ``successors`` itself.
 
@@ -82,8 +76,8 @@ phase from the same two functions and returns that phase's
 ``CycleRecord``s, whose ``from_word`` and ``to_word`` are the words a cycle
 starts and restarts on.
 
-Searches are reentrant and side-effect free apart from per-call memo tables
-and a spec's step table; deciding distinct words in parallel is safe.
+Searches are reentrant and side-effect free apart from per-call memo
+tables; deciding distinct words in parallel is safe.
 """
 
 from __future__ import annotations
@@ -133,10 +127,6 @@ OUT_LIMIT = "limit-exceeded"
 OUT_INVALID = "invalid-cycle"
 
 Step = tuple[Configuration, Instruction]
-
-# A step table's value for a key that no run has reached yet, or that offers
-# a choice.
-_UNCOMPILED = object()
 
 
 class CycleRecord(NamedTuple):
@@ -338,20 +328,6 @@ def _resume(spec: AutomatonSpec, record: CycleRecord, same: int, most: int) -> t
     return scan, scan[-1][1].state if scan else spec.initial
 
 
-def compiled_step(spec: AutomatonSpec, state: str, window: Word) -> Optional[Instruction]:
-    """The one instruction that ``successors`` offers in ``state`` at
-    ``window``, or None when it offers none; PreconditionError at a choice.
-
-    The probe sits at position 0 when the window starts with the left
-    sentinel, which a tape holds in cell 0 alone, so an MVL is refused there
-    as in a run."""
-    pad = () if window[:1] == (LEFT_SENTINEL,) else (LEFT_SENTINEL,)
-    offered = successors(spec, Configuration(pad + window, state, len(pad), 0))
-    if len(offered) > 1:
-        raise PreconditionError("nondeterministic choice at (%s, %s)" % (state, render_word(window)))
-    return offered[0][0] if offered else None
-
-
 def run_deterministic(spec: AutomatonSpec, word: Word, limits: Limits = DEFAULT_LIMITS) -> Trace:
     """Run a deterministic automaton from the restarting configuration of
     ``word`` until it halts, loops, gets stuck, breaks the cycle discipline,
@@ -383,12 +359,8 @@ def _cycle(
     Returns (record, outcome, flag, pos, rewrites): the outcome is None
     when the cycle restarts, on the record's last tape; otherwise the
     outcome and flag are a trace's, with the position and rewrite count it
-    stopped at.  Raises PreconditionError at a nondeterministic choice."""
-    cap, k, table = spec.flags.mr_degree, spec.window, spec.step_table
-    if table is None:
-        # Set whole, so that a run on another thread sees None or every key.
-        table = dict.fromkeys(spec.table, _UNCOMPILED)
-        object.__setattr__(spec, "step_table", table)
+    stopped at."""
+    cap, k, table = spec.flags.mr_degree, spec.window, spec.table
     if before is None:
         scan, state = (), spec.initial
     else:
@@ -415,12 +387,11 @@ def _cycle(
             outcome, flag = OUT_LIMIT, "configs limit exceeded"
             break
         window = tape[pos : pos + k]
-        ins = table.get((state, window))
-        if ins is _UNCOMPILED:
-            ins = table[state, window] = compiled_step(spec, state, window)
-        if ins is None:
+        offered = table.get((state, window))
+        if not offered:
             outcome, flag = OUT_REJECT, "stuck"
             break
+        ins = offered[0]
         steps.append((state, ins))
         kind = ins.kind
         if kind == MVR:
@@ -579,8 +550,7 @@ def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[Cycle
     decision starts from, the only kind whose rejected prefix is worked
     out, and the phase resumes after ``before`` (None for nothing), a
     recorded cycle whose start tape agrees with the word's on cells
-    [0, same).  Raises ResourcesExceeded when the budget runs out, and
-    PreconditionError at a choice between two instructions."""
+    [0, same).  Raises ResourcesExceeded when the budget runs out."""
     start = same is not None
     if start:
         tape = (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,)
@@ -689,13 +659,11 @@ def decide_basic_membership(spec: AutomatonSpec, word: Word, limits: Limits = DE
     ``word`` accepts.
 
     One depth-first loop over restarting words, on an explicit stack, for
-    every automaton (``_search``; see the module docstring).  On a
-    deterministic automaton a choice between two instructions raises
-    PreconditionError, as in ``run_deterministic``.  Every phase spends the
-    one ``max_configs`` budget, so it bounds the chain of open words too.
-    With ``memoize`` the decider keeps a table keyed on restarting tape
-    words; this is sound because behavior from a restarting configuration
-    depends only on the tape.  Every cycle of a
+    every automaton (``_search``; see the module docstring).  Every phase
+    spends the one ``max_configs`` budget, so it bounds the chain of open
+    words too.  With ``memoize`` the decider keeps a table keyed on
+    restarting tape words; this is sound because behavior from a restarting
+    configuration depends only on the tape.  Every cycle of a
     valid automaton makes progress, so a restarting word never recurs; one
     that does (a shrinking automaton whose weights its cycles do not lower)
     raises PreconditionError.  ``memoize=False`` re-explores every
@@ -804,8 +772,7 @@ def cycle_rewrites(spec: AutomatonSpec, word: Word,
     ``_deterministic_phase`` on a deterministic automaton, as in the
     decider, and from ``_explore_phase`` otherwise.  Raises
     ResourcesExceeded when the budget runs out, and PreconditionError when
-    a cycle makes no such progress or a deterministic automaton meets a
-    choice.
+    a cycle makes no such progress.
     """
     word = _over(spec.work_alphabet, word)
     budget = _Budget(limits.max_configs)

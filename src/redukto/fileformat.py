@@ -262,10 +262,7 @@ def _parse_trans(fields: list[str], table: dict, lineno: int) -> None:
         ins = Instruction(kind)
     else:
         raise ParseError("unknown instruction %r" % kind, lineno)
-    key = (state, window)
-    table.setdefault(key, [])
-    if ins not in table[key]:
-        table[key] = list(table[key]) + [ins]
+    table.setdefault((state, window), []).append(ins)
 
 
 def render_grammar(grammar: GnfGrammar) -> str:

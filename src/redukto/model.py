@@ -8,10 +8,7 @@ are single tokens.  The sentinels are the two reserved tokens ``LEFT_SENTINEL``
 and ``RIGHT_SENTINEL``; they are never members of a working alphabet.
 
 All model objects are immutable after construction and safe to share between
-threads; none of the operations in this module mutate their arguments.  The
-one cache, ``AutomatonSpec.step_table``, is set when the spec is first run
-and filled as runs go, each entry worked out from the table alone, so two
-threads that fill it agree.
+threads; none of the operations in this module mutate their arguments.
 """
 
 from __future__ import annotations
@@ -157,6 +154,10 @@ class AutomatonSpec:
     symbol and is the identity on input symbols; ``weights`` assigns a
     positive integer to every working symbol.  Both are optional.  The
     table, morphism and weights are held as ``ReadOnlyDict`` copies.
+
+    Under the deterministic flag each table entry is the step a run takes,
+    and a table that offers a choice or an instruction that the step
+    relation refuses raises PreconditionError (see ``_misfits``).
     """
 
     name: str
@@ -169,9 +170,6 @@ class AutomatonSpec:
     flags: ClassFlags = field(default_factory=ClassFlags)
     morphism: Optional[Mapping[str, str]] = None
     weights: Optional[Mapping[str, int]] = None
-    # The deterministic step that ``engine`` compiles from the table, set
-    # when it first runs the spec and filled as runs go; no part of its value.
-    step_table: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         norm = {}
@@ -179,6 +177,10 @@ class AutomatonSpec:
             state, window = key
             ordered = tuple(sorted(set(instrs), key=Instruction.sort_key))
             norm[(state, tuple(window))] = ordered
+        if self.flags.deterministic:
+            for key in sorted(norm):
+                for message in _misfits(*key, norm[key], True):
+                    raise PreconditionError(message)
         object.__setattr__(self, "table", ReadOnlyDict(norm))
         for name in ("morphism", "weights"):
             value = getattr(self, name)
@@ -193,6 +195,25 @@ class AutomatonSpec:
                 if ins.kind == SL:
                     pairs.append((window, ins.target))
         return pairs
+
+
+def _misfits(state: str, window: Word, instrs: tuple[Instruction, ...],
+             deterministic: bool) -> Iterator[str]:
+    """Why the table entry at (``state``, ``window``) is not the step a run
+    takes: a choice under the deterministic flag, or an instruction that
+    the step relation never offers, an MVR at the right sentinel alone or an
+    MVL at a window that starts with the left sentinel."""
+    if deterministic and len(instrs) > 1:
+        yield "deterministic flag but %d instructions at %s" % (len(instrs), _where(state, window))
+    for ins in instrs:
+        if ins.kind == MVR and window == (RIGHT_SENTINEL,):
+            yield "MVR on right-sentinel-only window at %s" % _where(state, window)
+        if ins.kind == MVL and window[:1] == (LEFT_SENTINEL,):
+            yield "MVL with window at the left sentinel at %s" % _where(state, window)
+
+
+def _where(state: str, window: Word) -> str:
+    return "(%s, %s)" % (state, render_word(window))
 
 
 def all_window_contents(k: int, alphabet) -> Iterator[Word]:
@@ -345,10 +366,10 @@ def classify_rewrite(u: Word, v: Word) -> str:
     return DL_NOT_CL if j == len(v) else SL_NOT_DL
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    deviations: list[str] = field(default_factory=list)
+    violations: tuple[str, ...] = ()
+    deviations: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -362,8 +383,8 @@ def validate_automaton(spec: AutomatonSpec) -> ValidationReport:
     spec is legal.  Deviations record accepted-but-flagged constructs (empty
     rewrite targets).
     """
-    report = ValidationReport()
-    bad = report.violations
+    bad: list[str] = []
+    deviations: list[str] = []
 
     if spec.window < 1:
         bad.append("window size must be at least 1")
@@ -386,31 +407,25 @@ def validate_automaton(spec: AutomatonSpec) -> ValidationReport:
 
     sl_next_states = set()
     for (state, window), instrs in sorted(spec.table.items()):
-        where = "(%s, %s)" % (state, render_word(window))
+        where = _where(state, window)
         if state not in spec.states:
             bad.append("table state %r unknown at %s" % (state, where))
         if not is_window_content(window, spec.window, spec.work_alphabet):
             bad.append("malformed window content at %s" % where)
-        if flags.deterministic and len(instrs) > 1:
-            bad.append("deterministic flag but %d instructions at %s" % (len(instrs), where))
+        bad.extend(_misfits(state, window, instrs, flags.deterministic))
         for ins in instrs:
             if ins.kind in (MVR, MVL, SL):
                 if ins.state not in spec.states:
                     bad.append("unknown successor state %r at %s" % (ins.state, where))
-            if ins.kind == MVR and window == (RIGHT_SENTINEL,):
-                bad.append("MVR on right-sentinel-only window at %s" % where)
-            if ins.kind == MVL:
-                if flags.direction in ("R", "RR"):
-                    bad.append("MVL instruction under direction %s at %s" % (flags.direction, where))
-                if window and window[0] == LEFT_SENTINEL:
-                    bad.append("MVL with window at the left sentinel at %s" % where)
+            if ins.kind == MVL and flags.direction in ("R", "RR"):
+                bad.append("MVL instruction under direction %s at %s" % (flags.direction, where))
             if ins.kind == SL:
                 sl_next_states.add(ins.state)
                 tv, td = rewrite_target_issues(
                     window, ins.target, spec.work_alphabet, flags.shrinking
                 )
                 bad.extend(tv)
-                report.deviations.extend(td)
+                deviations.extend(td)
                 form = classify_rewrite(window, ins.target)
                 if flags.form == "DL" and form in (SL_NOT_DL, ILLEGAL) and not flags.shrinking:
                     bad.append("non-deletion rewrite under DL form at %s" % where)
@@ -450,20 +465,20 @@ def validate_automaton(spec: AutomatonSpec) -> ValidationReport:
             if not isinstance(w, int) or w < 1:
                 bad.append("weight of %r must be a positive integer" % tok)
 
-    return report
+    return ValidationReport(tuple(bad), tuple(deviations))
 
 
 def classify_automaton(spec: AutomatonSpec) -> ClassFlags:
     """Infer the strongest flags the table supports.
 
-    Determinism by key inspection; direction by MVL usage and by whether
-    every post-rewrite state admits only restarts; rewrite form from the
-    weakest classification over all SL instructions; aux from whether the
-    working alphabet exceeds the input alphabet.  The mr degree and the
-    shrinking flag are taken from the declared flags (they constrain runs,
-    not the table shape).
+    Determinism by whether the table could be built under the flag;
+    direction by MVL usage and by whether every post-rewrite state admits
+    only restarts; rewrite form from the weakest classification over all SL
+    instructions; aux from whether the working alphabet exceeds the input
+    alphabet.  The mr degree and the shrinking flag are taken from the
+    declared flags (they constrain runs, not the table shape).
     """
-    deterministic = all(len(instrs) <= 1 for instrs in spec.table.values())
+    deterministic = not any(any(_misfits(*key, instrs, True)) for key, instrs in spec.table.items())
     uses_mvl = any(
         ins.kind == MVL for instrs in spec.table.values() for ins in instrs
     )

@@ -24,7 +24,6 @@ from redukto.model import (
     accept,
     mvl,
     mvr,
-    reject,
     restart,
     sl,
 )
@@ -283,23 +282,6 @@ def test_cycle_correctness_fails_on_a_wrong_guess(m_e_h_shrunk, anbn_shrunk):
         assert replay_trace(spec, ce.trace)
         assert ce.explanation == "cycle rewrites %s (member) to %s (non-member)" % (
             " ".join(word), " ".join(to_word))
-
-
-def test_theorem_answers_refuse_a_contradictory_determinism_flag():
-    # Flagged deterministic, yet a offers a move and a reject: the engine
-    # refuses the choice, so no mode answers by theorem on this table.
-    table = {
-        ("q0", (C,)): (mvr("q0"),),
-        ("q0", ("a",)): (mvr("q0"), reject()),
-        ("q0", ("b",)): (sl("q1", ()),),
-        ("q1", (C,)): (restart(),),
-    }
-    spec = AutomatonSpec("chooser", frozenset({"q0", "q1"}), "q0", 1, frozenset("ab"),
-                         frozenset("ab"), table, ClassFlags(deterministic=True))
-    for mode in ("complete-correctness", "cycle-correctness", "cycle-error"):
-        with pytest.raises(PreconditionError, match=r"deterministic flag but 1 conflicting keys"):
-            check_preservation(spec, 4, mode)
-    assert check_preservation(_unflagged(spec), 4, "cycle-error").unbounded
 
 
 def test_complete_error_catches_discipline_breaker():

@@ -444,6 +444,15 @@ def test_automaton_arguments_that_name_no_valid_automaton_exit_3(tmp_path, capsy
         assert cli(capsys, "decide", ref, "a") == (3, "", "error: %s\n" % message)
 
 
+def test_a_deterministic_file_that_offers_a_choice_exits_3(tmp_path, capsys):
+    chooser = tmp_path / "chooser.rlww"
+    chooser.write_text("name chooser\nclass RR CL none det j=1\nwindow 1\ninput a\nwork a\n"
+                       "states q0\ninitial q0\ntrans q0 a -> MVR q0\ntrans q0 a -> Reject\n",
+                       encoding="utf-8")
+    assert cli(capsys, "decide", str(chooser), "a") == (
+        3, "", "error: deterministic flag but 2 instructions at (q0, a)\n")
+
+
 def test_check_shrink_without_weights_exits_3(capsys):
     assert cli(capsys, "check", "m_e", "--what", "shrink") == (
         3, "", "error: automaton m_e carries no weight function\n")

@@ -70,6 +70,16 @@ def test_empty_target_round_trips(dyck1):
     assert back.table[("q0", (open_, close))][0].target == ()
 
 
+def test_a_repeated_trans_line_is_one_instruction(dyck1):
+    # One instruction listed twice offers no choice, even under the
+    # deterministic flag, and renders once.
+    text = render_automaton(dyck1.spec)
+    line = next(line for line in text.splitlines() if line.startswith("trans "))
+    back = parse_automaton(text.replace(line + "\n", line + "\n" + line + "\n"))
+    assert back.flags.deterministic and specs_equal(back, dyck1.spec)
+    assert render_automaton(back) == text
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_automaton("name x\nwindow z\n")

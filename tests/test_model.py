@@ -1,7 +1,7 @@
 """Window contents, rewrite classification, validation, morphisms and tags."""
 
 import itertools
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -184,12 +184,6 @@ def test_validate_rejects_mvl_under_rr():
     assert any("MVL" in v for v in report.violations)
 
 
-def test_validate_rejects_nondeterministic_table_under_det_flag():
-    bad = _spec({("q0", ("a", "a", "a")): [mvr("q0"), mvr("q1")]})
-    report = validate_automaton(bad)
-    assert any("deterministic" in v for v in report.violations)
-
-
 def test_validate_requires_total_morphism():
     bad = _spec({("q0", (C, "a", D)): [mvr("q0")]}, morphism={"a": "a"})
     report = validate_automaton(bad)
@@ -223,14 +217,9 @@ VIOLATIONS = [
     ({"flags": replace(R_SL, mr_degree=0)}, "mr-degree must be positive"),
     ({"table": {("qx", ("a", "a", "a")): [mvr("q0")]}}, "table state 'qx' unknown at (qx, aaa)"),
     ({"table": {("q0", ("a", "a")): [mvr("q0")]}}, "malformed window content at (q0, aa)"),
-    ({"table": {("q0", ("a", "a", "a")): [mvr("q0"), mvr("q1")]}},
-     "deterministic flag but 2 instructions at (q0, aaa)"),
     ({"table": {("q0", ("a", "a", "a")): [mvr("qx")]}}, "unknown successor state 'qx' at (q0, aaa)"),
-    ({"table": {("q0", (D,)): [mvr("q0")]}}, "MVR on right-sentinel-only window at (q0, $)"),
     ({"table": {("q0", ("a", "a", "a")): [mvl("q0")]}},
      "MVL instruction under direction R at (q0, aaa)"),
-    ({"table": {("q0", (C, "a", "a")): [mvl("q0")]}, "flags": replace(R_SL, direction="RL")},
-     "MVL with window at the left sentinel at (q0, ¢aa)"),
     (_rewriting(("a", "a", D), ("b", D), replace(R_SL, form="DL")),
      "non-deletion rewrite under DL form at (q0, aa$)"),
     (_rewriting(("a", "a", D), ("b", D), replace(R_SL, form="CL")),
@@ -256,6 +245,36 @@ VIOLATIONS = [
 def test_validate_names_each_violation(changes, message):
     report = validate_automaton(replace(_spec({}), **changes))
     assert message in report.violations
+
+
+# One table entry per shape that is not the step a run takes, with the
+# message that refuses it under the deterministic flag.
+MISFITS = {
+    "choice": ({("q0", ("a", "a", "a")): [mvr("q0"), mvr("q1")]},
+               "deterministic flag but 2 instructions at (q0, aaa)"),
+    "mvr-at-right": ({("q0", (D,)): [mvr("q0")]}, "MVR on right-sentinel-only window at (q0, $)"),
+    "mvl-at-left": ({("q0", (C, "a", "a")): [mvl("q0")]},
+                    "MVL with window at the left sentinel at (q0, ¢aa)"),
+}
+
+
+@pytest.mark.parametrize("table,message", MISFITS.values(), ids=MISFITS.keys())
+def test_deterministic_flag_refuses_a_misfit(table, message):
+    flags = ClassFlags(deterministic=True, direction="RL")
+    with pytest.raises(PreconditionError) as err:
+        _spec(table, flags=flags)
+    assert str(err.value) == message
+    spec = _spec(table, flags=replace(flags, deterministic=False))
+    assert not classify_automaton(spec).deterministic
+    violations = validate_automaton(spec).violations
+    assert (message in violations) == (not message.startswith("deterministic"))
+
+
+def test_a_validation_report_is_immutable():
+    report = validate_automaton(_spec({}, window=0))
+    assert report.violations == ("window size must be at least 1",)
+    with pytest.raises(FrozenInstanceError):
+        report.violations = ()
 
 
 def test_empty_target_is_a_deviation_not_a_violation():

@@ -2,7 +2,8 @@
 the brute search and against a plain reference decider, deterministic runs
 against the search, the deterministic decider against the depth-first
 search on the same automaton unflagged (deciders, ``decide_members`` and
-``cycle_rewrites``), resumed deterministic runs against a plain one, the
+``cycle_rewrites``), deterministic table entries against the step
+relation, resumed deterministic runs against a plain one, the
 h-proper decider against deciding every preimage, over one letter and over
 two, and against the input language of ``to_shrinking``, exact monotonicity
 against the word-by-word walk, the brute enumerator against deciding every
@@ -30,7 +31,6 @@ from redukto.engine import (
     Trace,
     cycle_rewrites,
     decide_basic_membership,
-    compiled_step,
     decide_input_membership,
     decide_members,
     discipline_break,
@@ -311,31 +311,6 @@ def test_deterministic_decider_agrees_with_search_on_a_flat_dyck_word():
     assert_follows_search(spec, (opening, closing) * 1200, DEFAULT_LIMITS)
 
 
-def test_deterministic_decider_refuses_a_choice():
-    # Flagged deterministic, but a offers a move and a reject.  ba deletes
-    # its b and restarts on a, where the choice comes up.
-    table = {
-        ("q0", (C,)): (Instruction(MVR, "q0"),),
-        ("q0", ("a",)): (Instruction(MVR, "q0"), Instruction(REJECT)),
-        ("q0", ("b",)): (sl("q1", ()),),
-        ("q1", (C,)): (Instruction(RESTART),),
-    }
-    spec = AutomatonSpec("chooser", frozenset({"q0", "q1"}), "q0", 1, frozenset("ab"),
-                         frozenset("ab"), table, ClassFlags(deterministic=True))
-    assert not validate_automaton(spec).ok
-    memo = {}
-    choice = r"^nondeterministic choice at \(q0, a\)$"
-    with pytest.raises(PreconditionError, match=choice):
-        decide_basic_membership(spec, ("b", "a"), memo=memo)
-    assert memo == {}  # the open word ba is undecided, not rejected
-    # cycle_rewrites follows the one computation too: on a it meets the
-    # choice, which the compiled step never fills, so every run meets it.
-    with pytest.raises(PreconditionError, match=choice):
-        cycle_rewrites(spec, ("a",))
-    with pytest.raises(PreconditionError, match=choice):
-        run_deterministic(spec, ("b", "a"))
-
-
 def rewrites_outcome(spec, w, limits):
     try:
         return [(r.to_word, Trace((r,), "counterexample").steps) for r in cycle_rewrites(spec, w, limits)]
@@ -586,70 +561,19 @@ def test_resumed_run_sees_a_loop_through_its_repeated_scan():
     assert [len(record.scan) for record in trace.records] == [0, 2]
 
 
-@st.composite
-def loose_tables(draw):
-    """A random deterministic automaton, its table loosened where the step
-    relation's side conditions filter: some states take an MVR at the right
-    sentinel alone, or an MVL at a window that starts with the left
-    sentinel, each alone or beside a halt.  The key of the first step on a
-    drawn word offers a choice; returns the automaton, its window contents
-    and the word."""
-    spec = draw(automata(deterministic=True))
-    states = sorted(spec.states)
-    symbols = tuple(sorted(spec.work_alphabet))
-    windows = window_contents(symbols, spec.window)
-    table = dict(spec.table)
-    for q in states:
-        move = Instruction(MVR, q)
-        beside = draw(st.sampled_from([(), (Instruction(ACCEPT),), (Instruction(REJECT),)]))
-        table[(q, (D,))] = (move,) + beside
-        for window in windows:
-            if window[0] == C and draw(st.booleans()):
-                move = Instruction(MVL, draw(st.sampled_from(states)))
-                beside = draw(st.sampled_from([(), (Instruction(REJECT),)]))
-                table[(q, window)] = (move,) + beside
-    w = tuple(draw(st.lists(st.sampled_from(symbols), max_size=3)))
-    first = ((C,) + w + (D,))[: spec.window]
-    table[(spec.initial, first)] = (Instruction(ACCEPT), Instruction(REJECT))
-    return replace(spec, table=table), windows, w
-
-
 @settings(max_examples=150, deadline=None)
-@given(loose_tables())
-def test_compiled_step_is_the_one_successor(case):
+@given(st.one_of(automata(deterministic=True), scanners()))
+def test_a_deterministic_entry_is_the_one_successor(spec):
     # Every (state, window), missing keys included, against ``successors``
     # at position 0 where the window starts with the left sentinel, else at
     # position 1; a whole window that the right one does not end is
-    # followed by it.  A run that reaches the choice raises there, and its
-    # step table holds the keys of the spec's table, the choice unfilled.
-    spec, windows, w = case
+    # followed by it.  ``_cycle`` takes the entry as its step.
     for q in sorted(spec.states):
-        for window in windows:
+        for window in window_contents(tuple(sorted(spec.work_alphabet)), spec.window):
             whole = len(window) == spec.window and window[-1] != D
             tape = (C,) * (window[0] != C) + window + (D,) * whole
             offered = successors(spec, Configuration(tape, q, int(window[0] != C), 0))
-            if len(offered) > 1:
-                with pytest.raises(PreconditionError) as err:
-                    compiled_step(spec, q, window)
-                assert str(err.value) == "nondeterministic choice at (%s, %s)" % (
-                    q, render_word(window))
-            else:
-                assert compiled_step(spec, q, window) == (offered[0][0] if offered else None)
-    first = ((C,) + w + (D,))[: spec.window]
-    for _ in range(2):
-        with pytest.raises(PreconditionError) as err:
-            run_deterministic(spec, w)
-        assert str(err.value) == "nondeterministic choice at (%s, %s)" % (
-            spec.initial, render_word(first))
-    assert spec.step_table.keys() == spec.table.keys()
-    assert not isinstance(spec.step_table[(spec.initial, first)], (Instruction, type(None)))
-    # Without the choice, runs through the loosened keys step as the plain
-    # run does.
-    plain = replace(spec, table={key: ins for key, ins in spec.table.items()
-                                 if key != (spec.initial, first)})
-    symbols = sorted(spec.work_alphabet)
-    for v in (u for n in range(4) for u in itertools.product(symbols, repeat=n)):
-        assert_resumed_run_is_plain(plain, v, DEFAULT_LIMITS)
+            assert tuple(ins for ins, _ in offered) == spec.table.get((q, window), ())
 
 
 def over_one_letter(spec):
