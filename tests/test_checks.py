@@ -24,6 +24,7 @@ from redukto.model import (
     accept,
     mvl,
     mvr,
+    reject,
     restart,
     sl,
 )
@@ -282,6 +283,26 @@ def test_cycle_correctness_fails_on_a_wrong_guess(m_e_h_shrunk, anbn_shrunk):
         assert replay_trace(spec, ce.trace)
         assert ce.explanation == "cycle rewrites %s (member) to %s (non-member)" % (
             " ".join(word), " ".join(to_word))
+
+
+def test_theorem_answers_refuse_a_contradictory_determinism_flag():
+    # Flagged deterministic, yet a offers a move and a reject: the spec is
+    # refused when built, so no mode answers by theorem on this table.
+    # Unflagged, only cycle-error, which holds on every automaton, does.
+    table = {
+        ("q0", (C,)): (mvr("q0"),),
+        ("q0", ("a",)): (mvr("q0"), reject()),
+        ("q0", ("b",)): (sl("q1", ()),),
+        ("q1", (C,)): (restart(),),
+    }
+    args = ("chooser", frozenset({"q0", "q1"}), "q0", 1, frozenset("ab"), frozenset("ab"), table)
+    with pytest.raises(PreconditionError, match=r"^deterministic flag but 2 instructions at \(q0, a\)$"):
+        AutomatonSpec(*args, ClassFlags(deterministic=True))
+    spec = AutomatonSpec(*args, ClassFlags(deterministic=False))
+    with pytest.raises(PreconditionError, match=r"requires a deterministic automaton"):
+        check_preservation(spec, 4, "complete-correctness")
+    assert not check_preservation(spec, 4, "cycle-correctness").unbounded
+    assert check_preservation(spec, 4, "cycle-error").unbounded
 
 
 def test_complete_error_catches_discipline_breaker():

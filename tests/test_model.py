@@ -184,6 +184,17 @@ def test_validate_rejects_mvl_under_rr():
     assert any("MVL" in v for v in report.violations)
 
 
+def test_validate_rejects_nondeterministic_table_under_det_flag():
+    # A choice under the deterministic flag is refused when the spec is
+    # built; without the flag the same table is a valid nondeterministic one.
+    table = {("q0", ("a", "a", "a")): [mvr("q0"), mvr("q1")]}
+    with pytest.raises(PreconditionError, match=r"^deterministic flag but 2 instructions at \(q0, aaa\)$"):
+        _spec(table)
+    loose = _spec(table, flags=ClassFlags(deterministic=False, direction="R", form="SL", aux="WW"))
+    assert validate_automaton(loose).ok
+    assert not classify_automaton(loose).deterministic
+
+
 def test_validate_requires_total_morphism():
     bad = _spec({("q0", (C, "a", D)): [mvr("q0")]}, morphism={"a": "a"})
     report = validate_automaton(bad)
@@ -217,6 +228,8 @@ VIOLATIONS = [
     ({"flags": replace(R_SL, mr_degree=0)}, "mr-degree must be positive"),
     ({"table": {("qx", ("a", "a", "a")): [mvr("q0")]}}, "table state 'qx' unknown at (qx, aaa)"),
     ({"table": {("q0", ("a", "a")): [mvr("q0")]}}, "malformed window content at (q0, aa)"),
+    ({"table": {("q0", ("a", "a", "a")): [mvr("q0"), mvr("q1")]}},
+     "deterministic flag but 2 instructions at (q0, aaa)"),
     ({"table": {("q0", ("a", "a", "a")): [mvr("qx")]}}, "unknown successor state 'qx' at (q0, aaa)"),
     ({"table": {("q0", ("a", "a", "a")): [mvl("q0")]}},
      "MVL instruction under direction R at (q0, aaa)"),
@@ -243,8 +256,14 @@ VIOLATIONS = [
 
 @pytest.mark.parametrize("changes,message", VIOLATIONS, ids=[m for _, m in VIOLATIONS])
 def test_validate_names_each_violation(changes, message):
-    report = validate_automaton(replace(_spec({}), **changes))
-    assert message in report.violations
+    # A choice under the deterministic flag is refused when the spec is
+    # built, with the message validation states for it.
+    try:
+        spec = replace(_spec({}), **changes)
+    except PreconditionError as err:
+        assert message.startswith("deterministic flag") and str(err) == message
+    else:
+        assert message in validate_automaton(spec).violations
 
 
 # One table entry per shape that is not the step a run takes, with the

@@ -311,6 +311,30 @@ def test_deterministic_decider_agrees_with_search_on_a_flat_dyck_word():
     assert_follows_search(spec, (opening, closing) * 1200, DEFAULT_LIMITS)
 
 
+def test_deterministic_decider_refuses_a_choice():
+    # Flagged deterministic, but a offers a move and a reject: the spec is
+    # refused when built, so the deterministic decider never meets the
+    # choice.  Unflagged, the same table is searched: ba deletes its b and
+    # restarts on a, where every branch ends without accepting.
+    table = {
+        ("q0", (C,)): (Instruction(MVR, "q0"),),
+        ("q0", ("a",)): (Instruction(MVR, "q0"), Instruction(REJECT)),
+        ("q0", ("b",)): (sl("q1", ()),),
+        ("q1", (C,)): (Instruction(RESTART),),
+    }
+    args = ("chooser", frozenset({"q0", "q1"}), "q0", 1, frozenset("ab"), frozenset("ab"), table)
+    with pytest.raises(PreconditionError, match=r"^deterministic flag but 2 instructions at \(q0, a\)$"):
+        AutomatonSpec(*args, ClassFlags(deterministic=True))
+    spec = AutomatonSpec(*args, ClassFlags(deterministic=False))
+    with pytest.raises(PreconditionError, match=r"requires a deterministic automaton"):
+        run_deterministic(spec, ("b", "a"))
+    memo = {}
+    assert decide_basic_membership(spec, ("b", "a"), memo=memo).verdict == "non-member"
+    assert memo == {("b", "a"): (False, None), ("a",): (False, None)}
+    assert [r.tapes[-1] for r in cycle_rewrites(spec, ("b", "a"))] == [(C, "a", D)]
+    assert cycle_rewrites(spec, ("a",)) == []
+
+
 def rewrites_outcome(spec, w, limits):
     try:
         return [(r.to_word, Trace((r,), "counterexample").steps) for r in cycle_rewrites(spec, w, limits)]
