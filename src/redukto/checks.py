@@ -5,12 +5,25 @@ shrinking-weight validity.
 Every check quantifies over all working-alphabet words up to a length bound
 and over all computation branches within the resource limits, and it reports
 either "holds-up-to-bound" or a concrete counterexample that replays through
-the engine.  Monotonicity is decided at every length for deterministic
-automata without MVL whose cycles rewrite at most once (every stock
-automaton but the multi-rewrite ``lm_j``, and every grammar build): a
-report that holds for every length sets ``CheckReport.unbounded``, and the
-printed verdict stays "holds-up-to-bound".  So do the preservation modes
-that hold by theorem, which ``check_preservation`` answers without a sweep.
+the engine.  Some reports hold at every length: they set
+``CheckReport.unbounded``, and the printed verdict stays
+"holds-up-to-bound".
+
+- Monotonicity is decided at every length for deterministic automata
+  without MVL whose cycles rewrite at most once (every stock automaton but
+  the multi-rewrite ``lm_j``, and every grammar build).
+- Cycle soundness holds at every length when no (state, rewrite count)
+  pair that a phase can reach offers a step that breaks the discipline
+  (every stock automaton and every build at its declared degree).
+- Shrinking holds at every length when the weights are positive and total
+  and every rewrite of the table lowers its window's weight (the shrunk
+  ``m_e_h`` and the shrunk grammar builds).
+- The preservation modes that hold by theorem are answered without a
+  sweep.
+
+Where the table or a theorem does not answer, the words up to the bound are
+swept.  The cycle-soundness, shrinking and preservation answers that hold
+at every length read no limit; only their sweeps do.
 """
 
 from __future__ import annotations
@@ -45,7 +58,9 @@ from .model import (
     AutomatonSpec,
     PreconditionError,
     Word,
+    is_window_content,
     render_word,
+    rewrite_target_issues,
     word_weight,
 )
 from .languages import require_bound, require_decided, words_over
@@ -329,23 +344,63 @@ def check_cycle_soundness(
     degree: Optional[int] = None,
 ) -> CheckReport:
     """Every cycle performs between 1 and mr-degree rewrite steps and no
-    accepting tail contains a rewrite.  Branches are walked without the
-    engine's discipline so that violations are observed rather than
-    pruned.  ``degree``, when given, replaces the declared rewrite cap and
-    must be positive."""
+    accepting tail contains a rewrite.  ``degree``, when given, replaces the
+    declared rewrite cap and must be positive.
+
+    When ``_discipline_kept`` shows from the table that no phase of any
+    word can break the discipline, the report holds at every length
+    (``unbounded``), without a word walked or ``limits`` read: every stock
+    automaton and every build at its declared degree.  Otherwise every word
+    up to the bound is walked in shortlex order, on every branch and without
+    the engine's discipline, so that violations are observed rather than
+    pruned; the witness ends at the offending step.
+    """
     require_bound(max_len)
     cap = spec.flags.mr_degree if degree is None else degree
     if cap < 1:
         raise PreconditionError("rewrite cap must be positive")
+    name = "cycle-soundness(j=%d)" % cap
+    if _discipline_kept(spec, cap):
+        return CheckReport(name, max_len, HOLDS, unbounded=True)
 
     def breaks(_, config, ins):
         return None, discipline_break(cap, ins, config.rewrites)
 
     words = words_over(spec.work_alphabet, max_len)
-    return _report(
-        "cycle-soundness(j=%d)" % cap, max_len,
-        lambda: _first_flagged(spec, words, limits, breaks),
-    )
+    return _report(name, max_len, lambda: _first_flagged(spec, words, limits, breaks))
+
+
+def _discipline_kept(spec: AutomatonSpec, cap: int) -> bool:
+    """Whether no (state, rewrite count) pair that a phase can reach offers
+    an instruction that ``discipline_break`` flags under ``cap``.
+
+    The pairs form a finite graph from (initial, 0): MVR and MVL lead to
+    their target state, SL to its target state with one more rewrite, and
+    Restart back to (initial, 0).  An SL is flagged once the count reaches
+    ``cap``, so no count in the graph exceeds it.  The graph ignores window
+    contents and side conditions, which can only prune it, so it holds
+    every pair of every branch that ``walk_branches`` walks."""
+    offered: dict[str, set] = {}
+    for (state, _), instrs in spec.table.items():
+        offered.setdefault(state, set()).update(instrs)
+    start = (spec.initial, 0)
+    seen = {start}
+    todo = [start]
+    while todo:
+        state, rewrites = todo.pop()
+        for ins in offered.get(state, ()):
+            if discipline_break(cap, ins, rewrites) is not None:
+                return False
+            if ins.kind in (MVR, MVL):
+                nxt = (ins.state, rewrites)
+            elif ins.kind == SL:
+                nxt = (ins.state, rewrites + 1)
+            else:  # Restart re-enters the start pair; Accept and Reject halt
+                continue
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return True
 
 
 def check_preservation(
@@ -432,18 +487,31 @@ def check_shrinking(
     limits: Limits = DEFAULT_LIMITS,
 ) -> CheckReport:
     """Every observed cycle rewriting strictly decreases the total weight,
-    and the weight function is positive and total on the working alphabet."""
+    and the weight function is positive and total on the working alphabet.
+
+    The weights are checked first, symbol by symbol.  Then, when
+    ``_rewrites_lower_weight`` shows that every SL instruction lowers the
+    weight of its own window, the report holds at every length
+    (``unbounded``), without a word swept or ``limits`` read: every cycle
+    rewrites at least once, so every cycle lowers the tape's weight.  This
+    covers the shrunk ``m_e_h`` and the shrunk grammar builds.  Otherwise
+    the cycles of every word up to the bound are compared in shortlex
+    order, and the witness is the first cycle that does not lower the
+    weight.
+    """
     require_bound(max_len)
+    for tok in sorted(spec.work_alphabet):
+        fault = ("no weight for symbol %r" if tok not in weights
+                 else "weight of %r is not positive" if weights[tok] < 1 else None)
+        if fault is not None:
+            return CheckReport("shrinking", max_len, VIOLATED, Counterexample((tok,), None, fault % tok))
+    if _rewrites_lower_weight(spec, weights):
+        return CheckReport("shrinking", max_len, HOLDS, unbounded=True)
+    # Observe cycles without the engine's own progress check, which would
+    # raise on the very cycles this check reports.
+    relaxed = replace(spec, flags=replace(spec.flags, shrinking=True), weights=None)
 
     def search() -> Optional[Counterexample]:
-        for tok in sorted(spec.work_alphabet):
-            if tok not in weights:
-                return Counterexample((tok,), None, "no weight for symbol %r" % tok)
-            if weights[tok] < 1:
-                return Counterexample((tok,), None, "weight of %r is not positive" % tok)
-        # Observe cycles without the engine's own progress check, which
-        # would raise on the very cycles this check reports.
-        relaxed = replace(spec, flags=replace(spec.flags, shrinking=True), weights=None)
         for word in words_over(spec.work_alphabet, max_len):
             before = word_weight(weights, word)
             for record in cycle_rewrites(relaxed, word, limits):
@@ -460,3 +528,26 @@ def check_shrinking(
         return None
 
     return _report("shrinking", max_len, search)
+
+
+def _rewrites_lower_weight(spec: AutomatonSpec, weights: dict[str, int]) -> bool:
+    """Whether every SL instruction sits at a legal window, has a legal
+    target (see ``rewrite_target_issues``) and weighs strictly less than
+    it, sentinels weighing 0.  ``weights`` must be total on the working
+    alphabet.
+
+    Then every tape a cycle passes is a left sentinel, working symbols and
+    a right sentinel, and every rewrite lowers its weight.  Any other
+    rewrite leaves the question to the sweep."""
+    def weight(word: Word) -> int:
+        return sum(weights[tok] for tok in word if tok not in (LEFT_SENTINEL, RIGHT_SENTINEL))
+
+    alphabet = spec.work_alphabet
+    return all(
+        is_window_content(window, spec.window, alphabet)
+        and not rewrite_target_issues(window, ins.target, alphabet, shrinking=True)[0]
+        and weight(ins.target) < weight(window)
+        for (_, window), instrs in spec.table.items()
+        for ins in instrs
+        if ins.kind == SL
+    )

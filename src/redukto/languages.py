@@ -305,7 +305,12 @@ def enumerate_basic_by_reduction(
     members = set(enumerate_language(
         spec, LanguageQuery("basic", min(seed_len, max_len), limits), strategy="brute"))
 
-    rules = sorted(set(spec.sl_pairs()))
+    # The rules by right side, so that a tape slice is looked up only at the
+    # lengths some right side has.
+    lefts_of: dict[Word, list[Word]] = {}
+    for u, v in set(spec.sl_pairs()):
+        lefts_of.setdefault(v, []).append(u)
+    right_lengths = {len(v) for v in lefts_of}
     weights = spec.weights if spec.flags.shrinking else None
 
     def level_of(w: Word) -> int:
@@ -316,19 +321,17 @@ def enumerate_basic_by_reduction(
         yield the tape of w."""
         tape = (LEFT_SENTINEL,) + w + (RIGHT_SENTINEL,)
         out = set()
-        for u, v in rules:
-            lv = len(v)
+        for lv in right_lengths:
             for p in range(len(tape) - lv + 1):
-                if tape[p : p + lv] != v:
-                    continue
-                candidate = tape[:p] + u + tape[p + lv :]
-                if candidate[0] != LEFT_SENTINEL or candidate[-1] != RIGHT_SENTINEL:
-                    continue
-                inner = candidate[1:-1]
-                if LEFT_SENTINEL in inner or RIGHT_SENTINEL in inner:
-                    continue
-                if len(inner) <= max_len:
-                    out.add(inner)
+                for u in lefts_of.get(tape[p : p + lv], ()):
+                    candidate = tape[:p] + u + tape[p + lv :]
+                    if candidate[0] != LEFT_SENTINEL or candidate[-1] != RIGHT_SENTINEL:
+                        continue
+                    inner = candidate[1:-1]
+                    if LEFT_SENTINEL in inner or RIGHT_SENTINEL in inner:
+                        continue
+                    if len(inner) <= max_len:
+                        out.add(inner)
         return out
 
     frontier = set(members)

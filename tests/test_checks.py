@@ -379,6 +379,31 @@ def test_weight_totality_and_positivity(m_e):
     assert not report.holds and "not positive" in report.counterexample.explanation
 
 
+def test_table_answers_read_no_limit(m_e_h_shrunk):
+    # Answered from the table, neither check walks a word, so even a bound
+    # that no sweep could finish and a limit of one configuration hold.
+    one = Limits(max_configs=1)
+    lm_3 = catalog_get("lm_3").spec
+    assert check_cycle_soundness(lm_3, 30, one).unbounded
+    spec, weights = m_e_h_shrunk
+    assert check_shrinking(spec, weights, 30, one).unbounded
+    # Where the table cannot answer, the sweep reads the limit.
+    assert check_cycle_soundness(lm_3, 9, one, degree=3).verdict == "resource-exceeded"
+
+
+def test_shrinking_sweeps_a_rewrite_that_moves_a_sentinel():
+    # Deleting the left sentinel with the a behind it lowers the window's
+    # weight, but leaves a tape that does not start with the sentinel, so
+    # the table does not answer and the sweep does.
+    spec = AutomatonSpec(
+        "dropper", frozenset({"q0", "q1"}), "q0", 2, frozenset("a"), frozenset("a"),
+        {("q0", (C, "a")): [sl("q1", ())], ("q1", (D,)): [restart()]},
+        ClassFlags(deterministic=True, shrinking=True),
+    )
+    report = check_shrinking(spec, {"a": 1}, 4)
+    assert report.holds and not report.unbounded
+
+
 def test_counterexamples_replay(m_e):
     report = check_monotone(m_e.spec, 8)
     assert report.counterexample.trace is not None

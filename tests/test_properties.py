@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st, target
 
 from redukto.catalog import catalog_get
-from redukto.checks import check_monotone
+from redukto.checks import VIOLATED, check_cycle_soundness, check_monotone, check_shrinking
 from redukto.construct import to_shrinking
 from redukto.engine import (
     DEFAULT_LIMITS,
@@ -39,6 +39,7 @@ from redukto.engine import (
     run_deterministic,
     strip_sentinels,
     successors,
+    walk_branches,
 )
 from redukto.fileformat import parse_automaton, render_automaton
 from redukto.languages import (
@@ -64,6 +65,7 @@ from redukto.model import (
     render_word,
     sl,
     validate_automaton,
+    word_weight,
 )
 
 SYMBOLS = ("a", "b", "c")
@@ -364,6 +366,102 @@ def test_exact_monotonicity_agrees_with_generic_walk(spec):
             violating += 1
             assert exact.counterexample.word == generic.counterexample.word, bound
     target(float(violating))
+
+
+def shortlex_words(spec, max_len):
+    symbols = sorted(spec.work_alphabet)
+    for n in range(max_len + 1):
+        yield from itertools.product(symbols, repeat=n)
+
+
+def first_discipline_break(spec, cap, max_len):
+    """The shortlex-first word up to ``max_len`` with a branch that takes a
+    step breaking the discipline of at most ``cap`` rewrites a cycle."""
+    def on_step(_, config, ins):
+        return None, discipline_break(cap, ins, config.rewrites)
+
+    return next((word for word in shortlex_words(spec, max_len)
+                 if walk_branches(spec, word, on_step) is not None), None)
+
+
+def first_weight_rise(spec, weights, max_len):
+    """The shortlex-first word up to ``max_len`` with a cycle that does not
+    lower its weight under ``weights``."""
+    flagged = replace(spec, flags=replace(spec.flags, shrinking=True), weights=None)
+    return next((word for word in shortlex_words(spec, max_len)
+                 if any(word_weight(weights, record.to_word) >= word_weight(weights, word)
+                        for record in cycle_rewrites(flagged, word))), None)
+
+
+def assert_agrees_with_sweep(report, first):
+    """An unbounded report has no violation up to the bound, and a violation
+    up to the bound is reported on its shortlex-first word."""
+    if report.unbounded:
+        assert first is None
+    if first is None:
+        assert report.holds
+    else:
+        assert report.verdict == VIOLATED and report.counterexample.word == first
+
+
+def length_keeping_targets(spec):
+    """``spec`` flagged shrinking with an SL target drawn anew for each
+    rewrite, up to as long as its window, so that some rewrites keep or
+    raise a tape's weight."""
+    symbols = tuple(sorted(spec.work_alphabet))
+
+    @st.composite
+    def redraw(draw):
+        table = {}
+        for (q, window), instrs in spec.table.items():
+            left, right = window[0] == C, window[-1] == D
+            targets = [(C,) * left + mid + (D,) * right
+                       for m in range(len(window) - left - right + 1)
+                       for mid in itertools.product(symbols, repeat=m)]
+            table[(q, window)] = tuple(
+                sl(ins.state, draw(st.sampled_from(targets))) if ins.kind == SL else ins
+                for ins in instrs)
+        return replace(spec, table=table, flags=replace(spec.flags, shrinking=True))
+
+    return redraw()
+
+
+def drawn_weights(spec):
+    return st.fixed_dictionaries({tok: st.integers(1, 3) for tok in sorted(spec.work_alphabet)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(automata(deterministic=False), automata(deterministic=True), scanners()),
+       st.sampled_from((None, 1, 2, 3)))
+def test_cycle_soundness_from_the_table_agrees_with_the_walk(spec, degree):
+    report = check_cycle_soundness(spec, 4, degree=degree)
+    cap = spec.flags.mr_degree if degree is None else degree
+    assert_agrees_with_sweep(report, first_discipline_break(spec, cap, 4))
+    target(float(report.unbounded))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.booleans().flatmap(automata).flatmap(length_keeping_targets).flatmap(
+        lambda spec: st.tuples(st.just(spec), drawn_weights(spec))),
+    automata(deterministic=True, min_window=2).map(
+        lambda spec: to_shrinking(over_one_letter(spec)))))
+def test_shrinking_from_the_table_agrees_with_the_sweep(case):
+    spec, weights = case
+    report = check_shrinking(spec, weights, 4)
+    assert_agrees_with_sweep(report, first_weight_rise(spec, weights, 4))
+    target(float(report.unbounded))
+
+
+def test_checks_from_the_table_agree_with_the_sweep_on_shrunk_catalog_automata(
+        m_e_h_shrunk, anbn_shrunk):
+    for spec, weights in (m_e_h_shrunk, anbn_shrunk[1:]):
+        report = check_shrinking(spec, weights, 4)
+        assert report.unbounded
+        assert_agrees_with_sweep(report, first_weight_rise(spec, weights, 4))
+        report = check_cycle_soundness(spec, 4)
+        assert report.unbounded
+        assert_agrees_with_sweep(report, first_discipline_break(spec, spec.flags.mr_degree, 4))
 
 
 def confine_tails(spec):
