@@ -6,9 +6,10 @@ search on the same automaton unflagged (deciders, ``decide_members`` and
 relation, resumed deterministic runs against a plain one, the
 h-proper decider against deciding every preimage, over one letter and over
 two, and against the input language of ``to_shrinking``, exact monotonicity
-against the word-by-word walk, the brute enumerator against deciding every
-word in turn, the closure enumerator against the brute one, and parsing
-against rendering.  The deciders also keep the preservation
+against the word-by-word walk, cycle soundness and shrinking answered from
+the table against sweeps of every word, the brute enumerator against
+deciding every word in turn, the closure enumerator against the brute one,
+and parsing against rendering.  The deciders also keep the preservation
 properties that hold by theorem: cycle-error everywhere, cycle-correctness
 on deterministic automata."""
 
@@ -81,14 +82,14 @@ def window_contents(symbols, k):
     ]
 
 
-def rewrite_targets(window, symbols):
-    """Every legal SL target for ``window``: strictly shorter, with the same
-    sentinels in the same places."""
+def rewrite_targets(window, symbols, keep_length=False):
+    """Every legal SL target for ``window``: strictly shorter (or as long,
+    with ``keep_length``), with the same sentinels in the same places."""
     left, right = window[0] == C, window[-1] == D
     inner = len(window) - left - right
     return [
         (C,) * left + mid + (D,) * right
-        for m in range(inner)
+        for m in range(inner + keep_length)
         for mid in itertools.product(symbols, repeat=m)
     ]
 
@@ -414,10 +415,7 @@ def length_keeping_targets(spec):
     def redraw(draw):
         table = {}
         for (q, window), instrs in spec.table.items():
-            left, right = window[0] == C, window[-1] == D
-            targets = [(C,) * left + mid + (D,) * right
-                       for m in range(len(window) - left - right + 1)
-                       for mid in itertools.product(symbols, repeat=m)]
+            targets = rewrite_targets(window, symbols, keep_length=True)
             table[(q, window)] = tuple(
                 sl(ins.state, draw(st.sampled_from(targets))) if ins.kind == SL else ins
                 for ins in instrs)
