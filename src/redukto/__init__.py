@@ -44,6 +44,7 @@ from .engine import (
     ResourcesExceeded,
     Trace,
     cycle_rewrites,
+    cycle_successors,
     decide_basic_membership,
     decide_input_membership,
     decide_members,

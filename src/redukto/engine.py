@@ -48,24 +48,30 @@ so loops through the prefix are still seen.  The repeated steps are charged
 to every step and configuration count, and r is clamped to the
 configurations left, so that the limit trips at the very step it would trip
 at without resuming.  A trace keeps one ``CycleRecord`` per cycle, whose
-steps, the repeated scan's too, are (state, instruction) pairs, with the
-tapes they read; only ``Trace.steps`` builds configurations from them.
+steps, the repeated scan's too, are (state, instruction) pairs.  A record
+keeps no tape: it links to where its start tape comes from, the start word
+or the record that restarted on it, and its tapes are rebuilt from that
+link when read, so a run on n letters keeps O(n) cells plus its steps.
+Only ``Trace.steps`` builds configurations, in one pass along the trace.
 
 Deterministic step.  A spec flagged deterministic holds at most one
 instruction per table entry, and only one that ``successors`` offers there;
 the spec refuses any other table when it is built.  So ``_cycle`` takes the
 entry in ``spec.table`` as its step, and a missing or empty entry as stuck.
-It applies moves and rewrites inline, asks ``discipline_break`` only at
-steps other than MVR, and keeps the leftmost rewrite position in
-``CycleRecord.rewritten_from``, where the next cycle resumes.  The branch
-search, ``walk_branches`` and ``replay_trace`` call ``successors`` itself.
+It applies moves and rewrites inline to one list tape, rewritten in place
+across a run, asks ``discipline_break`` only at steps other than MVR, and
+keeps the leftmost rewrite position in ``CycleRecord.rewritten_from``,
+where the next cycle resumes.  The branch search, ``walk_branches`` and
+``replay_trace`` call ``successors`` itself.
 
 Membership.  One depth-first loop over restarting words, with a memo,
 decides every word for every automaton (``_search``): it answers
 ``decide_basic_membership`` and each candidate of ``decide_members``, the
 one candidate loop under brute enumeration, the closure's seeds and the
-h-proper decider.  It gets a word's phase from one of two phase functions,
-which return the same shape: on a deterministic automaton,
+h-proper decider.  It touches the memo twice per word, once to look the
+word up and mark it open, once to settle it.  It gets a word's phase, and
+each cycle's restart word, from one of two phase functions, which return
+the same shape: on a deterministic automaton,
 ``_deterministic_phase`` runs the one cycle or tail, resumed after the
 cycle that restarted on the word, or for a start word after the previous
 candidate's first cycle; on any other, ``_explore_phase`` searches every
@@ -85,7 +91,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .model import (
     ACCEPT,
@@ -132,42 +138,109 @@ Step = tuple[Configuration, Instruction]
 class CycleRecord(NamedTuple):
     """One cycle, or the closing tail, of a trace.
 
-    ``tapes`` holds the tape the cycle starts on, then the tape after each
-    rewrite that a later step reads.  ``scan`` holds the (state,
-    instruction) pairs of the MVR steps that the cycle repeated from the
-    recorded cycle it resumed after, at positions 0 .. len(scan)-1, and
-    ``steps`` those of the steps it took from there on, whose positions
-    ``Trace.steps`` replays.  ``rewritten_from`` is the leftmost position at
-    which a deterministic cycle rewrote, so that it left cells [0, p) of its
-    tape as they were: None without a rewrite, and in the records that no
-    cycle resumes after (those of the branch searches).  A record refers to
-    no other record, so memoized records can be reused by every trace that
-    reaches them."""
+    ``origin`` is where the cycle's start tape comes from: the word it
+    starts on, or the record of the cycle that restarted on it.  ``scan``
+    holds the (state, instruction) pairs of the MVR steps that the cycle
+    repeated from the recorded cycle it resumed after, at positions
+    0 .. len(scan)-1, and ``steps`` those of the steps it took from there
+    on.  ``window`` is the automaton's window size, by which a rewrite at
+    position p of a tape of n cells cuts min(window, n - p) cells.  A
+    record keeps no tape: ``tapes``, ``from_word`` and ``to_word`` rebuild
+    the tapes from the word at the head of its links when read, replaying
+    every record along them, while ``Trace.steps`` and
+    ``Trace.reductions`` rebuild a whole trace in one pass.
+    ``rewritten_from`` is the leftmost position at which a
+    deterministic cycle rewrote, so that it left cells [0, p) of its tape as
+    they were: None without a rewrite, and in the records that no cycle
+    resumes after (those of the branch searches).  A linked record's start
+    tape is its origin's restart tape whichever trace holds it, so memoized
+    records can be reused by every trace that reaches them."""
 
-    tapes: tuple[Word, ...]
+    origin: Union[Word, CycleRecord]
     scan: tuple[tuple[str, Instruction], ...]
     steps: tuple[tuple[str, Instruction], ...]
+    window: int
     rewritten_from: Optional[int] = None
+
+    @property
+    def tapes(self) -> tuple[Word, ...]:
+        """The tape the cycle starts on, then the tape after each rewrite
+        that a later step reads."""
+        tapes = [_start_tape(self)]
+        for tape, _, _, rewrites, _ in _replay(tapes[0], self.steps, len(self.scan), self.window):
+            if rewrites == len(tapes):
+                tapes.append(tape)
+        return tuple(tapes)
 
     @property
     def from_word(self) -> Word:
         """The word the cycle starts on."""
-        return self.tapes[0][1:-1]
+        return _start_tape(self)[1:-1]
 
     @property
     def to_word(self) -> Word:
         """The word the cycle restarts on: the tape of its last step."""
-        return self.tapes[-1][1:-1]
+        return _last_tape(_start_tape(self), self)[1:-1]
 
     def ends_cycle(self) -> bool:
         return bool(self.steps) and self.steps[-1][1].kind == RESTART
+
+    # A run's records link thousands deep, so equality, hashing and repr
+    # follow the links in a loop, where a tuple's would recurse.
+    def __eq__(self, other):
+        if not isinstance(other, CycleRecord):
+            return NotImplemented
+        a, b = self, other
+        while isinstance(a, CycleRecord) and isinstance(b, CycleRecord):
+            if a is b:
+                return True
+            if a[1:] != b[1:]:
+                return False
+            a, b = a.origin, b.origin
+        return isinstance(a, CycleRecord) == isinstance(b, CycleRecord) and tuple.__eq__(a, b)
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        h, record = 0, self
+        while isinstance(record, CycleRecord):
+            h, record = hash((h, record[1:])), record.origin
+        return hash((h, record))
+
+    def __repr__(self) -> str:
+        origin = "CycleRecord(...)" if isinstance(self.origin, CycleRecord) else repr(self.origin)
+        return "CycleRecord(origin=%s, scan=%r, steps=%r, window=%r, rewritten_from=%r)" % (
+            origin, *self[1:])
+
+
+def _last_tape(tape: Word, record: CycleRecord) -> Word:
+    """The tape of the last step of ``record``, which starts on ``tape``."""
+    for tape, _, _, _, _ in _replay(tape, record.steps, len(record.scan), record.window):
+        pass
+    return tape
+
+
+def _start_tape(record: CycleRecord) -> Word:
+    """The tape ``record`` starts on, rebuilt from the word at the head of
+    its chain of links."""
+    chain = []
+    while isinstance(record.origin, CycleRecord):
+        record = record.origin
+        chain.append(record)
+    tape = (LEFT_SENTINEL,) + record.origin + (RIGHT_SENTINEL,)
+    for before in reversed(chain):
+        tape = _last_tape(tape, before)
+    return tape
 
 
 @dataclass(frozen=True)
 class Trace:
     """A computation: one record per cycle, then the tail.  ``steps`` is the
     tuple of its (configuration, instruction) pairs, the repeated scans'
-    too, the only configurations built from records, when first read."""
+    too, the only configurations built from records, in one pass along the
+    trace when first read."""
 
     records: tuple[CycleRecord, ...]
     outcome: str
@@ -175,16 +248,32 @@ class Trace:
 
     @cached_property
     def steps(self) -> tuple[Step, ...]:
-        return tuple([(Configuration(tape, state, pos, n), ins) for record in self.records
-                      for tape, state, pos, n, ins in _replay(record.tapes, record.scan + record.steps)])
+        # A record linked to the one before it starts on that one's last
+        # tape, which the replay has just made.
+        steps: list[Step] = []
+        before = tape = None
+        for record in self.records:
+            if record.origin is not before:
+                tape = _start_tape(record)
+            for tape, state, pos, n, ins in _replay(tape, record.scan + record.steps, 0, record.window):
+                steps.append((Configuration(tape, state, pos, n), ins))
+            before = record
+        return tuple(steps)
 
     def cycle_count(self) -> int:
         return sum(1 for record in self.records if record.ends_cycle())
 
     def reductions(self) -> list[tuple[Word, Word]]:
         """The sequence of cycle rewritings u => v along this trace."""
-        return [(record.from_word, record.to_word)
-                for record in self.records if record.ends_cycle()]
+        out = []
+        before = last = None
+        for record in self.records:
+            start = last if record.origin is before else _start_tape(record)
+            last = _last_tape(start, record)
+            if record.ends_cycle():
+                out.append((start[1:-1], last[1:-1]))
+            before = record
+        return out
 
 
 @dataclass(frozen=True)
@@ -201,35 +290,37 @@ class Decision:
         return self.verdict == "member"
 
 
-def _records(steps: Sequence[tuple[Word, str, Instruction]]) -> list[CycleRecord]:
-    """One record per cycle of ``steps``, (tape, state, instruction) triples
-    from a restarting configuration on, then one for the tail, if any."""
-    records, tapes, pairs, read = [], [], [], True
-    for tape, state, ins in steps:
-        if read:  # the first step's tape, or a rewrite's
-            tapes.append(tape)
-        pairs.append((state, ins))
-        read = ins.kind == SL
-        if ins.kind == RESTART:
-            records.append(CycleRecord(tuple(tapes), (), tuple(pairs)))
-            tapes, pairs, read = [], [], True
+def _records(word: Word, steps: Sequence[tuple[str, Instruction]], window: int) -> list[CycleRecord]:
+    """One record per cycle of ``steps``, (state, instruction) pairs from
+    the restarting configuration of ``word`` on, then one for the tail, if
+    any; each record after the first links to the one before it."""
+    records, pairs, origin = [], [], word
+    for pair in steps:
+        pairs.append(pair)
+        if pair[1].kind == RESTART:
+            origin = CycleRecord(origin, (), tuple(pairs), window)
+            records.append(origin)
+            pairs = []
     if pairs:
-        records.append(CycleRecord(tuple(tapes), (), tuple(pairs)))
+        records.append(CycleRecord(origin, (), tuple(pairs), window))
     return records
 
 
-def _replay(tapes: Sequence[Word], steps: Iterable[tuple[str, Instruction]], pos: int = 0):
+def _replay(tape: Word, steps: Iterable[tuple[str, Instruction]], pos: int, window: int):
     """(tape, state, pos, rewrites, instruction) of each of ``steps``, the
-    pairs of a record taken from position ``pos`` on ``tapes[0]``, as
+    pairs of a record taken from position ``pos`` on ``tape``, as
     ``successors`` moves: an MVR one cell right, an MVL one left, and a
-    rewrite onto the next tape, left by the cells it cut, floored at 0."""
-    tape, rewrites = tapes[0], 0
+    rewrite splices its target over the min(window, len - pos) cells it
+    cuts, onto a new tape, and moves left by the cells it cut less its
+    target's, floored at 0."""
+    rewrites = 0
     for state, ins in steps:
         yield tape, state, pos, rewrites, ins
         kind = ins.kind
-        if kind == SL and rewrites + 1 < len(tapes):
-            rewrites += 1
-            pos, tape = max(0, pos - len(tape) + len(tapes[rewrites])), tapes[rewrites]
+        if kind == SL:
+            cut = min(window, len(tape) - pos)
+            tape = tape[:pos] + ins.target + tape[pos + cut:]
+            pos, rewrites = max(0, pos - cut + len(ins.target)), rewrites + 1
         else:
             pos += (kind == MVR) - (kind == MVL)
 
@@ -332,41 +423,46 @@ def run_deterministic(spec: AutomatonSpec, word: Word, limits: Limits = DEFAULT_
     """Run a deterministic automaton from the restarting configuration of
     ``word`` until it halts, loops, gets stuck, breaks the cycle discipline,
     or exhausts the limits.  Each cycle resumes where the one before it
-    stops being repeatable (see the module docstring)."""
+    stops being repeatable, on the one tape that the cycles before it
+    rewrote (see the module docstring)."""
     if not spec.flags.deterministic:
         raise PreconditionError("run_deterministic requires a deterministic automaton")
-    tape = (LEFT_SENTINEL,) + _over(spec.work_alphabet, word) + (RIGHT_SENTINEL,)
+    word = _over(spec.work_alphabet, word)
+    tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL]
     budget = _Budget(limits.max_configs)
     records: list[CycleRecord] = []
-    record, same = None, 0
+    origin, record, same = word, None, 0
     while True:
-        record, outcome, flag, _, _ = _cycle(spec, tape, record, same, budget)
+        record, outcome, flag, _, _ = _cycle(spec, tape, origin, record, same, budget)
         if record.scan or record.steps:
             records.append(record)
         if outcome is not None:
             return Trace(tuple(records), outcome, flag)
-        tape, same = record.tapes[-1], record.rewritten_from
+        origin, same = record, record.rewritten_from
 
 
 def _cycle(
-    spec: AutomatonSpec, tape: Word, before: Optional[CycleRecord], same: int, budget: _Budget,
+    spec: AutomatonSpec, tape: list[str], origin: Union[Word, CycleRecord],
+    before: Optional[CycleRecord], same: int, budget: _Budget,
 ) -> tuple[CycleRecord, Optional[str], Optional[str], int, int]:
-    """One cycle, or the tail, of a deterministic automaton on ``tape``,
-    resumed after the recorded cycle ``before`` whose start tape agrees with
-    ``tape`` on cells [0, same) (None for nothing to resume after).  Each
-    configuration it expands, the repeated scan's too, spends ``budget``.
+    """One cycle, or the tail, of a deterministic automaton on ``tape``, a
+    list that it rewrites in place, resumed after the recorded cycle
+    ``before`` whose start tape agrees with ``tape`` on cells [0, same)
+    (None for nothing to resume after).  ``origin`` is the record's link to
+    where ``tape`` comes from.  Each configuration it expands, the repeated
+    scan's too, spends ``budget``.
 
     Returns (record, outcome, flag, pos, rewrites): the outcome is None
-    when the cycle restarts, on the record's last tape; otherwise the
-    outcome and flag are a trace's, with the position and rewrite count it
-    stopped at."""
+    when the cycle restarts, on ``tape`` as left; otherwise the outcome and
+    flag are a trace's, with the position and rewrite count it stopped
+    at."""
     cap, k, table = spec.flags.mr_degree, spec.window, spec.table
     if before is None:
         scan, state = (), spec.initial
     else:
         scan, state = _resume(spec, before, same, budget.left)
     r = pos = len(scan)
-    rewrites, leftmost, tapes = 0, None, [tape]
+    rewrites, leftmost, size = 0, None, len(tape)
     steps: list[tuple[str, Instruction]] = []
     seen: Optional[set[tuple[str, int, int]]] = None
     left = budget.left - r
@@ -386,7 +482,7 @@ def _cycle(
         if left < 0:
             outcome, flag = OUT_LIMIT, "configs limit exceeded"
             break
-        window = tape[pos : pos + k]
+        window = tuple(tape[pos : pos + k])
         offered = table.get((state, window))
         if not offered:
             outcome, flag = OUT_REJECT, "stuck"
@@ -403,12 +499,13 @@ def _cycle(
             break
         if kind == SL:
             leftmost = pos if leftmost is None else min(leftmost, pos)
-            tape = tape[:pos] + ins.target + tape[pos + len(window):]
-            tapes.append(tape)
+            tape[pos : pos + len(window)] = ins.target
             state, pos, rewrites = ins.state, max(0, pos - len(window) + len(ins.target)), rewrites + 1
         elif kind == MVL:
             if seen is None:
-                seen = {(q, p, n) for _, q, p, n, _ in _replay(tapes, steps, r)}
+                # Positions depend on the tape's length only, so the keys
+                # are replayed on a blank tape of the start tape's length.
+                seen = {(q, p, n) for _, q, p, n, _ in _replay((None,) * size, steps, r, k)}
             state, pos = ins.state, pos - 1
         elif kind == RESTART:
             break
@@ -416,9 +513,7 @@ def _cycle(
             outcome = OUT_ACCEPT if kind == ACCEPT else OUT_REJECT
             break
     budget.left = left
-    if steps and steps[-1][1].kind == SL and outcome != OUT_INVALID:
-        del tapes[-1]  # no step read the last rewrite's tape
-    return CycleRecord(tuple(tapes), scan, tuple(steps), leftmost), outcome, flag, pos, rewrites
+    return CycleRecord(origin, scan, tuple(steps), k, leftmost), outcome, flag, pos, rewrites
 
 
 class ResourcesExceeded(ReduktoError):
@@ -453,10 +548,12 @@ def _path_to(parents: dict, node, final: tuple) -> list[tuple]:
     return chain
 
 
-# A phase: the accepting tail's record or None, the record of each cycle,
-# the rejected prefix, and for a deterministic phase its one record, which a
-# later phase may resume after (None for a search over branches).
-_Phase = tuple[Optional[CycleRecord], Sequence[CycleRecord], Optional[int], Optional[CycleRecord]]
+# A phase: the accepting tail's record or None, (restart word, record) for
+# each cycle, the rejected prefix, and for a deterministic phase its one
+# record, which a later phase may resume after (None for a search over
+# branches).
+_Phase = tuple[Optional[CycleRecord], Sequence[tuple[Word, CycleRecord]], Optional[int],
+               Optional[CycleRecord]]
 
 
 def _rejected_prefix(reach: int, window: int, size: int) -> Optional[int]:
@@ -480,14 +577,15 @@ def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
     rewrites), where tapes are interned once per rewrite that makes them, so
     no lookup hashes a tape; two keys are equal exactly when their
     configurations are.  Paths are reconstructed through parent pointers,
-    each keeping the (tape, state, instruction) of the step into its key.
-    Raises ResourcesExceeded when the budget runs out.
+    each keeping the (state, instruction) of the step into its key, and
+    each cycle's restart word is sliced from its tape once.  Raises
+    ResourcesExceeded when the budget runs out.
 
     A phase that ends with no accepting tail, no cycle and no tape but its
     start tape depends only on the cells its windows covered, and returns
     its rejected prefix.
     """
-    cap = spec.flags.mr_degree
+    cap, k = spec.flags.mr_degree, spec.window
     start = restarting_configuration(spec, word)
     tape_ids = {start.tape: 0}
     root = (0, start.state, start.pos, start.rewrites)
@@ -504,28 +602,27 @@ def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
                 continue
             if nxt is None:
                 if ins.kind == ACCEPT and tail_accept is None:
-                    tail_accept = _records(_path_to(parents, node, (tape, state, ins)))[0]
+                    tail_accept = CycleRecord(word, (), tuple(_path_to(parents, node, (state, ins))), k)
                 continue
             if ins.kind == RESTART:
-                cycles.append(_records(_path_to(parents, node, (tape, state, ins)))[0])
+                record = CycleRecord(word, (), tuple(_path_to(parents, node, (state, ins))), k)
+                cycles.append((tape[1:-1], record))
                 continue
             tape_id = node[0] if ins.kind != SL else tape_ids.setdefault(nxt.tape, len(tape_ids))
             child = (tape_id, nxt.state, nxt.pos, nxt.rewrites)
             if child in parents:
                 continue
-            parents[child] = (node, (tape, state, ins))
+            parents[child] = (node, (state, ins))
             stack.append((child, nxt))
     prefix = None
     if tail_accept is None and not cycles and len(tape_ids) == 1:
-        prefix = _rejected_prefix(max([node[2] for node in parents]), spec.window, len(start.tape))
+        prefix = _rejected_prefix(max([node[2] for node in parents]), k, len(start.tape))
     # Deterministic order for reproducible witnesses and reports.
-    cycles.sort(key=lambda record: record.to_word)
+    cycles.sort(key=lambda cycle: cycle[0])
     return tail_accept, cycles, prefix, None
 
 
-# The memo's marker on a word whose verdict is being worked out, and the
-# verdict of a non-member.
-_IN_PROGRESS = "in-progress"
+# The verdict of a non-member.
 _REJECTED = (False, None)
 
 
@@ -545,20 +642,21 @@ def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[Cycle
                          same: Optional[int], budget: _Budget) -> _Phase:
     """The one cycle, or the tail, of a deterministic automaton on ``word``.
 
-    With ``same`` None, ``before`` is the cycle that restarted on ``word``
-    and the phase resumes after it.  Otherwise ``word`` is a word that a
-    decision starts from, the only kind whose rejected prefix is worked
-    out, and the phase resumes after ``before`` (None for nothing), a
-    recorded cycle whose start tape agrees with the word's on cells
-    [0, same).  Raises ResourcesExceeded when the budget runs out."""
+    With ``same`` None, ``before`` is the cycle that restarted on ``word``,
+    and the phase resumes after it and links its record to it.  Otherwise
+    ``word`` is a word that a decision starts from, the only kind whose
+    rejected prefix is worked out and which the record links to, and the
+    phase resumes after ``before`` (None for nothing), a recorded cycle
+    whose start tape agrees with the word's on cells [0, same).  Raises
+    ResourcesExceeded when the budget runs out."""
     start = same is not None
-    if start:
-        tape = (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,)
-    else:
-        tape, same = before.tapes[-1], before.rewritten_from
-    record, outcome, flag, pos, rewrites = _cycle(spec, tape, before, same, budget)
+    tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL]
+    if not start:
+        same = before.rewritten_from
+    record, outcome, flag, pos, rewrites = _cycle(
+        spec, tape, word if start else before, before, same, budget)
     if outcome is None:
-        return None, (record,), None, record
+        return None, ((tuple(tape[1:-1]), record),), None, record
     if outcome == OUT_LIMIT:
         raise ResourcesExceeded(flag)
     if outcome == OUT_ACCEPT:
@@ -567,8 +665,8 @@ def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[Cycle
     if start and rewrites == 0:
         # The phase expanded the configurations of its steps and the one it
         # stopped at; those of the repeated scan lie left of them.
-        reach = max([pos] + [step[2] for step in _replay(record.tapes, record.steps, len(record.scan))])
-        prefix = _rejected_prefix(reach, spec.window, len(tape))
+        steps = _replay(tuple(tape), record.steps, len(record.scan), spec.window)
+        prefix = _rejected_prefix(max([pos] + [step[2] for step in steps]), spec.window, len(tape))
     return None, (), prefix, record
 
 
@@ -577,47 +675,50 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
     """The memo loop behind every decision: whether some computation from
     the restarting configuration of ``word`` accepts.
 
-    One depth-first loop over restarting words, on an explicit stack; each
-    word's phase comes from ``_deterministic_phase``, the start word's
+    One depth-first loop over restarting words, on an explicit stack of
+    the open words' frames; each word's phase, and each of its cycles'
+    restart words, come from ``_deterministic_phase``, the start word's
     resumed after ``before`` whose start tape agrees with it on cells
     [0, same), or from ``_explore_phase``.  ``table`` is the memo, holding
-    only the open words unless ``memoize``.  Returns (verdict, rejected
-    prefix, record of the start word's phase), the record being None when
-    the memo held the start word or the automaton is not deterministic.
-    Raises ResourcesExceeded when the budget runs out, leaving no open word
-    in ``table``.
+    only the open words unless ``memoize``.  A word is looked up and marked
+    open in one step, its frame being its entry while it is open, and
+    settled in another.  Returns (verdict, rejected prefix, record of the
+    start word's phase), the record being None when the memo held the
+    start word or the automaton is not deterministic.  Raises
+    ResourcesExceeded when the budget runs out, leaving no open word in
+    ``table``.
 
     A verdict is (accepted, witness), and an accepting witness is a chain
     (record of one cycle or of the tail, rest of the chain or None), so that
     words along one computation share their witness suffixes.
     """
     deterministic = spec.flags.deterministic
-    stack: list[list] = []  # frames [word, its cycles, next cycle]
+    # Frames [word, its cycles, next cycle], each its word's memo entry
+    # while the word is open.
+    stack: list[list] = []
     w = word
     rejected_prefix = first = None
     try:
         while True:
-            verdict = table.get(w)
-            if verdict is _IN_PROGRESS:
-                raise _recurs(w)
-            if verdict is None:
+            frame = [w, (), 0]
+            verdict = table.setdefault(w, frame)
+            if verdict is frame:
+                stack.append(frame)
                 tail, cycles, prefix, record = (
                     _deterministic_phase(spec, w, before, same, budget) if deterministic
                     else _explore_phase(spec, w, budget))
-                if not stack:
+                if len(stack) == 1:
                     # The start word's phase; every later word is reached
                     # by a cycle.
                     rejected_prefix, first, same = prefix, record, None
-                if tail is not None:
-                    verdict = _settle(table, memoize, w, (True, (tail, None)))
-                elif not cycles:
-                    verdict = _settle(table, memoize, w, _REJECTED)
-                else:
-                    table[w] = _IN_PROGRESS
-                    stack.append([w, cycles, 1])
-                    before = cycles[0]
-                    w = before.to_word
+                if tail is None and cycles:
+                    frame[1:] = cycles, 1
+                    w, before = cycles[0]
                     continue
+                stack.pop()
+                verdict = _settle(table, memoize, w, _REJECTED if tail is None else (True, (tail, None)))
+            elif type(verdict) is list:  # another open word's frame
+                raise _recurs(w)
             # Settle the frames that the verdict closes, then open the next
             # cycle's word, if any is left.
             while stack:
@@ -625,14 +726,13 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
                 u, cycles, i = frame
                 if verdict[0]:
                     stack.pop()
-                    verdict = _settle(table, memoize, u, (True, (cycles[i - 1], verdict[1])))
+                    verdict = _settle(table, memoize, u, (True, (cycles[i - 1][1], verdict[1])))
                 elif i == len(cycles):
                     stack.pop()
                     verdict = _settle(table, memoize, u, _REJECTED)
                 else:
                     frame[2] = i + 1
-                    before = cycles[i]
-                    w = before.to_word
+                    w, before = cycles[i]
                     break
             else:
                 return verdict, rejected_prefix, first
@@ -774,6 +874,21 @@ def cycle_rewrites(spec: AutomatonSpec, word: Word,
     ResourcesExceeded when the budget runs out, and PreconditionError when
     a cycle makes no such progress.
     """
+    return list(_cycles(spec, word, limits).values())
+
+
+def cycle_successors(spec: AutomatonSpec, word: Word,
+                     limits: Limits = DEFAULT_LIMITS) -> list[Word]:
+    """The words v of the cycles word => v, in order: the ``to_word`` of
+    each record that ``cycle_rewrites`` returns, as the phase made them,
+    where reading a record's would rebuild its tape."""
+    return list(_cycles(spec, word, limits))
+
+
+def _cycles(spec: AutomatonSpec, word: Word, limits: Limits) -> dict[Word, CycleRecord]:
+    """The first record of each distinct restart word of the one phase
+    from ``word``, keyed by that word, after the progress checks (see
+    ``cycle_rewrites``)."""
     word = _over(spec.work_alphabet, word)
     budget = _Budget(limits.max_configs)
     if spec.flags.deterministic:
@@ -781,8 +896,8 @@ def cycle_rewrites(spec: AutomatonSpec, word: Word,
     else:
         _, cycles, _, _ = _explore_phase(spec, word, budget)
     firsts: dict[Word, CycleRecord] = {}
-    for record in cycles:
-        firsts.setdefault(record.to_word, record)
+    for to_word, record in cycles:
+        firsts.setdefault(to_word, record)
     for to_word in firsts:
         if not spec.flags.shrinking:
             if len(to_word) >= len(word):
@@ -790,7 +905,7 @@ def cycle_rewrites(spec: AutomatonSpec, word: Word,
         elif spec.weights is not None:
             if word_weight(spec.weights, to_word) >= word_weight(spec.weights, word):
                 raise PreconditionError("cycle did not decrease the tape weight")
-    return list(firsts.values())
+    return firsts
 
 
 def walk_branches(spec: AutomatonSpec, word: Word,
@@ -809,6 +924,7 @@ def walk_branches(spec: AutomatonSpec, word: Word,
     else.  Returns None when no step is flagged; raises ResourcesExceeded
     after ``max_configs`` expansions.
     """
+    word = tuple(word)
     budget = _Budget(limits.max_configs)
     root = (restarting_configuration(spec, word), None)
     parents: dict = {root: None}
@@ -819,9 +935,10 @@ def walk_branches(spec: AutomatonSpec, word: Word,
         budget.spend()
         for ins, nxt in successors(spec, config):
             new_state, flag = on_step(state, config, ins)
-            step = (config.tape, config.state, ins)
+            step = (config.state, ins)
             if flag is not None:
-                return Trace(tuple(_records(_path_to(parents, node, step))), "counterexample", flag)
+                return Trace(tuple(_records(word, _path_to(parents, node, step), spec.window)),
+                             "counterexample", flag)
             if nxt is None:
                 continue
             child = (nxt, new_state)

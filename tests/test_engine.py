@@ -3,6 +3,7 @@
 import gc
 import itertools
 import re
+import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, replace
 
@@ -368,6 +369,48 @@ def test_decider_agrees_with_run_beyond_a_thousand_cycles(m_e, dyck1):
         assert decision.configs_explored == len(run.steps) == work
 
 
+@pytest.mark.parametrize("name, short, long, configs, limits", [
+    ("reg_window1", 2_000, 8_000, (6_002, 24_002), Limits()),
+    ("m_e", 1_024, 4_096, (351_572, 5_600_596), Limits(max_configs=10_000_000)),
+])
+def test_run_memory_per_configuration_does_not_grow_with_the_word(name, short, long, configs,
+                                                                  limits):
+    # Records keep steps, not tapes, and one tape is rewritten in place, so
+    # the traced peak of a run grows with its configurations, not with
+    # configurations times the tape's length.  Memory is read from
+    # tracemalloc, never from the clock or RSS.
+    spec = catalog_get(name).spec
+
+    def per_configuration(n):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = run_deterministic(spec, ("a",) * n, limits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = sum(len(record.scan) + len(record.steps) for record in trace.records)
+        return trace.outcome, count, peak / count
+
+    (short_outcome, short_count, short_peak) = per_configuration(short)
+    (long_outcome, long_count, long_peak) = per_configuration(long)
+    assert (short_outcome, long_outcome) == ("accept", "accept")
+    assert (short_count, long_count) == configs
+    assert long_peak <= 1.5 * short_peak, (short_peak, long_peak)
+
+
+def test_long_runs_compare_hash_and_print():
+    # Each record of a run links to the one before it, more deeply than the
+    # recursion limit; records compare, hash and print all the same.
+    spec = catalog_get("reg_window1").spec
+    w = ("a",) * 1_200
+    first, again, longer = (run_deterministic(spec, v) for v in (w, w, w + ("a",)))
+    assert first == again and hash(first.records[-1]) == hash(again.records[-1])
+    assert first != longer and first.records[-1] != longer.records[-1]
+    assert repr(first).count("CycleRecord(...)") == len(first.records) - 1
+    assert decide_basic_membership(spec, w) == decide_basic_membership(spec, w)
+
+
 def test_phase_keeps_branches_that_meet_on_different_tapes():
     # Rewriting at once and moving first both reach state q1 at pos 0 after
     # one rewrite, on the tapes ¢a$ and ¢$; only the second accepts.
@@ -448,16 +491,18 @@ def test_a_dropped_automaton_takes_its_step_table_with_it(m_e):
 
 def test_replay_refuses_a_step_not_offered_and_steps_that_do_not_chain(m_e):
     first = run_deterministic(m_e.spec, word("aaaa")).records[0]
-    start = first.tapes[:1]
+    start = first.from_word
 
-    def replays(tapes, *pairs):
-        return replay_trace(m_e.spec, Trace((CycleRecord(tapes, (), pairs),), "counterexample"))
+    def replays(word, *pairs):
+        record = CycleRecord(word, (), pairs, m_e.spec.window)
+        return replay_trace(m_e.spec, Trace((record,), "counterexample"))
 
-    assert replays(first.tapes, *first.steps) and replays(start, *first.steps[:3])
+    assert replays(start, *first.steps) and replays(start, *first.steps[:3])
     state, ins = first.steps[0]
     assert ins != accept() and not replays(start, (state, accept()))
-    # A record replays positions from its pairs, so a step that does not
-    # chain is one taken in the wrong state: the restart of q1 after q0's MVR.
+    # A record replays positions and tapes from its pairs, so a step that
+    # does not chain is one taken in the wrong state: the restart of q1
+    # after q0's MVR.
     last = first.steps[-1]
     assert last[0] != ins.state
     assert not replays(start, first.steps[0], last)

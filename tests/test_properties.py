@@ -31,6 +31,7 @@ from redukto.engine import (
     ResourcesExceeded,
     Trace,
     cycle_rewrites,
+    cycle_successors,
     decide_basic_membership,
     decide_input_membership,
     decide_members,
@@ -213,6 +214,7 @@ def test_search_agrees_with_reference_decider(case):
     spec, w = case
     records = cycle_rewrites(spec, w)
     assert {c.to_word for c in records} == reference_phase(spec, w)[1]
+    assert cycle_successors(spec, w) == [c.to_word for c in records]
     member = reference_member(spec, w)
     assert decide_basic_membership(spec, w).is_member == member
     # Cycle-error preservation: a cycle into a member makes its source one.
@@ -640,6 +642,27 @@ def test_resumed_run_agrees_with_plain_run(case):
     target(float(sum(len(record.scan) for record in trace.records)))
 
 
+def last_letter_deleter():
+    """Window 3 over {a}: scan to the right sentinel and delete the letter
+    in front of it, on the window cut short to (a, $), then restart; so
+    a rewrite cuts len - pos = 2 cells, fewer than the window's 3."""
+    table = {
+        ("q0", (C, D)): (Instruction(ACCEPT),),
+        ("q0", (C, "a", D)): (Instruction(MVR, "q0"),),
+        ("q0", (C, "a", "a")): (Instruction(MVR, "q0"),),
+        ("q0", ("a", "a", "a")): (Instruction(MVR, "q0"),),
+        ("q0", ("a", "a", D)): (Instruction(MVR, "q0"),),
+        ("q0", ("a", D)): (sl("q1", (D,)),),
+        ("q1", (C, D)): (Instruction(RESTART),),
+        ("q1", ("a", D)): (Instruction(RESTART),),
+    }
+    return AutomatonSpec("last", frozenset({"q0", "q1"}), "q0", 3, frozenset("a"),
+                         frozenset("a"), table, ClassFlags(deterministic=True))
+
+
+LM_2_COPY = "aababbbaab" * 6
+
+
 @pytest.mark.parametrize("name, text, limits, inside", [
     ("m_e", "a" * 200, DEFAULT_LIMITS, False),
     # The second cycle repeats 197 steps but has 99 configurations left.
@@ -648,9 +671,13 @@ def test_resumed_run_agrees_with_plain_run(case):
     ("l_3", "a" * 60 + "cc" + "b" * 60, Limits(max_configs=1_500), True),
     ("dyck1", "(" * 90 + ")" * 90, Limits(max_configs=3_000), True),
     ("dyck1", "(" * 90 + ")" * 89, DEFAULT_LIMITS, False),
+    # Three rewrites per cycle, each on the tape the one before rebuilt.
+    ("lm_2", "c".join([LM_2_COPY] * 3), DEFAULT_LIMITS, False),
+    ("reg_window1", "a" * 300, DEFAULT_LIMITS, False),
+    ("last", "a" * 120, DEFAULT_LIMITS, False),
 ])
 def test_resumed_run_agrees_with_plain_run_on_long_words(name, text, limits, inside):
-    spec = catalog_get(name).spec
+    spec = last_letter_deleter() if name == "last" else catalog_get(name).spec
     if name == "dyck1":
         opening, closing = sorted(spec.input_alphabet)
         w = tuple(opening if c == "(" else closing for c in text)
