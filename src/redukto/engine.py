@@ -69,14 +69,19 @@ decides every word for every automaton (``_search``): it answers
 ``decide_basic_membership`` and each candidate of ``decide_members``, the
 one candidate loop under brute enumeration, the closure's seeds and the
 h-proper decider.  It touches the memo twice per word, once to look the
-word up and mark it open, once to settle it.  It gets a word's phase, and
-each cycle's restart word, from one of two phase functions, which return
-the same shape: on a deterministic automaton,
-``_deterministic_phase`` runs the one cycle or tail, resumed after the
-cycle that restarted on the word, or for a start word after the previous
-candidate's first cycle; on any other, ``_explore_phase`` searches every
-branch of the phase.  Both return the phase's rejected prefix (see
-``_rejected_prefix``), kept for the start word only, by which
+word up and mark it open, once to settle it, with one exception: a
+deterministic search that starts on an empty memo follows one chain of
+words, and while each of its cycles shortens the tape, no word on it can
+recur or be in the memo, so each is written once, when it settles.  The
+first cycle that keeps the tape's length marks the open words, and the
+two touches per word resume.  It gets a word's phase, and each cycle's
+restart word, from one of two phase functions, which return the same
+shape: on a deterministic automaton, ``_deterministic_phase`` runs the
+one cycle or tail on the list tape that the cycle before it left and
+restarted on, resumed after that cycle, or for a start word after the
+previous candidate's first cycle; on any other, ``_explore_phase``
+searches every branch of the phase.  Both return the phase's rejected
+prefix (see ``_rejected_prefix``), kept for the start word only, by which
 ``decide_members`` skips candidates.  ``cycle_rewrites`` takes its one
 phase from the same two functions and returns that phase's
 ``CycleRecord``s, whose ``from_word`` and ``to_word`` are the words a cycle
@@ -259,6 +264,25 @@ class Trace:
                 steps.append((Configuration(tape, state, pos, n), ins))
             before = record
         return tuple(steps)
+
+    def __eq__(self, other):
+        # Records compared one by one each follow their whole chain of
+        # links.  A record's chain is the one before it in the trace plus
+        # itself, so where both records link to the one before them, which
+        # has just compared equal, their own fields decide.
+        if not isinstance(other, Trace):
+            return NotImplemented
+        if (self.outcome, self.flag) != (other.outcome, other.flag) \
+                or len(self.records) != len(other.records):
+            return False
+        before = after = None
+        for a, b in zip(self.records, other.records):
+            if a[1:] != b[1:]:
+                return False
+            if not (a.origin is before and b.origin is after) and a.origin != b.origin:
+                return False
+            before, after = a, b
+        return True
 
     def cycle_count(self) -> int:
         return sum(1 for record in self.records if record.ends_cycle())
@@ -638,9 +662,12 @@ def _recurs(w: Word) -> PreconditionError:
     return PreconditionError("restarting word %s recurs: a cycle made no progress" % render_word(w))
 
 
-def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord],
-                         same: Optional[int], budget: _Budget) -> _Phase:
-    """The one cycle, or the tail, of a deterministic automaton on ``word``.
+def _deterministic_phase(spec: AutomatonSpec, word: Word, tape: list[str],
+                         before: Optional[CycleRecord], same: Optional[int],
+                         budget: _Budget) -> _Phase:
+    """The one cycle, or the tail, of a deterministic automaton on ``word``,
+    whose tape is the list ``tape``: the phase rewrites it in place, so
+    that after a cycle it is the tape of the cycle's restart word.
 
     With ``same`` None, ``before`` is the cycle that restarted on ``word``,
     and the phase resumes after it and links its record to it.  Otherwise
@@ -650,7 +677,6 @@ def _deterministic_phase(spec: AutomatonSpec, word: Word, before: Optional[Cycle
     whose start tape agrees with the word's on cells [0, same).  Raises
     ResourcesExceeded when the budget runs out."""
     start = same is not None
-    tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL]
     if not start:
         same = before.rewritten_from
     record, outcome, flag, pos, rewrites = _cycle(
@@ -682,11 +708,14 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
     [0, same), or from ``_explore_phase``.  ``table`` is the memo, holding
     only the open words unless ``memoize``.  A word is looked up and marked
     open in one step, its frame being its entry while it is open, and
-    settled in another.  Returns (verdict, rejected prefix, record of the
-    start word's phase), the record being None when the memo held the
-    start word or the automaton is not deterministic.  Raises
-    ResourcesExceeded when the budget runs out, leaving no open word in
-    ``table``.
+    settled in another; but a deterministic search from an empty ``table``
+    marks no word open until a cycle keeps the tape's length (see the
+    module docstring), and writes each word before that only when it
+    settles.  The memo ends up with the same words either way.  Returns
+    (verdict, rejected prefix, record of the start word's phase), the
+    record being None when the memo held the start word or the automaton
+    is not deterministic.  Raises ResourcesExceeded when the budget runs
+    out, leaving no open word in ``table``.
 
     A verdict is (accepted, witness), and an accepting witness is a chain
     (record of one cycle or of the tail, rest of the chain or None), so that
@@ -697,15 +726,23 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
     # while the word is open.
     stack: list[list] = []
     w = word
+    # A deterministic automaton's phases run on one list tape, each on the
+    # tape that the cycle before it restarted on.
+    tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL] if deterministic else None
+    # A deterministic search from an empty memo follows one chain of words.
+    # While every cycle shortens the tape, no word on it recurs and none is
+    # in the memo, so no word is looked up or marked open; each is written
+    # once, when it settles.
+    unmarked = deterministic and not table
     rejected_prefix = first = None
     try:
         while True:
             frame = [w, (), 0]
-            verdict = table.setdefault(w, frame)
+            verdict = frame if unmarked else table.setdefault(w, frame)
             if verdict is frame:
                 stack.append(frame)
                 tail, cycles, prefix, record = (
-                    _deterministic_phase(spec, w, before, same, budget) if deterministic
+                    _deterministic_phase(spec, w, tape, before, same, budget) if deterministic
                     else _explore_phase(spec, w, budget))
                 if len(stack) == 1:
                     # The start word's phase; every later word is reached
@@ -713,6 +750,11 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
                     rejected_prefix, first, same = prefix, record, None
                 if tail is None and cycles:
                     frame[1:] = cycles, 1
+                    if unmarked and len(cycles[0][0]) >= len(w):
+                        # A cycle that keeps the tape's length: from here on
+                        # a word may recur, so the open words are marked.
+                        unmarked = False
+                        table.update((f[0], f) for f in stack)
                     w, before = cycles[0]
                     continue
                 stack.pop()
@@ -739,9 +781,10 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
     finally:
         # Words still open when the search ends without a verdict are
         # undecided, not rejected: a later call that shares the memo must
-        # explore them again.
+        # explore them again.  The open words of an unmarked chain are not
+        # in the memo.
         for frame in stack:
-            del table[frame[0]]
+            table.pop(frame[0], None)
 
 
 def _witness(link) -> Trace:
@@ -763,12 +806,17 @@ def decide_basic_membership(spec: AutomatonSpec, word: Word, limits: Limits = DE
     spends the one ``max_configs`` budget, so it bounds the chain of open
     words too.  With ``memoize`` the decider keeps a table keyed on
     restarting tape words; this is sound because behavior from a restarting
-    configuration depends only on the tape.  Every cycle of a
-    valid automaton makes progress, so a restarting word never recurs; one
-    that does (a shrinking automaton whose weights its cycles do not lower)
-    raises PreconditionError.  ``memoize=False`` re-explores every
-    restarting word, remembering only the open words so that it raises on
-    a recurring word too, and serves as the brute-force cross-check.
+    configuration depends only on the tape.  The table gets one entry per
+    restarting word the search reaches, and ``memo`` keeps them for later
+    calls; a deterministic search from an empty table writes each word once,
+    when it settles, for as long as its cycles shorten the tape.  Every
+    cycle of a valid automaton makes progress, so a restarting word never
+    recurs; one that does (a shrinking automaton whose weights its cycles
+    do not lower, or an invalid spec whose cycles keep the tape's length
+    though it is not flagged shrinking) raises PreconditionError.
+    ``memoize=False`` re-explores every restarting word, remembering only
+    the open words so that it raises on a recurring word too, and serves
+    as the brute-force cross-check.
     """
     word = _over(spec.work_alphabet, word)
     # The brute search keeps a table of its own that holds only the open
@@ -892,7 +940,8 @@ def _cycles(spec: AutomatonSpec, word: Word, limits: Limits) -> dict[Word, Cycle
     word = _over(spec.work_alphabet, word)
     budget = _Budget(limits.max_configs)
     if spec.flags.deterministic:
-        _, cycles, _, _ = _deterministic_phase(spec, word, None, 0, budget)
+        tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL]
+        _, cycles, _, _ = _deterministic_phase(spec, word, tape, None, 0, budget)
     else:
         _, cycles, _, _ = _explore_phase(spec, word, budget)
     firsts: dict[Word, CycleRecord] = {}

@@ -31,12 +31,14 @@ from redukto.model import (
     LEFT_SENTINEL as C,
     RIGHT_SENTINEL as D,
     AutomatonSpec,
+    ClassFlags,
     PreconditionError,
     SymbolError,
     accept,
     mvr,
     restart,
     sl,
+    validate_automaton,
 )
 
 
@@ -411,6 +413,25 @@ def test_long_runs_compare_hash_and_print():
     assert decide_basic_membership(spec, w) == decide_basic_membership(spec, w)
 
 
+def test_long_traces_differing_in_a_deep_record_compare_unequal():
+    # Traces compare record by record, each by its own fields and its link
+    # to the record before it, so a difference deep in a long run shows.
+    spec = catalog_get("reg_window1").spec
+    run = run_deterministic(spec, ("a",) * 3_000)
+    records, k = list(run.records), len(run.records) // 2
+    deep = records[k]
+
+    def with_deep(record):
+        return Trace(tuple(records[:k] + [record] + records[k + 1:]), run.outcome, run.flag)
+
+    # An equal copy: the record after it links to the original.
+    assert with_deep(CycleRecord(*deep)) == run
+    assert with_deep(deep._replace(rewritten_from=deep.rewritten_from + 1)) != run
+    assert run != with_deep(deep._replace(steps=deep.steps[:-1]))
+    # The same fields, but starting on the word its chain rebuilds.
+    assert with_deep(deep._replace(origin=deep.from_word)) != run
+
+
 def test_phase_keeps_branches_that_meet_on_different_tapes():
     # Rewriting at once and moving first both reach state q1 at pos 0 after
     # one rewrite, on the tapes ¢a$ and ¢$; only the second accepts.
@@ -462,6 +483,36 @@ def test_recurring_restarting_word_is_invalid(swapper):
     # its own stack: it raises at once rather than running into a limit.
     with pytest.raises(PreconditionError, match="restarting word ab recurs"):
         decide_basic_membership(swapper, word("ab"), memoize=False)
+
+
+def test_recurring_word_of_an_invalid_deterministic_spec_is_invalid():
+    # Deterministic and not shrinking, but ab and ba rewrite into each
+    # other, keeping the tape's length: validation flags the rewrites, yet
+    # the spec builds.  The decider must raise on the recurring word, not
+    # trust the flag that every cycle shortens the tape and run on until a
+    # limit trips, whatever memo it is given.  aab first shortens to ab.
+    table = {
+        ("q0", (C, "a")): (mvr("q0"),),
+        ("q0", (C, "b")): (mvr("q0"),),
+        ("q0", ("a", "a")): (sl("qr", ("a",)),),
+        ("q0", ("a", "b")): (sl("qr", ("b", "a")),),
+        ("q0", ("b", "a")): (sl("qr", ("a", "b")),),
+        ("qr", (C, "a")): (restart(),),
+        ("qr", ("a", "b")): (restart(),),
+        ("qr", ("b", "a")): (restart(),),
+    }
+    flags = ClassFlags(direction="R", aux="none", deterministic=True)
+    spec = AutomatonSpec("flipper", frozenset({"q0", "qr"}), "q0", 2, frozenset("ab"),
+                         frozenset("ab"), table, flags)
+    assert not spec.flags.shrinking and not validate_automaton(spec).ok
+    shared: dict = {}
+    assert decide_basic_membership(spec, word("b"), memo=shared).verdict == "non-member"
+    settled = dict(shared)
+    for w in ("ab", "aab"):
+        for kwargs in ({"memo": {}}, {"memo": shared}, {"memo": None}, {"memoize": False}):
+            with pytest.raises(PreconditionError, match="^restarting word ab recurs"):
+                decide_basic_membership(spec, word(w), **kwargs)
+    assert shared == settled
 
 
 def test_resumed_scans_skip_the_repeated_steps(m_e, interpreted_steps):

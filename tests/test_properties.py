@@ -261,15 +261,12 @@ def decision_outcome(decision):
     return decision.verdict, decision.configs_explored, decision.exceeded, steps
 
 
-def assert_follows_search(spec, w, limits):
+def assert_decides_like_search(spec, words, limits):
     """The decider, which follows a deterministic automaton's one
     computation, against the depth-first search on the same automaton
     flagged nondeterministic: verdict, count, tripped limit, witness and
-    memoized words.  Every word up to length 3 is decided first, and ``w``
-    last, on one memo per side, so that chains meet memoized words midway."""
+    memoized words, deciding ``words`` in turn on one memo per side."""
     unflagged = replace(spec, flags=replace(spec.flags, deterministic=False))
-    symbols = sorted(spec.work_alphabet)
-    words = [v for n in range(4) for v in itertools.product(symbols, repeat=n)] + [w]
     for memoize in (True, False):
         followed_memo, searched_memo = {}, {}
         for v in words:
@@ -277,6 +274,17 @@ def assert_follows_search(spec, w, limits):
             searched = decide_basic_membership(unflagged, v, limits, memoize, searched_memo)
             assert decision_outcome(followed) == decision_outcome(searched), (memoize, v)
             assert followed_memo.keys() == searched_memo.keys(), (memoize, v)
+
+
+def assert_follows_search(spec, w, limits):
+    """``assert_decides_like_search`` on ``w`` alone, from fresh memos, where
+    the decider marks no word open while its cycles shorten the tape; then on
+    every word up to length 3 and ``w`` last, so that chains meet memoized
+    words midway."""
+    symbols = sorted(spec.work_alphabet)
+    assert_decides_like_search(spec, [w], limits)
+    words = [v for n in range(4) for v in itertools.product(symbols, repeat=n)]
+    assert_decides_like_search(spec, words + [w], limits)
 
 
 def assert_members_follow_search(spec, n, limits):
@@ -314,6 +322,18 @@ def test_deterministic_decider_agrees_with_search_on_a_flat_dyck_word():
     spec = catalog_get("dyck1").spec
     opening, closing = sorted(spec.input_alphabet)
     assert_follows_search(spec, (opening, closing) * 1200, DEFAULT_LIMITS)
+
+
+def test_deterministic_decider_agrees_with_search_past_a_memo_hit_midway():
+    # a^2000 meets the memoized a^700 after 1,300 cycles.  The memo is not
+    # empty, so every word on the way is looked up and marked open.
+    spec = catalog_get("reg_window1").spec
+    short, long = ("a",) * 700, ("a",) * 2000
+    memo: dict = {}
+    decide_basic_membership(spec, short, memo=memo)
+    assert decide_basic_membership(spec, long, memo=memo).configs_explored \
+        < decide_basic_membership(spec, long).configs_explored
+    assert_decides_like_search(spec, [short, long], DEFAULT_LIMITS)
 
 
 def test_deterministic_decider_refuses_a_choice():
