@@ -39,12 +39,12 @@ from .model import (
 from .engine import (
     DEFAULT_LIMITS,
     Configuration,
+    CycleRecord,
     Decision,
     Limits,
     ResourcesExceeded,
     Trace,
     cycle_rewrites,
-    cycle_successors,
     decide_basic_membership,
     decide_input_membership,
     decide_members,

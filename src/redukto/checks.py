@@ -455,14 +455,17 @@ def check_preservation(
         """The words to compare with ``word``, each with the trace that
         reaches it: each cycle's successor, or the last record's rewrite."""
         if cycles:
-            for record in cycle_rewrites(spec, word, limits):
-                yield record.to_word, Trace((record,), "counterexample")
+            for v, record in cycle_rewrites(spec, word, limits).items():
+                yield v, Trace(word, (record,), "counterexample")
             return
         trace = run_deterministic(spec, word, limits)
         if trace.outcome == OUT_LIMIT:
             raise ResourcesExceeded("%s while running %s" % (trace.flag, render_word(word)))
-        for tape in trace.records[-1].tapes[1:] if trace.records else ():
-            yield strip_sentinels(tape), trace
+        if trace.records:
+            last = trace.records[-1]
+            steps = trace.steps[len(trace.steps) - len(last.scan) - len(last.steps):]
+            for tape in dict.fromkeys(config.tape for config, _ in steps if config.rewrites):
+                yield strip_sentinels(tape), trace
 
     explain = ("cycle rewrites %s (%s) to %s (%s)" if cycles
                else "computation from %s (%s) visits %s (%s)")
@@ -514,14 +517,14 @@ def check_shrinking(
     def search() -> Optional[Counterexample]:
         for word in words_over(spec.work_alphabet, max_len):
             before = word_weight(weights, word)
-            for record in cycle_rewrites(relaxed, word, limits):
-                after = word_weight(weights, record.to_word)
+            for v, record in cycle_rewrites(relaxed, word, limits).items():
+                after = word_weight(weights, v)
                 if after >= before:
                     return Counterexample(
                         word,
-                        Trace((record,), "counterexample"),
+                        Trace(word, (record,), "counterexample"),
                         "cycle %s -> %s raises weight %d -> %d" % (
-                            render_word(word), render_word(record.to_word),
+                            render_word(word), render_word(v),
                             before, after,
                         ),
                     )

@@ -54,6 +54,7 @@ from .languages import (
     compare_word_sets,
     decide_hproper_membership,
     enumerate_language,
+    require_bound,
     words_over,
 )
 from .model import (
@@ -326,6 +327,7 @@ def _side_words(ref: str, kind: str, max_len: int, limits: Limits):
 
 def cmd_cmp(args) -> int:
     limits = parse_limits(args.limits)
+    require_bound(args.max_len)
     left = _side_words(args.left, args.left_kind, args.max_len, limits)
     right = _side_words(args.right, args.right_kind, args.max_len, limits)
     outcome = compare_word_sets(left, right, args.max_len)

@@ -47,12 +47,12 @@ brings back into the repeated prefix is matched against the recorded scan,
 so loops through the prefix are still seen.  The repeated steps are charged
 to every step and configuration count, and r is clamped to the
 configurations left, so that the limit trips at the very step it would trip
-at without resuming.  A trace keeps one ``CycleRecord`` per cycle, whose
-steps, the repeated scan's too, are (state, instruction) pairs.  A record
-keeps no tape: it links to where its start tape comes from, the start word
-or the record that restarted on it, and its tapes are rebuilt from that
-link when read, so a run on n letters keeps O(n) cells plus its steps.
-Only ``Trace.steps`` builds configurations, in one pass along the trace.
+at without resuming.  A trace keeps the word it starts on and one
+``CycleRecord`` per cycle, whose steps, the repeated scan's too, are
+(state, instruction) pairs.  A record keeps no tape: each starts on the
+tape that the record before it restarted on, the first on the trace's
+word, so a run on n letters keeps its word once plus its steps.  Only
+``Trace.steps`` builds configurations, in one pass along the trace.
 
 Deterministic step.  A spec flagged deterministic holds at most one
 instruction per table entry, and only one that ``successors`` offers there;
@@ -84,8 +84,7 @@ searches every branch of the phase.  Both return the phase's rejected
 prefix (see ``_rejected_prefix``), kept for the start word only, by which
 ``decide_members`` skips candidates.  ``cycle_rewrites`` takes its one
 phase from the same two functions and returns that phase's
-``CycleRecord``s, whose ``from_word`` and ``to_word`` are the words a cycle
-starts and restarts on.
+``CycleRecord``s, keyed by the words their cycles restart on.
 
 Searches are reentrant and side-effect free apart from per-call memo
 tables; deciding distinct words in parallel is safe.
@@ -96,7 +95,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .model import (
     ACCEPT,
@@ -143,81 +142,26 @@ Step = tuple[Configuration, Instruction]
 class CycleRecord(NamedTuple):
     """One cycle, or the closing tail, of a trace.
 
-    ``origin`` is where the cycle's start tape comes from: the word it
-    starts on, or the record of the cycle that restarted on it.  ``scan``
-    holds the (state, instruction) pairs of the MVR steps that the cycle
-    repeated from the recorded cycle it resumed after, at positions
+    ``scan`` holds the (state, instruction) pairs of the MVR steps that the
+    cycle repeated from the recorded cycle it resumed after, at positions
     0 .. len(scan)-1, and ``steps`` those of the steps it took from there
     on.  ``window`` is the automaton's window size, by which a rewrite at
     position p of a tape of n cells cuts min(window, n - p) cells.  A
-    record keeps no tape: ``tapes``, ``from_word`` and ``to_word`` rebuild
-    the tapes from the word at the head of its links when read, replaying
-    every record along them, while ``Trace.steps`` and
-    ``Trace.reductions`` rebuild a whole trace in one pass.
-    ``rewritten_from`` is the leftmost position at which a
+    record keeps no tape: it starts on the tape that the record before it
+    in a trace restarted on, or on the trace's word, so one record serves
+    every trace that reaches its start tape, memoized witness suffixes
+    included.  ``rewritten_from`` is the leftmost position at which a
     deterministic cycle rewrote, so that it left cells [0, p) of its tape as
     they were: None without a rewrite, and in the records that no cycle
-    resumes after (those of the branch searches).  A linked record's start
-    tape is its origin's restart tape whichever trace holds it, so memoized
-    records can be reused by every trace that reaches them."""
+    resumes after (those of the branch searches)."""
 
-    origin: Union[Word, CycleRecord]
     scan: tuple[tuple[str, Instruction], ...]
     steps: tuple[tuple[str, Instruction], ...]
     window: int
     rewritten_from: Optional[int] = None
 
-    @property
-    def tapes(self) -> tuple[Word, ...]:
-        """The tape the cycle starts on, then the tape after each rewrite
-        that a later step reads."""
-        tapes = [_start_tape(self)]
-        for tape, _, _, rewrites, _ in _replay(tapes[0], self.steps, len(self.scan), self.window):
-            if rewrites == len(tapes):
-                tapes.append(tape)
-        return tuple(tapes)
-
-    @property
-    def from_word(self) -> Word:
-        """The word the cycle starts on."""
-        return _start_tape(self)[1:-1]
-
-    @property
-    def to_word(self) -> Word:
-        """The word the cycle restarts on: the tape of its last step."""
-        return _last_tape(_start_tape(self), self)[1:-1]
-
     def ends_cycle(self) -> bool:
         return bool(self.steps) and self.steps[-1][1].kind == RESTART
-
-    # A run's records link thousands deep, so equality, hashing and repr
-    # follow the links in a loop, where a tuple's would recurse.
-    def __eq__(self, other):
-        if not isinstance(other, CycleRecord):
-            return NotImplemented
-        a, b = self, other
-        while isinstance(a, CycleRecord) and isinstance(b, CycleRecord):
-            if a is b:
-                return True
-            if a[1:] != b[1:]:
-                return False
-            a, b = a.origin, b.origin
-        return isinstance(a, CycleRecord) == isinstance(b, CycleRecord) and tuple.__eq__(a, b)
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self) -> int:
-        h, record = 0, self
-        while isinstance(record, CycleRecord):
-            h, record = hash((h, record[1:])), record.origin
-        return hash((h, record))
-
-    def __repr__(self) -> str:
-        origin = "CycleRecord(...)" if isinstance(self.origin, CycleRecord) else repr(self.origin)
-        return "CycleRecord(origin=%s, scan=%r, steps=%r, window=%r, rewritten_from=%r)" % (
-            origin, *self[1:])
 
 
 def _last_tape(tape: Word, record: CycleRecord) -> Word:
@@ -227,62 +171,28 @@ def _last_tape(tape: Word, record: CycleRecord) -> Word:
     return tape
 
 
-def _start_tape(record: CycleRecord) -> Word:
-    """The tape ``record`` starts on, rebuilt from the word at the head of
-    its chain of links."""
-    chain = []
-    while isinstance(record.origin, CycleRecord):
-        record = record.origin
-        chain.append(record)
-    tape = (LEFT_SENTINEL,) + record.origin + (RIGHT_SENTINEL,)
-    for before in reversed(chain):
-        tape = _last_tape(tape, before)
-    return tape
-
-
 @dataclass(frozen=True)
 class Trace:
-    """A computation: one record per cycle, then the tail.  ``steps`` is the
-    tuple of its (configuration, instruction) pairs, the repeated scans'
-    too, the only configurations built from records, in one pass along the
-    trace when first read."""
+    """A computation from the restarting configuration of ``word``: one
+    record per cycle, each starting on the tape that the one before it
+    restarted on, then the tail.  ``steps`` is the tuple of its
+    (configuration, instruction) pairs, the repeated scans' too, the only
+    configurations built from records, in one pass along the trace when
+    first read."""
 
+    word: Word
     records: tuple[CycleRecord, ...]
     outcome: str
     flag: Optional[str] = None
 
     @cached_property
     def steps(self) -> tuple[Step, ...]:
-        # A record linked to the one before it starts on that one's last
-        # tape, which the replay has just made.
         steps: list[Step] = []
-        before = tape = None
+        tape = (LEFT_SENTINEL,) + self.word + (RIGHT_SENTINEL,)
         for record in self.records:
-            if record.origin is not before:
-                tape = _start_tape(record)
             for tape, state, pos, n, ins in _replay(tape, record.scan + record.steps, 0, record.window):
                 steps.append((Configuration(tape, state, pos, n), ins))
-            before = record
         return tuple(steps)
-
-    def __eq__(self, other):
-        # Records compared one by one each follow their whole chain of
-        # links.  A record's chain is the one before it in the trace plus
-        # itself, so where both records link to the one before them, which
-        # has just compared equal, their own fields decide.
-        if not isinstance(other, Trace):
-            return NotImplemented
-        if (self.outcome, self.flag) != (other.outcome, other.flag) \
-                or len(self.records) != len(other.records):
-            return False
-        before = after = None
-        for a, b in zip(self.records, other.records):
-            if a[1:] != b[1:]:
-                return False
-            if not (a.origin is before and b.origin is after) and a.origin != b.origin:
-                return False
-            before, after = a, b
-        return True
 
     def cycle_count(self) -> int:
         return sum(1 for record in self.records if record.ends_cycle())
@@ -290,13 +200,12 @@ class Trace:
     def reductions(self) -> list[tuple[Word, Word]]:
         """The sequence of cycle rewritings u => v along this trace."""
         out = []
-        before = last = None
+        tape = (LEFT_SENTINEL,) + self.word + (RIGHT_SENTINEL,)
         for record in self.records:
-            start = last if record.origin is before else _start_tape(record)
-            last = _last_tape(start, record)
+            last = _last_tape(tape, record)
             if record.ends_cycle():
-                out.append((start[1:-1], last[1:-1]))
-            before = record
+                out.append((tape[1:-1], last[1:-1]))
+            tape = last
         return out
 
 
@@ -314,19 +223,17 @@ class Decision:
         return self.verdict == "member"
 
 
-def _records(word: Word, steps: Sequence[tuple[str, Instruction]], window: int) -> list[CycleRecord]:
-    """One record per cycle of ``steps``, (state, instruction) pairs from
-    the restarting configuration of ``word`` on, then one for the tail, if
-    any; each record after the first links to the one before it."""
-    records, pairs, origin = [], [], word
+def _records(steps: Sequence[tuple[str, Instruction]], window: int) -> list[CycleRecord]:
+    """One record per cycle of ``steps``, (state, instruction) pairs from a
+    restarting configuration on, then one for the tail, if any."""
+    records, pairs = [], []
     for pair in steps:
         pairs.append(pair)
         if pair[1].kind == RESTART:
-            origin = CycleRecord(origin, (), tuple(pairs), window)
-            records.append(origin)
+            records.append(CycleRecord((), tuple(pairs), window))
             pairs = []
     if pairs:
-        records.append(CycleRecord(origin, (), tuple(pairs), window))
+        records.append(CycleRecord((), tuple(pairs), window))
     return records
 
 
@@ -455,26 +362,25 @@ def run_deterministic(spec: AutomatonSpec, word: Word, limits: Limits = DEFAULT_
     tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL]
     budget = _Budget(limits.max_configs)
     records: list[CycleRecord] = []
-    origin, record, same = word, None, 0
+    record, same = None, 0
     while True:
-        record, outcome, flag, _, _ = _cycle(spec, tape, origin, record, same, budget)
+        record, outcome, flag, _, _ = _cycle(spec, tape, record, same, budget)
         if record.scan or record.steps:
             records.append(record)
         if outcome is not None:
-            return Trace(tuple(records), outcome, flag)
-        origin, same = record, record.rewritten_from
+            return Trace(word, tuple(records), outcome, flag)
+        same = record.rewritten_from
 
 
 def _cycle(
-    spec: AutomatonSpec, tape: list[str], origin: Union[Word, CycleRecord],
-    before: Optional[CycleRecord], same: int, budget: _Budget,
+    spec: AutomatonSpec, tape: list[str], before: Optional[CycleRecord], same: int,
+    budget: _Budget,
 ) -> tuple[CycleRecord, Optional[str], Optional[str], int, int]:
     """One cycle, or the tail, of a deterministic automaton on ``tape``, a
     list that it rewrites in place, resumed after the recorded cycle
     ``before`` whose start tape agrees with ``tape`` on cells [0, same)
-    (None for nothing to resume after).  ``origin`` is the record's link to
-    where ``tape`` comes from.  Each configuration it expands, the repeated
-    scan's too, spends ``budget``.
+    (None for nothing to resume after).  Each configuration it expands, the
+    repeated scan's too, spends ``budget``.
 
     Returns (record, outcome, flag, pos, rewrites): the outcome is None
     when the cycle restarts, on ``tape`` as left; otherwise the outcome and
@@ -537,7 +443,7 @@ def _cycle(
             outcome = OUT_ACCEPT if kind == ACCEPT else OUT_REJECT
             break
     budget.left = left
-    return CycleRecord(origin, scan, tuple(steps), k, leftmost), outcome, flag, pos, rewrites
+    return CycleRecord(scan, tuple(steps), k, leftmost), outcome, flag, pos, rewrites
 
 
 class ResourcesExceeded(ReduktoError):
@@ -626,10 +532,10 @@ def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
                 continue
             if nxt is None:
                 if ins.kind == ACCEPT and tail_accept is None:
-                    tail_accept = CycleRecord(word, (), tuple(_path_to(parents, node, (state, ins))), k)
+                    tail_accept = CycleRecord((), tuple(_path_to(parents, node, (state, ins))), k)
                 continue
             if ins.kind == RESTART:
-                record = CycleRecord(word, (), tuple(_path_to(parents, node, (state, ins))), k)
+                record = CycleRecord((), tuple(_path_to(parents, node, (state, ins))), k)
                 cycles.append((tape[1:-1], record))
                 continue
             tape_id = node[0] if ins.kind != SL else tape_ids.setdefault(nxt.tape, len(tape_ids))
@@ -662,25 +568,22 @@ def _recurs(w: Word) -> PreconditionError:
     return PreconditionError("restarting word %s recurs: a cycle made no progress" % render_word(w))
 
 
-def _deterministic_phase(spec: AutomatonSpec, word: Word, tape: list[str],
-                         before: Optional[CycleRecord], same: Optional[int],
-                         budget: _Budget) -> _Phase:
-    """The one cycle, or the tail, of a deterministic automaton on ``word``,
-    whose tape is the list ``tape``: the phase rewrites it in place, so
-    that after a cycle it is the tape of the cycle's restart word.
+def _deterministic_phase(spec: AutomatonSpec, tape: list[str], before: Optional[CycleRecord],
+                         same: Optional[int], budget: _Budget) -> _Phase:
+    """The one cycle, or the tail, of a deterministic automaton on the list
+    ``tape``: the phase rewrites it in place, so that after a cycle it is
+    the tape of the cycle's restart word.
 
-    With ``same`` None, ``before`` is the cycle that restarted on ``word``,
-    and the phase resumes after it and links its record to it.  Otherwise
-    ``word`` is a word that a decision starts from, the only kind whose
-    rejected prefix is worked out and which the record links to, and the
-    phase resumes after ``before`` (None for nothing), a recorded cycle
-    whose start tape agrees with the word's on cells [0, same).  Raises
-    ResourcesExceeded when the budget runs out."""
+    With ``same`` None, ``before`` is the cycle that restarted on ``tape``,
+    and the phase resumes after it.  Otherwise ``tape`` is that of a word
+    that a decision starts from, the only kind whose rejected prefix is
+    worked out, and the phase resumes after ``before`` (None for nothing),
+    a recorded cycle whose start tape agrees with ``tape`` on cells
+    [0, same).  Raises ResourcesExceeded when the budget runs out."""
     start = same is not None
     if not start:
         same = before.rewritten_from
-    record, outcome, flag, pos, rewrites = _cycle(
-        spec, tape, word if start else before, before, same, budget)
+    record, outcome, flag, pos, rewrites = _cycle(spec, tape, before, same, budget)
     if outcome is None:
         return None, ((tuple(tape[1:-1]), record),), None, record
     if outcome == OUT_LIMIT:
@@ -742,7 +645,7 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
             if verdict is frame:
                 stack.append(frame)
                 tail, cycles, prefix, record = (
-                    _deterministic_phase(spec, w, tape, before, same, budget) if deterministic
+                    _deterministic_phase(spec, tape, before, same, budget) if deterministic
                     else _explore_phase(spec, w, budget))
                 if len(stack) == 1:
                     # The start word's phase; every later word is reached
@@ -787,13 +690,13 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
             table.pop(frame[0], None)
 
 
-def _witness(link) -> Trace:
-    """The accepting trace along a witness chain."""
+def _witness(word: Word, link) -> Trace:
+    """The accepting trace from ``word`` along its witness chain."""
     records = []
     while link is not None:
         record, link = link
         records.append(record)
-    return Trace(tuple(records), OUT_ACCEPT)
+    return Trace(word, tuple(records), OUT_ACCEPT)
 
 
 def decide_basic_membership(spec: AutomatonSpec, word: Word, limits: Limits = DEFAULT_LIMITS,
@@ -830,7 +733,7 @@ def decide_basic_membership(spec: AutomatonSpec, word: Word, limits: Limits = DE
     explored = limits.max_configs - budget.left
     if not ok:
         return Decision("non-member", None, explored)
-    return Decision("member", _witness(link), explored)
+    return Decision("member", _witness(word, link), explored)
 
 
 def decide_members(spec: AutomatonSpec, options: Sequence[Sequence[str]],
@@ -887,7 +790,7 @@ def decide_members(spec: AutomatonSpec, options: Sequence[Sequence[str]],
             return
         explored += limits.max_configs - budget.left
         if ok:
-            yield Decision("member", _witness(link), explored), candidate
+            yield Decision("member", _witness(candidate, link), explored), candidate
         # Advance the odometer at the last letter read, carrying leftward;
         # the next candidate's tape keeps cells [0, i).
         i = prefix if skip and prefix is not None else n
@@ -910,49 +813,34 @@ def decide_input_membership(spec: AutomatonSpec, word: Word, limits: Limits = DE
 
 
 def cycle_rewrites(spec: AutomatonSpec, word: Word,
-                   limits: Limits = DEFAULT_LIMITS) -> list[CycleRecord]:
-    """The cycles word => v, one record for each distinct v (its
-    ``to_word``), in the order of v.
+                   limits: Limits = DEFAULT_LIMITS) -> dict[Word, CycleRecord]:
+    """The cycles word => v: the first record of each distinct v, keyed by
+    v, in the order of v.
 
-    For non-shrinking automata every returned word is strictly shorter than
-    the argument; shrinking automata may preserve length and the weight
+    For non-shrinking automata every v is strictly shorter than the
+    argument; shrinking automata may preserve length and the weight
     function carries the progress argument instead.  The phase comes from
     ``_deterministic_phase`` on a deterministic automaton, as in the
     decider, and from ``_explore_phase`` otherwise.  Raises
     ResourcesExceeded when the budget runs out, and PreconditionError when
     a cycle makes no such progress.
     """
-    return list(_cycles(spec, word, limits).values())
-
-
-def cycle_successors(spec: AutomatonSpec, word: Word,
-                     limits: Limits = DEFAULT_LIMITS) -> list[Word]:
-    """The words v of the cycles word => v, in order: the ``to_word`` of
-    each record that ``cycle_rewrites`` returns, as the phase made them,
-    where reading a record's would rebuild its tape."""
-    return list(_cycles(spec, word, limits))
-
-
-def _cycles(spec: AutomatonSpec, word: Word, limits: Limits) -> dict[Word, CycleRecord]:
-    """The first record of each distinct restart word of the one phase
-    from ``word``, keyed by that word, after the progress checks (see
-    ``cycle_rewrites``)."""
     word = _over(spec.work_alphabet, word)
     budget = _Budget(limits.max_configs)
     if spec.flags.deterministic:
         tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL]
-        _, cycles, _, _ = _deterministic_phase(spec, word, tape, None, 0, budget)
+        _, cycles, _, _ = _deterministic_phase(spec, tape, None, 0, budget)
     else:
         _, cycles, _, _ = _explore_phase(spec, word, budget)
     firsts: dict[Word, CycleRecord] = {}
-    for to_word, record in cycles:
-        firsts.setdefault(to_word, record)
-    for to_word in firsts:
+    for v, record in cycles:
+        firsts.setdefault(v, record)
+    for v in firsts:
         if not spec.flags.shrinking:
-            if len(to_word) >= len(word):
+            if len(v) >= len(word):
                 raise PreconditionError("cycle did not shorten the tape")
         elif spec.weights is not None:
-            if word_weight(spec.weights, to_word) >= word_weight(spec.weights, word):
+            if word_weight(spec.weights, v) >= word_weight(spec.weights, word):
                 raise PreconditionError("cycle did not decrease the tape weight")
     return firsts
 
@@ -973,7 +861,7 @@ def walk_branches(spec: AutomatonSpec, word: Word,
     else.  Returns None when no step is flagged; raises ResourcesExceeded
     after ``max_configs`` expansions.
     """
-    word = tuple(word)
+    word = _over(spec.work_alphabet, word)
     budget = _Budget(limits.max_configs)
     root = (restarting_configuration(spec, word), None)
     parents: dict = {root: None}
@@ -986,7 +874,7 @@ def walk_branches(spec: AutomatonSpec, word: Word,
             new_state, flag = on_step(state, config, ins)
             step = (config.state, ins)
             if flag is not None:
-                return Trace(tuple(_records(word, _path_to(parents, node, step), spec.window)),
+                return Trace(word, tuple(_records(_path_to(parents, node, step), spec.window)),
                              "counterexample", flag)
             if nxt is None:
                 continue

@@ -24,7 +24,7 @@ from .engine import (
     Decision,
     Limits,
     ResourcesExceeded,
-    cycle_successors,
+    cycle_rewrites,
     decide_members,
 )
 from .model import (
@@ -348,7 +348,7 @@ def enumerate_basic_by_reduction(
         candidates -= members
         confirmed = set()
         for x in sorted(candidates, key=level_of):
-            if any(v in members or v in confirmed for v in cycle_successors(spec, x, limits)):
+            if any(v in members or v in confirmed for v in cycle_rewrites(spec, x, limits)):
                 confirmed.add(x)
         members |= confirmed
         frontier = confirmed

@@ -129,8 +129,8 @@ def _reductions_correspond(source, shrunk, bound):
         return tuple(hat_token(t) if t in sigma else t for t in word)
 
     for word in words_over(sorted(source.work_alphabet), bound):
-        src = {r.to_word for r in cycle_rewrites(source, word)}
-        tgt = {r.to_word for r in cycle_rewrites(shrunk, hat(word))}
+        src = set(cycle_rewrites(source, word))
+        tgt = set(cycle_rewrites(shrunk, hat(word)))
         assert {hat(w) for w in src} == tgt, word
 
 

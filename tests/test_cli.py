@@ -305,6 +305,7 @@ def test_tripped_limit_is_named(tmp_path, m_e_h_shrunk):
     ["transform", "gnf2hrrwwc", "anbn_gnf", "-o", "unused.rlww", "--train", "8"],
     [],
     ["catalog", "-o", "unused.txt"],
+    ["cmp", "oracle:l_3", "input", "oracle:l_3", "input", "--max-len", "-1"],
 ])
 def test_bad_usage_exits_3(argv):
     proc = run_cli(*argv)

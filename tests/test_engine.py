@@ -9,6 +9,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+import redukto
 from redukto.catalog import catalog_get, catalog_list
 from redukto.engine import (
     Configuration,
@@ -25,6 +26,7 @@ from redukto.engine import (
     right_distance,
     run_deterministic,
     successors,
+    walk_branches,
     window_of,
 )
 from redukto.model import (
@@ -259,6 +261,7 @@ def test_entries_refuse_symbols_outside_the_working_alphabet(m_e, foreign):
                  lambda: decide_basic_membership(spec, w),
                  lambda: decide_basic_membership(spec, w, memoize=False),
                  lambda: cycle_rewrites(spec, w),
+                 lambda: walk_branches(spec, w, lambda state, config, ins: (None, None)),
                  lambda: next(decide_members(spec, [("a",), ("b", foreign)]))):
         with pytest.raises(SymbolError, match=message):
             call()
@@ -283,11 +286,13 @@ def test_witnesses_replay(m_e, dyck1):
 
 def test_cycle_rewrites_deterministic_single_successor(m_e):
     rewrites = cycle_rewrites(m_e.spec, word("aaaa"))
-    assert [(r.from_word, r.to_word) for r in rewrites] == [(word("aaaa"), word("aab"))]
+    assert list(rewrites) == [word("aab")]
+    assert [Trace(word("aaaa"), (r,), "counterexample").reductions() for r in rewrites.values()] \
+        == [[(word("aaaa"), word("aab"))]]
 
 
 def test_cycle_rewrites_tail_only_word_has_none(m_e):
-    assert cycle_rewrites(m_e.spec, word("a")) == []
+    assert cycle_rewrites(m_e.spec, word("a")) == {}
 
 
 def test_cycle_rewrites_shorten(m_e, dyck1):
@@ -295,8 +300,8 @@ def test_cycle_rewrites_shorten(m_e, dyck1):
         alphabet = sorted(entry.spec.work_alphabet)
         for n in range(0, 6):
             for w in itertools.product(alphabet, repeat=n):
-                for r in cycle_rewrites(entry.spec, w):
-                    assert len(r.to_word) < len(w)
+                for v in cycle_rewrites(entry.spec, w):
+                    assert len(v) < len(w)
 
 
 def test_right_distance():
@@ -402,34 +407,35 @@ def test_run_memory_per_configuration_does_not_grow_with_the_word(name, short, l
 
 
 def test_long_runs_compare_hash_and_print():
-    # Each record of a run links to the one before it, more deeply than the
-    # recursion limit; records compare, hash and print all the same.
+    # A run keeps more records than the recursion limit; runs and records
+    # compare, hash and print all the same.  A record keeps no start tape,
+    # so the two runs' last records, which start on the same tape, are
+    # equal while the runs are not.
     spec = catalog_get("reg_window1").spec
     w = ("a",) * 1_200
     first, again, longer = (run_deterministic(spec, v) for v in (w, w, w + ("a",)))
     assert first == again and hash(first.records[-1]) == hash(again.records[-1])
-    assert first != longer and first.records[-1] != longer.records[-1]
-    assert repr(first).count("CycleRecord(...)") == len(first.records) - 1
+    assert first != longer and first.records[-1] == longer.records[-1]
+    assert repr(first).count("CycleRecord(") == len(first.records)
     assert decide_basic_membership(spec, w) == decide_basic_membership(spec, w)
 
 
 def test_long_traces_differing_in_a_deep_record_compare_unequal():
-    # Traces compare record by record, each by its own fields and its link
-    # to the record before it, so a difference deep in a long run shows.
+    # Traces compare by their word and records, each record by its own
+    # fields, so a difference deep in a long run shows.
     spec = catalog_get("reg_window1").spec
     run = run_deterministic(spec, ("a",) * 3_000)
     records, k = list(run.records), len(run.records) // 2
     deep = records[k]
 
     def with_deep(record):
-        return Trace(tuple(records[:k] + [record] + records[k + 1:]), run.outcome, run.flag)
+        return Trace(run.word, tuple(records[:k] + [record] + records[k + 1:]), run.outcome, run.flag)
 
-    # An equal copy: the record after it links to the original.
     assert with_deep(CycleRecord(*deep)) == run
     assert with_deep(deep._replace(rewritten_from=deep.rewritten_from + 1)) != run
     assert run != with_deep(deep._replace(steps=deep.steps[:-1]))
-    # The same fields, but starting on the word its chain rebuilds.
-    assert with_deep(deep._replace(origin=deep.from_word)) != run
+    # The same records, but starting on another word.
+    assert Trace(run.word[1:], run.records, run.outcome, run.flag) != run
 
 
 def test_phase_keeps_branches_that_meet_on_different_tapes():
@@ -444,7 +450,7 @@ def test_phase_keeps_branches_that_meet_on_different_tapes():
     }
     spec = AutomatonSpec("meet", frozenset({"q0", "q1"}), "q0", 2, frozenset("ab"),
                          frozenset("ab"), table)
-    assert [r.to_word for r in cycle_rewrites(spec, word("ba"))] == [(), ("a",)]
+    assert list(cycle_rewrites(spec, word("ba"))) == [(), ("a",)]
     assert decide_basic_membership(spec, word("ba")).is_member
 
 
@@ -541,12 +547,12 @@ def test_a_dropped_automaton_takes_its_step_table_with_it(m_e):
 
 
 def test_replay_refuses_a_step_not_offered_and_steps_that_do_not_chain(m_e):
-    first = run_deterministic(m_e.spec, word("aaaa")).records[0]
-    start = first.from_word
+    run = run_deterministic(m_e.spec, word("aaaa"))
+    first, start = run.records[0], run.word
 
     def replays(word, *pairs):
-        record = CycleRecord(word, (), pairs, m_e.spec.window)
-        return replay_trace(m_e.spec, Trace((record,), "counterexample"))
+        record = CycleRecord((), pairs, m_e.spec.window)
+        return replay_trace(m_e.spec, Trace(word, (record,), "counterexample"))
 
     assert replays(start, *first.steps) and replays(start, *first.steps[:3])
     state, ins = first.steps[0]
@@ -560,13 +566,17 @@ def test_replay_refuses_a_step_not_offered_and_steps_that_do_not_chain(m_e):
 
 
 def test_cycle_rewrites_are_the_phase_records(m_e):
-    # Each record starts on the word, restarts on its successor, and
-    # replays alone as a one-cycle trace.
-    (record,) = cycle_rewrites(m_e.spec, word("aaaa"))
+    # Each record, keyed by its successor, replays alone as a one-cycle
+    # trace from the word, restarting on that successor.
+    ((v, record),) = cycle_rewrites(m_e.spec, word("aaaa")).items()
     assert isinstance(record, CycleRecord) and record.ends_cycle()
-    assert (record.from_word, record.to_word) == (word("aaaa"), word("aab"))
-    trace = Trace((record,), "counterexample")
+    assert v == word("aab")
+    trace = Trace(word("aaaa"), (record,), "counterexample")
     assert replay_trace(m_e.spec, trace)
     assert trace.reductions() == [(word("aaaa"), word("aab"))]
     run = run_deterministic(m_e.spec, word("aaaa"))
     assert run.records[0] == record
+
+
+def test_cycle_record_is_exported_from_the_package_root():
+    assert redukto.CycleRecord is CycleRecord

@@ -31,7 +31,6 @@ from redukto.engine import (
     ResourcesExceeded,
     Trace,
     cycle_rewrites,
-    cycle_successors,
     decide_basic_membership,
     decide_input_membership,
     decide_members,
@@ -213,12 +212,23 @@ def reference_member(spec, w, path=frozenset()):
 def test_search_agrees_with_reference_decider(case):
     spec, w = case
     records = cycle_rewrites(spec, w)
-    assert {c.to_word for c in records} == reference_phase(spec, w)[1]
-    assert cycle_successors(spec, w) == [c.to_word for c in records]
+    assert set(records) == reference_phase(spec, w)[1]
+    # Each record replays from the word to the successor it is keyed by.
+    for v, record in records.items():
+        assert Trace(w, (record,), "counterexample").reductions() == [(w, v)]
     member = reference_member(spec, w)
-    assert decide_basic_membership(spec, w).is_member == member
+    decision = decide_basic_membership(spec, w)
+    assert decision.is_member == member
     # Cycle-error preservation: a cycle into a member makes its source one.
-    assert member or not any(reference_member(spec, r.to_word) for r in records)
+    assert member or not any(reference_member(spec, v) for v in records)
+    if member:
+        # Every suffix of the witness, from the word its first record
+        # starts on, is an accepting computation of its own.
+        witness = decision.witness
+        red = witness.reductions()
+        for i, start in enumerate([w] + [v for _, v in red]):
+            suffix = Trace(start, witness.records[i:], "accept")
+            assert replay_trace(spec, suffix) and suffix.reductions() == red[i:]
 
 
 @settings(max_examples=150, deadline=None)
@@ -252,8 +262,8 @@ def test_deterministic_cycles_preserve_membership(spec):
     symbols = sorted(spec.work_alphabet)
     for w in (v for n in range(5) for v in itertools.product(symbols, repeat=n)):
         if decide_basic_membership(spec, w, memo=memo).is_member:
-            for record in cycle_rewrites(spec, w):
-                assert decide_basic_membership(spec, record.to_word, memo=memo).is_member
+            for v in cycle_rewrites(spec, w):
+                assert decide_basic_membership(spec, v, memo=memo).is_member
 
 
 def decision_outcome(decision):
@@ -356,13 +366,14 @@ def test_deterministic_decider_refuses_a_choice():
     memo = {}
     assert decide_basic_membership(spec, ("b", "a"), memo=memo).verdict == "non-member"
     assert memo == {("b", "a"): (False, None), ("a",): (False, None)}
-    assert [r.tapes[-1] for r in cycle_rewrites(spec, ("b", "a"))] == [(C, "a", D)]
-    assert cycle_rewrites(spec, ("a",)) == []
+    assert list(cycle_rewrites(spec, ("b", "a"))) == [("a",)]
+    assert cycle_rewrites(spec, ("a",)) == {}
 
 
 def rewrites_outcome(spec, w, limits):
     try:
-        return [(r.to_word, Trace((r,), "counterexample").steps) for r in cycle_rewrites(spec, w, limits)]
+        return [(v, Trace(w, (r,), "counterexample").steps)
+                for v, r in cycle_rewrites(spec, w, limits).items()]
     except (PreconditionError, ResourcesExceeded) as err:
         return type(err).__name__, str(err)
 
@@ -412,8 +423,8 @@ def first_weight_rise(spec, weights, max_len):
     lower its weight under ``weights``."""
     flagged = replace(spec, flags=replace(spec.flags, shrinking=True), weights=None)
     return next((word for word in shortlex_words(spec, max_len)
-                 if any(word_weight(weights, record.to_word) >= word_weight(weights, word)
-                        for record in cycle_rewrites(flagged, word))), None)
+                 if any(word_weight(weights, v) >= word_weight(weights, word)
+                        for v in cycle_rewrites(flagged, word))), None)
 
 
 def assert_agrees_with_sweep(report, first):
@@ -655,8 +666,9 @@ def long_deterministic_runs(draw):
 def test_resumed_run_agrees_with_plain_run(case):
     trace = assert_resumed_run_is_plain(*case)
     cap = case[0].flags.mr_degree
-    for record in trace.records:
-        steps = Trace((record,), trace.outcome).steps
+    starts = [trace.word] + [v for _, v in trace.reductions()]
+    for start, record in zip(starts, trace.records):
+        steps = Trace(start, (record,), trace.outcome).steps
         rewrote = [c.pos for c, ins in steps if ins.kind == SL and c.rewrites < cap]
         assert record.rewritten_from == min(rewrote, default=None)
     target(float(sum(len(record.scan) for record in trace.records)))
