@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from .engine import (
     DEFAULT_LIMITS,
     OUT_LIMIT,
-    Configuration,
     Limits,
     ResourcesExceeded,
     Trace,
@@ -45,7 +45,6 @@ from .engine import (
     right_distance,
     run_deterministic,
     strip_sentinels,
-    successors,
     walk_branches,
 )
 from .model import (
@@ -57,6 +56,7 @@ from .model import (
     SL,
     AutomatonSpec,
     PreconditionError,
+    Table,
     Word,
     is_window_content,
     render_word,
@@ -249,91 +249,114 @@ def _least_rising_word(
     the window, and rises iff it rewrites at some p2 < p1-d, where d is the
     number of cells the first rewrite removed.  So the words are read one
     cell at a time, breadth first in sorted-letter order, into the finite
-    states of ``_scan``; each is explored once, from the least word that
-    reaches it, and charged to ``max_configs``.
+    states of ``_scan``, each one flat tuple; every step is the table's one
+    entry, as in a deterministic run.  Each state is explored once, from the
+    least word that reaches it, and charged to ``max_configs``.  The queue
+    holds states, each linked to the state it was first read from, and the
+    word is rebuilt from those links only when it rises or the limit trips.
     """
     alphabet = sorted(spec.work_alphabet)
-    initial = spec.initial
-
-    def read(node, cell):
-        config, scan = node
-        return _scan(spec, config._replace(tape=config.tape + (cell,)), scan)
-
-    start = _scan(spec, Configuration((LEFT_SENTINEL,), initial, 0, 0), (initial,))
-    queue = deque([((), start)] if start is not None else [])
-    seen = {start}
+    scan = partial(_scan, spec.table, spec.window)
+    start = scan((spec.initial, 0, LEFT_SENTINEL))
+    parents = {start: None}
+    queue = deque([start] if start is not None else [])
     budget = limits.max_configs
     while queue:
-        word, node = queue.popleft()
+        node = queue.popleft()
         budget -= 1
         if budget < 0:
-            if len(word) > max_len:
+            if len(_word_to(node, parents, scan, alphabet)) > max_len:
                 return None, False
             raise ResourcesExceeded("configs limit exceeded")
-        if node is _RISES or read(node, RIGHT_SENTINEL) is _RISES:
-            return word, True
+        if node is _RISES or scan(node + (RIGHT_SENTINEL,)) is _RISES:
+            return _word_to(node, parents, scan, alphabet), True
         for sym in alphabet:
-            child = read(node, sym)
-            if child is not None and child not in seen:
-                seen.add(child)
-                queue.append((word + (sym,), child))
+            child = scan(node + (sym,))
+            if child is not None and child not in parents:
+                parents[child] = node
+                queue.append(child)
     return None, True
 
 
-def _scan(spec: AutomatonSpec, config: Configuration, scan: Optional[tuple]):
-    """Step the first cycle of a word read so far into ``config.tape`` until
-    its window reaches past the cells read.
+def _word_to(node, parents: dict, scan: Callable, alphabet: list[str]) -> Word:
+    """The word that the search first read into ``node``: along the links
+    in ``parents``, the least letter that ``scan`` reads from each state
+    into the next, the one the search took first."""
+    word = []
+    parent = parents[node]
+    while parent is not None:
+        word.append(next(sym for sym in alphabet if scan(parent + (sym,)) == node))
+        node, parent = parent, parents[parent]
+    return tuple(reversed(word))
 
-    Before the cycle rewrites, ``scan`` holds its states at its last k
-    positions up to ``config.pos`` and the tape keeps the cells from the
-    first of them; after the rewrite ``scan`` is None and the tape keeps the
-    cells from the window on, since nothing left of it is read again.
-    Returns the (configuration, scan) that waits for the next cell, _RISES,
-    or None when no word that starts with the cells read rises between its
-    first two cycles."""
-    k = spec.window
+
+def _scan(table: Table, k: int, node: tuple):
+    """Step the first cycle of a word read so far until its window reaches
+    past the cells read.
+
+    ``node`` is (state, position, scan..., cells...).  Before the cycle
+    rewrites, the scan is its states at the positions left of its window,
+    at most k-1 of them, so the position is the scan's length, and the
+    cells are kept from the first of them.  After the rewrite the scan is
+    one None, and the cells are kept from the window on, at position 0,
+    since nothing left of it is read again.  Returns the state that waits
+    for the next cell, _RISES, or None when no word that starts with the
+    cells read rises between its first two cycles."""
+    state, pos = node[0], node[1]
+    if node[2] is None:
+        scan, tape = None, node[3:]
+    else:
+        scan, tape = node[2:pos + 2], node[pos + 2:]
     while True:
-        tape = config.tape
-        if config.pos + k > len(tape) and tape[-1:] != (RIGHT_SENTINEL,):
-            return config, scan
-        succ = successors(spec, config)
-        if not succ:
+        if pos + k > len(tape) and tape[-1:] != (RIGHT_SENTINEL,):
+            return (state, pos) + (scan if scan is not None else (None,)) + tape
+        window = tape[pos:pos + k]
+        entry = table.get((state, window))
+        if not entry:
             return None
-        ins, nxt = succ[0]
-        if ins.kind == MVR and scan is not None:
+        ins = entry[0]
+        kind = ins.kind
+        if kind == MVR and scan is not None:
             # A rewrite that removes k cells here is floored at the cut, but
             # the next cycle cannot rise over one that removes over k-2.
-            scan = (scan + (nxt.state,))[-k:]
-            cut = nxt.pos - k + 1
-        elif ins.kind == MVR:
-            cut = nxt.pos
-        elif ins.kind == SL and _next_cycle_rises(spec, config, nxt, scan):
-            scan, cut = None, nxt.pos
-        elif ins.kind == RESTART and scan is None:
+            scan = scan + (state,) if pos < k - 1 else (scan + (state,))[1:]
+            state, pos = ins.state, pos + 1
+            cut = pos - k + 1
+        elif kind == MVR:
+            state, pos = ins.state, pos + 1
+            cut = pos
+        elif kind == SL:
+            tape = tape[:pos] + ins.target + tape[pos + len(window):]
+            first = scan[0] if scan else state
+            pos -= len(window) - len(ins.target)
+            if not _next_cycle_rises(table, k, tape, first, pos):
+                return None
+            state, pos, scan = ins.state, max(0, pos), None
+            cut = pos
+        elif kind == RESTART and scan is None:
             return _RISES
         else:
             return None
         if cut > 0:
-            nxt = Configuration(nxt.tape[cut:], nxt.state, nxt.pos - cut, nxt.rewrites)
-        config = nxt
+            tape, pos = tape[cut:], pos - cut
 
 
-def _next_cycle_rises(spec: AutomatonSpec, config: Configuration, after: Configuration,
-                      scan: tuple) -> bool:
-    """Whether the cycle after the rewrite from ``config`` to ``after``
-    rewrites with a larger right distance.  It takes up the scan at its
-    first position, in that position's state, and must rewrite left of
-    ``config.pos`` minus the cells removed.  The windows it reads there end
-    inside the cells read: the first rewrite's window was read whole."""
-    limit = config.pos - (len(config.tape) - len(after.tape))
-    probe = Configuration(after.tape, scan[0], config.pos - len(scan) + 1, 0)
-    while probe.pos < limit:
-        succ = successors(spec, probe)
-        if not succ:
+def _next_cycle_rises(table: Table, k: int, tape: Word, state: str, limit: int) -> bool:
+    """Whether the cycle after a rewrite that left ``tape`` rewrites with a
+    larger right distance.  It takes up the scan at its first position, the
+    first kept cell, in that position's ``state``, and must rewrite left of
+    ``limit``, the rewritten position minus the cells removed.  The windows
+    it reads there end inside the cells read: the first rewrite's window
+    was read whole."""
+    pos = 0
+    while pos < limit:
+        entry = table.get((state, tape[pos:pos + k]))
+        if not entry:
             return False
-        ins, probe = succ[0]
+        ins = entry[0]
         if ins.kind != MVR:
             return ins.kind == SL
+        state, pos = ins.state, pos + 1
     return False
 
 

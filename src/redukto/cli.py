@@ -326,6 +326,8 @@ def _side_words(ref: str, kind: str, max_len: int, limits: Limits):
 
 
 def cmd_cmp(args) -> int:
+    if args.left.startswith("oracle:") and args.right.startswith("oracle:"):
+        _refuse_unread(args, ("limits",), (), "cmp between two oracles")
     limits = parse_limits(args.limits)
     require_bound(args.max_len)
     left = _side_words(args.left, args.left_kind, args.max_len, limits)

@@ -1,6 +1,8 @@
 """Bounded verifiers: determinism, monotonicity, cycle discipline,
 preservation and shrinking."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -107,14 +109,20 @@ def _mono_outcome(report):
 
 def test_monotone_fast_path_agrees_with_generic(anbn_built, dyck_built):
     # The exact search against the word-by-word walk of the unflagged copy,
-    # on every catalog automaton at 8 and on the grammar builds at 6.  All
-    # but m_e, m_e_h and the multi-rewrite lm_j hold at every length.
+    # on every catalog automaton at 8, on the catalog grammars' builds at 6
+    # and on the marked-palindrome and a^n c b^n builds at windows 3 and 4
+    # at 5.  All but m_e, m_e_h and the multi-rewrite lm_j hold at every
+    # length.
+    from tests.test_construct import GRAMMARS
+
     anbn4, _ = build_hrrwwc(anbn_built[0].grammar, 4)
     every_length = {"dyck1", "l_2", "l_3", "l_4", "reg_window1"}
     cases = [(entry.spec, 8, entry.name in every_length)
              for entry in catalog_list() if entry.kind == "automaton"]
     cases += [(spec, 6, True) for spec in (anbn_built[1], anbn4, dyck_built[1])]
-    assert len(cases) == 13
+    cases += [(build_hrrwwc(GRAMMARS[name], k, window_cap=k)[0], 5, True)
+              for name in ("mpal_gnf", "ancbn_gnf") for k in (3, 4)]
+    assert len(cases) == 17
     for spec, bound, unbounded in cases:
         fast = check_monotone(spec, bound)
         generic = check_monotone(_unflagged(spec), bound)
@@ -131,12 +139,42 @@ def test_monotone_below_the_least_rising_word(m_e):
     assert check_monotone(m_e.spec, 4).counterexample.word == tuple("aaaa")
 
 
-def test_monotone_search_is_charged_to_the_configs_limit(dyck_built):
+def test_monotone_search_is_charged_to_the_configs_limit(anbn_built, dyck_built):
     spec = dyck_built[1]
     assert check_monotone(spec, 8, Limits(max_configs=50)).verdict == "resource-exceeded"
     # The limit trips after every word up to length 2 is cleared.
     report = check_monotone(spec, 2, Limits(max_configs=50))
     assert report.holds and not report.unbounded
+    # Each state explored is charged once, so the least limit at which the
+    # search finishes is the number of states it explores: 4,600 on the
+    # Dyck build, whose window is 4.
+    assert spec.window == 4
+    report = check_monotone(spec, 8, Limits(max_configs=4_600))
+    assert report.holds and report.unbounded
+    assert check_monotone(spec, 8, Limits(max_configs=4_599)).verdict == "resource-exceeded"
+    # 9,545 on the a^n b^n build at window 5; one fewer trips the limit
+    # after every word up to the validation length is cleared.
+    for configs, unbounded in ((9_545, True), (9_544, False)):
+        built, report = build_hrrwwc(anbn_built[0].grammar, 5, limits=Limits(max_configs=configs))
+        assert report.verdict == "validated"
+        checked = check_monotone(built, 8, Limits(max_configs=configs))
+        assert checked.holds and checked.unbounded == unbounded, configs
+
+
+def test_monotone_search_stays_in_small_memory(dyck_built):
+    # One flat tuple per explored state and no word per queued one: the
+    # 4,600 states of the Dyck build's search peak under 0.85 MB.  Memory
+    # is read from tracemalloc, never from the clock or RSS.
+    spec = dyck_built[1]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = check_monotone(spec, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds and report.unbounded
+    assert peak <= 850_000, peak
 
 
 def test_monotone_restart_without_rewrite_holds():

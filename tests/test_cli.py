@@ -306,6 +306,7 @@ def test_tripped_limit_is_named(tmp_path, m_e_h_shrunk):
     [],
     ["catalog", "-o", "unused.txt"],
     ["cmp", "oracle:l_3", "input", "oracle:l_3", "input", "--max-len", "-1"],
+    ["cmp", "oracle:l_3", "input", "oracle:l_3", "input", "--max-len", "5", "--limits", "configs=5"],
 ])
 def test_bad_usage_exits_3(argv):
     proc = run_cli(*argv)
