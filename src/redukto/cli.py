@@ -2,7 +2,8 @@
 
 Exit codes are the machine contract: 0 accept/holds/equal, 1 reject or
 violated or synthesis failure (with a counterexample printed), 2 resource
-limit or divergence, 3 invalid input (parse errors, bad words, bad usage).
+limit, divergence or running out of memory, 3 invalid input (parse errors,
+bad words, bad usage).
 
 Automaton and grammar arguments are file paths, or catalog entry names when
 no such file exists.  Words are given either as whitespace-separated tokens
@@ -457,6 +458,14 @@ def main(argv=None) -> int:
     except (UsageFailure, ParseError, CatalogError, PreconditionError, SymbolError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        # Reported once the handler has let go of the traceback, whose
+        # frames hold what filled the memory.  No named limit tripped, so
+        # no resource-exceeded verdict is printed.
+        pass
+    print("error: out of memory before the configs limit tripped; lower --limits configs=N",
+          file=sys.stderr)
+    return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

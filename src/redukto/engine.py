@@ -61,8 +61,13 @@ entry in ``spec.table`` as its step, and a missing or empty entry as stuck.
 It applies moves and rewrites inline to one list tape, rewritten in place
 across a run, asks ``discipline_break`` only at steps other than MVR, and
 keeps the leftmost rewrite position in ``CycleRecord.rewritten_from``,
-where the next cycle resumes.  The branch search, ``walk_branches`` and
-``replay_trace`` call ``successors`` itself.
+where the next cycle resumes.  The branch search (``_explore_phase``)
+reads table entries the same way, every instruction of an entry in table
+order, and applies ``successors``' side conditions and the cycle
+discipline inline, on flat keys over interned tapes.  ``successors``
+remains the reference definition of the step relation: ``walk_branches``
+and ``replay_trace`` call it, and the tests check the inline steps
+against it.
 
 Membership.  One depth-first loop over restarting words, with a memo,
 decides every word for every automaton (``_search``): it answers
@@ -498,55 +503,88 @@ def _rejected_prefix(reach: int, window: int, size: int) -> Optional[int]:
     return end - 1 if end < size else None
 
 
+_RIGHT_ALONE = (RIGHT_SENTINEL,)
+
+
 def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
     """Depth-first exploration of one phase (from a restarting configuration
     up to the next restart or halt) over all nondeterministic branches.
 
-    Branches that break the cycle discipline are pruned.  Loops within the
-    phase are pruned by a visited set keyed on (tape id, state, pos,
-    rewrites), where tapes are interned once per rewrite that makes them, so
-    no lookup hashes a tape; two keys are equal exactly when their
-    configurations are.  Paths are reconstructed through parent pointers,
-    each keeping the (state, instruction) of the step into its key, and
-    each cycle's restart word is sliced from its tape once.  Raises
-    ResourcesExceeded when the budget runs out.
+    A node is a flat (tape id, state, pos, rewrites) key, where tapes are
+    interned once per rewrite that makes them and ``tapes[tape id]`` is the
+    tape, so no lookup hashes a tape; two keys are equal exactly when their
+    configurations are.  A node's steps are its entry in ``spec.table``, in
+    table order, taken as ``successors`` takes them: an MVR is skipped when
+    the window shows the right sentinel alone and an MVL at position 0.
+    Steps that break the cycle discipline (see ``discipline_break``) are
+    pruned inline too: a rewrite once the cap is reached, a restart
+    without a rewrite and an accept after one.  Loops within the phase are
+    pruned by the visited set of keys.  Paths are reconstructed through
+    parent pointers, each keeping the (state, instruction) of the step into
+    its key, and each cycle's restart word is sliced from its tape once.
+    Each node expanded spends the budget; raises ResourcesExceeded, at the
+    node that finds it spent, when the budget runs out.
 
     A phase that ends with no accepting tail, no cycle and no tape but its
     start tape depends only on the cells its windows covered, and returns
     its rejected prefix.
     """
-    cap, k = spec.flags.mr_degree, spec.window
-    start = restarting_configuration(spec, word)
-    tape_ids = {start.tape: 0}
-    root = (0, start.state, start.pos, start.rewrites)
+    cap, k, table = spec.flags.mr_degree, spec.window, spec.table
+    start = (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,)
+    tapes = [start]
+    tape_ids = {start: 0}
+    root = (0, spec.initial, 0, 0)
     parents: dict = {root: None}
-    stack = [(root, start)]
+    stack = [root]
     tail_accept = None
     cycles = []
-    while stack:
-        node, config = stack.pop()
-        budget.spend()
-        tape, state, _, rewrites = config
-        for ins, nxt in successors(spec, config):
-            if discipline_break(cap, ins, rewrites) is not None:
-                continue
-            if nxt is None:
-                if ins.kind == ACCEPT and tail_accept is None:
-                    tail_accept = CycleRecord((), tuple(_path_to(parents, node, (state, ins))), k)
-                continue
-            if ins.kind == RESTART:
-                record = CycleRecord((), tuple(_path_to(parents, node, (state, ins))), k)
-                cycles.append((tape[1:-1], record))
-                continue
-            tape_id = node[0] if ins.kind != SL else tape_ids.setdefault(nxt.tape, len(tape_ids))
-            child = (tape_id, nxt.state, nxt.pos, nxt.rewrites)
-            if child in parents:
-                continue
-            parents[child] = (node, (state, ins))
-            stack.append((child, nxt))
+    left = budget.left
+    try:
+        while stack:
+            node = stack.pop()
+            left -= 1
+            if left < 0:
+                raise ResourcesExceeded("configs limit exceeded")
+            tape_id, state, pos, rewrites = node
+            tape = tapes[tape_id]
+            window = tape[pos : pos + k]
+            for ins in table.get((state, window), ()):
+                kind = ins.kind
+                if kind == MVR:
+                    if window == _RIGHT_ALONE:
+                        continue
+                    child = (tape_id, ins.state, pos + 1, rewrites)
+                elif kind == MVL:
+                    if pos == 0:
+                        continue
+                    child = (tape_id, ins.state, pos - 1, rewrites)
+                elif kind == SL:
+                    if rewrites >= cap:
+                        continue
+                    target = ins.target
+                    new_tape = tape[:pos] + target + tape[pos + len(window):]
+                    new_id = tape_ids.setdefault(new_tape, len(tapes))
+                    if new_id == len(tapes):
+                        tapes.append(new_tape)
+                    child = (new_id, ins.state, max(0, pos - len(window) + len(target)), rewrites + 1)
+                elif kind == RESTART:
+                    if rewrites:
+                        record = CycleRecord((), tuple(_path_to(parents, node, (state, ins))), k)
+                        cycles.append((tape[1:-1], record))
+                    continue
+                else:  # Accept / Reject
+                    if kind == ACCEPT and not rewrites and tail_accept is None:
+                        tail_accept = CycleRecord((), tuple(_path_to(parents, node, (state, ins))), k)
+                    continue
+                if child in parents:
+                    continue
+                parents[child] = (node, (state, ins))
+                stack.append(child)
+    finally:
+        budget.left = left
     prefix = None
-    if tail_accept is None and not cycles and len(tape_ids) == 1:
-        prefix = _rejected_prefix(max([node[2] for node in parents]), k, len(start.tape))
+    if tail_accept is None and not cycles and len(tapes) == 1:
+        prefix = _rejected_prefix(max([node[2] for node in parents]), k, len(start))
     # Deterministic order for reproducible witnesses and reports.
     cycles.sort(key=lambda cycle: cycle[0])
     return tail_accept, cycles, prefix, None

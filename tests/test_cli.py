@@ -462,3 +462,14 @@ def test_check_shrink_without_weights_exits_3(capsys):
 
 def test_catalog_export_without_output_prints_the_file(capsys, m_e):
     assert cli(capsys, "catalog", "--export", "m_e") == (0, render_automaton(m_e.spec), "")
+
+
+def test_running_out_of_memory_exits_2_without_a_verdict(capsys, monkeypatch):
+    from redukto import cli as cli_module
+
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "cmd_decide", exhaust)
+    assert cli(capsys, "decide", "m_e", "aaaa") == (
+        2, "", "error: out of memory before the configs limit tripped; lower --limits configs=N\n")

@@ -1,5 +1,6 @@
 """Differential properties on small random automata: the memo search against
-the brute search and against a plain reference decider, deterministic runs
+the brute search and against a plain reference decider, the branch search's
+charge against a plain walk over the step relation, deterministic runs
 against the search, the deterministic decider against the depth-first
 search on the same automaton unflagged (deciders, ``decide_members`` and
 ``cycle_rewrites``), deterministic table entries against the step
@@ -177,9 +178,10 @@ def automaton_and_word(draw, deterministic):
 
 
 def reference_phase(spec, w):
-    """(whether a tail accepts, the set of words one cycle reaches) from the
-    restarting configuration of ``w``, by a plain walk over full
-    configurations."""
+    """(whether a tail accepts, the set of words one cycle reaches, the
+    number of distinct configurations expanded) from the restarting
+    configuration of ``w``, by a plain walk over full configurations that
+    follows no discipline break, halt or restart."""
     cap = spec.flags.mr_degree
     start = restarting_configuration(spec, w)
     seen, todo = {start}, [start]
@@ -196,13 +198,13 @@ def reference_phase(spec, w):
             elif nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
-    return accepts, words
+    return accepts, words, len(seen)
 
 
 def reference_member(spec, w, path=frozenset()):
     """Whether some computation from ``w`` accepts, never repeating a
     restarting word along one computation."""
-    accepts, words = reference_phase(spec, w)
+    accepts, words, _ = reference_phase(spec, w)
     path = path | {w}
     return accepts or any(reference_member(spec, v, path) for v in words - path)
 
@@ -213,9 +215,13 @@ def test_search_agrees_with_reference_decider(case):
     spec, w = case
     records = cycle_rewrites(spec, w)
     assert set(records) == reference_phase(spec, w)[1]
-    # Each record replays from the word to the successor it is keyed by.
+    # Each record replays from the word, step by step through the step
+    # relation, to the successor it is keyed by.
     for v, record in records.items():
-        assert Trace(w, (record,), "counterexample").reductions() == [(w, v)]
+        trace = Trace(w, (record,), "counterexample")
+        assert replay_trace(spec, trace)
+        assert strip_sentinels(trace.steps[-1][0].tape) == v
+        assert trace.reductions() == [(w, v)]
     member = reference_member(spec, w)
     decision = decide_basic_membership(spec, w)
     assert decision.is_member == member
@@ -229,6 +235,18 @@ def test_search_agrees_with_reference_decider(case):
         for i, start in enumerate([w] + [v for _, v in red]):
             suffix = Trace(start, witness.records[i:], "accept")
             assert replay_trace(spec, suffix) and suffix.reductions() == red[i:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(automaton_and_word(deterministic=False))
+def test_phase_search_spends_one_config_per_distinct_configuration(case):
+    # The branch search expands each distinct configuration of the phase
+    # once, as the reference walk does, and charges nothing else.
+    spec, w = case
+    n = reference_phase(spec, w)[2]
+    cycle_rewrites(spec, w, Limits(n))
+    with pytest.raises(ResourcesExceeded, match="^configs limit exceeded$"):
+        cycle_rewrites(spec, w, Limits(n - 1))
 
 
 @settings(max_examples=150, deadline=None)
