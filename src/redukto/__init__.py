@@ -26,14 +26,12 @@ from .model import (
     PreconditionError,
     ReduktoError,
     SymbolError,
-    ValidationReport,
     Word,
     apply_morphism,
     classify_automaton,
     classify_rewrite,
     contextual_deletions,
     project,
-    validate_automaton,
     word_weight,
 )
 from .engine import (

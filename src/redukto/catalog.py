@@ -1,8 +1,9 @@
 """Built-in automata, grammars and closed-form language oracles.
 
 Every automaton entry carries a total oracle predicate over its input
-alphabet; its spec's declared flags are verified against the table when the
-entry is constructed.
+alphabet.  Its spec is legal once built (see ``AutomatonSpec``), and its
+declared flags are checked to be the ones ``classify_automaton`` infers
+from the table when the entry is constructed.  Entries are immutable.
 
 Entries:
   m_e          two-state doubling recognizer of { a^(2^n) | n >= 0 }; it
@@ -43,7 +44,6 @@ from .model import (
     reject,
     restart,
     sl,
-    validate_automaton,
 )
 
 
@@ -51,7 +51,7 @@ class CatalogError(ReduktoError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     kind: str                       # "automaton" | "grammar"
@@ -322,11 +322,6 @@ def _oracle_dyck_nonempty(word: Word) -> bool:
 
 def _verify(entry: CatalogEntry) -> CatalogEntry:
     spec = entry.spec
-    report = validate_automaton(spec)
-    if not report.ok:
-        raise CatalogError(
-            "catalog entry %s fails validation: %s" % (entry.name, report.violations)
-        )
     flags = classify_automaton(spec)
     if flags != spec.flags:
         raise CatalogError(

@@ -58,9 +58,7 @@ from .model import (
     PreconditionError,
     Table,
     Word,
-    is_window_content,
     render_word,
-    rewrite_target_issues,
     word_weight,
 )
 from .languages import require_bound, require_decided, words_over
@@ -401,8 +399,8 @@ def _discipline_kept(spec: AutomatonSpec, cap: int) -> bool:
     their target state, SL to its target state with one more rewrite, and
     Restart back to (initial, 0).  An SL is flagged once the count reaches
     ``cap``, so no count in the graph exceeds it.  The graph ignores window
-    contents and side conditions, which can only prune it, so it holds
-    every pair of every branch that ``walk_branches`` walks."""
+    contents, which can only prune it, so it holds every pair of every
+    branch that ``walk_branches`` walks."""
     offered: dict[str, set] = {}
     for (state, _), instrs in spec.table.items():
         offered.setdefault(state, set()).update(instrs)
@@ -533,9 +531,9 @@ def check_shrinking(
             return CheckReport("shrinking", max_len, VIOLATED, Counterexample((tok,), None, fault % tok))
     if _rewrites_lower_weight(spec, weights):
         return CheckReport("shrinking", max_len, HOLDS, unbounded=True)
-    # Observe cycles without the engine's own progress check, which would
+    # Observe cycles without the engine's own weight check, which would
     # raise on the very cycles this check reports.
-    relaxed = replace(spec, flags=replace(spec.flags, shrinking=True), weights=None)
+    relaxed = replace(spec, weights=None)
 
     def search() -> Optional[Counterexample]:
         for word in words_over(spec.work_alphabet, max_len):
@@ -557,23 +555,15 @@ def check_shrinking(
 
 
 def _rewrites_lower_weight(spec: AutomatonSpec, weights: dict[str, int]) -> bool:
-    """Whether every SL instruction sits at a legal window, has a legal
-    target (see ``rewrite_target_issues``) and weighs strictly less than
-    it, sentinels weighing 0.  ``weights`` must be total on the working
+    """Whether every SL instruction's target weighs strictly less than its
+    window, sentinels weighing 0.  ``weights`` must be total on the working
     alphabet.
 
-    Then every tape a cycle passes is a left sentinel, working symbols and
-    a right sentinel, and every rewrite lowers its weight.  Any other
-    rewrite leaves the question to the sweep."""
+    Every rewrite of a spec keeps the sentinels in place, so every tape a
+    cycle passes is a left sentinel, working symbols and a right sentinel,
+    and every rewrite lowers its weight.  Any other table leaves the
+    question to the sweep."""
     def weight(word: Word) -> int:
         return sum(weights[tok] for tok in word if tok not in (LEFT_SENTINEL, RIGHT_SENTINEL))
 
-    alphabet = spec.work_alphabet
-    return all(
-        is_window_content(window, spec.window, alphabet)
-        and not rewrite_target_issues(window, ins.target, alphabet, shrinking=True)[0]
-        and weight(ins.target) < weight(window)
-        for (_, window), instrs in spec.table.items()
-        for ins in instrs
-        if ins.kind == SL
-    )
+    return all(weight(target) < weight(window) for window, target in spec.sl_pairs())

@@ -68,7 +68,6 @@ from .model import (
     classify_automaton,
     classify_rewrite,
     render_word,
-    validate_automaton,
 )
 
 EXIT_OK = 0
@@ -86,27 +85,19 @@ _KINDS = {"automaton": "an automaton", "grammar": "a grammar"}
 
 
 def _load(ref: str, kind: str = "automaton"):
-    """The automaton (validated) or grammar that a file path, or else a
-    catalog entry name, gives."""
+    """The automaton or grammar that a file path, or else a catalog entry
+    name, gives."""
     path = Path(ref)
     if path.exists():
         text = path.read_text(encoding="utf-8")
-        loaded = parse_automaton(text) if kind == "automaton" else parse_grammar(text)
-    else:
-        try:
-            entry = catalog_get(ref)
-        except CatalogError:
-            raise UsageFailure("no file or catalog entry named %r" % ref) from None
-        if entry.kind != kind:
-            raise UsageFailure("%r names %s, not %s" % (ref, _KINDS[entry.kind], _KINDS[kind]))
-        loaded = entry.spec if kind == "automaton" else entry.grammar
-    if kind == "automaton":
-        report = validate_automaton(loaded)
-        if not report.ok:
-            raise UsageFailure(
-                "invalid automaton %s: %s" % (loaded.name, "; ".join(report.violations[:3]))
-            )
-    return loaded
+        return parse_automaton(text) if kind == "automaton" else parse_grammar(text)
+    try:
+        entry = catalog_get(ref)
+    except CatalogError:
+        raise UsageFailure("no file or catalog entry named %r" % ref) from None
+    if entry.kind != kind:
+        raise UsageFailure("%r names %s, not %s" % (ref, _KINDS[entry.kind], _KINDS[kind]))
+    return entry.spec if kind == "automaton" else entry.grammar
 
 
 def tokenize_word(text: str, alphabet) -> tuple[str, ...]:

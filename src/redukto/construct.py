@@ -475,7 +475,7 @@ def to_shrinking(spec: AutomatonSpec) -> tuple[AutomatonSpec, dict[str, int]]:
 
     for (q, window), instrs in spec.table.items():
         hatted = _hat_word(window, sigma)
-        key_state = "q0" if q == spec.initial and window and window[0] == C else sim[q]
+        key_state = "q0" if q == spec.initial and window[0] == C else sim[q]
         renamed = []
         for ins in instrs:
             if ins.kind == SL:

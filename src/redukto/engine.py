@@ -54,20 +54,22 @@ tape that the record before it restarted on, the first on the trace's
 word, so a run on n letters keeps its word once plus its steps.  Only
 ``Trace.steps`` builds configurations, in one pass along the trace.
 
-Deterministic step.  A spec flagged deterministic holds at most one
-instruction per table entry, and only one that ``successors`` offers there;
-the spec refuses any other table when it is built.  So ``_cycle`` takes the
-entry in ``spec.table`` as its step, and a missing or empty entry as stuck.
-It applies moves and rewrites inline to one list tape, rewritten in place
+Steps.  A spec is legal once it is built: its table holds no MVR at the
+right sentinel alone and no MVL at a window that starts with the left
+sentinel, and every rewrite keeps the sentinels at the ends of the tape
+and, unless the spec is shrinking, shortens it.  So every instruction of
+the entry at a configuration is a step.  A spec flagged deterministic
+holds at most one instruction per entry, so ``_cycle`` takes the entry in
+``spec.table`` as its step, and a missing or empty entry as stuck.  It
+applies moves and rewrites inline to one list tape, rewritten in place
 across a run, asks ``discipline_break`` only at steps other than MVR, and
 keeps the leftmost rewrite position in ``CycleRecord.rewritten_from``,
 where the next cycle resumes.  The branch search (``_explore_phase``)
 reads table entries the same way, every instruction of an entry in table
-order, and applies ``successors``' side conditions and the cycle
-discipline inline, on flat keys over interned tapes.  ``successors``
-remains the reference definition of the step relation: ``walk_branches``
-and ``replay_trace`` call it, and the tests check the inline steps
-against it.
+order, and applies the cycle discipline inline, on flat keys over
+interned tapes.  ``successors`` remains the reference definition of the
+step relation: ``walk_branches`` and ``replay_trace`` call it, and the
+tests check the inline steps against it.
 
 Membership.  One depth-first loop over restarting words, with a memo,
 decides every word for every automaton (``_search``): it answers
@@ -78,14 +80,15 @@ word up and mark it open, once to settle it, with one exception: a
 deterministic search that starts on an empty memo follows one chain of
 words, and while each of its cycles shortens the tape, no word on it can
 recur or be in the memo, so each is written once, when it settles.  The
-first cycle that keeps the tape's length marks the open words, and the
-two touches per word resume.  It gets a word's phase, and each cycle's
-restart word, from one of two phase functions, which return the same
-shape: on a deterministic automaton, ``_deterministic_phase`` runs the
-one cycle or tail on the list tape that the cycle before it left and
-restarted on, resumed after that cycle, or for a start word after the
-previous candidate's first cycle; on any other, ``_explore_phase``
-searches every branch of the phase.  Both return the phase's rejected
+first cycle that keeps the tape's length, which only a shrinking
+automaton makes, marks the open words, and the two touches per word
+resume.  It gets a word's phase, and each cycle's restart word, from one
+of two phase functions, which return the same shape: on a deterministic
+automaton, ``_deterministic_phase`` runs the one cycle or tail on the
+list tape that the cycle before it left and restarted on, resumed after
+that cycle, or for a start word after the previous candidate's first
+cycle; on any other, ``_explore_phase`` searches every branch of the
+phase.  Both return the phase's rejected
 prefix (see ``_rejected_prefix``), kept for the start word only, by which
 ``decide_members`` skips candidates.  ``cycle_rewrites`` takes its one
 phase from the same two functions and returns that phase's
@@ -293,10 +296,10 @@ def successors(spec: AutomatonSpec, config: Configuration):
 
     Accept and Reject yield a successor of None (terminal markers).  An
     absent table key yields the empty list; implicit rejection is not
-    assumed.  Side conditions: MVR is not offered when the window shows the
-    right sentinel alone, MVL is not offered when the window touches the
-    left sentinel.  A rewrite splices the target over the window content and
-    moves the window left by the length difference, floored at zero.
+    assumed.  Every instruction of the entry is offered: the spec holds no
+    MVR at the right sentinel alone and no MVL at the left sentinel.  A
+    rewrite splices the target over the window content and moves the
+    window left by the length difference, floored at zero.
     """
     tape, state, pos, rewrites = config
     window = tape[pos : pos + spec.window]
@@ -304,12 +307,8 @@ def successors(spec: AutomatonSpec, config: Configuration):
     for ins in spec.table.get((state, window), ()):
         kind = ins.kind
         if kind == MVR:
-            if window == (RIGHT_SENTINEL,):
-                continue
             out.append((ins, Configuration(tape, ins.state, pos + 1, rewrites)))
         elif kind == MVL:
-            if pos == 0:
-                continue
             out.append((ins, Configuration(tape, ins.state, pos - 1, rewrites)))
         elif kind == SL:
             new_tape = tape[:pos] + ins.target + tape[pos + len(window):]
@@ -503,9 +502,6 @@ def _rejected_prefix(reach: int, window: int, size: int) -> Optional[int]:
     return end - 1 if end < size else None
 
 
-_RIGHT_ALONE = (RIGHT_SENTINEL,)
-
-
 def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
     """Depth-first exploration of one phase (from a restarting configuration
     up to the next restart or halt) over all nondeterministic branches.
@@ -514,16 +510,15 @@ def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
     interned once per rewrite that makes them and ``tapes[tape id]`` is the
     tape, so no lookup hashes a tape; two keys are equal exactly when their
     configurations are.  A node's steps are its entry in ``spec.table``, in
-    table order, taken as ``successors`` takes them: an MVR is skipped when
-    the window shows the right sentinel alone and an MVL at position 0.
-    Steps that break the cycle discipline (see ``discipline_break``) are
-    pruned inline too: a rewrite once the cap is reached, a restart
-    without a rewrite and an accept after one.  Loops within the phase are
-    pruned by the visited set of keys.  Paths are reconstructed through
-    parent pointers, each keeping the (state, instruction) of the step into
-    its key, and each cycle's restart word is sliced from its tape once.
-    Each node expanded spends the budget; raises ResourcesExceeded, at the
-    node that finds it spent, when the budget runs out.
+    table order, as ``successors`` offers them.  Steps that break the cycle
+    discipline (see ``discipline_break``) are pruned inline: a rewrite once
+    the cap is reached, a restart without a rewrite and an accept after
+    one.  Loops within the phase are pruned by the visited set of keys.
+    Paths are reconstructed through parent pointers, each keeping the
+    (state, instruction) of the step into its key, and each cycle's
+    restart word is sliced from its tape once.  Each node expanded spends
+    the budget; raises ResourcesExceeded, at the node that finds it spent,
+    when the budget runs out.
 
     A phase that ends with no accepting tail, no cycle and no tape but its
     start tape depends only on the cells its windows covered, and returns
@@ -551,12 +546,8 @@ def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
             for ins in table.get((state, window), ()):
                 kind = ins.kind
                 if kind == MVR:
-                    if window == _RIGHT_ALONE:
-                        continue
                     child = (tape_id, ins.state, pos + 1, rewrites)
                 elif kind == MVL:
-                    if pos == 0:
-                        continue
                     child = (tape_id, ins.state, pos - 1, rewrites)
                 elif kind == SL:
                     if rewrites >= cap:
@@ -751,10 +742,9 @@ def decide_basic_membership(spec: AutomatonSpec, word: Word, limits: Limits = DE
     restarting word the search reaches, and ``memo`` keeps them for later
     calls; a deterministic search from an empty table writes each word once,
     when it settles, for as long as its cycles shorten the tape.  Every
-    cycle of a valid automaton makes progress, so a restarting word never
-    recurs; one that does (a shrinking automaton whose weights its cycles
-    do not lower, or an invalid spec whose cycles keep the tape's length
-    though it is not flagged shrinking) raises PreconditionError.
+    cycle of an automaton that is not shrinking shortens the tape, so a
+    restarting word recurs only on a shrinking automaton whose weights its
+    cycles do not lower, and then raises PreconditionError.
     ``memoize=False`` re-explores every restarting word, remembering only
     the open words so that it raises on a recurring word too, and serves
     as the brute-force cross-check.
@@ -856,12 +846,13 @@ def cycle_rewrites(spec: AutomatonSpec, word: Word,
     v, in the order of v.
 
     For non-shrinking automata every v is strictly shorter than the
-    argument; shrinking automata may preserve length and the weight
-    function carries the progress argument instead.  The phase comes from
-    ``_deterministic_phase`` on a deterministic automaton, as in the
-    decider, and from ``_explore_phase`` otherwise.  Raises
-    ResourcesExceeded when the budget runs out, and PreconditionError when
-    a cycle makes no such progress.
+    argument, since every rewrite shortens its window; shrinking automata
+    may preserve length and the weight function carries the progress
+    argument instead.  The phase comes from ``_deterministic_phase`` on a
+    deterministic automaton, as in the decider, and from ``_explore_phase``
+    otherwise.  Raises ResourcesExceeded when the budget runs out, and
+    PreconditionError when a cycle of a shrinking automaton with weights
+    does not lower the tape's weight.
     """
     word = _over(spec.work_alphabet, word)
     budget = _Budget(limits.max_configs)
@@ -873,11 +864,8 @@ def cycle_rewrites(spec: AutomatonSpec, word: Word,
     firsts: dict[Word, CycleRecord] = {}
     for v, record in cycles:
         firsts.setdefault(v, record)
-    for v in firsts:
-        if not spec.flags.shrinking:
-            if len(v) >= len(word):
-                raise PreconditionError("cycle did not shorten the tape")
-        elif spec.weights is not None:
+    if spec.flags.shrinking and spec.weights is not None:
+        for v in firsts:
             if word_weight(spec.weights, v) >= word_weight(spec.weights, word):
                 raise PreconditionError("cycle did not decrease the tape weight")
     return firsts

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from .model import (
     ACCEPT,
+    AUXES,
+    DIRECTIONS,
+    FORMS,
     LEFT_SENTINEL,
     MVL,
     MVR,
@@ -201,11 +204,11 @@ def _parse_class(fields: list[str], lineno: int) -> ClassFlags:
     if len(fields) < 5:
         raise ParseError("class takes direction, form, aux, det/nondet, j=N", lineno)
     direction, form, aux, det = fields[0], fields[1], fields[2], fields[3]
-    if direction not in ("R", "RR", "RL"):
+    if direction not in DIRECTIONS:
         raise ParseError("bad direction %r" % direction, lineno)
-    if form not in ("SL", "DL", "CL"):
+    if form not in FORMS:
         raise ParseError("bad rewrite form %r" % form, lineno)
-    if aux not in ("none", "W", "WW"):
+    if aux not in AUXES:
         raise ParseError("bad aux marker %r" % aux, lineno)
     if det not in ("det", "nondet"):
         raise ParseError("expected det or nondet, got %r" % det, lineno)

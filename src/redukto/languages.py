@@ -324,14 +324,13 @@ def enumerate_basic_by_reduction(
         for lv in right_lengths:
             for p in range(len(tape) - lv + 1):
                 for u in lefts_of.get(tape[p : p + lv], ()):
+                    # Every rewrite keeps the sentinels in place, so only an
+                    # empty target spliced in at a tape end can move one.
                     candidate = tape[:p] + u + tape[p + lv :]
                     if candidate[0] != LEFT_SENTINEL or candidate[-1] != RIGHT_SENTINEL:
                         continue
-                    inner = candidate[1:-1]
-                    if LEFT_SENTINEL in inner or RIGHT_SENTINEL in inner:
-                        continue
-                    if len(inner) <= max_len:
-                        out.add(inner)
+                    if len(candidate) - 2 <= max_len:
+                        out.add(candidate[1:-1])
         return out
 
     frontier = set(members)

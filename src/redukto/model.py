@@ -1,6 +1,7 @@
 """Core model: alphabets, morphisms, instructions, transition tables, automaton
-specifications and GNF grammars, with syntactic validation and rewrite
-classification.
+specifications and GNF grammars, with rewrite classification.  An
+automaton specification, and its class flags, is legal once it is built:
+one that breaks a rule raises PreconditionError.
 
 Words are tuples of symbol tokens.  A token is a non-empty string without
 whitespace; tuple symbols such as ``(3,a)`` and hatted symbols such as ``a^``
@@ -86,10 +87,17 @@ def reject() -> Instruction:
     return Instruction(REJECT)
 
 
+# The domains of the class flags.
+DIRECTIONS = ("R", "RR", "RL")
+# Declared rewrite forms, strictest first.
+FORMS = ("CL", "DL", "SL")
+AUXES = ("none", "W", "WW")
+
+
 @dataclass(frozen=True)
 class ClassFlags:
-    """Subtype of an automaton: declared on a spec and verified by
-    validate_automaton, or inferred from a table by classify_automaton.
+    """Subtype of an automaton: declared on a spec and verified when the
+    spec is built, or inferred from a table by classify_automaton.
 
     direction: "R" restarts immediately after a rewrite, "RR" never moves
     left, "RL" is the unrestricted two-way form.
@@ -100,6 +108,9 @@ class ClassFlags:
     mr_degree: cap on rewrite steps per cycle (1 for the plain model).
     shrinking: rewrites need not shorten the tape; a weight function must
     decrease per cycle instead.
+
+    A value outside its domain, or an mr degree below 1, raises
+    PreconditionError when the flags are built.
     """
 
     direction: str = "RL"
@@ -108,6 +119,16 @@ class ClassFlags:
     deterministic: bool = False
     mr_degree: int = 1
     shrinking: bool = False
+
+    def __post_init__(self):
+        if self.direction not in DIRECTIONS:
+            raise PreconditionError("bad direction %r" % self.direction)
+        if self.form not in FORMS:
+            raise PreconditionError("bad rewrite form %r" % self.form)
+        if self.aux not in AUXES:
+            raise PreconditionError("bad aux marker %r" % self.aux)
+        if self.mr_degree < 1:
+            raise PreconditionError("mr-degree must be positive")
 
     def label(self) -> str:
         if self.aux == "WW":
@@ -155,9 +176,13 @@ class AutomatonSpec:
     positive integer to every working symbol.  Both are optional.  The
     table, morphism and weights are held as ``ReadOnlyDict`` copies.
 
-    Under the deterministic flag each table entry is the step a run takes,
-    and a table that offers a choice or an instruction that the step
-    relation refuses raises PreconditionError (see ``_misfits``).
+    A spec is legal once it is built: every window is a window content,
+    every rewrite keeps the sentinels in place and shortens its window
+    (unless the spec is shrinking), every instruction is a step that some
+    run can take, and under the deterministic flag each entry holds at most
+    one.  A spec that breaks one of the rules (see ``_violation``), built
+    directly or by ``dataclasses.replace``, raises PreconditionError naming
+    the first rule it breaks.
     """
 
     name: str
@@ -173,19 +198,18 @@ class AutomatonSpec:
 
     def __post_init__(self):
         norm = {}
-        for key, instrs in self.table.items():
-            state, window = key
-            ordered = tuple(sorted(set(instrs), key=Instruction.sort_key))
-            norm[(state, tuple(window))] = ordered
-        if self.flags.deterministic:
-            for key in sorted(norm):
-                for message in _misfits(*key, norm[key], True):
-                    raise PreconditionError(message)
+        for (state, window), instrs in self.table.items():
+            if len(instrs) > 1:
+                instrs = sorted(set(instrs), key=Instruction.sort_key)
+            norm[(state, tuple(window))] = tuple(instrs)
         object.__setattr__(self, "table", ReadOnlyDict(norm))
         for name in ("morphism", "weights"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, ReadOnlyDict(value))
+        message = _violation(self)
+        if message is not None:
+            raise PreconditionError(message)
 
     def sl_pairs(self) -> list[tuple[Word, Word]]:
         """All (window, target) pairs of SL instructions in the table."""
@@ -195,25 +219,6 @@ class AutomatonSpec:
                 if ins.kind == SL:
                     pairs.append((window, ins.target))
         return pairs
-
-
-def _misfits(state: str, window: Word, instrs: tuple[Instruction, ...],
-             deterministic: bool) -> Iterator[str]:
-    """Why the table entry at (``state``, ``window``) is not the step a run
-    takes: a choice under the deterministic flag, or an instruction that
-    the step relation never offers, an MVR at the right sentinel alone or an
-    MVL at a window that starts with the left sentinel."""
-    if deterministic and len(instrs) > 1:
-        yield "deterministic flag but %d instructions at %s" % (len(instrs), _where(state, window))
-    for ins in instrs:
-        if ins.kind == MVR and window == (RIGHT_SENTINEL,):
-            yield "MVR on right-sentinel-only window at %s" % _where(state, window)
-        if ins.kind == MVL and window[:1] == (LEFT_SENTINEL,):
-            yield "MVL with window at the left sentinel at %s" % _where(state, window)
-
-
-def _where(state: str, window: Word) -> str:
-    return "(%s, %s)" % (state, render_word(window))
 
 
 def all_window_contents(k: int, alphabet) -> Iterator[Word]:
@@ -242,64 +247,10 @@ def is_window_content(word: Word, k: int, work_alphabet: frozenset[str]) -> bool
     n = len(word)
     if n == 0 or n > k:
         return False
-    for i, tok in enumerate(word):
-        if tok == LEFT_SENTINEL:
-            if i != 0:
-                return False
-        elif tok == RIGHT_SENTINEL:
-            if i != n - 1:
-                return False
-        elif tok not in work_alphabet:
-            return False
-    if word[0] == LEFT_SENTINEL or word[-1] == RIGHT_SENTINEL:
-        return True
-    return n == k
-
-
-def rewrite_target_issues(
-    u: Word,
-    v: Word,
-    work_alphabet: frozenset[str],
-    shrinking: bool = False,
-) -> tuple[list[str], list[str]]:
-    """(violations, deviations) for an SL instruction replacing u by v.
-
-    The target must place sentinels like a window content, carry exactly the
-    sentinels of u, and be strictly shorter than u (unless the automaton is
-    shrinking, in which case any length is admitted and the weight function
-    carries the progress argument).  An empty target is admitted only when u
-    shows no sentinel; it is reported as a deviation, not a violation.
-    """
-    violations: list[str] = []
-    deviations: list[str] = []
-    for i, tok in enumerate(v):
-        if tok == LEFT_SENTINEL:
-            if i != 0:
-                violations.append("left sentinel not first in target %s" % render_word(v))
-        elif tok == RIGHT_SENTINEL:
-            if i != len(v) - 1:
-                violations.append("right sentinel not last in target %s" % render_word(v))
-        elif tok not in work_alphabet:
-            violations.append("target symbol %r outside working alphabet" % tok)
-    u_left, u_right = LEFT_SENTINEL in u, RIGHT_SENTINEL in u
-    v_left, v_right = LEFT_SENTINEL in v, RIGHT_SENTINEL in v
-    if (u_left, u_right) != (v_left, v_right):
-        violations.append(
-            "sentinel mismatch between %s and target %s" % (render_word(u), render_word(v))
-        )
-    if not shrinking and len(v) >= len(u):
-        violations.append(
-            "SL target not shorter: %s -> %s" % (render_word(u), render_word(v))
-        )
-    if len(v) == 0:
-        if u_left or u_right:
-            violations.append("empty target for sentinel-bearing window %s" % render_word(u))
-        else:
-            deviations.append(
-                "empty rewrite target for window %s (window is deleted entirely)"
-                % render_word(u)
-            )
-    return violations, deviations
+    left, right = word[0] == LEFT_SENTINEL, word[-1] == RIGHT_SENTINEL
+    body = word[left:n - right]
+    return (work_alphabet.issuperset(body) and LEFT_SENTINEL not in body
+            and RIGHT_SENTINEL not in body and (left or right or n == k))
 
 
 # Rewrite classification results.
@@ -308,9 +259,8 @@ DL_NOT_CL = "DL-not-CL"
 SL_NOT_DL = "SL-not-DL"
 ILLEGAL = "illegal"
 
-# Declared rewrite forms, strictest first, and the rank of each rewrite
-# classification among them; an illegal rewrite ranks as SL.
-FORMS = ("CL", "DL", "SL")
+# The rank of each rewrite classification among the declared forms; an
+# illegal rewrite ranks as SL.
 _FORM_RANK = {CL_FORM: 0, DL_NOT_CL: 1, SL_NOT_DL: 2, ILLEGAL: 2}
 
 
@@ -366,136 +316,173 @@ def classify_rewrite(u: Word, v: Word) -> str:
     return DL_NOT_CL if j == len(v) else SL_NOT_DL
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...] = ()
-    deviations: tuple[str, ...] = ()
+def _violation(spec: AutomatonSpec) -> Optional[str]:
+    """The first rule of a legal spec that ``spec`` breaks, or None.  The
+    rules are listed in order: the spec's own, then its table entries' in
+    key order (see ``_entry_fault``), then the restarts of direction R, the
+    morphism and the weights.
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_automaton(spec: AutomatonSpec) -> ValidationReport:
-    """Check the structural legality of a specification.
-
-    The report lists every violation found; an empty violation list means the
-    spec is legal.  Deviations record accepted-but-flagged constructs (empty
-    rewrite targets).
-    """
-    bad: list[str] = []
-    deviations: list[str] = []
-
+    Each distinct window is checked once, and only the least entry that
+    breaks a rule is looked at again to word the message."""
     if spec.window < 1:
-        bad.append("window size must be at least 1")
+        return "window size must be at least 1"
     if spec.initial not in spec.states:
-        bad.append("initial state %r not among states" % spec.initial)
+        return "initial state %r not among states" % spec.initial
     if not spec.input_alphabet <= spec.work_alphabet:
         extra = sorted(spec.input_alphabet - spec.work_alphabet)
-        bad.append("input symbols outside working alphabet: %s" % " ".join(extra))
+        return "input symbols outside working alphabet: %s" % " ".join(extra)
     for tok in sorted(spec.work_alphabet):
         if tok in (LEFT_SENTINEL, RIGHT_SENTINEL):
-            bad.append("sentinel %r used as working symbol" % tok)
+            return "sentinel %r used as working symbol" % tok
         if not tok or any(c.isspace() for c in tok):
-            bad.append("malformed symbol token %r" % tok)
+            return "malformed symbol token %r" % tok
 
-    flags = spec.flags
+    flags, table = spec.flags, spec.table
     if flags.aux in ("none", "W") and spec.work_alphabet != spec.input_alphabet:
-        bad.append("aux=%s requires the working alphabet to equal the input alphabet" % flags.aux)
-    if flags.mr_degree < 1:
-        bad.append("mr-degree must be positive")
+        return "aux=%s requires the working alphabet to equal the input alphabet" % flags.aux
 
-    sl_next_states = set()
-    for (state, window), instrs in sorted(spec.table.items()):
-        where = _where(state, window)
-        if state not in spec.states:
-            bad.append("table state %r unknown at %s" % (state, where))
-        if not is_window_content(window, spec.window, spec.work_alphabet):
-            bad.append("malformed window content at %s" % where)
-        bad.extend(_misfits(state, window, instrs, flags.deterministic))
-        for ins in instrs:
-            if ins.kind in (MVR, MVL, SL):
-                if ins.state not in spec.states:
-                    bad.append("unknown successor state %r at %s" % (ins.state, where))
-            if ins.kind == MVL and flags.direction in ("R", "RR"):
-                bad.append("MVL instruction under direction %s at %s" % (flags.direction, where))
-            if ins.kind == SL:
-                sl_next_states.add(ins.state)
-                tv, td = rewrite_target_issues(
-                    window, ins.target, spec.work_alphabet, flags.shrinking
-                )
-                bad.extend(tv)
-                deviations.extend(td)
-                form = classify_rewrite(window, ins.target)
-                if flags.form == "DL" and form in (SL_NOT_DL, ILLEGAL) and not flags.shrinking:
-                    bad.append("non-deletion rewrite under DL form at %s" % where)
-                if flags.form == "CL" and form != CL_FORM and not flags.shrinking:
-                    bad.append(
-                        "rewrite at %s classifies as %s under CL form" % (where, form)
-                    )
+    bad_windows = {window for window in {window for _, window in table}
+                   if not is_window_content(window, spec.window, spec.work_alphabet)}
+    faulty = [key for key, instrs in table.items()
+              if _entry_fault(spec, *key, instrs, bad_windows) is not None]
+    if faulty:
+        key = min(faulty)
+        return _entry_fault(spec, *key, table[key], bad_windows)
 
     if flags.direction == "R":
-        for (state, window), instrs in sorted(spec.table.items()):
-            if state in sl_next_states:
-                for ins in instrs:
-                    if ins.kind != RESTART:
-                        bad.append(
-                            "direction R but post-rewrite state %r admits %s"
-                            % (state, ins.kind)
-                        )
+        steps = list(_steps_after_rewrite(table))
+        if steps:
+            (state, _), kind = min(steps, key=lambda step: step[0])
+            return "direction R but post-rewrite state %r admits %s" % (state, kind)
 
     if spec.morphism is not None:
         h = spec.morphism
         for tok in sorted(spec.work_alphabet):
             if tok not in h:
-                bad.append("morphism not total: no image for %r" % tok)
+                return "morphism not total: no image for %r" % tok
         for tok, image in sorted(h.items()):
             if tok not in spec.work_alphabet:
-                bad.append("morphism defined on unknown symbol %r" % tok)
+                return "morphism defined on unknown symbol %r" % tok
             if image not in spec.input_alphabet:
-                bad.append("morphism image %r of %r is not an input symbol" % (image, tok))
+                return "morphism image %r of %r is not an input symbol" % (image, tok)
             if tok in spec.input_alphabet and image != tok:
-                bad.append("morphism not the identity on input symbol %r" % tok)
+                return "morphism not the identity on input symbol %r" % tok
 
     if spec.weights is not None:
         for tok in sorted(spec.work_alphabet):
             if tok not in spec.weights:
-                bad.append("weight function not total: no weight for %r" % tok)
+                return "weight function not total: no weight for %r" % tok
         for tok, w in sorted(spec.weights.items()):
             if not isinstance(w, int) or w < 1:
-                bad.append("weight of %r must be a positive integer" % tok)
+                return "weight of %r must be a positive integer" % tok
+    return None
 
-    return ValidationReport(tuple(bad), tuple(deviations))
+
+def _entry_fault(spec: AutomatonSpec, state: str, window: Word,
+                 instrs: tuple[Instruction, ...], bad_windows: set[Word]) -> Optional[str]:
+    """The first rule that the table entry at (``state``, ``window``)
+    breaks, or None; ``bad_windows`` holds the table's windows that are not
+    window contents.
+
+    Besides naming known states and a window content, an entry holds only
+    steps that a run can take: one at most under the deterministic flag, no
+    MVR at the right sentinel alone, no MVL at a window that starts with the
+    left sentinel and none under direction R or RR, and rewrites whose
+    targets keep the window's sentinels in place and, when the form is
+    declared DL or CL on a spec that is not shrinking, have that form."""
+    if state not in spec.states:
+        return "table state %r unknown at %s" % (state, _where(state, window))
+    if window in bad_windows:
+        return "malformed window content at %s" % _where(state, window)
+    flags = spec.flags
+    if flags.deterministic and len(instrs) > 1:
+        return "deterministic flag but %d instructions at %s" % (len(instrs), _where(state, window))
+    for ins in instrs:
+        if ins.kind == MVR and window == (RIGHT_SENTINEL,):
+            return "MVR on right-sentinel-only window at %s" % _where(state, window)
+        if ins.kind == MVL and window[0] == LEFT_SENTINEL:
+            return "MVL with window at the left sentinel at %s" % _where(state, window)
+    for ins in instrs:
+        kind = ins.kind
+        if kind in (MVR, MVL, SL) and ins.state not in spec.states:
+            return "unknown successor state %r at %s" % (ins.state, _where(state, window))
+        if kind == MVL and flags.direction != "RL":
+            return "MVL instruction under direction %s at %s" % (flags.direction, _where(state, window))
+        if kind == SL:
+            fault = _target_fault(window, ins.target, spec.work_alphabet, flags.shrinking)
+            if fault is not None:
+                return fault
+            if flags.form != "SL" and not flags.shrinking:
+                form = classify_rewrite(window, ins.target)
+                if flags.form == "DL" and form == SL_NOT_DL:
+                    return "non-deletion rewrite under DL form at %s" % _where(state, window)
+                if flags.form == "CL" and form != CL_FORM:
+                    return "rewrite at %s classifies as %s under CL form" % (_where(state, window), form)
+    return None
+
+
+def _target_fault(u: Word, v: Word, work_alphabet: frozenset[str],
+                  shrinking: bool) -> Optional[str]:
+    """The first rule that an SL instruction replacing u by v breaks, or
+    None.
+
+    The target must place sentinels like a window content, carry exactly the
+    sentinels of u, and be strictly shorter than u (unless the automaton is
+    shrinking, in which case any length is admitted and the weight function
+    carries the progress argument).  An empty target is admitted only when u
+    shows no sentinel; that rule is named before the sentinel mismatch it
+    implies."""
+    for i, tok in enumerate(v):
+        if tok == LEFT_SENTINEL:
+            if i != 0:
+                return "left sentinel not first in target %s" % render_word(v)
+        elif tok == RIGHT_SENTINEL:
+            if i != len(v) - 1:
+                return "right sentinel not last in target %s" % render_word(v)
+        elif tok not in work_alphabet:
+            return "target symbol %r outside working alphabet" % tok
+    u_left, u_right = LEFT_SENTINEL in u, RIGHT_SENTINEL in u
+    if not v and (u_left or u_right):
+        return "empty target for sentinel-bearing window %s" % render_word(u)
+    if (u_left, u_right) != (LEFT_SENTINEL in v, RIGHT_SENTINEL in v):
+        return "sentinel mismatch between %s and target %s" % (render_word(u), render_word(v))
+    if not shrinking and len(v) >= len(u):
+        return "SL target not shorter: %s -> %s" % (render_word(u), render_word(v))
+    return None
+
+
+def _where(state: str, window: Word) -> str:
+    return "(%s, %s)" % (state, render_word(window))
+
+
+def _steps_after_rewrite(table: Table) -> Iterator[tuple[TableKey, str]]:
+    """(key, kind) for each instruction other than Restart at a state that
+    a rewrite enters, in table order."""
+    entered = {ins.state for instrs in table.values() for ins in instrs if ins.kind == SL}
+    for key, instrs in table.items():
+        if key[0] in entered:
+            for ins in instrs:
+                if ins.kind != RESTART:
+                    yield key, ins.kind
 
 
 def classify_automaton(spec: AutomatonSpec) -> ClassFlags:
     """Infer the strongest flags the table supports.
 
-    Determinism by whether the table could be built under the flag;
+    Determinism by whether every table entry holds at most one instruction;
     direction by MVL usage and by whether every post-rewrite state admits
     only restarts; rewrite form from the weakest classification over all SL
     instructions; aux from whether the working alphabet exceeds the input
     alphabet.  The mr degree and the shrinking flag are taken from the
     declared flags (they constrain runs, not the table shape).
     """
-    deterministic = not any(any(_misfits(*key, instrs, True)) for key, instrs in spec.table.items())
+    deterministic = all(len(instrs) <= 1 for instrs in spec.table.values())
     uses_mvl = any(
         ins.kind == MVL for instrs in spec.table.values() for ins in instrs
     )
-    sl_states = {
-        ins.state
-        for instrs in spec.table.values()
-        for ins in instrs
-        if ins.kind == SL
-    }
-    restart_only_after_sl = all(
-        all(ins.kind == RESTART for ins in instrs)
-        for (state, _), instrs in spec.table.items()
-        if state in sl_states
-    )
     if uses_mvl:
         direction = "RL"
-    elif restart_only_after_sl:
+    elif not any(_steps_after_rewrite(spec.table)):
         direction = "R"
     else:
         direction = "RR"

@@ -441,7 +441,7 @@ def test_automaton_arguments_that_name_no_valid_automaton_exit_3(tmp_path, capsy
     for ref, message in (
         ("nope", "no file or catalog entry named 'nope'"),
         ("anbn_gnf", "'anbn_gnf' names a grammar, not an automaton"),
-        (str(invalid), "invalid automaton x: initial state 'q1' not among states"),
+        (str(invalid), "initial state 'q1' not among states"),
     ):
         assert cli(capsys, "decide", ref, "a") == (3, "", "error: %s\n" % message)
 

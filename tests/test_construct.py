@@ -40,7 +40,6 @@ from redukto.model import (
     apply_morphism,
     classify_automaton,
     classify_rewrite,
-    validate_automaton,
 )
 
 R1, R2, R3 = "(1,a)", "(2,a)", "(3,b)"
@@ -249,7 +248,6 @@ def test_single_word_grammar_needs_no_rules():
 def test_built_automaton_contract(anbn_built, dyck_built):
     for entry, spec, report in (anbn_built, dyck_built):
         assert report.window_used <= 6
-        assert validate_automaton(spec).ok
         tags = classify_automaton(spec)
         assert tags.deterministic
         assert tags.form == "CL"
@@ -359,7 +357,6 @@ def test_shrunk_identity_source_stays_deterministic():
                      table=dict(dyck.table))
     shrunk, weights = to_shrinking(with_h)
     assert shrunk.flags.deterministic
-    assert validate_automaton(shrunk).ok
     expected = enumerate_language(dyck, LanguageQuery("input", 6))
     got = [w for w in words_over(sorted(dyck.input_alphabet), 6)
            if decide_basic_membership(shrunk, w).is_member]

@@ -40,7 +40,6 @@ from redukto.model import (
     mvr,
     restart,
     sl,
-    validate_automaton,
 )
 
 
@@ -169,9 +168,11 @@ def test_invalid_cycle_on_accept_after_rewrite(m_e):
     from dataclasses import replace
     from redukto.model import accept
 
+    # Legal under direction RR, where the state a rewrite enters may do
+    # more than restart.
     table = dict(m_e.spec.table)
     table[("q1", ("a", "b", D))] = [accept()]
-    bad = replace(m_e.spec, table=table)
+    bad = replace(m_e.spec, table=table, flags=replace(m_e.spec.flags, direction="RR"))
     trace = run_deterministic(bad, word("aaaa"))
     assert trace.outcome == "invalid-cycle"
     assert "tail" in trace.flag
@@ -492,10 +493,10 @@ def test_recurring_restarting_word_is_invalid(swapper):
 
 
 def test_recurring_word_of_an_invalid_deterministic_spec_is_invalid():
-    # Deterministic and not shrinking, but ab and ba rewrite into each
-    # other, keeping the tape's length: validation flags the rewrites, yet
-    # the spec builds.  The decider must raise on the recurring word, not
-    # trust the flag that every cycle shortens the tape and run on until a
+    # Deterministic and shrinking, with no weights, and ab and ba rewrite
+    # into each other, keeping the tape's length.  The decider must raise
+    # on the recurring word, not trust that a deterministic search from an
+    # empty memo follows a chain of ever shorter words and run on until a
     # limit trips, whatever memo it is given.  aab first shortens to ab.
     table = {
         ("q0", (C, "a")): (mvr("q0"),),
@@ -507,10 +508,9 @@ def test_recurring_word_of_an_invalid_deterministic_spec_is_invalid():
         ("qr", ("a", "b")): (restart(),),
         ("qr", ("b", "a")): (restart(),),
     }
-    flags = ClassFlags(direction="R", aux="none", deterministic=True)
+    flags = ClassFlags(direction="R", aux="none", deterministic=True, shrinking=True)
     spec = AutomatonSpec("flipper", frozenset({"q0", "qr"}), "q0", 2, frozenset("ab"),
                          frozenset("ab"), table, flags)
-    assert not spec.flags.shrinking and not validate_automaton(spec).ok
     shared: dict = {}
     assert decide_basic_membership(spec, word("b"), memo=shared).verdict == "non-member"
     settled = dict(shared)

@@ -26,7 +26,6 @@ from redukto.model import (
     reject,
     restart,
     sl,
-    validate_automaton,
 )
 
 
@@ -150,7 +149,6 @@ def test_hproper_decides_every_preimage_of_a_shrinking_automaton():
     spec = AutomatonSpec("swap_back", frozenset({"q0", "qr"}), "q0", 2, frozenset("a"),
                          frozenset("ab"), table, ClassFlags(shrinking=True),
                          morphism={"a": "a", "b": "a"}, weights={"a": 1, "b": 1})
-    assert validate_automaton(spec).ok
     decision, _ = decide_hproper_membership(spec, tuple("aa"), Limits(max_configs=3))
     assert (decision.verdict, decision.configs_explored) == ("non-member", 7)
 

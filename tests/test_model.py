@@ -1,7 +1,7 @@
-"""Window contents, rewrite classification, validation, morphisms and tags."""
+"""Window contents, rewrite classification, legal specs, morphisms and tags."""
 
 import itertools
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +15,7 @@ from redukto.model import (
     GnfRule,
     PreconditionError,
     SymbolError,
+    accept,
     apply_morphism,
     classify_automaton,
     classify_rewrite,
@@ -22,8 +23,8 @@ from redukto.model import (
     mvl,
     mvr,
     project,
+    restart,
     sl,
-    validate_automaton,
     word_weight,
 )
 
@@ -151,61 +152,49 @@ def test_validate_accepts_every_catalog_entry():
     for entry in catalog_list():
         if entry.kind != "automaton":
             continue
-        report = validate_automaton(entry.spec)
-        assert report.ok, (entry.name, report.violations)
+        assert replace(entry.spec) == entry.spec, entry.name
 
 
 def test_validate_rejects_equal_length_target():
-    bad = _spec({("q0", ("a", "a", D)): [sl("q1", ("a", "b", D))]})
-    report = validate_automaton(bad)
-    assert any("not shorter" in v for v in report.violations)
+    with pytest.raises(PreconditionError, match="not shorter"):
+        _spec({("q0", ("a", "a", D)): [sl("q1", ("a", "b", D))]})
 
 
 def test_validate_rejects_sentinel_mismatch():
-    bad = _spec({("q0", ("a", "a", D)): [sl("q1", ("b",))]})
-    report = validate_automaton(bad)
-    assert any("sentinel mismatch" in v for v in report.violations)
+    with pytest.raises(PreconditionError, match="sentinel mismatch"):
+        _spec({("q0", ("a", "a", D)): [sl("q1", ("b",))]})
 
 
 def test_validate_flags_contextual_claim(m_e):
-    from dataclasses import replace
-
-    claimed = replace(
-        m_e.spec, flags=replace(m_e.spec.flags, form="CL"), table=dict(m_e.spec.table)
-    )
-    report = validate_automaton(claimed)
-    assert any("CL form" in v for v in report.violations)
+    with pytest.raises(PreconditionError, match="CL form"):
+        replace(m_e.spec, flags=replace(m_e.spec.flags, form="CL"), table=dict(m_e.spec.table))
 
 
 def test_validate_rejects_mvl_under_rr():
-    bad = _spec({("q0", ("a", "a", "a")): [mvl("q0")]},
-                flags=ClassFlags(direction="RR", deterministic=True))
-    report = validate_automaton(bad)
-    assert any("MVL" in v for v in report.violations)
+    with pytest.raises(PreconditionError, match="MVL"):
+        _spec({("q0", ("a", "a", "a")): [mvl("q0")]},
+              flags=ClassFlags(direction="RR", deterministic=True))
 
 
 def test_validate_rejects_nondeterministic_table_under_det_flag():
     # A choice under the deterministic flag is refused when the spec is
-    # built; without the flag the same table is a valid nondeterministic one.
+    # built; without the flag the same table is a legal nondeterministic one.
     table = {("q0", ("a", "a", "a")): [mvr("q0"), mvr("q1")]}
     with pytest.raises(PreconditionError, match=r"^deterministic flag but 2 instructions at \(q0, aaa\)$"):
         _spec(table)
     loose = _spec(table, flags=ClassFlags(deterministic=False, direction="R", form="SL", aux="WW"))
-    assert validate_automaton(loose).ok
     assert not classify_automaton(loose).deterministic
 
 
 def test_validate_requires_total_morphism():
-    bad = _spec({("q0", (C, "a", D)): [mvr("q0")]}, morphism={"a": "a"})
-    report = validate_automaton(bad)
-    assert any("not total" in v for v in report.violations)
+    with pytest.raises(PreconditionError, match="not total"):
+        _spec({("q0", (C, "a", D)): [mvr("q0")]}, morphism={"a": "a"})
 
 
 def test_validate_requires_identity_morphism_on_input():
-    bad = _spec({}, morphism={"a": "a", "b": "a"})
-    assert validate_automaton(bad).ok
-    worse = _spec({}, morphism={"a": "b", "b": "a"})
-    assert not validate_automaton(worse).ok
+    _spec({}, morphism={"a": "a", "b": "a"})
+    with pytest.raises(PreconditionError, match="identity"):
+        replace(_spec({}), input_alphabet=AB, morphism={"a": "b", "b": "a"})
 
 
 R_SL = ClassFlags(deterministic=True, direction="R", form="SL", aux="WW")
@@ -215,8 +204,9 @@ def _rewriting(u, v, flags=R_SL):
     return {"table": {("q0", u): [sl("q1", v)]}, "flags": flags}
 
 
-# One malformed spec per violation message: the changes to the valid
-# ``_spec({})`` and the message they draw.
+# One malformed spec per violation message: the changes to the legal
+# ``_spec({})`` and the message they draw.  Flags that break a rule are
+# refused when they are built, so that entry builds them in the test.
 VIOLATIONS = [
     ({"window": 0}, "window size must be at least 1"),
     ({"initial": "qx"}, "initial state 'qx' not among states"),
@@ -225,7 +215,7 @@ VIOLATIONS = [
     ({"work_alphabet": AB | {"x y"}}, "malformed symbol token 'x y'"),
     ({"flags": replace(R_SL, aux="none")},
      "aux=none requires the working alphabet to equal the input alphabet"),
-    ({"flags": replace(R_SL, mr_degree=0)}, "mr-degree must be positive"),
+    ({"flags": lambda: replace(R_SL, mr_degree=0)}, "mr-degree must be positive"),
     ({"table": {("qx", ("a", "a", "a")): [mvr("q0")]}}, "table state 'qx' unknown at (qx, aaa)"),
     ({"table": {("q0", ("a", "a")): [mvr("q0")]}}, "malformed window content at (q0, aa)"),
     ({"table": {("q0", ("a", "a", "a")): [mvr("q0"), mvr("q1")]}},
@@ -242,7 +232,8 @@ VIOLATIONS = [
     ({"morphism": {"a": "a"}}, "morphism not total: no image for 'b'"),
     ({"morphism": {"a": "a", "b": "a", "c": "a"}}, "morphism defined on unknown symbol 'c'"),
     ({"morphism": {"a": "a", "b": "b"}}, "morphism image 'b' of 'b' is not an input symbol"),
-    ({"morphism": {"a": "b", "b": "a"}}, "morphism not the identity on input symbol 'a'"),
+    ({"input_alphabet": AB, "morphism": {"a": "b", "b": "a"}},
+     "morphism not the identity on input symbol 'a'"),
     ({"weights": {"a": 1}}, "weight function not total: no weight for 'b'"),
     ({"weights": {"a": 1, "b": 0}}, "weight of 'b' must be a positive integer"),
     (_rewriting((C, "a", "a"), ("a", C)), "left sentinel not first in target a¢"),
@@ -256,18 +247,20 @@ VIOLATIONS = [
 
 @pytest.mark.parametrize("changes,message", VIOLATIONS, ids=[m for _, m in VIOLATIONS])
 def test_validate_names_each_violation(changes, message):
-    # A choice under the deterministic flag is refused when the spec is
-    # built, with the message validation states for it.
-    try:
-        spec = replace(_spec({}), **changes)
-    except PreconditionError as err:
-        assert message.startswith("deterministic flag") and str(err) == message
-    else:
-        assert message in validate_automaton(spec).violations
+    # Each malformed spec is refused with its message, whether it is built
+    # directly or by ``replace``.
+    legal = _spec({})
+    given = {f.name: getattr(legal, f.name) for f in fields(legal)}
+    builds = (lambda made: replace(legal, **made), lambda made: AutomatonSpec(**{**given, **made}))
+    for build in builds:
+        with pytest.raises(PreconditionError) as err:
+            build({name: value() if callable(value) else value for name, value in changes.items()})
+        assert str(err.value) == message
 
 
-# One table entry per shape that is not the step a run takes, with the
-# message that refuses it under the deterministic flag.
+# One table entry per shape that is not a step a run can take, with the
+# message that refuses it; a choice is refused only under the deterministic
+# flag.
 MISFITS = {
     "choice": ({("q0", ("a", "a", "a")): [mvr("q0"), mvr("q1")]},
                "deterministic flag but 2 instructions at (q0, aaa)"),
@@ -283,24 +276,52 @@ def test_deterministic_flag_refuses_a_misfit(table, message):
     with pytest.raises(PreconditionError) as err:
         _spec(table, flags=flags)
     assert str(err.value) == message
-    spec = _spec(table, flags=replace(flags, deterministic=False))
-    assert not classify_automaton(spec).deterministic
-    violations = validate_automaton(spec).violations
-    assert (message in violations) == (not message.startswith("deterministic"))
+    unflagged = replace(flags, deterministic=False)
+    if message.startswith("deterministic"):
+        assert not classify_automaton(_spec(table, flags=unflagged)).deterministic
+    else:
+        with pytest.raises(PreconditionError) as err:
+            _spec(table, flags=unflagged)
+        assert str(err.value) == message
 
 
-def test_a_validation_report_is_immutable():
-    report = validate_automaton(_spec({}, window=0))
-    assert report.violations == ("window size must be at least 1",)
-    with pytest.raises(FrozenInstanceError):
-        report.violations = ()
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_a_rewrite_that_eats_a_sentinel_is_refused(deterministic):
+    # Rewriting a$ into a drops the right sentinel; on a, the deterministic
+    # decider and the branch search disagreed about such a table.
+    table = {
+        ("q0", (C, "a")): [mvr("q0")],
+        ("q0", ("a", D)): [sl("q1", ("a",))],
+        ("q1", (C, "a")): [restart()],
+        ("q0", (C, D)): [accept()],
+    }
+    with pytest.raises(PreconditionError) as err:
+        AutomatonSpec("eater", frozenset({"q0", "q1"}), "q0", 2, frozenset("a"), frozenset("a"),
+                      table, ClassFlags(direction="R", form="SL", aux="none",
+                                        deterministic=deterministic))
+    assert str(err.value) == "sentinel mismatch between a$ and target a"
 
 
-def test_empty_target_is_a_deviation_not_a_violation():
+FLAG_REFUSALS = [
+    ({"direction": "LR"}, "bad direction 'LR'"),
+    ({"form": "XX"}, "bad rewrite form 'XX'"),
+    ({"aux": "Q"}, "bad aux marker 'Q'"),
+    ({"mr_degree": 0}, "mr-degree must be positive"),
+]
+
+
+@pytest.mark.parametrize("changes,message", FLAG_REFUSALS, ids=[m for _, m in FLAG_REFUSALS])
+def test_class_flags_refuse_a_value_outside_their_domain(changes, message):
+    with pytest.raises(PreconditionError) as err:
+        ClassFlags(**changes)
+    assert str(err.value) == message
+    with pytest.raises(PreconditionError):
+        replace(R_SL, **changes)
+
+
+def test_empty_target_is_legal_on_a_window_without_sentinels():
     spec = _spec({("q0", ("a", "a", "a")): [sl("q1", ())]})
-    report = validate_automaton(spec)
-    assert report.ok
-    assert any("deleted entirely" in d for d in report.deviations)
+    assert spec.sl_pairs() == [(("a", "a", "a"), ())]
 
 
 def test_classify_automaton_tags(m_e, dyck1):

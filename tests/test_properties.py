@@ -66,7 +66,6 @@ from redukto.model import (
     is_window_content,
     render_word,
     sl,
-    validate_automaton,
     word_weight,
 )
 
@@ -140,7 +139,6 @@ def automata(draw, deterministic, min_window=1, max_symbols=2):
     flags = ClassFlags(deterministic=deterministic, mr_degree=draw(st.integers(1, 2)))
     spec = AutomatonSpec("random", frozenset(states), "q0", k, frozenset(symbols),
                          frozenset(symbols), table, flags)
-    assert validate_automaton(spec).ok, validate_automaton(spec).violations
     return spec
 
 
@@ -166,7 +164,6 @@ def scanners(draw):
         table[("q1", window)] = (Instruction(kind, "q1" if kind == MVR else None),)
     spec = AutomatonSpec("scanner", frozenset({"q0", "q1"}), "q0", k, frozenset(symbols),
                          frozenset(symbols), table, ClassFlags(deterministic=True))
-    assert validate_automaton(spec).ok, validate_automaton(spec).violations
     return spec
 
 
@@ -522,7 +519,6 @@ def confine_tails(spec):
         table[(q, window)] = tuple(dict.fromkeys(
             ins if ins.kind != ACCEPT or confined else Instruction(REJECT) for ins in instrs))
     confined = replace(spec, table=table)
-    assert validate_automaton(confined).ok, validate_automaton(confined).violations
     return confined
 
 
@@ -852,7 +848,6 @@ def test_the_sweeper_trips_a_limit_in_the_middle_of_the_odometer():
     # The first preimage, a^6, is decided within the limit, and the second
     # trips it after 201 more configurations.
     for spec in (over_one_letter(sweeper("ab")), over_two_letters(sweeper("abc"))):
-        assert validate_automaton(spec).ok
         decision, _ = decide_hproper_membership(spec, ("a",) * 6, Limits(max_configs=200))
         assert (decision.verdict, decision.configs_explored) == ("resource-exceeded", 8 + 201)
 
