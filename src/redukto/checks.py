@@ -446,9 +446,11 @@ def check_preservation(
     deterministic automaton, whose one computation from a member accepts
     from every word it restarts on.  The other two are swept up to the bound.
     Complete-error fails only through the rewritten tape that a later step
-    of the run's last record reads: the run restarts only on non-members,
-    already in the decider's memo, and a restarting cycle's one rewrite
-    makes the tape it restarts on.  A run with no record has none.
+    of the run's last record reads: the run restarts only on non-members
+    (the shorter ones in the decider's memo already, as start words, since
+    ``words_over`` gives every shorter word first), and a restarting
+    cycle's one rewrite makes the tape it restarts on.  A run with no
+    record has none.
     Cycle-correctness on a nondeterministic automaton fails where a branch's
     cycle rewrites a member into a non-member, and that cycle is the trace.
     """

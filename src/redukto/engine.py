@@ -71,31 +71,45 @@ interned tapes.  ``successors`` remains the reference definition of the
 step relation: ``walk_branches`` and ``replay_trace`` call it, and the
 tests check the inline steps against it.
 
-Membership.  One depth-first loop over restarting words, with a memo,
-decides every word for every automaton (``_search``): it answers
+Membership.  One depth-first loop over restarting words decides every
+word for every automaton (``_search``): it answers
 ``decide_basic_membership`` and each candidate of ``decide_members``, the
 one candidate loop under brute enumeration, the closure's seeds and the
-h-proper decider.  It touches the memo twice per word, once to look the
-word up and mark it open, once to settle it, with one exception: a
-deterministic search that starts on an empty memo follows one chain of
-words, and while each of its cycles shortens the tape, no word on it can
-recur or be in the memo, so each is written once, when it settles.  The
-first cycle that keeps the tape's length, which only a shrinking
-automaton makes, marks the open words, and the two touches per word
-resume.  It gets a word's phase, and each cycle's restart word, from one
-of two phase functions, which return the same shape: on a deterministic
-automaton, ``_deterministic_phase`` runs the one cycle or tail on the
-list tape that the cycle before it left and restarted on, resumed after
-that cycle, or for a start word after the previous candidate's first
-cycle; on any other, ``_explore_phase`` searches every branch of the
-phase.  Both return the phase's rejected
-prefix (see ``_rejected_prefix``), kept for the start word only, by which
+h-proper decider.  It gets a word's phase, and each cycle's restart word,
+from one of two phase functions, which return the same shape: on a
+deterministic automaton, ``_deterministic_phase`` runs the one cycle or
+tail on the list tape that the cycle before it left and restarted on,
+resumed after that cycle, or for a start word after the previous
+candidate's first cycle; on any other, ``_explore_phase`` searches every
+branch of the phase.  Both return the phase's rejected prefix (see
+``_rejected_prefix``), kept for the start word only, by which
 ``decide_members`` skips candidates.  ``cycle_rewrites`` takes its one
 phase from the same two functions and returns that phase's
 ``CycleRecord``s, keyed by the words their cycles restart on.
 
-Searches are reentrant and side-effect free apart from per-call memo
-tables; deciding distinct words in parallel is safe.
+The memo.  A memo shared between calls holds only the start words
+decided, each with its verdict: (accepted, witness link).  A search looks
+words up in it and writes its own start word there once it is settled;
+one that trips a limit or meets a recurring word writes nothing.  The
+words a search restarts on are its own.  A branch search, or any search
+on a shrinking automaton, keeps them in a table of its own that starts
+empty on every call: a word is marked open there when the search reaches
+it, so that one that recurs is refused, and stays there once settled
+(unless ``memoize`` is off), so that the search explores it once.  A
+non-shrinking deterministic automaton follows one chain of ever shorter
+words, none of which can recur, so its search keeps no table.  A search
+looks its start word up in the memo, and the words it restarts on only
+when the memo may hold one: when the memo held a word as the call began
+(for ``decide_members``, as its candidates began), or, among the
+candidates of ``decide_members`` on a shrinking automaton, whose cycles
+may reach an earlier candidate.  Otherwise a non-shrinking deterministic
+chain slices no restart word from its tape.  Brute enumeration, and
+``words_over`` behind the checks, decide every shorter word first, as a
+start word, so a chain still meets them in the memo.
+
+Searches are reentrant and side-effect free apart from the one write of
+their start word into the memo; deciding distinct words in parallel is
+safe.
 """
 
 from __future__ import annotations
@@ -485,9 +499,10 @@ def _path_to(parents: dict, node, final: tuple) -> list[tuple]:
 # A phase: the accepting tail's record or None, (restart word, record) for
 # each cycle, the rejected prefix, and for a deterministic phase its one
 # record, which a later phase may resume after (None for a search over
-# branches).
-_Phase = tuple[Optional[CycleRecord], Sequence[tuple[Word, CycleRecord]], Optional[int],
-               Optional[CycleRecord]]
+# branches).  A deterministic phase gives None for its restart word, which
+# is its tape as left.
+_Phase = tuple[Optional[CycleRecord], Sequence[tuple[Optional[Word], CycleRecord]],
+               Optional[int], Optional[CycleRecord]]
 
 
 def _rejected_prefix(reach: int, window: int, size: int) -> Optional[int]:
@@ -585,11 +600,12 @@ def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
 _REJECTED = (False, None)
 
 
-def _settle(table: dict, memoize: bool, w: Word, verdict):
-    if memoize:
-        table[w] = verdict
-    else:
-        table.pop(w, None)
+def _settle(table: Optional[dict], memoize: bool, w: Word, verdict):
+    if table is not None:
+        if memoize:
+            table[w] = verdict
+        else:
+            del table[w]
     return verdict
 
 
@@ -601,7 +617,8 @@ def _deterministic_phase(spec: AutomatonSpec, tape: list[str], before: Optional[
                          same: Optional[int], budget: _Budget) -> _Phase:
     """The one cycle, or the tail, of a deterministic automaton on the list
     ``tape``: the phase rewrites it in place, so that after a cycle it is
-    the tape of the cycle's restart word.
+    the tape of the cycle's restart word, which the caller slices from it
+    when it needs the word.
 
     With ``same`` None, ``before`` is the cycle that restarted on ``tape``,
     and the phase resumes after it.  Otherwise ``tape`` is that of a word
@@ -614,7 +631,7 @@ def _deterministic_phase(spec: AutomatonSpec, tape: list[str], before: Optional[
         same = before.rewritten_from
     record, outcome, flag, pos, rewrites = _cycle(spec, tape, before, same, budget)
     if outcome is None:
-        return None, ((tuple(tape[1:-1]), record),), None, record
+        return None, ((None, record),), None, record
     if outcome == OUT_LIMIT:
         raise ResourcesExceeded(flag)
     if outcome == OUT_ACCEPT:
@@ -629,48 +646,47 @@ def _deterministic_phase(spec: AutomatonSpec, tape: list[str], before: Optional[
 
 
 def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same: int,
-            memoize: bool, table: dict, budget: _Budget):
-    """The memo loop behind every decision: whether some computation from
-    the restarting configuration of ``word`` accepts.
+            memo: dict, lookup: bool, memoize: bool, budget: _Budget):
+    """The loop behind every decision: whether some computation from the
+    restarting configuration of ``word`` accepts.
 
     One depth-first loop over restarting words, on an explicit stack of
     the open words' frames; each word's phase, and each of its cycles'
     restart words, come from ``_deterministic_phase``, the start word's
     resumed after ``before`` whose start tape agrees with it on cells
-    [0, same), or from ``_explore_phase``.  ``table`` is the memo, holding
-    only the open words unless ``memoize``.  A word is looked up and marked
-    open in one step, its frame being its entry while it is open, and
-    settled in another; but a deterministic search from an empty ``table``
-    marks no word open until a cycle keeps the tape's length (see the
-    module docstring), and writes each word before that only when it
-    settles.  The memo ends up with the same words either way.  Returns
+    [0, same), or from ``_explore_phase``.  ``word`` is looked up in
+    ``memo``, and so is each word the search restarts on when ``lookup``
+    says the memo may hold one; ``memo`` gets ``word`` alone, once it is
+    settled (see the module docstring).  In the search's own table a word
+    is looked up and marked open in one step, its frame being its entry
+    while it is open, and settled in another.  Returns
     (verdict, rejected prefix, record of the start word's phase), the
-    record being None when the memo held the start word or the automaton
+    record being None when ``memo`` held the start word or the automaton
     is not deterministic.  Raises ResourcesExceeded when the budget runs
-    out, leaving no open word in ``table``.
+    out.
 
     A verdict is (accepted, witness), and an accepting witness is a chain
     (record of one cycle or of the tail, rest of the chain or None), so that
     words along one computation share their witness suffixes.
     """
     deterministic = spec.flags.deterministic
-    # Frames [word, its cycles, next cycle], each its word's memo entry
-    # while the word is open.
-    stack: list[list] = []
-    w = word
     # A deterministic automaton's phases run on one list tape, each on the
     # tape that the cycle before it restarted on.
     tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL] if deterministic else None
-    # A deterministic search from an empty memo follows one chain of words.
-    # While every cycle shortens the tape, no word on it recurs and none is
-    # in the memo, so no word is looked up or marked open; each is written
-    # once, when it settles.
-    unmarked = deterministic and not table
+    # A non-shrinking deterministic automaton follows one chain of ever
+    # shorter words, none of which can recur, so it needs no table.
+    table = None if deterministic and not spec.flags.shrinking else {}
+    # Frames [word, its cycles, next cycle], each its word's table entry
+    # while the word is open.
+    stack: list[list] = []
+    w = word
     rejected_prefix = first = None
-    try:
-        while True:
+    while True:
+        # The stack is empty only for the start word.
+        verdict = memo.get(w) if lookup or not stack else None
+        if verdict is None:
             frame = [w, (), 0]
-            verdict = frame if unmarked else table.setdefault(w, frame)
+            verdict = frame if table is None else table.setdefault(w, frame)
             if verdict is frame:
                 stack.append(frame)
                 tail, cycles, prefix, record = (
@@ -682,41 +698,32 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
                     rejected_prefix, first, same = prefix, record, None
                 if tail is None and cycles:
                     frame[1:] = cycles, 1
-                    if unmarked and len(cycles[0][0]) >= len(w):
-                        # A cycle that keeps the tape's length: from here on
-                        # a word may recur, so the open words are marked.
-                        unmarked = False
-                        table.update((f[0], f) for f in stack)
                     w, before = cycles[0]
+                    if deterministic and (table is not None or lookup):
+                        w = tuple(tape[1:-1])
                     continue
                 stack.pop()
                 verdict = _settle(table, memoize, w, _REJECTED if tail is None else (True, (tail, None)))
             elif type(verdict) is list:  # another open word's frame
                 raise _recurs(w)
-            # Settle the frames that the verdict closes, then open the next
-            # cycle's word, if any is left.
-            while stack:
-                frame = stack[-1]
-                u, cycles, i = frame
-                if verdict[0]:
-                    stack.pop()
-                    verdict = _settle(table, memoize, u, (True, (cycles[i - 1][1], verdict[1])))
-                elif i == len(cycles):
-                    stack.pop()
-                    verdict = _settle(table, memoize, u, _REJECTED)
-                else:
-                    frame[2] = i + 1
-                    w, before = cycles[i]
-                    break
+        # Settle the frames that the verdict closes, then open the next
+        # cycle's word, if any is left.
+        while stack:
+            frame = stack[-1]
+            u, cycles, i = frame
+            if verdict[0]:
+                stack.pop()
+                verdict = _settle(table, memoize, u, (True, (cycles[i - 1][1], verdict[1])))
+            elif i == len(cycles):
+                stack.pop()
+                verdict = _settle(table, memoize, u, _REJECTED)
             else:
-                return verdict, rejected_prefix, first
-    finally:
-        # Words still open when the search ends without a verdict are
-        # undecided, not rejected: a later call that shares the memo must
-        # explore them again.  The open words of an unmarked chain are not
-        # in the memo.
-        for frame in stack:
-            table.pop(frame[0], None)
+                frame[2] = i + 1
+                w, before = cycles[i]
+                break
+        else:
+            memo[word] = verdict
+            return verdict, rejected_prefix, first
 
 
 def _witness(word: Word, link) -> Trace:
@@ -734,28 +741,22 @@ def decide_basic_membership(spec: AutomatonSpec, word: Word, limits: Limits = DE
     ``word`` accepts.
 
     One depth-first loop over restarting words, on an explicit stack, for
-    every automaton (``_search``; see the module docstring).  Every phase
-    spends the one ``max_configs`` budget, so it bounds the chain of open
-    words too.  With ``memoize`` the decider keeps a table keyed on
-    restarting tape words; this is sound because behavior from a restarting
-    configuration depends only on the tape.  The table gets one entry per
-    restarting word the search reaches, and ``memo`` keeps them for later
-    calls; a deterministic search from an empty table writes each word once,
-    when it settles, for as long as its cycles shorten the tape.  Every
-    cycle of an automaton that is not shrinking shortens the tape, so a
-    restarting word recurs only on a shrinking automaton whose weights its
-    cycles do not lower, and then raises PreconditionError.
-    ``memoize=False`` re-explores every restarting word, remembering only
-    the open words so that it raises on a recurring word too, and serves
-    as the brute-force cross-check.
+    every automaton (``_search``; see the module docstring, which also
+    states what ``memo`` keeps).  Every phase spends the one
+    ``max_configs`` budget, so it bounds the chain of open words too.
+    Every cycle of an automaton that is not shrinking shortens the tape,
+    so a restarting word recurs only on a shrinking automaton whose
+    weights its cycles do not lower, and then raises PreconditionError.
+    ``memoize=False`` ignores ``memo`` and re-explores every restarting
+    word, remembering only the open words so that it raises on a
+    recurring word too, and serves as the brute-force cross-check.
     """
     word = _over(spec.work_alphabet, word)
-    # The brute search keeps a table of its own that holds only the open
-    # words.
-    table = memo if memo is not None and memoize else {}
+    if memo is None or not memoize:
+        memo = {}
     budget = _Budget(limits.max_configs)
     try:
-        (ok, link), _, _ = _search(spec, word, None, 0, memoize, table, budget)
+        (ok, link), _, _ = _search(spec, word, None, 0, memo, bool(memo), memoize, budget)
     except ResourcesExceeded as err:
         return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
     explored = limits.max_configs - budget.left
@@ -786,8 +787,8 @@ def decide_members(spec: AutomatonSpec, options: Sequence[Sequence[str]],
     first m letters (see ``_rejected_prefix``) rules out every
     candidate that starts with those letters: each has the same first phase
     step for step, and so the same non-member verdict under the same
-    limits.  Those candidates are skipped, and so are never written to the
-    memo; a later search that reaches one decides it again.  When cycles
+    limits.  Those candidates are skipped, so the memo never gets them; a
+    later search that reaches one decides it again.  When cycles
     shorten the tape, no candidate's search reaches another candidate, so
     the answers are those of deciding every candidate in turn; a later
     call's search from a longer word on the same memo may reach a skipped
@@ -800,9 +801,13 @@ def decide_members(spec: AutomatonSpec, options: Sequence[Sequence[str]],
     if not all(options):
         yield Decision("non-member"), None
         return
-    table = memo if memo is not None else {}
-    skip = not spec.flags.shrinking
+    if memo is None:
+        memo = {}
     n = len(options)
+    skip = not spec.flags.shrinking
+    # A search may meet a word of the memo's on its chain if the memo holds
+    # a word already, or, on a shrinking automaton, an earlier candidate.
+    lookup = bool(memo) or not skip
     digits = [0] * n
     firsts = candidate = tuple(choices[0] for choices in options)
     explored, record, same = 0, None, 0
@@ -811,7 +816,7 @@ def decide_members(spec: AutomatonSpec, options: Sequence[Sequence[str]],
         budget.left = limits.max_configs  # each candidate gets the whole limits
         try:
             (ok, link), prefix, record = _search(
-                spec, candidate, record, same, True, table, budget)
+                spec, candidate, record, same, memo, lookup, True, budget)
         except ResourcesExceeded as err:
             explored += limits.max_configs - budget.left
             yield Decision("resource-exceeded", None, explored, str(err)), candidate
@@ -859,6 +864,7 @@ def cycle_rewrites(spec: AutomatonSpec, word: Word,
     if spec.flags.deterministic:
         tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL]
         _, cycles, _, _ = _deterministic_phase(spec, tape, None, 0, budget)
+        cycles = [(tuple(tape[1:-1]), record) for _, record in cycles]
     else:
         _, cycles, _, _ = _explore_phase(spec, word, budget)
     firsts: dict[Word, CycleRecord] = {}

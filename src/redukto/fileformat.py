@@ -30,6 +30,7 @@ from .model import (
     GnfGrammar,
     GnfRule,
     Instruction,
+    PreconditionError,
     ReduktoError,
     Word,
 )
@@ -221,14 +222,17 @@ def _parse_class(fields: list[str], lineno: int) -> ClassFlags:
         shrinking = True
     elif len(fields) > 6:
         raise ParseError("too many class tokens", lineno)
-    return ClassFlags(
-        direction=direction,
-        form=form,
-        aux=aux,
-        deterministic=det == "det",
-        mr_degree=int(fields[4][2:]),
-        shrinking=shrinking,
-    )
+    try:
+        return ClassFlags(
+            direction=direction,
+            form=form,
+            aux=aux,
+            deterministic=det == "det",
+            mr_degree=int(fields[4][2:]),
+            shrinking=shrinking,
+        )
+    except PreconditionError as err:
+        raise ParseError(str(err), lineno) from None
 
 
 def _parse_trans(fields: list[str], table: dict, lineno: int) -> None:

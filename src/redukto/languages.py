@@ -153,7 +153,8 @@ def enumerate_language(
     "brute" decides the words of each length of the domain through the
     odometer ``decide_members`` on one memo, so a candidate whose first
     phase rejected a prefix rules out, undecided, every later word of its
-    length with that prefix.  Skipped words are not memoized, and a longer
+    length with that prefix.  The memo keeps the words decided (see
+    ``engine``'s module docstring), so not the skipped ones, and a longer
     word's search that reaches one decides it again, so under a limit
     within a few configurations of a word's cost the enumeration may trip
     where deciding every word in turn would not; it never returns another

@@ -407,6 +407,28 @@ def test_run_memory_per_configuration_does_not_grow_with_the_word(name, short, l
     assert long_peak <= 1.5 * short_peak, (short_peak, long_peak)
 
 
+def test_decision_memory_does_not_grow_with_the_word_squared():
+    # The memo keeps the word decided, not each word of the chain, so the
+    # traced peak of deciding a flat word grows with the word, as the run's
+    # does, not with its square (a^4000 to a^8000 read 66 and 260 MB when
+    # every restarting word was a key).
+    spec = catalog_get("reg_window1").spec
+
+    def peak(n):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            decision = decide_basic_membership(spec, ("a",) * n, memo={})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return decision.verdict, peak
+
+    (short_verdict, short_peak), (long_verdict, long_peak) = peak(4_000), peak(8_000)
+    assert (short_verdict, long_verdict) == ("member", "member")
+    assert long_peak <= 2.5 * short_peak, (short_peak, long_peak)
+
+
 def test_long_runs_compare_hash_and_print():
     # A run keeps more records than the recursion limit; runs and records
     # compare, hash and print all the same.  A record keeps no start tape,
@@ -466,6 +488,42 @@ def test_cycle_rewrites_require_progress(heavy):
         cycle_rewrites(heavy, word("aa"))
 
 
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_a_shared_memo_keeps_only_the_words_decided(m_e, deterministic):
+    # The words a search restarts on are its own: the memo gets the start
+    # word alone, with its verdict, whether the automaton's one computation
+    # is followed or every branch is searched.
+    spec = replace(m_e.spec, flags=replace(m_e.spec.flags, deterministic=deterministic))
+    for w, verdict in ((word("a" * 64), "member"), (word("a" * 48), "non-member")):
+        memo: dict = {}
+        assert decide_basic_membership(spec, w, memo=memo).verdict == verdict
+        assert list(memo) == [w] and memo[w][0] == (verdict == "member")
+    assert memo == {w: (False, None)}
+
+
+def test_brute_enumeration_memoizes_the_candidates_it_decides(monkeypatch):
+    # On one memo across lengths, as brute enumeration shares it, the memo
+    # ends up with exactly the candidates decided, in order: neither the
+    # candidates that a rejected prefix ruled out, nor the words that the
+    # cycles of the others restarted on.
+    import redukto.engine as engine
+
+    decided, search = [], engine._search
+
+    def recorded(spec, candidate, *args):
+        decided.append(candidate)
+        return search(spec, candidate, *args)
+
+    monkeypatch.setattr(engine, "_search", recorded)
+    spec = catalog_get("l_3").spec
+    memo: dict = {}
+    for n in range(7):
+        for _ in decide_members(spec, [sorted(spec.work_alphabet)] * n, memo=memo):
+            pass
+    assert list(memo) == decided
+    assert len(decided) < sum(len(spec.work_alphabet) ** n for n in range(7))
+
+
 def test_tripped_limit_leaves_shared_memo_undecided(m_e):
     # Words still open when the limit trips must not read as rejected in a
     # later call that shares the memo.
@@ -495,9 +553,9 @@ def test_recurring_restarting_word_is_invalid(swapper):
 def test_recurring_word_of_an_invalid_deterministic_spec_is_invalid():
     # Deterministic and shrinking, with no weights, and ab and ba rewrite
     # into each other, keeping the tape's length.  The decider must raise
-    # on the recurring word, not trust that a deterministic search from an
-    # empty memo follows a chain of ever shorter words and run on until a
-    # limit trips, whatever memo it is given.  aab first shortens to ab.
+    # on the recurring word, not trust that a deterministic search follows
+    # a chain of ever shorter words and run on until a limit trips, whatever
+    # memo it is given.  aab first shortens to ab.
     table = {
         ("q0", (C, "a")): (mvr("q0"),),
         ("q0", (C, "b")): (mvr("q0"),),

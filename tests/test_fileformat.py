@@ -167,6 +167,7 @@ PARSE_ERRORS = [
      "class takes direction, form, aux, det/nondet, j=N"),
     (parse_automaton, "name x\nclass L SL WW det j=1\n", 2, "bad direction 'L'"),
     (parse_automaton, "name x\nclass R XL WW det j=1\n", 2, "bad rewrite form 'XL'"),
+    (parse_automaton, "name x\nclass R SL WW det j=0\n", 2, "mr-degree must be positive"),
     (parse_automaton, "name x\nclass R SL V det j=1\n", 2, "bad aux marker 'V'"),
     (parse_automaton, "name x\nclass R SL WW maybe j=1\n", 2, "expected det or nondet, got 'maybe'"),
     (parse_automaton, "name x\nclass R SL WW det k=1\n", 2, "expected j=N, got 'k=1'"),

@@ -303,9 +303,9 @@ def assert_decides_like_search(spec, words, limits):
 
 def assert_follows_search(spec, w, limits):
     """``assert_decides_like_search`` on ``w`` alone, from fresh memos, where
-    the decider marks no word open while its cycles shorten the tape; then on
-    every word up to length 3 and ``w`` last, so that chains meet memoized
-    words midway."""
+    the decider slices no restart word while its cycles shorten the tape;
+    then on every word up to length 3 and ``w`` last, so that chains meet
+    memoized words midway."""
     symbols = sorted(spec.work_alphabet)
     assert_decides_like_search(spec, [w], limits)
     words = [v for n in range(4) for v in itertools.product(symbols, repeat=n)]
@@ -351,7 +351,7 @@ def test_deterministic_decider_agrees_with_search_on_a_flat_dyck_word():
 
 def test_deterministic_decider_agrees_with_search_past_a_memo_hit_midway():
     # a^2000 meets the memoized a^700 after 1,300 cycles.  The memo is not
-    # empty, so every word on the way is looked up and marked open.
+    # empty, so every word on the way is sliced and looked up.
     spec = catalog_get("reg_window1").spec
     short, long = ("a",) * 700, ("a",) * 2000
     memo: dict = {}
@@ -380,7 +380,7 @@ def test_deterministic_decider_refuses_a_choice():
         run_deterministic(spec, ("b", "a"))
     memo = {}
     assert decide_basic_membership(spec, ("b", "a"), memo=memo).verdict == "non-member"
-    assert memo == {("b", "a"): (False, None), ("a",): (False, None)}
+    assert memo == {("b", "a"): (False, None)}
     assert list(cycle_rewrites(spec, ("b", "a"))) == [("a",)]
     assert cycle_rewrites(spec, ("a",)) == {}
 
