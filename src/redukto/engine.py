@@ -58,34 +58,37 @@ Steps.  A spec is legal once it is built: its table holds no MVR at the
 right sentinel alone and no MVL at a window that starts with the left
 sentinel, and every rewrite keeps the sentinels at the ends of the tape
 and, unless the spec is shrinking, shortens it.  So every instruction of
-the entry at a configuration is a step.  A spec flagged deterministic
-holds at most one instruction per entry, so ``_cycle`` takes the entry in
-``spec.table`` as its step, and a missing or empty entry as stuck.  It
-applies moves and rewrites inline to one list tape, rewritten in place
-across a run, asks ``discipline_break`` only at steps other than MVR, and
-keeps the leftmost rewrite position in ``CycleRecord.rewritten_from``,
-where the next cycle resumes.  The branch search (``_explore_phase``)
-reads table entries the same way, every instruction of an entry in table
-order, and applies the cycle discipline inline, on flat keys over
-interned tapes.  ``successors`` remains the reference definition of the
-step relation: ``walk_branches`` and ``replay_trace`` call it, and the
-tests check the inline steps against it.
+the entry at a configuration is a step.  One loop (``_cycle``) steps every
+phase in place while each entry it meets offers one instruction: it takes
+the entry in ``spec.table`` as its step, a missing or empty entry as
+stuck, applies moves and rewrites inline to one list tape, and applies
+the cycle discipline inline, taking ``discipline_break``'s message only
+when a step breaks it.  A spec flagged deterministic holds at most one
+instruction per entry, so its every cycle is one such loop, on a tape
+rewritten in place across a run, and keeps the leftmost rewrite position
+in ``CycleRecord.rewritten_from``, where the next cycle resumes.  On any
+other spec the loop stops at the first entry with a choice, and the
+branch search (``_explore_phase``) goes on from there: it reads table
+entries the same way, every instruction of an entry in table order, and
+applies the cycle discipline inline, on flat keys over interned tapes.
+``successors`` remains the reference definition of the step relation:
+``walk_branches`` and ``replay_trace`` call it, and the tests check the
+inline steps against it.
 
 Membership.  One depth-first loop over restarting words decides every
 word for every automaton (``_search``): it answers
 ``decide_basic_membership`` and each candidate of ``decide_members``, the
 one candidate loop under brute enumeration, the closure's seeds and the
-h-proper decider.  It gets a word's phase, and each cycle's restart word,
-from one of two phase functions, which return the same shape: on a
-deterministic automaton, ``_deterministic_phase`` runs the one cycle or
-tail on the list tape that the cycle before it left and restarted on,
-resumed after that cycle, or for a start word after the previous
+h-proper decider.  On a deterministic automaton each word's phase is one
+``_cycle`` on the list tape that the cycle before it left and restarted
+on, resumed after that cycle, or for a start word after the previous
 candidate's first cycle; on any other, ``_explore_phase`` searches every
-branch of the phase.  Both return the phase's rejected prefix (see
-``_rejected_prefix``), kept for the start word only, by which
+branch of the phase.  A start word's phase that rejects it without a
+rewrite gives its rejected prefix (see ``_rejected_prefix``), by which
 ``decide_members`` skips candidates.  ``cycle_rewrites`` takes its one
-phase from the same two functions and returns that phase's
-``CycleRecord``s, keyed by the words their cycles restart on.
+phase from ``_cycle`` on a deterministic automaton and from
+``_explore_phase`` otherwise, and returns that phase's ``CycleRecord``s,
+keyed by the words their cycles restart on.
 
 The memo.  A memo shared between calls holds only the start words
 decided, each with its verdict: (accepted, witness link).  A search looks
@@ -116,7 +119,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .model import (
@@ -124,6 +127,7 @@ from .model import (
     LEFT_SENTINEL,
     MVL,
     MVR,
+    REJECT,
     RESTART,
     RIGHT_SENTINEL,
     SL,
@@ -352,22 +356,6 @@ def discipline_break(cap: int, ins: Instruction, rewrites: int) -> Optional[str]
     return None
 
 
-def _resume(spec: AutomatonSpec, record: CycleRecord, same: int, most: int) -> tuple[tuple, str]:
-    """The scan that a cycle repeats from ``record``, at most ``most`` steps
-    long, and the state in which it goes on from there.
-
-    ``record`` is a cycle, or tail, of a deterministic automaton whose start
-    tape agrees with the new cycle's on cells [0, same).  Its steps up to
-    the first one that is not an MVR are the moves from 0 to L, so the
-    first min(L, same - k + 1) steps recur (see the module docstring)."""
-    r = max(0, min(same - spec.window + 1, most))
-    scan = record.scan[:r]
-    if r > len(scan):
-        lead = record.steps[: r - len(scan)]
-        scan += lead[: next((i for i, (_, ins) in enumerate(lead) if ins.kind != MVR), len(lead))]
-    return scan, scan[-1][1].state if scan else spec.initial
-
-
 def run_deterministic(spec: AutomatonSpec, word: Word, limits: Limits = DEFAULT_LIMITS) -> Trace:
     """Run a deterministic automaton from the restarting configuration of
     ``word`` until it halts, loops, gets stuck, breaks the cycle discipline,
@@ -382,7 +370,7 @@ def run_deterministic(spec: AutomatonSpec, word: Word, limits: Limits = DEFAULT_
     records: list[CycleRecord] = []
     record, same = None, 0
     while True:
-        record, outcome, flag, _, _ = _cycle(spec, tape, record, same, budget)
+        record, outcome, flag, _, _, _ = _cycle(spec, tape, record, same, budget)
         if record.scan or record.steps:
             records.append(record)
         if outcome is not None:
@@ -390,25 +378,57 @@ def run_deterministic(spec: AutomatonSpec, word: Word, limits: Limits = DEFAULT_
         same = record.rewritten_from
 
 
+# The outcome of ``_cycle`` at an entry that offers a choice.
+_CHOICE = "choice"
+
+# Builds a CycleRecord from its four fields without the Python-level
+# ``__new__`` of a NamedTuple.
+_record = partial(tuple.__new__, CycleRecord)
+
+
 def _cycle(
     spec: AutomatonSpec, tape: list[str], before: Optional[CycleRecord], same: int,
     budget: _Budget,
-) -> tuple[CycleRecord, Optional[str], Optional[str], int, int]:
-    """One cycle, or the tail, of a deterministic automaton on ``tape``, a
-    list that it rewrites in place, resumed after the recorded cycle
+) -> tuple[CycleRecord, Optional[str], Optional[str], int, int, Optional[set]]:
+    """Steps from the restarting configuration on ``tape``, a list that it
+    rewrites in place, while each entry offers one instruction: one cycle,
+    or the tail, of a deterministic automaton, and the single branch of a
+    phase up to its first choice.  It resumes after the recorded cycle
     ``before`` whose start tape agrees with ``tape`` on cells [0, same)
-    (None for nothing to resume after).  Each configuration it expands, the
-    repeated scan's too, spends ``budget``.
+    (None for nothing to resume after): the repeated scan is the MVR steps
+    of ``before`` from position 0 up to position min(L, same - k + 1), L
+    being where they stop (see the module docstring).  Each configuration
+    it expands, the repeated scan's too, spends ``budget``; the repeated
+    steps are clamped to what is left.  A step that breaks the cycle
+    discipline stops it with an invalid-cycle outcome.
 
-    Returns (record, outcome, flag, pos, rewrites): the outcome is None
-    when the cycle restarts, on ``tape`` as left; otherwise the outcome and
-    flag are a trace's, with the position and rewrite count it stopped
-    at."""
+    Returns (record, outcome, flag, pos, rewrites, seen): the outcome is
+    None when the cycle restarts, on ``tape`` as left, and ``_CHOICE`` at an
+    entry of more than one instruction (only in a spec not flagged
+    deterministic), which it stops at having spent the configuration's
+    charge but taken no step; otherwise the outcome and flag are a
+    trace's.  ``pos`` and ``rewrites`` are those of the configuration it
+    stopped at, and ``seen`` the keys (state, pos, rewrites) of every
+    configuration it expanded after the repeated scan, kept from the first
+    MVL on (None before one)."""
     cap, k, table = spec.flags.mr_degree, spec.window, spec.table
-    if before is None:
-        scan, state = (), spec.initial
-    else:
-        scan, state = _resume(spec, before, same, budget.left)
+    scan, state = (), spec.initial
+    if before is not None:
+        r = same - k + 1
+        if r > budget.left:
+            r = budget.left
+        if r > 0:
+            scan = before.scan
+            if r < len(scan):
+                scan = scan[:r]
+            elif r > len(scan):
+                lead, i = before.steps, 0
+                end = min(r - len(scan), len(lead))
+                while i < end and lead[i][1].kind == MVR:
+                    i += 1
+                scan += lead[:i]
+            if scan:
+                state = scan[-1][1].state
     r = pos = len(scan)
     rewrites, leftmost, size = 0, None, len(tape)
     steps: list[tuple[str, Instruction]] = []
@@ -435,33 +455,51 @@ def _cycle(
         if not offered:
             outcome, flag = OUT_REJECT, "stuck"
             break
-        ins = offered[0]
+        # Unpacking fails only at a choice, so that a deterministic step
+        # pays nothing for the test.
+        try:
+            (ins,) = offered
+        except ValueError:
+            outcome = _CHOICE
+            break
         steps.append((state, ins))
         kind = ins.kind
         if kind == MVR:
             state, pos = ins.state, pos + 1
             continue
-        flag = discipline_break(cap, ins, rewrites)
-        if flag is not None:
-            outcome = OUT_INVALID
-            break
+        # The cycle discipline (see ``discipline_break``), inline.
         if kind == SL:
-            leftmost = pos if leftmost is None else min(leftmost, pos)
-            tape[pos : pos + len(window)] = ins.target
-            state, pos, rewrites = ins.state, max(0, pos - len(window) + len(ins.target)), rewrites + 1
+            if rewrites < cap:
+                if leftmost is None or pos < leftmost:
+                    leftmost = pos
+                tape[pos : pos + len(window)] = ins.target
+                state, pos, rewrites = ins.state, max(0, pos - len(window) + len(ins.target)), rewrites + 1
+                continue
         elif kind == MVL:
             if seen is None:
-                # Positions depend on the tape's length only, so the keys
-                # are replayed on a blank tape of the start tape's length.
-                seen = {(q, p, n) for _, q, p, n, _ in _replay((None,) * size, steps, r, k)}
+                seen = _keys(steps, r, k, size)
             state, pos = ins.state, pos - 1
+            continue
         elif kind == RESTART:
+            if rewrites:
+                break
+        elif kind == REJECT:
+            outcome = OUT_REJECT
             break
-        else:
-            outcome = OUT_ACCEPT if kind == ACCEPT else OUT_REJECT
+        elif not rewrites:
+            outcome = OUT_ACCEPT
             break
+        outcome, flag = OUT_INVALID, discipline_break(cap, ins, rewrites)
+        break
     budget.left = left
-    return CycleRecord(scan, tuple(steps), k, leftmost), outcome, flag, pos, rewrites
+    return _record((scan, tuple(steps), k, leftmost)), outcome, flag, pos, rewrites, seen
+
+
+def _keys(steps: Sequence[tuple[str, Instruction]], pos: int, window: int, size: int) -> set:
+    """The keys (state, pos, rewrites) of ``steps``, taken from position
+    ``pos`` of a start tape of ``size`` cells.  Positions depend on the
+    tape's length only, so the steps are replayed on a blank tape."""
+    return {(q, p, n) for _, q, p, n, _ in _replay((None,) * size, steps, pos, window)}
 
 
 class ResourcesExceeded(ReduktoError):
@@ -497,23 +535,22 @@ def _path_to(parents: dict, node, final: tuple) -> list[tuple]:
 
 
 # A phase: the accepting tail's record or None, (restart word, record) for
-# each cycle, the rejected prefix, and for a deterministic phase its one
-# record, which a later phase may resume after (None for a search over
-# branches).  A deterministic phase gives None for its restart word, which
-# is its tape as left.
-_Phase = tuple[Optional[CycleRecord], Sequence[tuple[Optional[Word], CycleRecord]],
-               Optional[int], Optional[CycleRecord]]
+# each cycle, and the rejected prefix.
+_Phase = tuple[Optional[CycleRecord], Sequence[tuple[Word, CycleRecord]], Optional[int]]
 
 
-def _rejected_prefix(reach: int, window: int, size: int) -> Optional[int]:
+def _rejected_prefix(pos: int, seen: Optional[set], window: int, size: int) -> Optional[int]:
     """The letters read by a phase that rejected on its start tape of
-    ``size`` cells, sentinels included, with its largest window position at
-    ``reach``; None when a window reached the right sentinel.
+    ``size`` cells, sentinels included; None when a window reached the
+    right sentinel.  Its largest window position is ``pos`` or, when
+    ``seen`` holds the keys (state, pos, rewrites) of the configurations
+    it expanded after an MVL (see ``_cycle``), the largest among them:
+    without an MVL the positions only grow.
 
     A phase that rejects its start word alone, neither rewriting nor
     restarting, having read only its first m letters, rejects every word
     that starts with those letters the same way, step for step."""
-    end = reach + window
+    end = (pos if seen is None else max([key[1] for key in seen])) + window
     return end - 1 if end < size else None
 
 
@@ -521,34 +558,61 @@ def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
     """Depth-first exploration of one phase (from a restarting configuration
     up to the next restart or halt) over all nondeterministic branches.
 
-    A node is a flat (tape id, state, pos, rewrites) key, where tapes are
-    interned once per rewrite that makes them and ``tapes[tape id]`` is the
-    tape, so no lookup hashes a tape; two keys are equal exactly when their
-    configurations are.  A node's steps are its entry in ``spec.table``, in
-    table order, as ``successors`` offers them.  Steps that break the cycle
-    discipline (see ``discipline_break``) are pruned inline: a rewrite once
-    the cap is reached, a restart without a rewrite and an accept after
-    one.  Loops within the phase are pruned by the visited set of keys.
-    Paths are reconstructed through parent pointers, each keeping the
-    (state, instruction) of the step into its key, and each cycle's
-    restart word is sliced from its tape once.  Each node expanded spends
-    the budget; raises ResourcesExceeded, at the node that finds it spent,
-    when the budget runs out.
+    The phase steps in place (``_cycle``) while each entry offers one
+    instruction, and returns having built nothing more if it restarts,
+    halts or gets stuck before an entry with a choice.  From that entry
+    on, a node is a flat (tape id, state, pos, rewrites) key, where tapes
+    are interned once per rewrite that makes them and ``tapes[tape id]``
+    is the tape, so no lookup hashes a tape; two keys are equal exactly
+    when their configurations are.  The visited set starts with the keys
+    that the steps in place left on the tape they reached, so that a
+    branch coming back to one of them is pruned; a key of theirs before
+    their last rewrite has fewer rewrites than every later one, and
+    cannot recur.  A node's steps are its entry in ``spec.table``, in
+    table order, as ``successors`` offers them.  Steps that break the
+    cycle discipline (see ``discipline_break``) are pruned inline: a
+    rewrite once the cap is reached, a restart without a rewrite and an
+    accept after one.  Loops within the phase are pruned by the visited
+    set.  A path is the steps taken in place, then the steps rebuilt
+    through parent pointers, each keeping the (state, instruction) of the
+    step into its key, and each cycle's restart word is sliced from its
+    tape once.  Each configuration expanded spends the budget; raises
+    ResourcesExceeded, at the configuration that finds it spent, when the
+    budget runs out.
 
     A phase that ends with no accepting tail, no cycle and no tape but its
     start tape depends only on the cells its windows covered, and returns
     its rejected prefix.
     """
-    cap, k, table = spec.flags.mr_degree, spec.window, spec.table
-    start = (LEFT_SENTINEL,) + word + (RIGHT_SENTINEL,)
-    tapes = [start]
-    tape_ids = {start: 0}
-    root = (0, spec.initial, 0, 0)
-    parents: dict = {root: None}
+    k = spec.window
+    tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL]
+    size = len(tape)
+    head, outcome, flag, pos, rewrites, seen = _cycle(spec, tape, None, 0, budget)
+    if outcome is not _CHOICE:
+        if outcome is None:
+            return None, [(tuple(tape[1:-1]), _record(((), head.steps, k, None)))], None
+        if outcome == OUT_LIMIT:
+            raise ResourcesExceeded(flag)
+        if outcome == OUT_ACCEPT:
+            return head, (), None
+        return None, (), None if rewrites else _rejected_prefix(pos, seen, k, size)
+    cap, table = spec.flags.mr_degree, spec.table
+    head = head.steps
+    tapes = [tuple(tape)]
+    tape_ids = {tapes[0]: 0}
+    root = (0, head[-1][1].state if head else spec.initial, pos, rewrites)
+    parents: dict = {}
+    if spec.flags.direction == "RL":
+        # Only an MVL brings a branch back to a key of the steps in place.
+        if seen is None:
+            seen = _keys(head, 0, k, size)
+        parents = {(0, q, p, n): None for q, p, n in seen if n == rewrites}
+    parents[root] = None
     stack = [root]
     tail_accept = None
     cycles = []
-    left = budget.left
+    # ``_cycle`` spent the root's charge, which expanding it spends again.
+    left = budget.left + 1
     try:
         while stack:
             node = stack.pop()
@@ -575,12 +639,13 @@ def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
                     child = (new_id, ins.state, max(0, pos - len(window) + len(target)), rewrites + 1)
                 elif kind == RESTART:
                     if rewrites:
-                        record = CycleRecord((), tuple(_path_to(parents, node, (state, ins))), k)
-                        cycles.append((tape[1:-1], record))
+                        path = head + tuple(_path_to(parents, node, (state, ins)))
+                        cycles.append((tape[1:-1], _record(((), path, k, None))))
                     continue
                 else:  # Accept / Reject
                     if kind == ACCEPT and not rewrites and tail_accept is None:
-                        tail_accept = CycleRecord((), tuple(_path_to(parents, node, (state, ins))), k)
+                        path = head + tuple(_path_to(parents, node, (state, ins)))
+                        tail_accept = _record(((), path, k, None))
                     continue
                 if child in parents:
                     continue
@@ -589,11 +654,11 @@ def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
     finally:
         budget.left = left
     prefix = None
-    if tail_accept is None and not cycles and len(tapes) == 1:
-        prefix = _rejected_prefix(max([node[2] for node in parents]), k, len(start))
+    if tail_accept is None and not cycles and len(tapes) == 1 and not root[3]:
+        prefix = _rejected_prefix(max([node[2] for node in parents]), None, k, size)
     # Deterministic order for reproducible witnesses and reports.
     cycles.sort(key=lambda cycle: cycle[0])
-    return tail_accept, cycles, prefix, None
+    return tail_accept, cycles, prefix
 
 
 # The verdict of a non-member.
@@ -613,65 +678,33 @@ def _recurs(w: Word) -> PreconditionError:
     return PreconditionError("restarting word %s recurs: a cycle made no progress" % render_word(w))
 
 
-def _deterministic_phase(spec: AutomatonSpec, tape: list[str], before: Optional[CycleRecord],
-                         same: Optional[int], budget: _Budget) -> _Phase:
-    """The one cycle, or the tail, of a deterministic automaton on the list
-    ``tape``: the phase rewrites it in place, so that after a cycle it is
-    the tape of the cycle's restart word, which the caller slices from it
-    when it needs the word.
-
-    With ``same`` None, ``before`` is the cycle that restarted on ``tape``,
-    and the phase resumes after it.  Otherwise ``tape`` is that of a word
-    that a decision starts from, the only kind whose rejected prefix is
-    worked out, and the phase resumes after ``before`` (None for nothing),
-    a recorded cycle whose start tape agrees with ``tape`` on cells
-    [0, same).  Raises ResourcesExceeded when the budget runs out."""
-    start = same is not None
-    if not start:
-        same = before.rewritten_from
-    record, outcome, flag, pos, rewrites = _cycle(spec, tape, before, same, budget)
-    if outcome is None:
-        return None, ((None, record),), None, record
-    if outcome == OUT_LIMIT:
-        raise ResourcesExceeded(flag)
-    if outcome == OUT_ACCEPT:
-        return record, (), None, record
-    prefix = None
-    if start and rewrites == 0:
-        # The phase expanded the configurations of its steps and the one it
-        # stopped at; those of the repeated scan lie left of them.
-        steps = _replay(tuple(tape), record.steps, len(record.scan), spec.window)
-        prefix = _rejected_prefix(max([pos] + [step[2] for step in steps]), spec.window, len(tape))
-    return None, (), prefix, record
-
-
 def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same: int,
             memo: dict, lookup: bool, memoize: bool, budget: _Budget):
     """The loop behind every decision: whether some computation from the
     restarting configuration of ``word`` accepts.
 
     One depth-first loop over restarting words, on an explicit stack of
-    the open words' frames; each word's phase, and each of its cycles'
-    restart words, come from ``_deterministic_phase``, the start word's
-    resumed after ``before`` whose start tape agrees with it on cells
-    [0, same), or from ``_explore_phase``.  ``word`` is looked up in
-    ``memo``, and so is each word the search restarts on when ``lookup``
-    says the memo may hold one; ``memo`` gets ``word`` alone, once it is
-    settled (see the module docstring).  In the search's own table a word
-    is looked up and marked open in one step, its frame being its entry
-    while it is open, and settled in another.  Returns
-    (verdict, rejected prefix, record of the start word's phase), the
-    record being None when ``memo`` held the start word or the automaton
-    is not deterministic.  Raises ResourcesExceeded when the budget runs
-    out.
+    the open words' frames.  On a deterministic automaton each word's
+    phase is one ``_cycle`` on one list tape, which every cycle leaves
+    rewritten as the tape of the word it restarts on: the start word's
+    resumed after ``before``, whose start tape agrees with it on cells
+    [0, same), and every later one after the cycle that restarted on it.
+    On any other, each word's phase, and its cycles' restart words, come
+    from ``_explore_phase``.  ``word`` is looked up in ``memo``, and so is
+    each word the search restarts on when ``lookup`` says the memo may hold
+    one; ``memo`` gets ``word`` alone, once it is settled (see the module
+    docstring).  In the search's own table a word is looked up and marked
+    open in one step, its frame being its entry while it is open, and
+    settled in another.  Returns (verdict, rejected prefix of the start
+    word's phase, record of the start word's phase), the record being None
+    when ``memo`` held the start word or the automaton is not
+    deterministic.  Raises ResourcesExceeded when the budget runs out.
 
     A verdict is (accepted, witness), and an accepting witness is a chain
     (record of one cycle or of the tail, rest of the chain or None), so that
     words along one computation share their witness suffixes.
     """
     deterministic = spec.flags.deterministic
-    # A deterministic automaton's phases run on one list tape, each on the
-    # tape that the cycle before it restarted on.
     tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL] if deterministic else None
     # A non-shrinking deterministic automaton follows one chain of ever
     # shorter words, none of which can recur, so it needs no table.
@@ -689,19 +722,32 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
             verdict = frame if table is None else table.setdefault(w, frame)
             if verdict is frame:
                 stack.append(frame)
-                tail, cycles, prefix, record = (
-                    _deterministic_phase(spec, tape, before, same, budget) if deterministic
-                    else _explore_phase(spec, w, budget))
-                if len(stack) == 1:
-                    # The start word's phase; every later word is reached
-                    # by a cycle.
-                    rejected_prefix, first, same = prefix, record, None
-                if tail is None and cycles:
-                    frame[1:] = cycles, 1
-                    w, before = cycles[0]
-                    if deterministic and (table is not None or lookup):
-                        w = tuple(tape[1:-1])
-                    continue
+                if deterministic:
+                    record, outcome, flag, pos, rewrites, seen = _cycle(spec, tape, before, same, budget)
+                    if len(stack) == 1:
+                        first = record
+                    if outcome is None:
+                        # The next word is the tape as the cycle left it,
+                        # sliced only when the memo or the table asks.
+                        frame[1:] = ((None, record),), 1
+                        before, same = record, record.rewritten_from
+                        w = tuple(tape[1:-1]) if table is not None or lookup else None
+                        continue
+                    if outcome == OUT_LIMIT:
+                        raise ResourcesExceeded(flag)
+                    tail = record if outcome == OUT_ACCEPT else None
+                    if tail is None and not rewrites and len(stack) == 1:
+                        # Only the start word's phase keeps its rejected
+                        # prefix; the repeated scan lies left of its steps.
+                        rejected_prefix = _rejected_prefix(pos, seen, spec.window, len(tape))
+                else:
+                    tail, cycles, prefix = _explore_phase(spec, w, budget)
+                    if len(stack) == 1:
+                        rejected_prefix = prefix
+                    if tail is None and cycles:
+                        frame[1:] = cycles, 1
+                        w = cycles[0][0]
+                        continue
                 stack.pop()
                 verdict = _settle(table, memoize, w, _REJECTED if tail is None else (True, (tail, None)))
             elif type(verdict) is list:  # another open word's frame
@@ -719,7 +765,7 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
                 verdict = _settle(table, memoize, u, _REJECTED)
             else:
                 frame[2] = i + 1
-                w, before = cycles[i]
+                w = cycles[i][0]
                 break
         else:
             memo[word] = verdict
@@ -853,9 +899,8 @@ def cycle_rewrites(spec: AutomatonSpec, word: Word,
     For non-shrinking automata every v is strictly shorter than the
     argument, since every rewrite shortens its window; shrinking automata
     may preserve length and the weight function carries the progress
-    argument instead.  The phase comes from ``_deterministic_phase`` on a
-    deterministic automaton, as in the decider, and from ``_explore_phase``
-    otherwise.  Raises ResourcesExceeded when the budget runs out, and
+    argument instead.  The phase comes from ``_cycle`` on a deterministic
+    automaton, as in the decider, and from ``_explore_phase`` otherwise.  Raises ResourcesExceeded when the budget runs out, and
     PreconditionError when a cycle of a shrinking automaton with weights
     does not lower the tape's weight.
     """
@@ -863,10 +908,12 @@ def cycle_rewrites(spec: AutomatonSpec, word: Word,
     budget = _Budget(limits.max_configs)
     if spec.flags.deterministic:
         tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL]
-        _, cycles, _, _ = _deterministic_phase(spec, tape, None, 0, budget)
-        cycles = [(tuple(tape[1:-1]), record) for _, record in cycles]
+        record, outcome, flag, _, _, _ = _cycle(spec, tape, None, 0, budget)
+        if outcome == OUT_LIMIT:
+            raise ResourcesExceeded(flag)
+        cycles = [(tuple(tape[1:-1]), record)] if outcome is None else []
     else:
-        _, cycles, _, _ = _explore_phase(spec, word, budget)
+        _, cycles, _ = _explore_phase(spec, word, budget)
     firsts: dict[Word, CycleRecord] = {}
     for v, record in cycles:
         firsts.setdefault(v, record)

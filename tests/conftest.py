@@ -16,9 +16,10 @@ from redukto.model import (
 
 @pytest.fixture
 def interpreted_steps(monkeypatch):
-    """A list that gets, for every deterministic cycle run in the test, the
-    number of steps it interpreted rather than repeated from the cycle it
-    resumed after."""
+    """A list that gets, for every phase that ``engine._cycle`` steps in
+    place in the test (every cycle of a deterministic automaton), the number
+    of steps it interpreted rather than repeated from the cycle it resumed
+    after: the steps of the record it returns first."""
     import redukto.engine as engine
 
     counts = []

@@ -29,6 +29,7 @@ from redukto.engine import (
     walk_branches,
     window_of,
 )
+from redukto.languages import LanguageQuery, enumerate_language
 from redukto.model import (
     LEFT_SENTINEL as C,
     RIGHT_SENTINEL as D,
@@ -37,7 +38,9 @@ from redukto.model import (
     PreconditionError,
     SymbolError,
     accept,
+    mvl,
     mvr,
+    reject,
     restart,
     sl,
 )
@@ -228,6 +231,42 @@ def test_first_member_skips_the_candidates_of_a_rejected_prefix(m_e):
     # takes 7, and to bbb, the last candidate, which takes 5.
     assert outcomes(decide_members(m_e.spec, [["b"], ["a", "b"], ["a", "b"]])) == [
         ("member", 1 + 7, word("bba")), ("non-member", 1 + 7 + 5, None)]
+
+
+def test_rejected_prefix_reaches_past_a_move_left():
+    # The first phase of aa reads both letters, moves back onto the first
+    # and rejects there: its rejected prefix is the two letters it read, not
+    # the one it stopped on, so the member ab, which shares only the first,
+    # is still decided.
+    table = {
+        ("q0", (C,)): (mvr("q0"),),
+        ("q0", ("a",)): (mvr("q1"),),
+        ("q1", ("a",)): (mvl("q2"),),
+        ("q2", ("a",)): (reject(),),
+        ("q1", ("b",)): (mvr("q3"),),
+        ("q3", (D,)): (accept(),),
+    }
+    spec = AutomatonSpec("back", frozenset({"q0", "q1", "q2", "q3"}), "q0", 1, frozenset("ab"),
+                         frozenset("ab"), table, ClassFlags(deterministic=True))
+    assert decide_basic_membership(spec, word("aa")).configs_explored == 4
+    # ba is stuck on its first letter, which rules out bb.
+    assert outcomes(decide_members(spec, [["a", "b"], ["a", "b"]])) == [
+        ("member", 4 + 4, word("ab")), ("non-member", 4 + 4 + 2, None)]
+    assert enumerate_language(spec, LanguageQuery("basic", 2)) == [word("ab")]
+
+
+@pytest.mark.parametrize("last", [(mvl("q0"),), (mvl("q0"), reject())])
+def test_phase_search_charges_nothing_for_a_move_back_into_its_steps_in_place(last):
+    # On a the phase steps ¢, a and $ in place, then moves back onto a: the
+    # configuration it meets there is one it expanded, and is not charged
+    # again, whether the phase reaches $ in place or as the root of its
+    # branch search.
+    table = {("q0", (C,)): (mvr("q0"),), ("q0", ("a",)): (mvr("q0"),), ("q0", (D,)): last}
+    spec = AutomatonSpec("back", frozenset({"q0"}), "q0", 1, frozenset("a"), frozenset("a"),
+                         table, ClassFlags(deterministic=False))
+    assert cycle_rewrites(spec, word("a"), Limits(3)) == {}
+    with pytest.raises(ResourcesExceeded, match="^configs limit exceeded$"):
+        cycle_rewrites(spec, word("a"), Limits(2))
 
 
 def test_members_end_with_the_candidate_that_tripped_a_limit(m_e):
