@@ -65,12 +65,13 @@ stuck, applies moves and rewrites inline to one list tape, and applies
 the cycle discipline inline, taking ``discipline_break``'s message only
 when a step breaks it.  A spec flagged deterministic holds at most one
 instruction per entry, so its every cycle is one such loop, on a tape
-rewritten in place across a run, and keeps the leftmost rewrite position
-in ``CycleRecord.rewritten_from``, where the next cycle resumes.  On any
-other spec the loop stops at the first entry with a choice, and the
-branch search (``_explore_phase``) goes on from there: it reads table
-entries the same way, every instruction of an entry in table order, and
-applies the cycle discipline inline, on flat keys over interned tapes.
+rewritten in place across a run; the loop returns its leftmost rewrite
+position, where the next cycle resumes, and only the run loops
+(``run_deterministic``, ``_search``) read it.  On any other spec the
+loop stops at the first entry with a choice, and the branch search
+(``_explore_phase``) goes on from there: it reads table entries the same
+way, every instruction of an entry in table order, and applies the cycle
+discipline inline, on flat keys over interned tapes.
 ``successors`` remains the reference definition of the step relation:
 ``walk_branches`` and ``replay_trace`` call it, and the tests check the
 inline steps against it.
@@ -86,9 +87,8 @@ candidate's first cycle; on any other, ``_explore_phase`` searches every
 branch of the phase.  A start word's phase that rejects it without a
 rewrite gives its rejected prefix (see ``_rejected_prefix``), by which
 ``decide_members`` skips candidates.  ``cycle_rewrites`` takes its one
-phase from ``_cycle`` on a deterministic automaton and from
-``_explore_phase`` otherwise, and returns that phase's ``CycleRecord``s,
-keyed by the words their cycles restart on.
+phase from ``_explore_phase`` on every automaton, and returns that phase's
+``CycleRecord``s, keyed by the words their cycles restart on.
 
 The memo.  A memo shared between calls holds only the start words
 decided, each with its verdict: (accepted, witness link).  A search looks
@@ -176,15 +176,13 @@ class CycleRecord(NamedTuple):
     record keeps no tape: it starts on the tape that the record before it
     in a trace restarted on, or on the trace's word, so one record serves
     every trace that reaches its start tape, memoized witness suffixes
-    included.  ``rewritten_from`` is the leftmost position at which a
-    deterministic cycle rewrote, so that it left cells [0, p) of its tape as
-    they were: None without a rewrite, and in the records that no cycle
-    resumes after (those of the branch searches)."""
+    included.  The fields are the same whichever loop built the record:
+    the position where a run's next cycle resumes is the run's state (see
+    ``_cycle``), not the record's."""
 
     scan: tuple[tuple[str, Instruction], ...]
     steps: tuple[tuple[str, Instruction], ...]
     window: int
-    rewritten_from: Optional[int] = None
 
     def ends_cycle(self) -> bool:
         return bool(self.steps) and self.steps[-1][1].kind == RESTART
@@ -370,18 +368,17 @@ def run_deterministic(spec: AutomatonSpec, word: Word, limits: Limits = DEFAULT_
     records: list[CycleRecord] = []
     record, same = None, 0
     while True:
-        record, outcome, flag, _, _, _ = _cycle(spec, tape, record, same, budget)
+        record, outcome, flag, _, _, _, same = _cycle(spec, tape, record, same, budget)
         if record.scan or record.steps:
             records.append(record)
         if outcome is not None:
             return Trace(word, tuple(records), outcome, flag)
-        same = record.rewritten_from
 
 
 # The outcome of ``_cycle`` at an entry that offers a choice.
 _CHOICE = "choice"
 
-# Builds a CycleRecord from its four fields without the Python-level
+# Builds a CycleRecord from its three fields without the Python-level
 # ``__new__`` of a NamedTuple.
 _record = partial(tuple.__new__, CycleRecord)
 
@@ -389,7 +386,7 @@ _record = partial(tuple.__new__, CycleRecord)
 def _cycle(
     spec: AutomatonSpec, tape: list[str], before: Optional[CycleRecord], same: int,
     budget: _Budget,
-) -> tuple[CycleRecord, Optional[str], Optional[str], int, int, Optional[set]]:
+) -> tuple[CycleRecord, Optional[str], Optional[str], int, int, Optional[set], Optional[int]]:
     """Steps from the restarting configuration on ``tape``, a list that it
     rewrites in place, while each entry offers one instruction: one cycle,
     or the tail, of a deterministic automaton, and the single branch of a
@@ -402,15 +399,18 @@ def _cycle(
     steps are clamped to what is left.  A step that breaks the cycle
     discipline stops it with an invalid-cycle outcome.
 
-    Returns (record, outcome, flag, pos, rewrites, seen): the outcome is
-    None when the cycle restarts, on ``tape`` as left, and ``_CHOICE`` at an
-    entry of more than one instruction (only in a spec not flagged
-    deterministic), which it stops at having spent the configuration's
-    charge but taken no step; otherwise the outcome and flag are a
-    trace's.  ``pos`` and ``rewrites`` are those of the configuration it
-    stopped at, and ``seen`` the keys (state, pos, rewrites) of every
-    configuration it expanded after the repeated scan, kept from the first
-    MVL on (None before one)."""
+    Returns (record, outcome, flag, pos, rewrites, seen, leftmost): the
+    outcome is None when the cycle restarts, on ``tape`` as left, and
+    ``_CHOICE`` at an entry of more than one instruction (only in a spec
+    not flagged deterministic), which it stops at having spent the
+    configuration's charge but taken no step; otherwise the outcome and
+    flag are a trace's.  ``pos`` and ``rewrites`` are those of the
+    configuration it stopped at, and ``seen`` the keys (state, pos,
+    rewrites) of every configuration it expanded after the repeated scan,
+    kept from the first MVL on (None before one).  ``leftmost`` is the
+    least position at which it rewrote, None without a rewrite: it left
+    cells [0, leftmost) of ``tape`` as they were, so the next cycle of a
+    run resumes after this one with ``same = leftmost``."""
     cap, k, table = spec.flags.mr_degree, spec.window, spec.table
     scan, state = (), spec.initial
     if before is not None:
@@ -492,7 +492,7 @@ def _cycle(
         outcome, flag = OUT_INVALID, discipline_break(cap, ins, rewrites)
         break
     budget.left = left
-    return _record((scan, tuple(steps), k, leftmost)), outcome, flag, pos, rewrites, seen
+    return _record((scan, tuple(steps), k)), outcome, flag, pos, rewrites, seen, leftmost
 
 
 def _keys(steps: Sequence[tuple[str, Instruction]], pos: int, window: int, size: int) -> set:
@@ -587,10 +587,10 @@ def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
     k = spec.window
     tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL]
     size = len(tape)
-    head, outcome, flag, pos, rewrites, seen = _cycle(spec, tape, None, 0, budget)
+    head, outcome, flag, pos, rewrites, seen, _ = _cycle(spec, tape, None, 0, budget)
     if outcome is not _CHOICE:
         if outcome is None:
-            return None, [(tuple(tape[1:-1]), _record(((), head.steps, k, None)))], None
+            return None, [(tuple(tape[1:-1]), head)], None
         if outcome == OUT_LIMIT:
             raise ResourcesExceeded(flag)
         if outcome == OUT_ACCEPT:
@@ -640,12 +640,12 @@ def _explore_phase(spec: AutomatonSpec, word: Word, budget: _Budget) -> _Phase:
                 elif kind == RESTART:
                     if rewrites:
                         path = head + tuple(_path_to(parents, node, (state, ins)))
-                        cycles.append((tape[1:-1], _record(((), path, k, None))))
+                        cycles.append((tape[1:-1], _record(((), path, k))))
                     continue
                 else:  # Accept / Reject
                     if kind == ACCEPT and not rewrites and tail_accept is None:
                         path = head + tuple(_path_to(parents, node, (state, ins)))
-                        tail_accept = _record(((), path, k, None))
+                        tail_accept = _record(((), path, k))
                     continue
                 if child in parents:
                     continue
@@ -723,14 +723,15 @@ def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same
             if verdict is frame:
                 stack.append(frame)
                 if deterministic:
-                    record, outcome, flag, pos, rewrites, seen = _cycle(spec, tape, before, same, budget)
+                    record, outcome, flag, pos, rewrites, seen, leftmost = _cycle(
+                        spec, tape, before, same, budget)
                     if len(stack) == 1:
                         first = record
                     if outcome is None:
                         # The next word is the tape as the cycle left it,
                         # sliced only when the memo or the table asks.
                         frame[1:] = ((None, record),), 1
-                        before, same = record, record.rewritten_from
+                        before, same = record, leftmost
                         w = tuple(tape[1:-1]) if table is not None or lookup else None
                         continue
                     if outcome == OUT_LIMIT:
@@ -899,21 +900,14 @@ def cycle_rewrites(spec: AutomatonSpec, word: Word,
     For non-shrinking automata every v is strictly shorter than the
     argument, since every rewrite shortens its window; shrinking automata
     may preserve length and the weight function carries the progress
-    argument instead.  The phase comes from ``_cycle`` on a deterministic
-    automaton, as in the decider, and from ``_explore_phase`` otherwise.  Raises ResourcesExceeded when the budget runs out, and
-    PreconditionError when a cycle of a shrinking automaton with weights
-    does not lower the tape's weight.
+    argument instead.  The phase comes from ``_explore_phase`` on every
+    automaton, so a deterministic one's is its single ``_cycle``.  Raises
+    ResourcesExceeded when the budget runs out, and PreconditionError when a
+    cycle of a shrinking automaton with weights does not lower the tape's
+    weight.
     """
     word = _over(spec.work_alphabet, word)
-    budget = _Budget(limits.max_configs)
-    if spec.flags.deterministic:
-        tape = [LEFT_SENTINEL, *word, RIGHT_SENTINEL]
-        record, outcome, flag, _, _, _ = _cycle(spec, tape, None, 0, budget)
-        if outcome == OUT_LIMIT:
-            raise ResourcesExceeded(flag)
-        cycles = [(tuple(tape[1:-1]), record)] if outcome is None else []
-    else:
-        _, cycles, _ = _explore_phase(spec, word, budget)
+    _, cycles, _ = _explore_phase(spec, word, _Budget(limits.max_configs))
     firsts: dict[Word, CycleRecord] = {}
     for v, record in cycles:
         firsts.setdefault(v, record)

@@ -15,9 +15,6 @@ from __future__ import annotations
 
 from .model import (
     ACCEPT,
-    AUXES,
-    DIRECTIONS,
-    FORMS,
     LEFT_SENTINEL,
     MVL,
     MVR,
@@ -205,12 +202,6 @@ def _parse_class(fields: list[str], lineno: int) -> ClassFlags:
     if len(fields) < 5:
         raise ParseError("class takes direction, form, aux, det/nondet, j=N", lineno)
     direction, form, aux, det = fields[0], fields[1], fields[2], fields[3]
-    if direction not in DIRECTIONS:
-        raise ParseError("bad direction %r" % direction, lineno)
-    if form not in FORMS:
-        raise ParseError("bad rewrite form %r" % form, lineno)
-    if aux not in AUXES:
-        raise ParseError("bad aux marker %r" % aux, lineno)
     if det not in ("det", "nondet"):
         raise ParseError("expected det or nondet, got %r" % det, lineno)
     if not fields[4].startswith("j=") or not _is_number(fields[4][2:]):

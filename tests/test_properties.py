@@ -20,6 +20,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st, target
 
+from redukto import engine
 from redukto.catalog import catalog_get
 from redukto.checks import VIOLATED, check_cycle_soundness, check_monotone, check_shrinking
 from redukto.construct import to_shrinking
@@ -395,11 +396,19 @@ def rewrites_outcome(spec, w, limits):
 
 @settings(max_examples=150, deadline=None)
 @given(automaton_and_word(deterministic=True))
+@example((catalog_get("m_e").spec, tuple("aaaa")))
+@example((catalog_get("dyck1").spec, ("a1", "ā1", "a1", "ā1")))
+@example((catalog_get("l_3").spec, tuple("aaccbb")))
+@example((catalog_get("lm_2").spec, tuple("acaca")))
 def test_cycle_rewrites_follow_the_search_on_a_deterministic_automaton(case):
     spec, w = case
     unflagged = replace(spec, flags=replace(spec.flags, deterministic=False))
     for limits in (DEFAULT_LIMITS, Limits(max_configs=12)):
-        assert rewrites_outcome(spec, w, limits) == rewrites_outcome(unflagged, w, limits), limits
+        outcome = rewrites_outcome(spec, w, limits)
+        assert outcome == rewrites_outcome(unflagged, w, limits), limits
+        if type(outcome) is list:
+            # The records themselves are equal, not only their steps.
+            assert cycle_rewrites(spec, w, limits) == cycle_rewrites(unflagged, w, limits), limits
 
 
 @settings(max_examples=300, deadline=None)
@@ -680,11 +689,27 @@ def long_deterministic_runs(draw):
 def test_resumed_run_agrees_with_plain_run(case):
     trace = assert_resumed_run_is_plain(*case)
     cap = case[0].flags.mr_degree
+    # The leftmost rewrite position that each ``_cycle`` hands the run, where
+    # the next cycle resumes.
+    leftmosts = []
+    plain = engine._cycle
+
+    def recorded(*args):
+        result = plain(*args)
+        leftmosts.append(result[6])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_cycle", recorded)
+        assert run_deterministic(*case) == trace
+    # A last cycle that stops before its first step, stuck or over the
+    # limit, keeps no record.
+    assert len(leftmosts) - len(trace.records) in (0, 1)
     starts = [trace.word] + [v for _, v in trace.reductions()]
-    for start, record in zip(starts, trace.records):
+    for start, record, leftmost in zip(starts, trace.records, leftmosts):
         steps = Trace(start, (record,), trace.outcome).steps
         rewrote = [c.pos for c, ins in steps if ins.kind == SL and c.rewrites < cap]
-        assert record.rewritten_from == min(rewrote, default=None)
+        assert leftmost == min(rewrote, default=None)
     target(float(sum(len(record.scan) for record in trace.records)))
 
 
