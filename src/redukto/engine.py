@@ -80,50 +80,41 @@ tapes.  ``successors`` remains the reference definition of the step
 relation: ``walk_branches`` and ``replay_trace`` read ``spec.table``
 through it, and the tests check the inline steps against it.
 
-Membership.  ``_search`` decides every word for every automaton: it
-answers ``decide_basic_membership`` and each candidate of
-``decide_members``, the one candidate loop under brute enumeration, the
-closure's seeds and the h-proper decider.  On a deterministic automaton
-a decision is the run loop (``_follow``) that ``run_deterministic`` runs
-too: one ``_cycle`` after another on one list tape, each resumed after
-the cycle before it, the start word's after the previous candidate's
-first cycle, its records kept in a list and made into the witness once
-the loop stops, so it costs what the run costs.  On any other automaton
-one depth-first loop over restarting words searches every branch of each
-word's phase with ``_explore_phase``.  A start word's phase that rejects
-it without a rewrite gives its rejected prefix (see
-``_rejected_prefix``), by which ``decide_members`` skips candidates; it
-is worked out for the start word's phase alone.  ``cycle_rewrites``
-takes its one phase from ``_explore_phase`` on every automaton, and
-returns that phase's ``CycleRecord``s, keyed by the words their cycles
-restart on.
+Membership.  Every decision is a candidate of the one candidate loop
+behind ``decide_members``, which brute enumeration, the closure's seeds
+and the h-proper decider run; deciding one word
+(``decide_basic_membership``, and through it ``decide_input_membership``)
+is its case of one choice per letter.  Each candidate is one ``_search``:
+on a deterministic automaton the run loop (``_follow``) that
+``run_deterministic`` runs too, its first cycle resumed after the previous
+candidate's, so it costs what the run costs; on any other, one
+depth-first loop over restarting words, each word's phase explored by
+``_explore_phase``.  A start word's phase that rejects it without a
+rewrite gives its rejected prefix (see ``_rejected_prefix``), by which the
+loop skips candidates.  ``cycle_rewrites`` takes its one phase from
+``_explore_phase`` on every automaton, and returns that phase's
+``CycleRecord``s, keyed by the words their cycles restart on.
 
 The memo.  A memo shared between calls holds only the start words
 decided, each with its verdict: (accepted, witness link).  A search looks
-words up in it and writes its own start word there once it is settled;
-one that trips a limit or meets a recurring word writes nothing.  The
-words a search restarts on are its own.  A branch search keeps them in a
-table of its own that starts empty on every call: a word is marked open
-there when the search reaches it, so that one that recurs is refused,
-and stays there once settled (unless ``memoize`` is off), so that the
-search explores it once.  A deterministic automaton follows one chain,
-whose words all stay open until it stops: on a shrinking automaton the
-run loop keeps them in a set, so that one that recurs is refused, and a
-non-shrinking one's words grow ever shorter, none can recur, and it
-keeps none.  A search looks its start word up in the memo, and the
-words it restarts on only when the memo may hold one: when the memo held
-a word as the call began (for ``decide_members``, as its candidates
-began), or, among the candidates of ``decide_members`` on a shrinking
-automaton, whose cycles may reach an earlier candidate.  Otherwise a
-non-shrinking deterministic chain slices no restart word from its tape.
-Brute enumeration, and ``words_over`` behind the checks, decide every
-shorter word first, as a start word, so a chain still meets them in the
-memo.
+its start word up there and writes it there once it is settled; one that
+trips a limit or meets a recurring word writes nothing.  The words a
+search restarts on are its own: a branch search marks each open in a
+table of its own, so that one that recurs is refused, and keeps it there
+once settled (unless ``memoize`` is off); a shrinking deterministic chain
+keeps its words in a set, and a non-shrinking one's words grow ever
+shorter, so none can recur.  The one lookup rule, in the candidate loop:
+a search looks the words it restarts on up in the memo when the memo held
+a word as the candidates began, or on a shrinking automaton, whose cycles
+may reach an earlier candidate.  Otherwise a non-shrinking deterministic
+chain slices no restart word from its tape.  Brute enumeration, and
+``words_over`` behind the checks, decide every shorter word first, as a
+start word, so a chain still meets them in the memo.
 
 Searches are reentrant and side-effect free apart from the one write of
 their start word into the memo, and the spec's index, built on first use
 and equal however often it is built; deciding distinct words in parallel
-is safe.
+is safe, and a spec pickles, so it can reach a worker process.
 """
 
 from __future__ import annotations
@@ -131,6 +122,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .model import (
@@ -453,11 +445,11 @@ def _cycle(
     configuration's charge but taken no step; otherwise the outcome and
     flag are a trace's.  ``pos`` and ``rewrites`` are those of the
     configuration it stopped at, and ``seen`` the keys (state, pos,
-    rewrites) of every configuration it expanded after the repeated scan,
-    kept from the first MVL on (None before one).  ``leftmost`` is the
-    least position at which it rewrote, None without a rewrite: it left
-    cells [0, leftmost) of ``tape`` as they were, so the next cycle of a
-    run resumes after this one with ``same = leftmost``."""
+    rewrites) of every configuration it expanded, the repeated scan's
+    included, kept from the first MVL on (None before one).  ``leftmost``
+    is the least position at which it rewrote, None without a rewrite: it
+    left cells [0, leftmost) of ``tape`` as they were, so the next cycle of
+    a run resumes after this one with ``same = leftmost``."""
     cap, k, rows = spec.flags.mr_degree, spec.window, spec._rows
     scan, state = (), spec.initial
     if before is not None:
@@ -484,12 +476,12 @@ def _cycle(
     outcome = flag = None
     while True:
         # Only a rewrite changes the tape, so within a cycle (state, pos,
-        # rewrites) fixes the tape; the repeated scan stands for the keys of
-        # its steps.  Until an MVL, (rewrites, pos) grows at every step and
-        # no key recurs, so ``seen`` is kept from the first MVL on.
+        # rewrites) fixes the tape.  Until an MVL, (rewrites, pos) grows at
+        # every step and no key recurs, so ``seen`` is kept from the first
+        # MVL on, the repeated scan's keys included.
         if seen is not None:
             key = (state, pos, rewrites)
-            if key in seen or (pos < r and rewrites == 0 and scan[pos][0] == state):
+            if key in seen:
                 outcome = OUT_DIVERGES
                 break
             seen.add(key)
@@ -525,7 +517,7 @@ def _cycle(
                 continue
         elif kind == MVL:
             if seen is None:
-                seen = _keys(steps, r, k, size)
+                seen = _keys(scan + tuple(steps), 0, k, size)
             state, pos = ins.state, pos - 1
             continue
         elif kind == RESTART:
@@ -729,8 +721,9 @@ def _recurs(w: Word) -> PreconditionError:
 
 def _search(spec: AutomatonSpec, word: Word, before: Optional[CycleRecord], same: int,
             memo: dict, lookup: bool, memoize: bool, budget: _Budget):
-    """The loop behind every decision: whether some computation from the
-    restarting configuration of ``word`` accepts.
+    """The search behind every decision, called for each candidate of
+    ``_members``: whether some computation from the restarting
+    configuration of ``word`` accepts.
 
     ``word`` is looked up in ``memo``, and so is each word the search
     restarts on when ``lookup`` says the memo may hold one; ``memo`` gets
@@ -839,31 +832,20 @@ def _witness(word: Word, link) -> Trace:
 def decide_basic_membership(spec: AutomatonSpec, word: Word, limits: Limits = DEFAULT_LIMITS,
                             memoize: bool = True, memo: Optional[dict] = None) -> Decision:
     """Decide whether some computation from the restarting configuration of
-    ``word`` accepts.
+    ``word`` accepts: the one candidate of ``decide_members`` with one
+    choice per letter.
 
-    One depth-first loop over restarting words, on an explicit stack, for
-    every automaton (``_search``; see the module docstring, which also
-    states what ``memo`` keeps).  Every phase spends the one
-    ``max_configs`` budget, so it bounds the chain of open words too.
-    Every cycle of an automaton that is not shrinking shortens the tape,
-    so a restarting word recurs only on a shrinking automaton whose
-    weights its cycles do not lower, and then raises PreconditionError.
-    ``memoize=False`` ignores ``memo`` and re-explores every restarting
-    word, remembering only the open words so that it raises on a
-    recurring word too, and serves as the brute-force cross-check.
+    Every phase spends the one ``max_configs`` budget, so it bounds the
+    chain of open words too.  Every cycle of an automaton that is not
+    shrinking shortens the tape, so a restarting word recurs only on a
+    shrinking automaton whose weights its cycles do not lower, and then
+    raises PreconditionError.  ``memoize=False`` ignores ``memo`` and
+    re-explores every restarting word, remembering only the open words so
+    that it raises on a recurring word too, and serves as the brute-force
+    cross-check.
     """
-    word = _over(spec.work_alphabet, word)
-    if memo is None or not memoize:
-        memo = {}
-    budget = _Budget(limits.max_configs)
-    try:
-        (ok, link), _, _ = _search(spec, word, None, 0, memo, bool(memo), memoize, budget)
-    except ResourcesExceeded as err:
-        return Decision("resource-exceeded", None, limits.max_configs - budget.left, str(err))
-    explored = limits.max_configs - budget.left
-    if not ok:
-        return Decision("non-member", None, explored)
-    return Decision("member", _witness(word, link), explored)
+    options = [(t,) for t in word]
+    return next(_members(spec, options, limits, memo if memoize else {}, memoize))[0]
 
 
 def decide_members(spec: AutomatonSpec, options: Sequence[Sequence[str]],
@@ -875,9 +857,9 @@ def decide_members(spec: AutomatonSpec, options: Sequence[Sequence[str]],
     (non-member decision, None) after the last candidate, or
     (resource-exceeded decision, the candidate that tripped a limit).
 
-    Each candidate is decided as by ``decide_basic_membership``, under the
-    whole ``limits`` and on one memo shared by all candidates, and each
-    yielded ``configs_explored`` sums the candidates decided so far.  The
+    Each candidate is decided by one search (``_search``), under the whole
+    ``limits`` and on one memo shared by all candidates, and each yielded
+    ``configs_explored`` sums the candidates decided so far.  The
     candidates run an odometer, so consecutive ones share the letters left
     of the one that moved, and on a deterministic automaton each first
     phase resumes after the previous candidate's (see the module
@@ -897,8 +879,14 @@ def decide_members(spec: AutomatonSpec, options: Sequence[Sequence[str]],
     spared.  A shrinking automaton's cycle may reach another candidate of
     the same length, so its candidates are all decided.
     """
-    for choices in options:
-        _over(spec.work_alphabet, choices)
+    return _members(spec, options, limits, memo, True)
+
+
+def _members(spec: AutomatonSpec, options: Sequence[Sequence[str]], limits: Limits,
+             memo: Optional[dict], memoize: bool) -> Iterator[tuple[Decision, Optional[Word]]]:
+    """The candidate loop of ``decide_members``, each search settling its
+    restarting words as ``memoize`` says (see ``decide_basic_membership``)."""
+    _over(spec.work_alphabet, chain.from_iterable(options))
     if not all(options):
         yield Decision("non-member"), None
         return
@@ -910,14 +898,14 @@ def decide_members(spec: AutomatonSpec, options: Sequence[Sequence[str]],
     # a word already, or, on a shrinking automaton, an earlier candidate.
     lookup = bool(memo) or not skip
     digits = [0] * n
-    firsts = candidate = tuple(choices[0] for choices in options)
+    firsts = candidate = tuple([choices[0] for choices in options])
     explored, record, same = 0, None, 0
     budget = _Budget(0)
     while True:
         budget.left = limits.max_configs  # each candidate gets the whole limits
         try:
             (ok, link), prefix, record = _search(
-                spec, candidate, record, same, memo, lookup, True, budget)
+                spec, candidate, record, same, memo, lookup, memoize, budget)
         except ResourcesExceeded as err:
             explored += limits.max_configs - budget.left
             yield Decision("resource-exceeded", None, explored, str(err)), candidate

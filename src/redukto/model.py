@@ -154,7 +154,10 @@ class ReadOnlyDict(dict):
     ``.get`` and ``[]`` of a dict subclass, and a ``.get`` took 90 ns
     against a plain dict's 47 ns (two-key table, tuple key, 2-vCPU x86-64
     machine).  So the step loops do not read the table: they read the
-    spec's per-state index of plain dicts (``AutomatonSpec._rows``)."""
+    spec's per-state index of plain dicts (``AutomatonSpec._rows``).
+
+    It pickles and copies, shallow or deep, as a new read-only dict built
+    from its items, so a spec that holds one does too."""
 
     __slots__ = ()
 
@@ -163,6 +166,9 @@ class ReadOnlyDict(dict):
 
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 TableKey = tuple[str, Word]
@@ -597,11 +603,6 @@ class GnfGrammar:
                     raise PreconditionError(
                         "rule %d: tail symbol %r is not a nonterminal" % (idx, sym)
                     )
-
-    def rule(self, number: int) -> GnfRule:
-        if not 1 <= number <= len(self.rules):
-            raise PreconditionError("no rule numbered %d" % number)
-        return self.rules[number - 1]
 
     def rules_for(self, nonterminal: str) -> list[tuple[int, GnfRule]]:
         return [

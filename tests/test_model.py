@@ -1,11 +1,16 @@
 """Window contents, rewrite classification, legal specs, morphisms and tags."""
 
+import copy
 import itertools
+import pickle
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from redukto.catalog import catalog_get, catalog_list
+from redukto.construct import build_hrrwwc, derivation_encode, to_shrinking
+from redukto.engine import Limits, decide_basic_membership
 from redukto.model import (
     LEFT_SENTINEL as C,
     RIGHT_SENTINEL as D,
@@ -402,5 +407,29 @@ def test_gnf_grammar_validation():
                    (GnfRule("S", "S", ()),))
     good = GnfGrammar("g", frozenset({"S"}), frozenset({"a"}), "S",
                       (GnfRule("S", "a", ("S",)), GnfRule("S", "a", ())))
-    assert good.rule(2) == GnfRule("S", "a", ())
     assert [i for i, _ in good.rules_for("S")] == [1, 2]
+
+
+def test_specs_pickle_and_deep_copy():
+    # Every stock automaton, both grammar builds and a shrunk build, through
+    # pickle and deepcopy: an equal spec whose table still refuses changes
+    # and that decides a word the same way.
+    specs = [entry.spec for entry in catalog_list() if entry.spec is not None]
+    builds = [build_hrrwwc(catalog_get(name).grammar)[0] for name in ("anbn_gnf", "dyck_gnf")]
+    specs += builds + [to_shrinking(builds[0])[0]]
+    limits = Limits(max_configs=20_000)
+    for spec in specs:
+        word = tuple(sorted(spec.input_alphabet)) * 2
+        decision = decide_basic_membership(spec, word, limits)
+        for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert twin == spec, spec.name
+            for table in (twin.table, twin.morphism, twin.weights):
+                if table is not None:
+                    with pytest.raises(TypeError, match="is read-only"):
+                        table[C] = ()
+            assert decide_basic_membership(twin, word, limits) == decision, spec.name
+    _, alphabet = derivation_encode(catalog_get("dyck_gnf").grammar)
+    for twin in (pickle.loads(pickle.dumps(alphabet)), copy.deepcopy(alphabet)):
+        assert twin == alphabet
+        with pytest.raises(TypeError, match="is read-only"):
+            twin.morphism["x"] = "x"

@@ -420,6 +420,40 @@ def test_deterministic_decisions_on_a_shared_memo_agree_with_fresh_ones_and_the_
             assert steps is None or steps == list(run.steps), (limits, w)
 
 
+def outcome_or_recurs(decide):
+    """``decision_outcome`` of ``decide()``, or "recurs" when one of its
+    restarting words recurs."""
+    try:
+        return decision_outcome(decide())
+    except PreconditionError as err:
+        assert "recurs: a cycle made no progress" in str(err)
+        return "recurs"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.booleans(), st.booleans()).flatmap(
+    lambda drawn: automata(deterministic=drawn[0], shrinking=drawn[1])))
+def test_a_word_is_decided_as_its_one_candidate(spec):
+    # Deciding a word is the candidate loop with one choice per letter: the
+    # same outcome and the same memo after every word, decided in turn on
+    # one memo per entry point, so that later words meet earlier ones.  The
+    # drawn automata read every working symbol as an input symbol.
+    symbols = sorted(spec.work_alphabet)
+    words = [w for n in range(4) for w in itertools.product(symbols, repeat=n)]
+    for limits in CROSS_LIMITS:
+        alone, looped, inputs = {}, {}, {}
+        for w in words:
+            outcome = outcome_or_recurs(
+                lambda: decide_basic_membership(spec, w, limits, memo=alone))
+            candidate = outcome_or_recurs(
+                lambda: next(decide_members(spec, [(t,) for t in w], limits, looped))[0])
+            assert outcome == candidate, (limits, w)
+            assert alone == looped, (limits, w)
+            assert outcome == outcome_or_recurs(
+                lambda: decide_input_membership(spec, w, limits, inputs)), (limits, w)
+            assert inputs == alone, (limits, w)
+
+
 def test_deterministic_decider_refuses_a_choice():
     # Flagged deterministic, but a offers a move and a reject: the spec is
     # refused when built, so the deterministic decider never meets the
